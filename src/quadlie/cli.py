@@ -2,7 +2,8 @@
 
 All reports are canonical JSON (sorted keys, fixed indentation), so two
 runs on the same input produce identical bytes.  Exit codes: 0 = clean,
-1 = mathematical violation found, 2 = input error.
+1 = mathematical violation found, 2 = input error, 3 = internal
+verification failed (a certificate the theory guarantees did not hold).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .documents import (
     matrix_to_json,
     vector_to_json,
 )
+from .errors import InternalVerificationError
 from .exactla import Subspace, unit_vector
 from .liealg import (
     center,
@@ -47,6 +49,7 @@ from .structure import (
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _subspace_to_json(S: Subspace) -> dict:
@@ -96,9 +99,13 @@ def cmd_construct(data) -> Tuple[AlgebraDocument, int]:
 
 def _candidate_from_indices(doc: AlgebraDocument, indices: List[int]) -> Subspace:
     g = doc.algebra
+    seen = set()
     for i in indices:
         if not 0 <= i < g.dim:
             raise DocumentError(f"ideal index {i} out of range", "ideal")
+        if i in seen:
+            raise DocumentError(f"ideal index {i} given twice", "ideal")
+        seen.add(i)
     return Subspace.from_vectors(g.dim, [unit_vector(g.dim, i) for i in indices])
 
 
@@ -355,6 +362,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalVerificationError as exc:
+        print(f"error: internal verification failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

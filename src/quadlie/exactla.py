@@ -81,9 +81,10 @@ def scale_vec(c: Scalar, x: Vector) -> Vector:
 
 
 def dot(x: Vector, y: Vector) -> Fraction:
+    """Exact inner product; zero factors are skipped, the result is a Fraction."""
     if len(x) != len(y):
         raise ValueError("vector length mismatch")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
 
 
 def is_zero_vec(x: Vector) -> bool:

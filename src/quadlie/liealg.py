@@ -387,15 +387,29 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K(x, y) = trace(ad x · ad y) on basis pairs."""
-    ads = [ad(g, unit_vector(g.dim, i)).matrix for i in range(g.dim)]
-    rows = []
-    for i in range(g.dim):
-        row = []
-        for j in range(g.dim):
-            row.append((ads[i] @ ads[j]).trace())
-        rows.append(row)
-    return Matrix(rows, g.dim)
+    """K(x, y) = trace(ad x · ad y) on basis pairs, read off the sparse table.
+
+    With [e_i, e_l] = sum_k c_il^k e_k, entry (k, l) of ad e_i is c_il^k, so
+    K_ij = sum_{k,l} c_il^k c_jk^l: one pass over the nonzero entries of
+    ad e_i per pair, and no matrix product.
+    """
+    n = g.dim
+    # ads[i][(k, l)] = c_il^k, nonzero entries only
+    ads: List[Dict[Tuple[int, int], Fraction]] = [{} for _ in range(n)]
+    for (i, j), terms in g.structure.items():
+        for k, c in terms:
+            ads[i][(k, j)] = c
+            ads[j][(k, i)] = -c
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            adj = ads[j]
+            value = sum(
+                (c * adj[(l, k)] for (k, l), c in ads[i].items() if (l, k) in adj),
+                Fraction(0),
+            )
+            rows[i][j] = rows[j][i] = value
+    return Matrix(rows, n)
 
 
 def is_derivation(g: LieAlgebra, M: Matrix) -> bool:

@@ -10,6 +10,7 @@ the nilradical-theorem verifier.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -21,6 +22,7 @@ from .exactla import (
     Subspace,
     Vector,
     add_vec,
+    dot,
     form_restrict_nondegenerate,
     is_zero_vec,
     kernel,
@@ -82,71 +84,46 @@ def radical(g: LieAlgebra) -> Subspace:
 class _SpanBuilder:
     """Incrementally maintained row span with pivot-reduced rows."""
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
+    def __init__(self):
         self.rows: List[list] = []
         self.pivots: List[int] = []
 
-    def _reduce(self, v: list) -> list:
+    def add(self, vec: Sequence) -> bool:
+        """Add a vector; returns True when the span grew."""
+        v = list(vec)
         for pivot, row in zip(self.pivots, self.rows):
             if v[pivot] != 0:
                 f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        """Add a vector; returns True when the span grew."""
-        v = self._reduce(list(vec))
+                v = [a - f * b if b else a for a, b in zip(v, row)]
         pivot = next((i for i, x in enumerate(v) if x != 0), None)
         if pivot is None:
             return False
         inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        self.rows.append(v)
+        self.rows.append([x * inv for x in v])
         self.pivots.append(pivot)
         return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self._reduce(list(vec)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def _associative_closure(generators: List[Matrix], size: int) -> List[Matrix]:
-    """Basis of the associative matrix algebra spanned by the generators.
-
-    Repeated span-closure under pairwise products; terminates because the
-    dimension is bounded by size^2.
-    """
-    span = _SpanBuilder(size * size)
-    basis: List[Matrix] = []
-    for M in generators:
-        if span.add(M.flatten()):
-            basis.append(M)
-    frontier = list(basis)
-    while frontier:
-        fresh = []
-        snapshot = list(basis)
-        for A in snapshot:
-            for B in frontier:
-                for prod in (A @ B, B @ A):
-                    if span.add(prod.flatten()):
-                        basis.append(prod)
-                        fresh.append(prod)
-        frontier = fresh
-    return basis
-
-
 def nilradical(g: LieAlgebra) -> Subspace:
-    """Maximal nilpotent ideal, via the trace-form radical of ad(Rad(g)).
+    """Maximal nilpotent ideal, as one linear system over the radical.
 
-    Restricts to R = Rad(g), generates the associative algebra A spanned by
-    products of the ad_R(x), computes Rad(A) = {a : trace(ab) = 0 for all b}
-    (exact in characteristic zero), and returns the preimage
-    {x in R : ad_R(x) in Rad(A)} embedded back in g.  The kernel of
-    x -> ad_R(x) is the center of R and lands in the preimage automatically.
+    Let R = Rad(g), of dimension k, and A the associative algebra generated
+    by the ad_R(x), x in R.  In characteristic zero the radical of A is
+    {a in A : trace(ab) = 0 for all b in A} (de Graaf, Lie Algebras: Theory
+    and Algorithms, 2000), and Nil(g) = {x in R : ad_R(x) in Rad(A)}.  As
+    ad_R(x) lies in A, Nil(g) = {x in R : trace(ad_R(x) b) = 0 for every b
+    in a basis of A}: k unknowns, one row per basis element of A, and each
+    entry trace(XY) = sum X_ij Y_ji needs no matrix product.
+
+    A is spanned by the words in the ad_R(e_t); its basis grows by left
+    multiplication with these generators, and each new basis element adds
+    one row.  Since [g, R] lies in Nil(g) (Jacobson, Lie Algebras), the
+    kernel always contains [g, R], and the closure stops once the two have
+    the same dimension.
     """
     R = radical(g)
     k = R.dim
@@ -158,45 +135,27 @@ def nilradical(g: LieAlgebra) -> Subspace:
         Matrix.from_columns([gR.bracket_basis(i, j) for j in range(k)], k)
         for i in range(k)
     ]
-    algebra_basis = _associative_closure(ads, k)
-    if algebra_basis:
-        trace_gram = Matrix(
-            [
-                [(A @ B).trace() for B in algebra_basis]
-                for A in algebra_basis
-            ],
-            len(algebra_basis),
-        )
-        rad_coords = kernel(trace_gram)
-        rad_flats = []
-        for coords in rad_coords.vectors():
-            flat = [Fraction(0)] * (k * k)
-            for t, c in enumerate(coords):
-                if c != 0:
-                    mat_flat = algebra_basis[t].flatten()
-                    flat = [a + c * b for a, b in zip(flat, mat_flat)]
-            rad_flats.append(tuple(flat))
-        rad_span = Subspace.from_vectors(k * k, rad_flats)
-    else:
-        rad_span = Subspace.zero(k * k)
-    annihilator = kernel(rad_span.basis)
-    constraint_rows = []
-    ad_flats = [M.flatten() for M in ads]
-    for alpha in annihilator.vectors():
-        row = [
-            sum((a * b for a, b in zip(alpha, flat)), Fraction(0))
-            for flat in ad_flats
-        ]
-        constraint_rows.append(row)
-    coords_space = kernel(Matrix(constraint_rows, k))
-    ambient_vecs = []
-    for coords in coords_space.vectors():
-        v = zero_vector(g.dim)
-        for t, c in enumerate(coords):
-            if c != 0:
-                v = add_vec(v, scale_vec(c, R.vectors()[t]))
-        ambient_vecs.append(v)
-    nil = Subspace.from_vectors(g.dim, ambient_vecs)
+    # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: a dot product with ad_t transposed
+    ads_transposed = [M.transpose().flatten() for M in ads]
+    floor = bracket_subspaces(g, Subspace.full(g.dim), R).dim
+    words = _SpanBuilder()
+    constraints = _SpanBuilder()
+    unexpanded: deque = deque()
+
+    def add_word(M: Matrix) -> None:
+        flat = M.flatten()
+        if words.add(flat):
+            constraints.add([dot(a, flat) for a in ads_transposed])
+            unexpanded.append(M)
+
+    for M in ads:
+        add_word(M)
+    while unexpanded and k - constraints.dim > floor:
+        M = unexpanded.popleft()
+        for G in ads:
+            add_word(G @ M)
+    coords = kernel(Matrix(constraints.rows, k))
+    nil = Subspace(g.dim, coords.basis @ R.basis)
     ensure(is_ideal(g, nil), "nilradical candidate is not an ideal")
     ensure(
         nil.is_zero() or is_nilpotent(subalgebra_on(g, nil)),

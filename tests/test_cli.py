@@ -5,7 +5,9 @@ import pathlib
 import subprocess
 import sys
 
+from quadlie import cli
 from quadlie.cli import main
+from quadlie.errors import InternalVerificationError
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corpus"
 
@@ -156,6 +158,27 @@ def test_analyze_ideal_index_out_of_range(capsys):
     )
     assert code == 2
     assert "out of range" in err
+
+
+def test_ideal_with_repeated_index_is_input_error(capsys):
+    for command in ("analyze", "roundtrip"):
+        code, out, err = run_cli(
+            [command, corpus_path("h1_phi.algebra.json"), "--ideal", "1,1,2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "ideal index 1 given twice" in err
+
+
+def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys):
+    def failing_nilradical(g):
+        raise InternalVerificationError("nilradical candidate is not an ideal")
+
+    monkeypatch.setattr(cli, "nilradical", failing_nilradical)
+    code, out, err = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "error: internal verification failed: nilradical candidate is not an ideal\n"
 
 
 def test_analyze_reports_missing_quotient_metric(capsys):

@@ -8,6 +8,7 @@ import pytest
 from quadlie.exactla import (
     Matrix,
     Subspace,
+    dot,
     form_orthogonal,
     form_restrict_nondegenerate,
     format_rational,
@@ -17,6 +18,7 @@ from quadlie.exactla import (
     sum_intersect,
     unit_vector,
     vector,
+    zero_vector,
 )
 
 
@@ -186,3 +188,26 @@ def test_coordinates_of():
     U = Subspace.from_vectors(3, [vector([1, 0, 1]), vector([0, 1, 1])])
     assert U.coordinates_of(vector([2, 3, 5])) == (Fraction(2), Fraction(3))
     assert U.coordinates_of(vector([0, 0, 1])) is None
+
+
+def test_products_return_fractions_even_when_every_term_is_skipped():
+    """Zero factors are skipped, yet every product is a Fraction, never an int."""
+    for x, y in [((), ()), (zero_vector(3), zero_vector(3)), ((1, 0), (0, 1)), ((2, 3), (5, 7))]:
+        assert type(dot(x, y)) is Fraction
+    assert dot((2, 3), (5, 7)) == 31
+    matrix_pairs = [
+        (Matrix([], 0), Matrix([], 0)),
+        (Matrix.zeros(2, 0), Matrix([], 3)),
+        (Matrix.zeros(2, 3), Matrix.zeros(3, 2)),
+        (Matrix([[1, 0], [0, 0]], 2), Matrix([[0, 0], [0, 1]], 2)),
+    ]
+    for A, B in matrix_pairs:
+        product = A @ B
+        assert product.shape == (A.nrows, B.ncols)
+        assert all(type(x) is Fraction for row in product.rows for x in row)
+    assert Matrix.zeros(2, 0).apply(()) == (0, 0)
+    applications = [(Matrix.zeros(2, 0), ()), (Matrix.zeros(2, 2), (0, 0)), (Matrix([[0, 1]], 2), (1, 0))]
+    for M, v in applications:
+        assert all(type(x) is Fraction for x in M.apply(v))
+    for M in (Matrix([], 0), Matrix.zeros(2, 2), Matrix.identity(3)):
+        assert type(M.trace()) is Fraction

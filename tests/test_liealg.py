@@ -186,6 +186,10 @@ def test_killing_form():
     for m in (1, 2):
         assert killing_form(heisenberg(m)).is_zero()
     assert killing_form(sl2()) == sl2_killing_gram()
+    assert killing_form(LieAlgebra.abelian(0)).shape == (0, 0)
+    for g in (LieAlgebra.abelian(3), heisenberg(1), sl2(), two_dim_nonabelian()):
+        K = killing_form(g)
+        assert all(type(x) is Fraction for row in K.rows for x in row)
 
 
 def test_killing_form_associativity():
