@@ -39,8 +39,6 @@ from .structure import (
     complement_from_quotient_metric,
     find_heisenberg_ideal,
     has_invariant_quotient_metric,
-    nilradical,
-    radical,
     recognize_extended_heisenberg,
     recover_structure,
     verify_nilradical_theorem,
@@ -97,6 +95,18 @@ def cmd_construct(data) -> Tuple[AlgebraDocument, int]:
     return doc, EXIT_CLEAN
 
 
+def _violation_report(doc: AlgebraDocument) -> dict:
+    """Why the document's algebra and metric do not form a quadratic algebra."""
+    return {
+        "name": doc.name,
+        "jacobi_violations": len(check_jacobi(doc.algebra)),
+        "metric_violations": [
+            {"kind": v.kind, "indices": list(v.indices)}
+            for v in check_invariant_metric(doc.algebra, doc.metric)
+        ],
+    }
+
+
 def _candidate_from_indices(doc: AlgebraDocument, indices: List[int]) -> Subspace:
     g = doc.algebra
     seen = set()
@@ -116,36 +126,28 @@ def cmd_analyze(
     g = doc.algebra
     if doc.metric is None:
         raise DocumentError("analyze requires a metric", "metric")
-    jacobi = check_jacobi(g)
-    metric_violations = check_invariant_metric(g, doc.metric)
-    if jacobi or metric_violations:
-        report = {
-            "name": doc.name,
-            "dim": g.dim,
-            "jacobi_violations": len(jacobi),
-            "metric_violations": [
-                {"kind": v.kind, "indices": list(v.indices)}
-                for v in metric_violations
-            ],
-        }
+    try:
+        q = doc.quadratic()
+    except ValueError:
+        report = _violation_report(doc)
+        report["dim"] = g.dim
         return report, EXIT_VIOLATION
-    q = doc.quadratic()
+    candidate = None if ideal is None else _candidate_from_indices(doc, ideal)
 
-    rad = radical(g)
-    nil = nilradical(g)
+    theorem = verify_nilradical_theorem(q)
     report = {
         "name": doc.name,
         "dim": g.dim,
-        "radical": _subspace_to_json(rad),
-        "nilradical": _subspace_to_json(nil),
+        "radical": _subspace_to_json(theorem.radical),
+        "nilradical": _subspace_to_json(theorem.nilradical),
     }
 
-    if ideal is not None:
+    if candidate is not None:
         source = "given"
-        h = find_heisenberg_ideal(g, _candidate_from_indices(doc, ideal))
+        h = find_heisenberg_ideal(g, candidate)
     else:
         source = "nilradical"
-        h = find_heisenberg_ideal(g, nil)
+        h = theorem.heisenberg
         if h is None:
             source = "derived"
             h = find_heisenberg_ideal(g, derived_subalgebra(g))
@@ -177,7 +179,9 @@ def cmd_analyze(
         }
 
     if h is not None:
-        rec = recover_structure(q, h)
+        rec = getattr(verdict, "recovered", None)
+        if rec is None or rec.heis != h:
+            rec = recover_structure(q, h)
         report["recovery"] = {
             "s_dim": rec.s_basis.dim,
             "d": vector_to_json(rec.d),
@@ -202,7 +206,6 @@ def cmd_analyze(
                 "c": vector_to_json(witness.c),
             }
 
-    theorem = verify_nilradical_theorem(q)
     report["nilradical_theorem"] = {
         "applicable": theorem.applicable,
         "clauses": {name: ok for name, ok in theorem.clauses},
@@ -216,19 +219,10 @@ def cmd_roundtrip(doc: AlgebraDocument, ideal: List[int]) -> Tuple[dict, int]:
     """Recover the structure over the given ideal and rebuild exactly."""
     if doc.metric is None:
         raise DocumentError("roundtrip requires a metric", "metric")
-    jacobi = check_jacobi(doc.algebra)
-    metric_violations = check_invariant_metric(doc.algebra, doc.metric)
-    if jacobi or metric_violations:
-        report = {
-            "name": doc.name,
-            "jacobi_violations": len(jacobi),
-            "metric_violations": [
-                {"kind": v.kind, "indices": list(v.indices)}
-                for v in metric_violations
-            ],
-        }
-        return report, EXIT_VIOLATION
-    q = doc.quadratic()
+    try:
+        q = doc.quadratic()
+    except ValueError:
+        return _violation_report(doc), EXIT_VIOLATION
     candidate = _candidate_from_indices(doc, ideal)
     h = find_heisenberg_ideal(doc.algebra, candidate)
     if h is None:

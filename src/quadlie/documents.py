@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .exactla import Matrix, format_rational, parse_rational
 from .heisenberg import (
@@ -172,6 +172,30 @@ CONSTRUCTION_KINDS = (
 )
 
 
+def _parse_m_omega(params: dict) -> Tuple[int, Optional[Matrix]]:
+    """The parameter m and the optional 2m x 2m parameter omega."""
+    m = params.get("m")
+    _expect(isinstance(m, int) and m >= 1, "parameter m must be a positive integer",
+            "parameters.m")
+    omega = None
+    if params.get("omega") is not None:
+        omega = _parse_matrix(params["omega"], "parameters.omega", 2 * m, 2 * m)
+    return m, omega
+
+
+def _parse_core(params: dict) -> Tuple[QuadraticLieAlgebra, Matrix]:
+    """The quadratic core S and its derivation D."""
+    _expect("S" in params, "missing parameter 'S'", "parameters")
+    inner = algebra_document_from_json(params["S"])
+    _expect(inner.metric is not None, "core document needs a metric", "parameters.S")
+    _expect("D" in params, "missing parameter 'D'", "parameters")
+    D = _parse_matrix(params["D"], "parameters.D", inner.algebra.dim, inner.algebra.dim)
+    try:
+        return inner.quadratic(), D
+    except ValueError as exc:
+        raise DocumentError(str(exc), "parameters.S") from exc
+
+
 def construct_from_json(data: Any) -> AlgebraDocument:
     """Run the constructor described by a ConstructionDocument."""
     _expect(isinstance(data, dict), "expected an object", "$")
@@ -184,54 +208,29 @@ def construct_from_json(data: Any) -> AlgebraDocument:
     _expect(isinstance(name, str), "name must be a string", "name")
 
     if kind == "heisenberg":
-        m = params.get("m")
-        _expect(isinstance(m, int) and m >= 1, "parameter m must be a positive integer",
-                "parameters.m")
-        omega = None
-        if params.get("omega") is not None:
-            omega = _parse_matrix(params["omega"], "parameters.omega", 2 * m, 2 * m)
+        m, omega = _parse_m_omega(params)
         algebra = heisenberg(m, omega)
         return AlgebraDocument(name, algebra, None)
 
     if kind == "extend_heisenberg":
-        m = params.get("m")
-        _expect(isinstance(m, int) and m >= 1, "parameter m must be a positive integer",
-                "parameters.m")
-        omega = None
-        if params.get("omega") is not None:
-            omega = _parse_matrix(params["omega"], "parameters.omega", 2 * m, 2 * m)
+        m, omega = _parse_m_omega(params)
         _expect("phi" in params, "missing parameter 'phi'", "parameters")
         phi = _parse_matrix(params["phi"], "parameters.phi", 2 * m, 2 * m)
         q = extend_heisenberg(m, omega, phi)
         return AlgebraDocument(name, q.algebra, q.metric)
 
     if kind == "double_extension":
-        _expect("S" in params, "missing parameter 'S'", "parameters")
-        inner = algebra_document_from_json(params["S"])
-        _expect(inner.metric is not None, "core document needs a metric", "parameters.S")
-        _expect("D" in params, "missing parameter 'D'", "parameters")
-        D = _parse_matrix(params["D"], "parameters.D", inner.algebra.dim, inner.algebra.dim)
-        q = double_extension(inner.quadratic(), D)
+        S, D = _parse_core(params)
+        q = double_extension(S, D)
         return AlgebraDocument(name, q.algebra, q.metric)
 
     if kind == "build_with_heisenberg_ideal":
-        _expect("S" in params, "missing parameter 'S'", "parameters")
-        inner = algebra_document_from_json(params["S"])
-        _expect(inner.metric is not None, "core document needs a metric", "parameters.S")
-        sdim = inner.algebra.dim
-        _expect("D" in params, "missing parameter 'D'", "parameters")
-        D = _parse_matrix(params["D"], "parameters.D", sdim, sdim)
-        m = params.get("m")
-        _expect(isinstance(m, int) and m >= 1, "parameter m must be a positive integer",
-                "parameters.m")
-        if params.get("omega") is not None:
-            omega = _parse_matrix(params["omega"], "parameters.omega", 2 * m, 2 * m)
-            V = SymplecticSpace(omega)
-        else:
-            V = SymplecticSpace.standard(m)
+        S, D = _parse_core(params)
+        m, omega = _parse_m_omega(params)
+        V = SymplecticSpace.standard(m) if omega is None else SymplecticSpace(omega)
         _expect("sigmaD" in params, "missing parameter 'sigmaD'", "parameters")
         sigma = _parse_matrix(params["sigmaD"], "parameters.sigmaD", 2 * m, 2 * m)
-        q = build_with_heisenberg_ideal(inner.quadratic(), D, V, sigma)
+        q = build_with_heisenberg_ideal(S, D, V, sigma)
         return AlgebraDocument(name, q.algebra, q.metric)
 
     _expect("g" in params, "missing parameter 'g'", "parameters")

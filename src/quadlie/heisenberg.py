@@ -1,9 +1,10 @@
 """Constructors for Heisenberg-type quadratic Lie algebras.
 
-Provides the Heisenberg algebra h_m, its extension h_m(phi) by an
-invertible derivation, the double extension S(D) of a quadratic algebra by
-a skew derivation, the main builder that couples S(D) with a symplectic
-block, and the coadjoint-double example generator.
+Provides the Heisenberg algebra h_m, the main builder that couples the
+double extension S(D) with a symplectic block, its two special cases (the
+extension h_m(phi) by an invertible derivation, S = 0, and the double
+extension S(D) of a quadratic algebra by a skew derivation, V = 0), and the
+coadjoint-double example generator.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import ensure
+from .errors import InternalVerificationError
 from .exactla import Matrix, Subspace, unit_vector, vector
 from .liealg import LieAlgebra, LinearMap, check_jacobi, is_derivation
-from .quadform import BilinearForm, QuadraticLieAlgebra
+from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
 
 def standard_symplectic_matrix(m: int) -> Matrix:
@@ -118,12 +119,8 @@ def _as_omega_matrix(
     return value
 
 
-def heisenberg(m: int, omega: Optional[Matrix] = None) -> LieAlgebra:
-    """The Heisenberg algebra h_m on u_1..u_{2m}, hbar.
-
-    [u_i, u_j] = omega_{ij} hbar with hbar central; omega defaults to the
-    standard block form.
-    """
+def _symplectic_space(m: int, omega: Optional[Matrix]) -> SymplecticSpace:
+    """The space QQ^{2m} with omega, the standard block form by default."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if omega is None:
@@ -131,6 +128,24 @@ def heisenberg(m: int, omega: Optional[Matrix] = None) -> LieAlgebra:
     space = SymplecticSpace(omega)  # validates skew + nondegenerate
     if space.dim != 2 * m:
         raise ValueError("omega size does not match m")
+    return space
+
+
+def _certified(algebra: LieAlgebra, gram: Matrix, what: str) -> QuadraticLieAlgebra:
+    """The quadratic algebra of a construction whose inputs were validated."""
+    try:
+        return QuadraticLieAlgebra(algebra, BilinearForm(gram))
+    except ValueError as exc:
+        raise InternalVerificationError(f"{what} failed validation: {exc}") from exc
+
+
+def heisenberg(m: int, omega: Optional[Matrix] = None) -> LieAlgebra:
+    """The Heisenberg algebra h_m on u_1..u_{2m}, hbar.
+
+    [u_i, u_j] = omega_{ij} hbar with hbar central; omega defaults to the
+    standard block form.
+    """
+    omega = _symplectic_space(m, omega).omega
     dim = 2 * m + 1
     structure = {}
     for i in range(2 * m):
@@ -151,44 +166,12 @@ def extend_heisenberg(
 
     Basis (d, u_1..u_{2m}, hbar) with [d, u] = phi(u), [u, v] = omega(u, v)
     hbar, hbar central; the metric is B(u, v) = omega(phi^{-1} u, v) on V,
-    B(d, hbar) = 1, and zero elsewhere.
+    B(d, hbar) = 1, and zero elsewhere.  This is the builder with the zero
+    core S = 0, so phi is validated (and reported) as its sigmaD.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if omega is None:
-        omega = standard_symplectic_matrix(m)
-    space = SymplecticSpace(omega)
-    if space.dim != 2 * m:
-        raise ValueError("omega size does not match m")
-    phi_mat = _as_omega_matrix(phi, space, "phi")
-    if phi_mat.det() == 0:
-        raise ValueError("phi must be invertible on V")
-
-    dim = 2 * m + 2
-    hb = dim - 1
-    structure = {}
-    for j in range(2 * m):
-        col = phi_mat.column(j)
-        terms = [(1 + i, c) for i, c in enumerate(col) if c != 0]
-        if terms:
-            structure[(0, 1 + j)] = terms
-    for i in range(2 * m):
-        for j in range(i + 1, 2 * m):
-            c = omega.entry(i, j)
-            if c != 0:
-                structure[(1 + i, 1 + j)] = [(hb, c)]
-    labels = ["d"] + [f"u{i + 1}" for i in range(2 * m)] + ["hbar"]
-    algebra = LieAlgebra(dim, structure, labels)
-    ensure(not check_jacobi(algebra), "extended Heisenberg bracket failed Jacobi")
-
-    gram_v = phi_mat.inverse().transpose() @ omega
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(2 * m):
-        for j in range(2 * m):
-            rows[1 + i][1 + j] = gram_v.entry(i, j)
-    rows[0][hb] = Fraction(1)
-    rows[hb][0] = Fraction(1)
-    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+    space = _symplectic_space(m, omega)
+    zero_core = QuadraticLieAlgebra(LieAlgebra.abelian(0), BilinearForm(Matrix([], 0)))
+    return build_with_heisenberg_ideal(zero_core, None, space, phi)
 
 
 def _require_skew_derivation(S: QuadraticLieAlgebra, D: Matrix, name: str = "D") -> None:
@@ -208,41 +191,17 @@ def double_extension(
 
     Basis (D, s_1..s_n, hbar) with [D, x] = D(x), [x, y] = [x, y]_S +
     B_S(D x, y) hbar, hbar central; the metric extends B_S hyperbolically
-    on the (D, hbar) pair.
+    on the (D, hbar) pair.  This is the builder with V = 0, its d moved to
+    the front.
     """
-    D_mat = D.matrix if isinstance(D, LinearMap) else D
-    _require_skew_derivation(S, D_mat)
+    built = build_with_heisenberg_ideal(
+        S, D, SymplecticSpace(Matrix([], 0)), Matrix([], 0)
+    )
     n = S.dim
-    dim = n + 2
-    hb = dim - 1
-    structure = {}
-    for j in range(n):
-        col = D_mat.column(j)
-        terms = [(1 + i, c) for i, c in enumerate(col) if c != 0]
-        if terms:
-            structure[(0, 1 + j)] = terms
-    gram_s = S.metric.gram
-    mu = D_mat.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = [
-                (1 + k, c) for k, c in enumerate(S.algebra.bracket_basis(i, j)) if c != 0
-            ]
-            if mu.entry(i, j) != 0:
-                terms = terms + [(hb, mu.entry(i, j))]
-            if terms:
-                structure[(1 + i, 1 + j)] = terms
+    order = [n] + list(range(n)) + [n + 1]
+    P = Matrix([unit_vector(n + 2, t) for t in order], n + 2)
     labels = ["D"] + list(S.algebra.basis_labels) + ["hbar"]
-    algebra = LieAlgebra(dim, structure, labels)
-    ensure(not check_jacobi(algebra), "double extension bracket failed Jacobi")
-
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            rows[1 + i][1 + j] = gram_s.entry(i, j)
-    rows[0][hb] = Fraction(1)
-    rows[hb][0] = Fraction(1)
-    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+    return transport_quadratic(built, P, labels)
 
 
 def build_with_heisenberg_ideal(
@@ -257,7 +216,8 @@ def build_with_heisenberg_ideal(
     the invertible sigmaD in o(omega); [u, v] = omega(u, v) hbar on V; S and
     V commute.  The metric is B_{S(D)} ⊥ B_V with B_V(u, v) =
     omega(sigmaD^{-1} u, v).  The subspace V ⊕ QQ hbar is a Heisenberg
-    ideal of the result.
+    ideal of the result.  ``extend_heisenberg`` is the case S = 0 and
+    ``double_extension`` the case V = 0.
     """
     if D is None:
         D_mat = Matrix.zeros(S.dim, S.dim)
@@ -310,7 +270,6 @@ def build_with_heisenberg_ideal(
         + ["hbar"]
     )
     algebra = LieAlgebra(dim, structure, labels)
-    ensure(not check_jacobi(algebra), "heisenberg-ideal build failed Jacobi")
 
     gram_v = sigma.inverse().transpose() @ V.omega
     rows = [[Fraction(0)] * dim for _ in range(dim)]
@@ -322,7 +281,7 @@ def build_with_heisenberg_ideal(
             rows[v_idx(i)][v_idx(j)] = gram_v.entry(i, j)
     rows[d_idx][hb] = Fraction(1)
     rows[hb][d_idx] = Fraction(1)
-    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+    return _certified(algebra, Matrix(rows, dim), "heisenberg-ideal build")
 
 
 def heisenberg_ideal_span(q: QuadraticLieAlgebra, m: int) -> Subspace:
@@ -359,10 +318,9 @@ def coadjoint_double(g: LieAlgebra) -> QuadraticLieAlgebra:
                 structure[key] = existing + terms
     labels = list(g.basis_labels) + [s + "*" for s in g.basis_labels]
     algebra = LieAlgebra(dim, structure, labels)
-    ensure(not check_jacobi(algebra), "coadjoint double failed Jacobi")
 
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(n):
         rows[i][n + i] = Fraction(1)
         rows[n + i][i] = Fraction(1)
-    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+    return _certified(algebra, Matrix(rows, dim), "coadjoint double")

@@ -26,7 +26,7 @@ from .exactla import (
     vector,
     zero_vector,
 )
-from .liealg import LieAlgebra, is_ideal, subalgebra_on, transport
+from .liealg import LieAlgebra, check_jacobi, is_ideal, subalgebra_on, transport
 
 
 class BilinearForm:
@@ -123,8 +123,10 @@ def check_invariant_metric(
 class QuadraticLieAlgebra:
     """A Lie algebra together with an invariant metric.
 
-    Construction validates nondegeneracy and invariance exactly and raises
-    ``ValueError`` on the first batch of violations.
+    Construction validates the Jacobi identity, nondegeneracy and invariance
+    exactly and raises ``ValueError`` on the first batch of violations, so
+    every instance is a Lie algebra with an invariant metric and functions
+    that take one need not check either again.
     """
 
     __slots__ = ("algebra", "metric")
@@ -132,12 +134,22 @@ class QuadraticLieAlgebra:
     def __init__(self, algebra: LieAlgebra, metric: BilinearForm):
         if metric.dim != algebra.dim:
             raise ValueError("metric dimension does not match algebra")
+        if check_jacobi(algebra):
+            raise ValueError("algebra fails the Jacobi identity")
         violations = check_invariant_metric(algebra, metric)
         if violations:
             head = ", ".join(f"{v.kind}{v.indices}" for v in violations[:5])
             raise ValueError(f"not an invariant metric: {head}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "metric", metric)
+
+    @classmethod
+    def _unchecked(cls, algebra: LieAlgebra, metric: BilinearForm) -> "QuadraticLieAlgebra":
+        """An instance whose validity follows from that of another one."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "algebra", algebra)
+        object.__setattr__(q, "metric", metric)
+        return q
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticLieAlgebra is immutable")
@@ -251,10 +263,14 @@ def split_by_nondegenerate_ideal(
 def transport_quadratic(
     q: QuadraticLieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = None
 ) -> QuadraticLieAlgebra:
-    """Express q in the new basis given by the rows of P (metric included)."""
+    """Express q in the new basis given by the rows of P (metric included).
+
+    The image of a valid algebra under an invertible base change is valid
+    (``transport`` rejects a singular P), so the result is not re-checked.
+    """
     algebra = transport(q.algebra, P, basis_labels)
     gram = P @ q.metric.gram @ P.transpose()
-    return QuadraticLieAlgebra(algebra, BilinearForm(gram))
+    return QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
 
 
 def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:

@@ -1,15 +1,26 @@
 """Reference implementations kept only as test oracles.
 
 These are the earlier, slower algorithms for the Killing form and the
-nilradical.  The library replaced them with sparse, direct versions; the
-tests compare the two on many algebras and require identical values.
+nilradical, and the earlier stand-alone constructors of h_m(phi) and S(D).
+The library replaced them with sparse, direct versions and with special
+cases of the one builder; the tests compare the two on many inputs and
+require identical values.
 """
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional, Union
 
+from quadlie.errors import ensure
 from quadlie.exactla import Matrix, Subspace, add_vec, kernel, scale_vec, unit_vector, zero_vector
-from quadlie.liealg import LieAlgebra, ad, derived_subalgebra, subalgebra_on
+from quadlie.heisenberg import (
+    SymplecticMap,
+    SymplecticSpace,
+    _as_omega_matrix,
+    _require_skew_derivation,
+    standard_symplectic_matrix,
+)
+from quadlie.liealg import LieAlgebra, LinearMap, ad, check_jacobi, derived_subalgebra, subalgebra_on
+from quadlie.quadform import BilinearForm, QuadraticLieAlgebra
 
 
 def killing_form_by_products(g: LieAlgebra) -> Matrix:
@@ -111,3 +122,86 @@ def nilradical_four_step(g: LieAlgebra) -> Subspace:
                 v = add_vec(v, scale_vec(c, R.vectors()[t]))
         ambient_vecs.append(v)
     return Subspace.from_vectors(g.dim, ambient_vecs)
+
+
+def extend_heisenberg_direct(
+    m: int,
+    omega: Optional[Matrix],
+    phi: Union[SymplecticMap, Matrix],
+) -> QuadraticLieAlgebra:
+    """h_m(phi) with its own bracket table and Gram matrix."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if omega is None:
+        omega = standard_symplectic_matrix(m)
+    space = SymplecticSpace(omega)
+    if space.dim != 2 * m:
+        raise ValueError("omega size does not match m")
+    phi_mat = _as_omega_matrix(phi, space, "phi")
+    if phi_mat.det() == 0:
+        raise ValueError("phi must be invertible on V")
+
+    dim = 2 * m + 2
+    hb = dim - 1
+    structure = {}
+    for j in range(2 * m):
+        col = phi_mat.column(j)
+        terms = [(1 + i, c) for i, c in enumerate(col) if c != 0]
+        if terms:
+            structure[(0, 1 + j)] = terms
+    for i in range(2 * m):
+        for j in range(i + 1, 2 * m):
+            c = omega.entry(i, j)
+            if c != 0:
+                structure[(1 + i, 1 + j)] = [(hb, c)]
+    labels = ["d"] + [f"u{i + 1}" for i in range(2 * m)] + ["hbar"]
+    algebra = LieAlgebra(dim, structure, labels)
+    ensure(not check_jacobi(algebra), "extended Heisenberg bracket failed Jacobi")
+
+    gram_v = phi_mat.inverse().transpose() @ omega
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(2 * m):
+        for j in range(2 * m):
+            rows[1 + i][1 + j] = gram_v.entry(i, j)
+    rows[0][hb] = Fraction(1)
+    rows[hb][0] = Fraction(1)
+    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+
+
+def double_extension_direct(
+    S: QuadraticLieAlgebra, D: Union[LinearMap, Matrix]
+) -> QuadraticLieAlgebra:
+    """S(D) on the basis (D, s_1..s_n, hbar) with its own bracket table and Gram matrix."""
+    D_mat = D.matrix if isinstance(D, LinearMap) else D
+    _require_skew_derivation(S, D_mat)
+    n = S.dim
+    dim = n + 2
+    hb = dim - 1
+    structure = {}
+    for j in range(n):
+        col = D_mat.column(j)
+        terms = [(1 + i, c) for i, c in enumerate(col) if c != 0]
+        if terms:
+            structure[(0, 1 + j)] = terms
+    gram_s = S.metric.gram
+    mu = D_mat.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = [
+                (1 + k, c) for k, c in enumerate(S.algebra.bracket_basis(i, j)) if c != 0
+            ]
+            if mu.entry(i, j) != 0:
+                terms = terms + [(hb, mu.entry(i, j))]
+            if terms:
+                structure[(1 + i, 1 + j)] = terms
+    labels = ["D"] + list(S.algebra.basis_labels) + ["hbar"]
+    algebra = LieAlgebra(dim, structure, labels)
+    ensure(not check_jacobi(algebra), "double extension bracket failed Jacobi")
+
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            rows[1 + i][1 + j] = gram_s.entry(i, j)
+    rows[0][hb] = Fraction(1)
+    rows[hb][0] = Fraction(1)
+    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))

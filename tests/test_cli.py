@@ -1,15 +1,17 @@
 """CLI subcommands: exit codes, deterministic reports, the shipped corpus."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
 import sys
 
-from quadlie import cli
+from quadlie import cli, structure
 from quadlie.cli import main
 from quadlie.errors import InternalVerificationError
 
-CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "quadlie" / "corpus"
 
 
 def run_cli(args, capsys):
@@ -82,6 +84,45 @@ def test_construct_precondition_error(tmp_path, capsys):
     code, out, err = run_cli(["construct", str(bad)], capsys)
     assert code == 2
     assert "invertible" in err
+
+
+def test_construct_non_jacobi_core_is_input_error(tmp_path, capsys):
+    """A core with an invariant metric that fails Jacobi is bad input (exit 2).
+
+    The brackets are [e_i, e_j] = sum_k c_ijk e_k for the 3-form
+    c = e1^e2^e3 + e1^e4^e5, so B = I is invariant, but
+    [e2, [e4, e5]] + [e4, [e5, e2]] + [e5, [e2, e4]] = -e3.
+    """
+    def term(k, c):
+        return [{"k": k, "c": c}]
+
+    core = {
+        "name": "three_form",
+        "dim": 5,
+        "basis": ["e1", "e2", "e3", "e4", "e5"],
+        "brackets": [
+            {"i": 0, "j": 1, "terms": term(2, "1")},
+            {"i": 0, "j": 2, "terms": term(1, "-1")},
+            {"i": 0, "j": 3, "terms": term(4, "1")},
+            {"i": 0, "j": 4, "terms": term(3, "-1")},
+            {"i": 1, "j": 2, "terms": term(0, "1")},
+            {"i": 3, "j": 4, "terms": term(0, "1")},
+        ],
+        "metric": [["1" if r == c else "0" for c in range(5)] for r in range(5)],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "kind": "double_extension",
+                "parameters": {"S": core, "D": [["0"] * 5 for _ in range(5)]},
+            }
+        )
+    )
+    code, out, err = run_cli(["construct", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: parameters.S: algebra fails the Jacobi identity\n"
 
 
 def test_analyze_h1_phi(capsys):
@@ -174,11 +215,64 @@ def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys
     def failing_nilradical(g):
         raise InternalVerificationError("nilradical candidate is not an ideal")
 
-    monkeypatch.setattr(cli, "nilradical", failing_nilradical)
+    monkeypatch.setattr(structure, "nilradical", failing_nilradical)
     code, out, err = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == "error: internal verification failed: nilradical candidate is not an ideal\n"
+
+
+def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
+    """One analyze pass of h2_phi: one nilradical; two radicals (inside the
+    nilradical and in the theorem check); two recoveries (the recognizer's,
+    which the report reuses, and the theorem check's on the radical)."""
+    calls = {}
+    for name in ("nilradical", "radical", "recover_structure"):
+        original = getattr(structure, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (structure, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(["analyze", corpus_path("h2_phi.algebra.json")], capsys)
+    assert code == 0
+    assert calls == {"nilradical": 1, "radical": 2, "recover_structure": 2}
+
+
+# Coordinate Heisenberg ideals of the corpus documents that the benchmark
+# round-trips; the labels and digests come from bench/reference.json.
+ROUNDTRIP_IDEALS = {
+    "h1_phi": "1,2,3",
+    "h2_phi": "1,2,3,4,5",
+    "build_abelian_line": "2,3,4",
+    "build_rotation_core": "3,4,5",
+    "build_sl2": "4,5,6",
+    "oscillator": "1,2,3",
+}
+
+
+def test_corpus_outputs_match_benchmark_reference(capsys):
+    """Every corpus CLI output has the SHA-256 the benchmark pins."""
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
+    expected = reference["corpus_cli"]
+    assert len(expected) == 42
+    wrong = []
+    for label, digest in sorted(expected.items()):
+        command, stem = label.split(":")
+        if command == "construct":
+            args = [command, corpus_path(f"{stem}.construction.json")]
+        else:
+            args = [command, corpus_path(f"{stem}.algebra.json")]
+        if command == "roundtrip":
+            args += ["--ideal", ROUNDTRIP_IDEALS[stem]]
+        code, out, _ = run_cli(args, capsys)
+        if code != 0 or hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+            wrong.append(label)
+    assert wrong == []
 
 
 def test_analyze_reports_missing_quotient_metric(capsys):
