@@ -1,15 +1,20 @@
 """Exact linear algebra over the rational numbers.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable dense
-row tuples.  Subspaces are kept in reduced row-echelon form so that set
-equality is literal equality of basis matrices.  Everything is exact: no
-tolerances, no floats.
+row tuples, the value type of the API.  Elimination runs inside on sparse
+rows: one Gauss-Jordan core (``_rref_rows``) on dicts {column: nonzero
+Fraction} serves ``rref``, ``kernel``, ``solve``, ``inverse`` and the
+subspace operations, and ``SparseSystem`` lets a solver hand a large sparse
+system to ``kernel`` without writing out its zeros.  Subspaces are kept in
+reduced row-echelon form so that set equality is literal equality of basis
+matrices.  Everything is exact: no tolerances, no floats.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -222,37 +227,20 @@ class Matrix:
             raise ValueError("column count mismatch")
         return Matrix(self.rows + other.rows, self.ncols)
 
+    def sparse_rows(self) -> list:
+        """The rows as fresh dicts {column: entry} of the nonzero entries."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+
     def rref(self) -> tuple:
         """Reduced row echelon form.
 
         Returns ``(R, pivots)`` where ``pivots`` is the tuple of pivot
-        column indices.  Zero rows are kept (callers drop them as needed).
+        column indices.  Zero rows are kept at the bottom (callers drop them
+        as needed).  The elimination runs on sparse rows (``_rref_rows``);
+        the reduced row-echelon form is unique, so R does not depend on how
+        it was reached.
         """
-        rows = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            pivot_row = None
-            for i in range(r, nr):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                rows[r] = [x / pv for x in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(rows, nc), tuple(pivots)
+        return _reduced_matrix(self.sparse_rows(), self.nrows, self.ncols)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -291,7 +279,7 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         augmented = Matrix(
-            [self.rows[i] + Matrix.identity(n).rows[i] for i in range(n)], 2 * n
+            [row + unit_vector(n, i) for i, row in enumerate(self.rows)], 2 * n
         )
         reduced, pivots = augmented.rref()
         if pivots != tuple(range(n)):
@@ -337,7 +325,7 @@ def solve(A: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
     return tuple(x)
 
 
-def kernel(A: Matrix) -> "Subspace":
+def kernel(A: Union[Matrix, "SparseSystem"]) -> "Subspace":
     """Null space {x : A x = 0} as a Subspace of the column space."""
     reduced, pivots = A.rref()
     pivot_set = set(pivots)
@@ -350,6 +338,107 @@ def kernel(A: Matrix) -> "Subspace":
             v[c] = -reduced.rows[r][f]
         basis.append(tuple(v))
     return Subspace.from_vectors(A.ncols, basis)
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination
+# ---------------------------------------------------------------------------
+
+def _rref_rows(rows: list, ncols: int) -> tuple:
+    """Exact Gauss-Jordan elimination on sparse rows.
+
+    ``rows`` are distinct dicts {column: nonzero Fraction}; they are
+    consumed.  The columns are walked left to right.  The pivot of column c
+    is the shortest pending row holding c (the reduced form is unique, so
+    the choice only keeps the fill-in low); it is normalised, and c is
+    eliminated from every other row holding it, pending rows and earlier
+    pivot rows alike, over the pivot row's support only.  Entries that
+    cancel are deleted, so no product with a zero is ever formed.
+
+    Returns ``(reduced, pivots)``: the nonzero rows of the reduced row
+    echelon form as dicts, in pivot order, and the pivot columns.
+    """
+    pending = [row for row in rows if row]
+    done: list = []
+    pivots = []
+    for c in range(ncols):
+        if not pending:
+            break
+        holders = [row for row in pending if c in row]
+        if not holders:
+            continue
+        pivot_row = min(holders, key=len)
+        pv = pivot_row.pop(c)
+        if pv != 1:
+            inv = 1 / pv
+            for j in pivot_row:
+                pivot_row[j] *= inv
+        support = list(pivot_row.items())
+        for row in chain(holders, done):
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for j, b in support:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * b
+                else:
+                    x -= f * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivot_row[c] = Fraction(1)
+        pending = [row for row in pending if row and row is not pivot_row]
+        done.append(pivot_row)
+        pivots.append(c)
+    return done, tuple(pivots)
+
+
+def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
+    """``rref`` of ``nrows`` sparse rows: (R, pivots), zero rows at the bottom."""
+    reduced, pivots = _rref_rows(rows, ncols)
+    zero = Fraction(0)
+    dense = [tuple(row.get(j, zero) for j in range(ncols)) for row in reduced]
+    dense += [zero_vector(ncols)] * (nrows - len(dense))
+    return Matrix(dense, ncols), pivots
+
+
+class SparseSystem:
+    """A homogeneous linear system collected equation by equation.
+
+    Each equation is kept as a dict {column: nonzero Fraction}; all-zero
+    equations are dropped.  It has the ``nrows``, ``ncols`` and ``rref`` of
+    a Matrix, so ``kernel`` takes it in place of one, and a large sparse
+    system (the solvers in ``quadform``) is never written out with its
+    zeros.
+    """
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list = []
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def add(self, terms: Iterable[tuple]) -> None:
+        """Append the equation sum a x_col = 0 over the (col, a) terms.
+
+        Terms on the same column add up; zero coefficients are dropped.
+        """
+        row: dict = {}
+        for col, a in terms:
+            row[col] = row.get(col, 0) + a
+        row = {col: rat(a) for col, a in row.items() if a}
+        if row:
+            self.rows.append(row)
+
+    def rref(self) -> tuple:
+        """As ``Matrix.rref`` of the system's coefficient matrix."""
+        return _reduced_matrix([dict(row) for row in self.rows], self.nrows, self.ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,24 @@ class LieAlgebra:
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """Bilinear extension of the structure constants to arbitrary vectors."""
+    """Bilinear extension of the structure constants to arbitrary vectors.
+
+    The coefficient x_i y_j - x_j y_i of each table entry forms a product
+    only when both of its factors are nonzero, so a unit-vector argument
+    costs one product per entry it touches.
+    """
     x = vector(x)
     y = vector(y)
     if len(x) != g.dim or len(y) != g.dim:
         raise ValueError("vector dimension mismatch")
     out = [Fraction(0)] * g.dim
     for (i, j), terms in g.structure.items():
-        coeff = x[i] * y[j] - x[j] * y[i]
-        if coeff == 0:
+        xi, xj = x[i], x[j]
+        if not (xi or xj):
+            continue
+        yi, yj = y[i], y[j]
+        coeff = (xi * yj if xi and yj else 0) - (xj * yi if xj and yi else 0)
+        if not coeff:
             continue
         for k, c in terms:
             out[k] += coeff * c

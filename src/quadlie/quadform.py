@@ -14,6 +14,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
     Matrix,
+    SparseSystem,
     Subspace,
     Vector,
     add_vec,
@@ -190,43 +191,61 @@ def orthogonal_in(q: QuadraticLieAlgebra, U: Subspace) -> Subspace:
     return form_orthogonal(q.metric.gram, U)
 
 
+def _bracket_table(g: LieAlgebra) -> list:
+    """table[i][j] holds the nonzero (k, c) with [e_i, e_j] = sum c e_k."""
+    n = g.dim
+    table = [[()] * n for _ in range(n)]
+    for (i, j), terms in g.structure.items():
+        table[i][j] = terms
+        table[j][i] = tuple((k, -c) for k, c in terms)
+    return table
+
+
+def _invariance_system(g: LieAlgebra) -> SparseSystem:
+    """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) for all basis triples.
+
+    The unknowns are the upper triangle of the Gram matrix of B, B_pq with
+    p <= q at index t in row-major order; one equation per triple (i, j, k)
+    in lexicographic order, all-zero ones dropped.
+    """
+    n = g.dim
+    index = [[0] * n for _ in range(n)]
+    t = 0
+    for p in range(n):
+        for q in range(p, n):
+            index[p][q] = index[q][p] = t
+            t += 1
+    table = _bracket_table(g)
+    system = SparseSystem(t)
+    for i in range(n):
+        for j in range(n):
+            cij = table[i][j]
+            for k in range(n):
+                system.add(
+                    [(index[p][k], c) for p, c in cij]
+                    + [(index[i][p], -c) for p, c in table[j][k]]
+                )
+    return system
+
+
 def invariant_symmetric_forms(g: LieAlgebra) -> List[BilinearForm]:
     """Basis of the space of invariant symmetric bilinear forms on g.
 
     The Gram matrix is parameterized by its upper triangle (n(n+1)/2
-    unknowns); invariance on all basis triples gives the linear system,
-    solved by one kernel computation.  The basis is the rref kernel basis,
-    so the output is deterministic.
+    unknowns); invariance on all basis triples gives a sparse linear
+    system, solved by one kernel computation.  The basis is the rref kernel
+    basis, so the output is deterministic.
     """
     n = g.dim
-    pairs = [(p, q) for p in range(n) for q in range(p, n)]
-    index = {pq: t for t, pq in enumerate(pairs)}
-
-    def entry_index(p: int, q: int) -> int:
-        return index[(p, q) if p <= q else (q, p)]
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                cjk = g.bracket_basis(j, k)
-                coeffs = [Fraction(0)] * len(pairs)
-                for p, c in enumerate(cij):
-                    if c != 0:
-                        coeffs[entry_index(p, k)] += c
-                for p, c in enumerate(cjk):
-                    if c != 0:
-                        coeffs[entry_index(i, p)] -= c
-                if any(c != 0 for c in coeffs):
-                    rows.append(coeffs)
-    solution = kernel(Matrix(rows, len(pairs)))
+    solution = kernel(_invariance_system(g))
     forms = []
     for coords in solution.vectors():
         gram_rows = [[Fraction(0)] * n for _ in range(n)]
-        for (p, q), t in index.items():
-            gram_rows[p][q] = coords[t]
-            gram_rows[q][p] = coords[t]
+        t = 0
+        for p in range(n):
+            for q in range(p, n):
+                gram_rows[p][q] = gram_rows[q][p] = coords[t]
+                t += 1
         forms.append(BilinearForm(Matrix(gram_rows, n)))
     return forms
 
@@ -273,43 +292,54 @@ def transport_quadratic(
     return QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
 
 
+def _skew_derivation_system(q: QuadraticLieAlgebra) -> SparseSystem:
+    """"D is a derivation and D^T G + G D = 0" in the n^2 entries of D.
+
+    D[r][c] is unknown r*n + c.  The derivation equations come first, one
+    per (i < j, t) in lexicographic order, then the skewness equations, one
+    per (i <= j); all-zero ones are dropped.
+    """
+    n = q.dim
+    table = _bracket_table(q.algebra)
+    # into[j][t]: the (r, c) with c the e_t-coefficient of [e_r, e_j]
+    into = [[[] for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        for j in range(n):
+            for t, c in table[r][j]:
+                into[j][t].append((r, c))
+    system = SparseSystem(n * n)
+    # derivation: D([e_i,e_j]) - [D e_i, e_j] - [e_i, D e_j] = 0, component t
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = table[i][j]
+            for t in range(n):
+                # [e_r, e_j] contributes -D[r][i] c^t_rj, and [e_i, e_r]
+                # contributes -D[r][j] c^t_ir = +D[r][j] c^t_ri
+                system.add(
+                    [(t * n + p, c) for p, c in cij]
+                    + [(r * n + i, -c) for r, c in into[j][t]]
+                    + [(r * n + j, c) for r, c in into[i][t]]
+                )
+    # skewness: (D^T G + G D)[i][j] = sum_r D[r][i] G_rj + G_ir D[r][j] = 0
+    gram = q.metric.gram.sparse_rows()  # G is symmetric: row j is column j
+    for i in range(n):
+        for j in range(i, n):
+            system.add(
+                [(r * n + i, x) for r, x in gram[j].items()]
+                + [(r * n + j, x) for r, x in gram[i].items()]
+            )
+    return system
+
+
 def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:
     """Basis of derivations of q that are skew with respect to its metric.
 
-    Solves the linear system "D is a derivation and D^T G + G D = 0" in the
-    n^2 matrix unknowns; deterministic rref kernel basis.
+    Solves the sparse linear system "D is a derivation and D^T G + G D = 0"
+    in the n^2 matrix unknowns; deterministic rref kernel basis.
     """
     n = q.dim
-    g = q.algebra
-    gram = q.metric.gram
-    # unknown D laid out row-major: D[r][c] at index r*n + c
-    rows = []
-    # derivation: D([e_i,e_j]) - [D e_i, e_j] - [e_i, D e_j] = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
-            for t in range(n):
-                coeffs = [Fraction(0)] * (n * n)
-                for p, c in enumerate(cij):
-                    if c != 0:
-                        coeffs[t * n + p] += c
-                for r in range(n):
-                    # [e_r, e_j] contributes -D[r][i] * c^t_{rj}
-                    coeffs[r * n + i] -= g.bracket_basis(r, j)[t]
-                    coeffs[r * n + j] -= g.bracket_basis(i, r)[t]
-                if any(c != 0 for c in coeffs):
-                    rows.append(coeffs)
-    # skewness: (D^T G + G D)[i][j] = 0
-    for i in range(n):
-        for j in range(i, n):
-            coeffs = [Fraction(0)] * (n * n)
-            for r in range(n):
-                coeffs[r * n + i] += gram.entry(r, j)
-                coeffs[r * n + j] += gram.entry(i, r)
-            if any(c != 0 for c in coeffs):
-                rows.append(coeffs)
-    solution = kernel(Matrix(rows, n * n))
-    mats = []
-    for coords in solution.vectors():
-        mats.append(Matrix([coords[r * n : (r + 1) * n] for r in range(n)], n))
-    return mats
+    solution = kernel(_skew_derivation_system(q))
+    return [
+        Matrix([coords[r * n : (r + 1) * n] for r in range(n)], n)
+        for coords in solution.vectors()
+    ]

@@ -106,7 +106,7 @@ class _SpanBuilder:
         return len(self.rows)
 
 
-def nilradical(g: LieAlgebra) -> Subspace:
+def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     """Maximal nilpotent ideal, as one linear system over the radical.
 
     Let R = Rad(g), of dimension k, and A the associative algebra generated
@@ -122,8 +122,12 @@ def nilradical(g: LieAlgebra) -> Subspace:
     one row.  Since [g, R] lies in Nil(g) (Jacobson, Lie Algebras), the
     kernel always contains [g, R], and the closure stops once the two have
     the same dimension.
+
+    A caller that already holds R = Rad(g) passes it in, so that the
+    radical is computed once.
     """
-    R = radical(g)
+    if R is None:
+        R = radical(g)
     k = R.dim
     if k == 0:
         return R
@@ -878,8 +882,8 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
     extended Heisenberg algebra (trivial core).
     """
     g = q.algebra
-    nil = nilradical(g)
     rad = radical(g)
+    nil = nilradical(g, rad)
     h = find_heisenberg_ideal(g, nil)
     if h is None:
         return NilradicalTheoremReport(

@@ -1,17 +1,27 @@
 """Reference implementations kept only as test oracles.
 
-These are the earlier, slower algorithms for the Killing form and the
-nilradical, and the earlier stand-alone constructors of h_m(phi) and S(D).
-The library replaced them with sparse, direct versions and with special
-cases of the one builder; the tests compare the two on many inputs and
-require identical values.
+These are the earlier, slower algorithms for the Killing form, the
+nilradical, row reduction, the bracket and the linear systems of the form
+and skew-derivation solvers, and the earlier stand-alone constructors of
+h_m(phi) and S(D).  The library replaced them with sparse, direct versions
+and with special cases of the one builder; the tests compare the two on
+many inputs and require identical values.
 """
 
 from fractions import Fraction
 from typing import List, Optional, Union
 
 from quadlie.errors import ensure
-from quadlie.exactla import Matrix, Subspace, add_vec, kernel, scale_vec, unit_vector, zero_vector
+from quadlie.exactla import (
+    Matrix,
+    Subspace,
+    add_vec,
+    kernel,
+    scale_vec,
+    unit_vector,
+    vector,
+    zero_vector,
+)
 from quadlie.heisenberg import (
     SymplecticMap,
     SymplecticSpace,
@@ -21,6 +31,106 @@ from quadlie.heisenberg import (
 )
 from quadlie.liealg import LieAlgebra, LinearMap, ad, check_jacobi, derived_subalgebra, subalgebra_on
 from quadlie.quadform import BilinearForm, QuadraticLieAlgebra
+
+
+def rref_dense(A: Matrix) -> tuple:
+    """Dense Gauss-Jordan: ``a - f*b`` on every column, zeros included."""
+    rows = [list(r) for r in A.rows]
+    nr, nc = A.nrows, A.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pivot_row = None
+        for i in range(r, nr):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(rows, nc), tuple(pivots)
+
+
+def bracket_by_formula(g: LieAlgebra, x, y) -> tuple:
+    """[x, y] with x_i y_j - x_j y_i formed on every table entry."""
+    x = vector(x)
+    y = vector(y)
+    out = [Fraction(0)] * g.dim
+    for (i, j), terms in g.structure.items():
+        coeff = x[i] * y[j] - x[j] * y[i]
+        if coeff == 0:
+            continue
+        for k, c in terms:
+            out[k] += coeff * c
+    return tuple(out)
+
+
+def invariance_rows_dense(g: LieAlgebra) -> List[list]:
+    """The invariant-forms system as dense rows, built entry by entry."""
+    n = g.dim
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    index = {pq: t for t, pq in enumerate(pairs)}
+
+    def entry_index(p: int, q: int) -> int:
+        return index[(p, q) if p <= q else (q, p)]
+
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            cij = g.bracket_basis(i, j)
+            for k in range(n):
+                cjk = g.bracket_basis(j, k)
+                coeffs = [Fraction(0)] * len(pairs)
+                for p, c in enumerate(cij):
+                    if c != 0:
+                        coeffs[entry_index(p, k)] += c
+                for p, c in enumerate(cjk):
+                    if c != 0:
+                        coeffs[entry_index(i, p)] -= c
+                if any(c != 0 for c in coeffs):
+                    rows.append(coeffs)
+    return rows
+
+
+def skew_derivation_rows_dense(q: QuadraticLieAlgebra) -> List[list]:
+    """The metric-skew derivation system as dense rows, built entry by entry."""
+    n = q.dim
+    g = q.algebra
+    gram = q.metric.gram
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = g.bracket_basis(i, j)
+            for t in range(n):
+                coeffs = [Fraction(0)] * (n * n)
+                for p, c in enumerate(cij):
+                    if c != 0:
+                        coeffs[t * n + p] += c
+                for r in range(n):
+                    coeffs[r * n + i] -= g.bracket_basis(r, j)[t]
+                    coeffs[r * n + j] -= g.bracket_basis(i, r)[t]
+                if any(c != 0 for c in coeffs):
+                    rows.append(coeffs)
+    for i in range(n):
+        for j in range(i, n):
+            coeffs = [Fraction(0)] * (n * n)
+            for r in range(n):
+                coeffs[r * n + i] += gram.entry(r, j)
+                coeffs[r * n + j] += gram.entry(i, r)
+            if any(c != 0 for c in coeffs):
+                rows.append(coeffs)
+    return rows
 
 
 def killing_form_by_products(g: LieAlgebra) -> Matrix:

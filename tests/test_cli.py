@@ -212,7 +212,7 @@ def test_ideal_with_repeated_index_is_input_error(capsys):
 
 
 def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys):
-    def failing_nilradical(g):
+    def failing_nilradical(g, R=None):
         raise InternalVerificationError("nilradical candidate is not an ideal")
 
     monkeypatch.setattr(structure, "nilradical", failing_nilradical)
@@ -223,8 +223,8 @@ def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys
 
 
 def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
-    """One analyze pass of h2_phi: one nilradical; two radicals (inside the
-    nilradical and in the theorem check); two recoveries (the recognizer's,
+    """One analyze pass of h2_phi: one nilradical; one radical (the theorem
+    check's, passed on to the nilradical); two recoveries (the recognizer's,
     which the report reuses, and the theorem check's on the radical)."""
     calls = {}
     for name in ("nilradical", "radical", "recover_structure"):
@@ -240,7 +240,7 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
                 monkeypatch.setattr(module, name, counted)
     code, _, _ = run_cli(["analyze", corpus_path("h2_phi.algebra.json")], capsys)
     assert code == 0
-    assert calls == {"nilradical": 1, "radical": 2, "recover_structure": 2}
+    assert calls == {"nilradical": 1, "radical": 1, "recover_structure": 2}
 
 
 # Coordinate Heisenberg ideals of the corpus documents that the benchmark

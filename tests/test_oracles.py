@@ -1,5 +1,5 @@
-"""The direct Killing form, nilradical and constructors against the earlier
-algorithms.
+"""The direct Killing form, nilradical, constructors, sparse row reduction,
+bracket and solver systems against the earlier algorithms.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -9,15 +9,20 @@ constructor outputs are compared as values, by labels and by document bytes.
 import inspect
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
 import fixtures
 from oracles import (
+    bracket_by_formula,
     double_extension_direct,
     extend_heisenberg_direct,
+    invariance_rows_dense,
     killing_form_by_products,
     nilradical_four_step,
+    rref_dense,
+    skew_derivation_rows_dense,
 )
 
 from quadlie.documents import AlgebraDocument, dumps_document, loads_document
@@ -28,8 +33,14 @@ from quadlie.heisenberg import (
     extend_heisenberg,
     standard_symplectic_matrix,
 )
-from quadlie.liealg import LieAlgebra, LinearMap, killing_form
-from quadlie.quadform import QuadraticLieAlgebra, transport_quadratic
+from quadlie.exactla import Matrix, kernel, unit_vector
+from quadlie.liealg import LieAlgebra, LinearMap, bracket, killing_form
+from quadlie.quadform import (
+    QuadraticLieAlgebra,
+    _invariance_system,
+    _skew_derivation_system,
+    transport_quadratic,
+)
 from quadlie.randomized import (
     random_build_input,
     random_core_algebra,
@@ -43,8 +54,8 @@ CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corp
 RANDOM_SEEDS = range(30)
 
 
-def _fixture_algebras():
-    """Every algebra that a no-argument constructor in fixtures.py returns."""
+def _fixture_values():
+    """(name, value) of every no-argument constructor in fixtures.py."""
     found = []
     for name, function in inspect.getmembers(fixtures, inspect.isfunction):
         if function.__module__ != fixtures.__name__:
@@ -52,7 +63,14 @@ def _fixture_algebras():
         params = inspect.signature(function).parameters.values()
         if any(p.default is inspect.Parameter.empty for p in params):
             continue
-        value = function()
+        found.append((name, function()))
+    return found
+
+
+def _fixture_algebras():
+    """Every algebra that a no-argument constructor in fixtures.py returns."""
+    found = []
+    for name, value in _fixture_values():
         if isinstance(value, QuadraticLieAlgebra):
             value = value.algebra
         if isinstance(value, LieAlgebra):
@@ -60,10 +78,30 @@ def _fixture_algebras():
     return found
 
 
-def _corpus_algebras():
+def _fixture_quadratics():
     return [
-        pytest.param(loads_document(path.read_text(encoding="utf-8")).algebra, id=path.name)
+        pytest.param(value, id=name)
+        for name, value in _fixture_values()
+        if isinstance(value, QuadraticLieAlgebra)
+    ]
+
+
+def _corpus_documents():
+    return [
+        (path.name, loads_document(path.read_text(encoding="utf-8")))
         for path in sorted(CORPUS.glob("*.algebra.json"))
+    ]
+
+
+def _corpus_algebras():
+    return [pytest.param(doc.algebra, id=name) for name, doc in _corpus_documents()]
+
+
+def _corpus_quadratics():
+    return [
+        pytest.param(doc.quadratic(), id=name)
+        for name, doc in _corpus_documents()
+        if doc.metric is not None
     ]
 
 
@@ -82,6 +120,8 @@ def _assert_matches_oracles(g):
 def test_fixture_and_corpus_lists_are_found():
     assert len(_fixture_algebras()) >= 13
     assert len(_corpus_algebras()) >= 10
+    assert len(_fixture_quadratics()) >= 8
+    assert len(_corpus_quadratics()) >= 7
 
 
 @pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
@@ -138,3 +178,135 @@ def test_double_extension_is_the_builder_with_zero_v(seed):
     if rng.random() < 0.5:
         D = LinearMap(S.dim, S.dim, D)
     _assert_same_construction(double_extension(S, D), double_extension_direct(S, D))
+
+
+# -- sparse row reduction against the dense Gauss-Jordan -----------------------
+
+def _assert_rref_matches_dense(A):
+    R, pivots = A.rref()
+    assert (R, pivots) == rref_dense(A)
+    assert R.shape == A.shape
+    assert all(type(x) is Fraction for row in R.rows for x in row)
+    rank = len(pivots)
+    assert all(any(row) for row in R.rows[:rank])
+    assert not any(any(row) for row in R.rows[rank:])
+
+
+def _random_entry(rng, density):
+    if rng.random() >= density:
+        return 0
+    kind = rng.random()
+    if kind < 0.5:
+        return rng.randint(-3, 3)
+    if kind < 0.85:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
+
+
+def _random_matrix(rng):
+    """A random shape and density; sometimes rank-deficient or with repeated rows."""
+    nrows, ncols = rng.randint(0, 12), rng.randint(0, 12)
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    rows = [[_random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.4:
+        # append combinations of the rows so far: rank stays below nrows
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    rng.shuffle(rows)
+    return Matrix(rows, ncols)
+
+
+RREF_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", RREF_SEEDS)
+def test_rref_matches_dense_on_random_matrices(seed):
+    _assert_rref_matches_dense(_random_matrix(random.Random(seed)))
+
+
+def _big(p, q):
+    return Fraction(p * 10**18 + 7, q * 10**17 + 3)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        pytest.param(Matrix([], 0), id="0x0"),
+        pytest.param(Matrix([], 5), id="0x5"),
+        pytest.param(Matrix([(), (), ()], 0), id="3x0"),
+        pytest.param(Matrix.zeros(4, 6), id="all-zero"),
+        pytest.param(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 2, 4]], 3), id="rank-deficient"),
+        pytest.param(Matrix([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 3), id="duplicated-rows"),
+        pytest.param(Matrix([[0, 0, 2, 0, 1, 0, 0, 3], [0, 5, 0, 0, 0, 1, 0, 0]], 8), id="wide"),
+        pytest.param(Matrix([[0, 1], [0, 2], [3, 0], [0, 0], [1, 1], [2, 7]], 2), id="tall"),
+        pytest.param(
+            Matrix([[_big(1, 2), _big(3, 5), 1], [_big(7, 1), 0, _big(2, 9)], [1, _big(4, 4), 0]], 3),
+            id="large-denominators",
+        ),
+        pytest.param(Matrix.identity(5), id="identity"),
+    ],
+)
+def test_rref_matches_dense_on_edge_cases(A):
+    _assert_rref_matches_dense(A)
+
+
+def _dense(system):
+    return Matrix(
+        [[row.get(j, 0) for j in range(system.ncols)] for row in system.rows], system.ncols
+    )
+
+
+def _assert_kernel_of(system, dense):
+    """kernel(system) is the null space of the dense system: A v = 0 on its
+    basis, and its dimension is the number of free columns."""
+    K = kernel(system)
+    assert K.ambient_dim == dense.ncols
+    assert K.dim == dense.ncols - len(rref_dense(dense)[1])
+    assert all(not any(dense.apply(v)) for v in K.vectors())
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_forms_system_matches_dense_builder(g):
+    system = _invariance_system(g)
+    dense = Matrix(invariance_rows_dense(g), g.dim * (g.dim + 1) // 2)
+    assert _dense(system) == dense
+    _assert_rref_matches_dense(dense)
+    _assert_kernel_of(system, dense)
+
+
+@pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
+def test_skew_system_matches_dense_builder(q):
+    system = _skew_derivation_system(q)
+    dense = Matrix(skew_derivation_rows_dense(q), q.dim * q.dim)
+    assert _dense(system) == dense
+    _assert_rref_matches_dense(dense)
+    _assert_kernel_of(system, dense)
+
+
+# -- bracket ---------------------------------------------------------------------
+
+def _assert_bracket_matches_formula(g):
+    """Unit vectors, and random vectors with zero and nonzero entries."""
+    rng = random.Random(g.dim)
+    n = g.dim
+    vectors = [unit_vector(n, i) for i in range(n)]
+    vectors += [[_random_entry(rng, 0.5) for _ in range(n)] for _ in range(4)]
+    for x in vectors:
+        for y in vectors:
+            result = bracket(g, x, y)
+            assert result == bracket_by_formula(g, x, y)
+            assert all(type(c) is Fraction for c in result)
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_bracket_matches_formula(g):
+    _assert_bracket_matches_formula(g)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bracket_matches_formula_on_random_builds(seed):
+    _assert_bracket_matches_formula(_random_build(seed))
