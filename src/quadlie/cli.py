@@ -330,7 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             try:
                 data = _json.loads(_read_input(args.input))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DocumentError(f"invalid JSON: {exc}") from exc
             try:
                 doc, code = cmd_construct(data)

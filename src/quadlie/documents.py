@@ -53,6 +53,11 @@ def _expect(condition: bool, message: str, where: str) -> None:
         raise DocumentError(message, where)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` decode to bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_rational_at(value: Any, where: str) -> Fraction:
     if not isinstance(value, str):
         raise DocumentError(f"expected a rational string, got {value!r}", where)
@@ -97,7 +102,7 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
     name = data["name"]
     _expect(isinstance(name, str), "name must be a string", "name")
     dim = data["dim"]
-    _expect(isinstance(dim, int) and dim >= 0, "dim must be a nonnegative integer", "dim")
+    _expect(_is_int(dim) and dim >= 0, "dim must be a nonnegative integer", "dim")
     basis = data["basis"]
     _expect(
         isinstance(basis, list) and all(isinstance(s, str) for s in basis),
@@ -115,7 +120,7 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
             _expect(field in entry, f"missing field {field!r}", where)
         i, j = entry["i"], entry["j"]
         _expect(
-            isinstance(i, int) and isinstance(j, int), "indices must be integers", where
+            _is_int(i) and _is_int(j), "indices must be integers", where
         )
         _expect(0 <= i < dim and 0 <= j < dim, "index out of range", where)
         _expect(i < j, "brackets require i < j", where)
@@ -127,7 +132,7 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
             _expect(isinstance(term, dict), "expected an object", tw)
             _expect("k" in term and "c" in term, "term needs fields k and c", tw)
             k = term["k"]
-            _expect(isinstance(k, int) and 0 <= k < dim, "k out of range", tw)
+            _expect(_is_int(k) and 0 <= k < dim, "k out of range", tw)
             terms.append((k, _parse_rational_at(term["c"], f"{tw}.c")))
         structure[(i, j)] = terms
     try:
@@ -175,7 +180,7 @@ CONSTRUCTION_KINDS = (
 def _parse_m_omega(params: dict) -> Tuple[int, Optional[Matrix]]:
     """The parameter m and the optional 2m x 2m parameter omega."""
     m = params.get("m")
-    _expect(isinstance(m, int) and m >= 1, "parameter m must be a positive integer",
+    _expect(_is_int(m) and m >= 1, "parameter m must be a positive integer",
             "parameters.m")
     omega = None
     if params.get("omega") is not None:
@@ -251,6 +256,9 @@ def loads_document(text: str) -> AlgebraDocument:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the int-string limit, or nesting too deep
+        raise DocumentError(f"invalid JSON: {exc}") from exc
     return algebra_document_from_json(data)
 
 

@@ -506,17 +506,23 @@ class Subspace:
 
         Because the basis is in rref, the candidate coordinates are the
         entries of v at the pivot columns; membership is the check that
-        they reconstruct v.
+        they reconstruct v.  They do so at the pivot columns by
+        construction, so only the entries right of each row's pivot are
+        subtracted, nonzero ones only, and the pivot columns are not
+        compared.
         """
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
         coords = tuple(v[c] for c in self.pivots)
         residual = list(v)
-        for c, row in zip(coords, self.basis.rows):
-            if c != 0:
-                residual = [a - c * b for a, b in zip(residual, row)]
-        if any(x != 0 for x in residual):
+        for c, p, row in zip(coords, self.pivots, self.basis.rows):
+            residual[p] = 0  # no other basis row is nonzero at column p
+            if c:
+                for j in range(p + 1, len(row)):
+                    if row[j]:
+                        residual[j] -= c * row[j]
+        if any(residual):
             return None
         return coords
 

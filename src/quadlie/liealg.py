@@ -177,32 +177,41 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     return tuple(out)
 
 
-def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
-    """All triples i < j < k where the Jacobi identity fails."""
+def _bracket_table(g: LieAlgebra) -> list:
+    """table[i][j] holds the nonzero (k, c) with [e_i, e_j] = sum c e_k."""
     n = g.dim
+    table = [[()] * n for _ in range(n)]
+    for (i, j), terms in g.structure.items():
+        table[i][j] = terms
+        table[j][i] = tuple((k, -c) for k, c in terms)
+    return table
+
+
+def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
+    """All triples i < j < k where the Jacobi identity fails.
+
+    The residual [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
+    expanded through the signed sparse bracket table: each nonzero c_ab^p
+    meets only the nonzero entries of [e_p, e_t], so a triple whose three
+    brackets vanish costs no arithmetic.  The residual is reported as a
+    dense tuple of Fractions.
+    """
+    n = g.dim
+    table = _bracket_table(g)
+    zero = Fraction(0)
     violations = []
-    brk = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
-
-    def double_bracket(first: Vector, t: int) -> List[Fraction]:
-        # [first, e_t] expanded through the sparse bracket table
-        out = [Fraction(0)] * n
-        for p, c in enumerate(first):
-            if c != 0:
-                for s, x in enumerate(brk[p][t]):
-                    if x != 0:
-                        out[s] += c * x
-        return out
-
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                residual = double_bracket(brk[i][j], k)
-                for s, x in enumerate(double_bracket(brk[j][k], i)):
-                    residual[s] += x
-                for s, x in enumerate(double_bracket(brk[k][i], j)):
-                    residual[s] += x
-                if any(x != 0 for x in residual):
-                    violations.append(JacobiViolation(i, j, k, tuple(residual)))
+                residual: Dict[int, Fraction] = {}
+                for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+                    for p, c in table[a][b]:
+                        for s, x in table[p][t]:
+                            residual[s] = residual.get(s, zero) + c * x
+                if any(residual.values()):
+                    violations.append(JacobiViolation(
+                        i, j, k, tuple(residual.get(s, zero) for s in range(n))
+                    ))
     return violations
 
 

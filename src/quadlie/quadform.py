@@ -17,7 +17,6 @@ from .exactla import (
     SparseSystem,
     Subspace,
     Vector,
-    add_vec,
     dot,
     form_orthogonal,
     form_restrict_nondegenerate,
@@ -25,9 +24,15 @@ from .exactla import (
     restricted_gram,
     solve,
     vector,
-    zero_vector,
 )
-from .liealg import LieAlgebra, check_jacobi, is_ideal, subalgebra_on, transport
+from .liealg import (
+    LieAlgebra,
+    _bracket_table,
+    check_jacobi,
+    is_ideal,
+    subalgebra_on,
+    transport,
+)
 
 
 class BilinearForm:
@@ -77,7 +82,13 @@ def check_invariant_metric(
     """Violations of symmetry, nondegeneracy, or invariance of B on g.
 
     Invariance means B([x,y],z) = B(x,[y,z]) on all basis triples.  The
-    returned list is empty iff B is an invariant metric for g.
+    returned list is empty iff B is an invariant metric for g.  For each
+    pair (i, j) the difference B([e_i,e_j], e_k) - B(e_i, [e_j,e_k]) is
+    accumulated over all k at once from the signed sparse bracket table and
+    the nonzero Gram entries, B(x, y) = x^T G y; the triples where it is
+    nonzero are reported in lexicographic order.  All n^3 triples are
+    checked, since a Gram matrix that fails symmetry breaks the (i, j, k) /
+    (k, j, i) pairing that ``_invariance_system`` relies on.
     """
     gram = B.gram if isinstance(B, BilinearForm) else B
     n = g.dim
@@ -92,32 +103,29 @@ def check_invariant_metric(
                 )
     if gram.det() == 0:
         violations.append(MetricViolation("nondegenerate", (), "det(gram) = 0"))
-    brk = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
-    zero = zero_vector(n)
+    table = _bracket_table(g)
+    rows = gram.sparse_rows()
+    # into[j]: the (k, p, c) with c the e_p-coefficient of [e_j, e_k]
+    into = [[(k, p, c) for k in range(n) for p, c in table[j][k]] for j in range(n)]
     for i in range(n):
-        row_i = gram.row(i)
+        row_i = rows[i]
         for j in range(n):
-            # w[k] = B([e_i, e_j], e_k), accumulated over the sparse bracket
-            w = None
-            for p, c in enumerate(brk[i][j]):
-                if c != 0:
-                    contrib = tuple(c * x for x in gram.row(p))
-                    w = contrib if w is None else add_vec(w, contrib)
-            if w is None:
-                w = zero
-            for k in range(n):
-                rhs = Fraction(0)
-                for p, c in enumerate(brk[j][k]):
-                    if c != 0:
-                        rhs += row_i[p] * c
-                if w[k] != rhs:
-                    violations.append(
-                        MetricViolation(
-                            "invariance",
-                            (i, j, k),
-                            "B([e_i,e_j],e_k) != B(e_i,[e_j,e_k])",
-                        )
+            diff: dict = {}
+            for p, c in table[i][j]:
+                for k, x in rows[p].items():
+                    diff[k] = diff.get(k, 0) + c * x
+            for k, p, c in into[j]:
+                x = row_i.get(p)
+                if x:
+                    diff[k] = diff.get(k, 0) - x * c
+            for k in sorted(k for k, d in diff.items() if d):
+                violations.append(
+                    MetricViolation(
+                        "invariance",
+                        (i, j, k),
+                        "B([e_i,e_j],e_k) != B(e_i,[e_j,e_k])",
                     )
+                )
     return violations
 
 
@@ -191,22 +199,15 @@ def orthogonal_in(q: QuadraticLieAlgebra, U: Subspace) -> Subspace:
     return form_orthogonal(q.metric.gram, U)
 
 
-def _bracket_table(g: LieAlgebra) -> list:
-    """table[i][j] holds the nonzero (k, c) with [e_i, e_j] = sum c e_k."""
-    n = g.dim
-    table = [[()] * n for _ in range(n)]
-    for (i, j), terms in g.structure.items():
-        table[i][j] = terms
-        table[j][i] = tuple((k, -c) for k, c in terms)
-    return table
-
-
 def _invariance_system(g: LieAlgebra) -> SparseSystem:
-    """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) for all basis triples.
+    """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) for the basis triples with k >= i.
 
     The unknowns are the upper triangle of the Gram matrix of B, B_pq with
-    p <= q at index t in row-major order; one equation per triple (i, j, k)
-    in lexicographic order, all-zero ones dropped.
+    p <= q at index t in row-major order.  For a symmetric B the equation of
+    (i, j, k) is the equation of (k, j, i) term for term (both say that
+    ad e_j is B-skew on e_i, e_k), so only k >= i is kept: n^2 (n+1)/2
+    equations instead of n^3, in lexicographic order, all-zero ones dropped,
+    with the same row space as the full set.
     """
     n = g.dim
     index = [[0] * n for _ in range(n)]
@@ -220,7 +221,7 @@ def _invariance_system(g: LieAlgebra) -> SparseSystem:
     for i in range(n):
         for j in range(n):
             cij = table[i][j]
-            for k in range(n):
+            for k in range(i, n):
                 system.add(
                     [(index[p][k], c) for p, c in cij]
                     + [(index[i][p], -c) for p, c in table[j][k]]
@@ -292,53 +293,71 @@ def transport_quadratic(
     return QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
 
 
-def _skew_derivation_system(q: QuadraticLieAlgebra) -> SparseSystem:
-    """"D is a derivation and D^T G + G D = 0" in the n^2 entries of D.
+def _cocycle_system(g: LieAlgebra) -> SparseSystem:
+    """"A is a skew 2-cocycle" in the n(n-1)/2 entries a_pq (p < q) of A.
 
-    D[r][c] is unknown r*n + c.  The derivation equations come first, one
-    per (i < j, t) in lexicographic order, then the skewness equations, one
-    per (i <= j); all-zero ones are dropped.
+    A is the skew matrix with A_pq = a_pq = -A_qp, a_pq at index t in
+    row-major order.  One equation per triple i < j < k in lexicographic
+    order, all-zero ones dropped:
+    A([e_i,e_j],e_k) + A([e_j,e_k],e_i) + A([e_k,e_i],e_j) = 0.  The cyclic
+    sum is alternating in (i, j, k), so the other triples add nothing.
     """
-    n = q.dim
-    table = _bracket_table(q.algebra)
-    # into[j][t]: the (r, c) with c the e_t-coefficient of [e_r, e_j]
-    into = [[[] for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for j in range(n):
-            for t, c in table[r][j]:
-                into[j][t].append((r, c))
-    system = SparseSystem(n * n)
-    # derivation: D([e_i,e_j]) - [D e_i, e_j] - [e_i, D e_j] = 0, component t
+    n = g.dim
+    index = [[0] * n for _ in range(n)]
+    t = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            index[p][q] = t
+            t += 1
+    table = _bracket_table(g)
+    system = SparseSystem(t)
+
+    def terms(a: int, b: int, k: int) -> list:
+        # A([e_a, e_b], e_k) = sum_p c_ab^p A_pk
+        return [
+            (index[p][k], c) if p < k else (index[k][p], -c)
+            for p, c in table[a][b]
+            if p != k
+        ]
+
     for i in range(n):
         for j in range(i + 1, n):
-            cij = table[i][j]
-            for t in range(n):
-                # [e_r, e_j] contributes -D[r][i] c^t_rj, and [e_i, e_r]
-                # contributes -D[r][j] c^t_ir = +D[r][j] c^t_ri
-                system.add(
-                    [(t * n + p, c) for p, c in cij]
-                    + [(r * n + i, -c) for r, c in into[j][t]]
-                    + [(r * n + j, c) for r, c in into[i][t]]
-                )
-    # skewness: (D^T G + G D)[i][j] = sum_r D[r][i] G_rj + G_ir D[r][j] = 0
-    gram = q.metric.gram.sparse_rows()  # G is symmetric: row j is column j
-    for i in range(n):
-        for j in range(i, n):
-            system.add(
-                [(r * n + i, x) for r, x in gram[j].items()]
-                + [(r * n + j, x) for r, x in gram[i].items()]
-            )
+            for k in range(j + 1, n):
+                system.add(terms(i, j, k) + terms(j, k, i) + terms(k, i, j))
     return system
 
 
 def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:
     """Basis of derivations of q that are skew with respect to its metric.
 
-    Solves the sparse linear system "D is a derivation and D^T G + G D = 0"
-    in the n^2 matrix unknowns; deterministic rref kernel basis.
+    D is metric-skew exactly when A = G D, A(x, y) = B(x, D y), is a skew
+    matrix, and then D is a derivation exactly when A is a 2-cocycle,
+    A([x,y],z) + A([y,z],x) + A([z,x],y) = 0 (Medina-Revoy, Ann. Sci. ENS
+    18, 1985: skew derivations of a quadratic algebra are its invariant
+    2-cocycles).  So the solve runs on the n(n-1)/2 entries of A with one
+    equation per triple i < j < k, n(n-1)(n-2)/6 in all
+    (``_cocycle_system``), instead of on the n^2 entries of D with about
+    n^3/2 derivation and n(n+1)/2 skewness equations, and D = G^{-1} A is
+    formed only for the kernel basis.
+    The result is the rref basis of that space in the row-major entries
+    of D, so the output is deterministic.
     """
     n = q.dim
-    solution = kernel(_skew_derivation_system(q))
+    cocycles = kernel(_cocycle_system(q.algebra))
+    ginv = q.metric.gram.inverse().sparse_rows()  # symmetric: row p is column p
+    pairs = [(p, s) for p in range(n) for s in range(p + 1, n)]
+    flats = []
+    for coords in cocycles.vectors():
+        # D = G^{-1} A in row-major order, where A_ps = a and A_sp = -a
+        D = [Fraction(0)] * (n * n)
+        for (p, s), a in zip(pairs, coords):
+            if a:
+                for r, x in ginv[p].items():
+                    D[r * n + s] += x * a
+                for r, x in ginv[s].items():
+                    D[r * n + p] -= x * a
+        flats.append(D)
+    solution = Subspace.from_vectors(n * n, flats)
     return [
         Matrix([coords[r * n : (r + 1) * n] for r in range(n)], n)
         for coords in solution.vectors()

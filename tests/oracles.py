@@ -1,11 +1,14 @@
 """Reference implementations kept only as test oracles.
 
 These are the earlier, slower algorithms for the Killing form, the
-nilradical, row reduction, the bracket and the linear systems of the form
-and skew-derivation solvers, and the earlier stand-alone constructors of
-h_m(phi) and S(D).  The library replaced them with sparse, direct versions
-and with special cases of the one builder; the tests compare the two on
-many inputs and require identical values.
+nilradical, row reduction, the bracket, the Jacobi and invariant-metric
+checks and the linear systems of the form and skew-derivation solvers (the
+full n^3 invariance system and the system in the n^2 entries of D), the
+earlier stand-alone constructors of h_m(phi) and S(D), and an
+entry-by-entry builder of the skew 2-cocycle system.  The library replaced
+them with sparse, direct versions and with special cases of the one
+builder; the tests compare the two on many inputs and require identical
+values.
 """
 
 from fractions import Fraction
@@ -29,8 +32,16 @@ from quadlie.heisenberg import (
     _require_skew_derivation,
     standard_symplectic_matrix,
 )
-from quadlie.liealg import LieAlgebra, LinearMap, ad, check_jacobi, derived_subalgebra, subalgebra_on
-from quadlie.quadform import BilinearForm, QuadraticLieAlgebra
+from quadlie.liealg import (
+    JacobiViolation,
+    LieAlgebra,
+    LinearMap,
+    ad,
+    check_jacobi,
+    derived_subalgebra,
+    subalgebra_on,
+)
+from quadlie.quadform import BilinearForm, MetricViolation, QuadraticLieAlgebra
 
 
 def rref_dense(A: Matrix) -> tuple:
@@ -76,8 +87,12 @@ def bracket_by_formula(g: LieAlgebra, x, y) -> tuple:
     return tuple(out)
 
 
-def invariance_rows_dense(g: LieAlgebra) -> List[list]:
-    """The invariant-forms system as dense rows, built entry by entry."""
+def invariance_rows_dense(g: LieAlgebra) -> List[tuple]:
+    """The invariant-forms system over all n^3 triples, built entry by entry.
+
+    Returns ((i, j, k), row) for every triple whose row is not all zero, in
+    lexicographic order.
+    """
     n = g.dim
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     index = {pq: t for t, pq in enumerate(pairs)}
@@ -98,6 +113,33 @@ def invariance_rows_dense(g: LieAlgebra) -> List[list]:
                 for p, c in enumerate(cjk):
                     if c != 0:
                         coeffs[entry_index(i, p)] -= c
+                if any(c != 0 for c in coeffs):
+                    rows.append(((i, j, k), coeffs))
+    return rows
+
+
+def cocycle_rows_dense(g: LieAlgebra) -> List[list]:
+    """The skew 2-cocycle system as dense rows, built entry by entry.
+
+    Unknowns a_pq (p < q) of the skew matrix A in row-major order; one row
+    per triple i < j < k with a nonzero row, in lexicographic order, for
+    A([e_i,e_j],e_k) + A([e_j,e_k],e_i) + A([e_k,e_i],e_j) = 0.
+    """
+    n = g.dim
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    index = {pq: t for t, pq in enumerate(pairs)}
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                coeffs = [Fraction(0)] * len(pairs)
+                for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+                    for p, c in enumerate(g.bracket_basis(a, b)):
+                        # c * A(e_p, e_t), with A(e_p, e_t) = -A(e_t, e_p)
+                        if c != 0 and p < t:
+                            coeffs[index[(p, t)]] += c
+                        elif c != 0 and p > t:
+                            coeffs[index[(t, p)]] -= c
                 if any(c != 0 for c in coeffs):
                     rows.append(coeffs)
     return rows
@@ -131,6 +173,77 @@ def skew_derivation_rows_dense(q: QuadraticLieAlgebra) -> List[list]:
             if any(c != 0 for c in coeffs):
                 rows.append(coeffs)
     return rows
+
+
+def check_jacobi_dense(g: LieAlgebra) -> List[JacobiViolation]:
+    """Jacobi violations through dense ``bracket_basis`` vectors."""
+    n = g.dim
+    violations = []
+    brk = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
+
+    def double_bracket(first, t: int) -> List[Fraction]:
+        out = [Fraction(0)] * n
+        for p, c in enumerate(first):
+            if c != 0:
+                for s, x in enumerate(brk[p][t]):
+                    if x != 0:
+                        out[s] += c * x
+        return out
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                residual = double_bracket(brk[i][j], k)
+                for s, x in enumerate(double_bracket(brk[j][k], i)):
+                    residual[s] += x
+                for s, x in enumerate(double_bracket(brk[k][i], j)):
+                    residual[s] += x
+                if any(x != 0 for x in residual):
+                    violations.append(JacobiViolation(i, j, k, tuple(residual)))
+    return violations
+
+
+def check_invariant_metric_dense(g: LieAlgebra, B) -> List[MetricViolation]:
+    """Metric violations through dense bracket vectors and Gram rows."""
+    gram = B.gram if isinstance(B, BilinearForm) else B
+    n = g.dim
+    if gram.nrows != gram.ncols or gram.nrows != n:
+        raise ValueError("gram matrix size does not match algebra dimension")
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram.entry(i, j) != gram.entry(j, i):
+                violations.append(
+                    MetricViolation("symmetric", (i, j), "gram[i][j] != gram[j][i]")
+                )
+    if gram.det() == 0:
+        violations.append(MetricViolation("nondegenerate", (), "det(gram) = 0"))
+    brk = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
+    zero = zero_vector(n)
+    for i in range(n):
+        row_i = gram.row(i)
+        for j in range(n):
+            w = None
+            for p, c in enumerate(brk[i][j]):
+                if c != 0:
+                    contrib = tuple(c * x for x in gram.row(p))
+                    w = contrib if w is None else add_vec(w, contrib)
+            if w is None:
+                w = zero
+            for k in range(n):
+                rhs = Fraction(0)
+                for p, c in enumerate(brk[j][k]):
+                    if c != 0:
+                        rhs += row_i[p] * c
+                if w[k] != rhs:
+                    violations.append(
+                        MetricViolation(
+                            "invariance",
+                            (i, j, k),
+                            "B([e_i,e_j],e_k) != B(e_i,[e_j,e_k])",
+                        )
+                    )
+    return violations
 
 
 def killing_form_by_products(g: LieAlgebra) -> Matrix:

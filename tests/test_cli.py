@@ -3,8 +3,11 @@
 import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
+
+import pytest
 
 from quadlie import cli, structure
 from quadlie.cli import main
@@ -409,3 +412,107 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["check", "/nonexistent/path.json"], capsys)
     assert code == 2
     assert "cannot read" in err
+
+
+# -- robustness: truncated and mutated corpus documents --------------------------
+
+CORPUS_FILES = sorted(CORPUS.glob("*.json"))
+MUTATION_CHARS = '0123456789-/"{}[],:. aeiknx\\'
+
+
+def _commands_for(path):
+    """The subcommands a corpus file is an input of."""
+    if path.name.endswith(".construction.json"):
+        return [["construct"]]
+    commands = [["check"], ["forms"]]
+    if json.loads(path.read_text(encoding="utf-8")).get("metric") is not None:
+        commands.append(["analyze"])
+    return commands
+
+
+def _mutations(text, rng, count):
+    """``count`` single-character replacements, deletions and insertions."""
+    for _ in range(count):
+        pos = rng.randrange(len(text))
+        kind = rng.randrange(3)
+        if kind == 0:
+            char = rng.choice(MUTATION_CHARS.replace(text[pos], ""))
+            yield text[:pos] + char + text[pos + 1:]
+        elif kind == 1:
+            yield text[:pos] + text[pos + 1:]
+        else:
+            yield text[:pos] + rng.choice(MUTATION_CHARS) + text[pos:]
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.name)
+def test_truncated_corpus_documents_are_input_errors(path, tmp_path, capsys):
+    """Every proper prefix of a document is invalid JSON: exit 2, one message."""
+    text = path.read_text(encoding="utf-8").rstrip()
+    rng = random.Random(f"truncate {path.name}")
+    cuts = sorted(rng.sample(range(len(text)), 12)) + [0, len(text) - 1]
+    doc = tmp_path / "cut.json"
+    for cut in cuts:
+        doc.write_text(text[:cut], encoding="utf-8")
+        for command in _commands_for(path):
+            code, out, err = run_cli(command + [str(doc)], capsys)
+            assert code == 2, (command, cut)
+            assert out == ""
+            assert err.startswith("error:"), (command, cut, err)
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.name)
+def test_mutated_corpus_documents_keep_the_exit_contract(path, tmp_path, capsys):
+    """A one-character change may leave the document valid, make it a
+    violation or make it bad input (exit 0, 1 or 2), never an internal
+    failure (3) or an uncaught exception."""
+    text = path.read_text(encoding="utf-8")
+    rng = random.Random(f"mutate {path.name}")
+    doc = tmp_path / "mutated.json"
+    for mutated in _mutations(text, rng, 12):
+        doc.write_text(mutated, encoding="utf-8")
+        for command in _commands_for(path):
+            code, out, err = run_cli(command + [str(doc)], capsys)
+            assert code in (0, 1, 2), (command, mutated)
+            if code == 2:
+                assert out == "" and err.startswith("error:"), (command, mutated)
+
+
+def _h1_with(change):
+    doc = json.loads((CORPUS / "h1.algebra.json").read_text(encoding="utf-8"))
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, data, where",
+    [
+        (["check"], _h1_with(lambda d: d.update(dim=True, basis=["x"], brackets=[])), "dim"),
+        (["check"], _h1_with(lambda d: d["brackets"][0].update(i=False)), "brackets[0]"),
+        (["check"], _h1_with(lambda d: d["brackets"][0]["terms"][0].update(k=True)),
+         "brackets[0].terms[0]"),
+        (["construct"], {"kind": "heisenberg", "parameters": {"m": True}}, "parameters.m"),
+    ],
+    ids=["dim", "i", "k", "m"],
+)
+def test_json_booleans_are_not_integers(command, data, where, tmp_path, capsys):
+    doc = tmp_path / "bool.json"
+    doc.write_text(json.dumps(data))
+    code, out, err = run_cli(command + [str(doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {where}:")
+
+
+@pytest.mark.parametrize("command", [["check"], ["construct"]])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000 + "]" * 100000, '{"dim": ' + "9" * 5000 + "}"],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_past_parser_limits_is_input_error(command, text, tmp_path, capsys):
+    doc = tmp_path / "limits.json"
+    doc.write_text(text)
+    code, out, err = run_cli(command + [str(doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON")

@@ -1,5 +1,6 @@
 """The direct Killing form, nilradical, constructors, sparse row reduction,
-bracket and solver systems against the earlier algorithms.
+bracket, solver systems and Jacobi/invariance checks against the earlier
+algorithms.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -16,6 +17,9 @@ import pytest
 import fixtures
 from oracles import (
     bracket_by_formula,
+    check_invariant_metric_dense,
+    check_jacobi_dense,
+    cocycle_rows_dense,
     double_extension_direct,
     extend_heisenberg_direct,
     invariance_rows_dense,
@@ -34,18 +38,22 @@ from quadlie.heisenberg import (
     standard_symplectic_matrix,
 )
 from quadlie.exactla import Matrix, kernel, unit_vector
-from quadlie.liealg import LieAlgebra, LinearMap, bracket, killing_form
+from quadlie.liealg import LieAlgebra, LinearMap, bracket, check_jacobi, killing_form
 from quadlie.quadform import (
     QuadraticLieAlgebra,
+    _cocycle_system,
     _invariance_system,
-    _skew_derivation_system,
+    check_invariant_metric,
+    skew_derivation_space,
     transport_quadratic,
 )
 from quadlie.randomized import (
     random_build_input,
     random_core_algebra,
+    random_integer_matrix,
     random_invertible_omega_skew,
     random_skew_derivation,
+    random_symmetric_matrix,
     random_unimodular,
 )
 from quadlie.structure import nilradical
@@ -105,11 +113,15 @@ def _corpus_quadratics():
     ]
 
 
-def _random_build(seed):
+def _random_quadratic(seed):
     """A random builder output (dim 4 to 10) moved by a random unimodular base change."""
     rng = random.Random(seed)
     q = build_with_heisenberg_ideal(*random_build_input(rng))
-    return transport_quadratic(q, random_unimodular(rng, q.dim)).algebra
+    return transport_quadratic(q, random_unimodular(rng, q.dim))
+
+
+def _random_build(seed):
+    return _random_quadratic(seed).algebra
 
 
 def _assert_matches_oracles(g):
@@ -271,20 +283,120 @@ def _assert_kernel_of(system, dense):
 
 @pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
 def test_forms_system_matches_dense_builder(g):
+    """The system keeps exactly the k >= i rows of the full n^3 system, in
+    order, and the dropped rows add nothing: its rref is that of the full
+    system."""
     system = _invariance_system(g)
-    dense = Matrix(invariance_rows_dense(g), g.dim * (g.dim + 1) // 2)
+    ncols = g.dim * (g.dim + 1) // 2
+    triples = invariance_rows_dense(g)
+    full = Matrix([row for _, row in triples], ncols)
+    assert _dense(system) == Matrix([row for (i, j, k), row in triples if k >= i], ncols)
+    R, pivots = system.rref()
+    R_full, pivots_full = rref_dense(full)
+    assert pivots == pivots_full
+    assert R.rows[: len(pivots)] == R_full.rows[: len(pivots)]
+    _assert_rref_matches_dense(full)
+    _assert_kernel_of(system, full)
+
+
+def _assert_skew_space_is_d_system_kernel(q):
+    """skew_derivation_space(q) is the rref kernel of the system in the n^2
+    entries of D ("D is a derivation and D^T G + G D = 0"), reshaped."""
+    n = q.dim
+    d_space = kernel(Matrix(skew_derivation_rows_dense(q), n * n))
+    expected = [Matrix([v[r * n : (r + 1) * n] for r in range(n)], n) for v in d_space.vectors()]
+    result = skew_derivation_space(q)
+    assert result == expected
+    assert all(type(x) is Fraction for D in result for row in D.rows for x in row)
+
+
+def _assert_cocycle_system_matches_dense(g):
+    system = _cocycle_system(g)
+    dense = Matrix(cocycle_rows_dense(g), g.dim * (g.dim - 1) // 2)
     assert _dense(system) == dense
-    _assert_rref_matches_dense(dense)
-    _assert_kernel_of(system, dense)
+    return system, dense
 
 
 @pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
 def test_skew_system_matches_dense_builder(q):
-    system = _skew_derivation_system(q)
-    dense = Matrix(skew_derivation_rows_dense(q), q.dim * q.dim)
-    assert _dense(system) == dense
+    system, dense = _assert_cocycle_system_matches_dense(q.algebra)
     _assert_rref_matches_dense(dense)
     _assert_kernel_of(system, dense)
+    _assert_skew_space_is_d_system_kernel(q)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_skew_space_matches_d_system_on_random_builds(seed):
+    q = _random_quadratic(seed)
+    assert 4 <= q.dim <= 10
+    _assert_cocycle_system_matches_dense(q.algebra)
+    _assert_skew_space_is_d_system_kernel(q)
+
+
+# -- Jacobi and invariant-metric checks against the dense checkers --------------
+
+def _assert_same_violations(g, gram):
+    jacobi = check_jacobi(g)
+    assert jacobi == check_jacobi_dense(g)
+    assert all(type(x) is Fraction for v in jacobi for x in v.residual)
+    assert all(len(v.residual) == g.dim for v in jacobi)
+    if gram is not None:
+        violations = check_invariant_metric(g, gram)
+        assert violations == check_invariant_metric_dense(g, gram)
+        assert all(type(x) is int for v in violations for x in v.indices)
+
+
+@pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
+def test_checks_match_dense_on_quadratic_algebras(q):
+    _assert_same_violations(q.algebra, q.metric)
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_checks_match_dense_on_algebras(g):
+    """Each algebra with the identity and with a random symmetric Gram matrix,
+    neither of which need be invariant."""
+    _assert_same_violations(g, Matrix.identity(g.dim))
+    _assert_same_violations(g, random_symmetric_matrix(random.Random(g.dim), g.dim))
+
+
+def _perturb(rng, matrix_rows, i, j):
+    matrix_rows[i][j] += Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+
+def _corrupted_inputs(seed):
+    """A quadratic algebra (fixture, corpus or random build) with one structure
+    constant changed, and its Gram matrix made asymmetric, singular, or
+    changed in one entry."""
+    rng = random.Random(seed)
+    pool = [p for p in _fixture_quadratics() + _corpus_quadratics() if p.values[0].dim >= 2]
+    if seed % 2:
+        q = _random_quadratic(seed)
+    else:
+        q = pool[seed // 2 % len(pool)].values[0]
+    g, n = q.algebra, q.dim
+    structure = {key: dict(terms) for key, terms in g.structure.items()}
+    i, j = sorted(rng.sample(range(n), 2))
+    k = rng.randrange(n)
+    slot = structure.setdefault((i, j), {})
+    slot[k] = slot.get(k, 0) + rng.choice((-2, -1, 1, 2))
+    bad_algebra = LieAlgebra(n, structure)
+
+    gram = [list(row) for row in q.metric.gram.rows]
+    perturbed = [list(row) for row in gram]
+    _perturb(rng, perturbed, rng.randrange(n), rng.randrange(n))
+    asymmetric = [list(row) for row in gram]
+    a, b = rng.sample(range(n), 2)
+    _perturb(rng, asymmetric, a, b)
+    C = random_integer_matrix(rng, n - 1, n)
+    singular = C.transpose() @ C
+    grams = [q.metric.gram, Matrix(perturbed, n), Matrix(asymmetric, n), singular]
+    return [(g, G) for G in grams] + [(bad_algebra, G) for G in grams]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_checks_match_dense_on_corrupted_inputs(seed):
+    for g, gram in _corrupted_inputs(seed):
+        _assert_same_violations(g, gram)
 
 
 # -- bracket ---------------------------------------------------------------------
