@@ -10,7 +10,7 @@ coadjoint-double example generator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import InternalVerificationError
 from .exactla import Matrix, Subspace, unit_vector, vector
@@ -227,7 +227,19 @@ def build_with_heisenberg_ideal(
     sigma = _as_omega_matrix(sigmaD, V, "sigmaD")
     if sigma.det() == 0:
         raise ValueError("sigmaD must be invertible")
+    return _certified(*_assemble(S, D_mat, V, sigma), "heisenberg-ideal build")
 
+
+def _assemble(
+    S: QuadraticLieAlgebra, D_mat: Matrix, V: SymplecticSpace, sigma: Matrix
+) -> Tuple[LieAlgebra, Matrix]:
+    """The structure constants and Gram matrix of the build, unchecked.
+
+    Valid whenever D_mat is a skew derivation of S and sigma an invertible
+    element of o(omega); ``build_with_heisenberg_ideal`` checks both and
+    certifies the result, while structure recovery certifies its rebuild by
+    the round trip instead.
+    """
     k = S.dim
     two_m = V.dim
     dim = k + 1 + two_m + 1
@@ -281,7 +293,7 @@ def build_with_heisenberg_ideal(
             rows[v_idx(i)][v_idx(j)] = gram_v.entry(i, j)
     rows[d_idx][hb] = Fraction(1)
     rows[hb][d_idx] = Fraction(1)
-    return _certified(algebra, Matrix(rows, dim), "heisenberg-ideal build")
+    return algebra, Matrix(rows, dim)
 
 
 def heisenberg_ideal_span(q: QuadraticLieAlgebra, m: int) -> Subspace:

@@ -255,11 +255,15 @@ def restrict_quadratic(q: QuadraticLieAlgebra, U: Subspace) -> QuadraticLieAlgeb
     """Quadratic algebra on a subalgebra U with the restricted metric.
 
     Raises ``ValueError`` when U is not a subalgebra or the restricted
-    metric is degenerate.
+    metric is degenerate.  These are the only conditions restriction can
+    break: the Jacobi identity, symmetry and invariance hold on U because
+    they hold on q, so the result is not re-checked.
     """
     algebra = subalgebra_on(q.algebra, U)
     gram = restricted_gram(q.metric.gram, U)
-    return QuadraticLieAlgebra(algebra, BilinearForm(gram))
+    if gram.det() == 0:
+        raise ValueError("the metric degenerates on the subalgebra")
+    return QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
 
 
 def split_by_nondegenerate_ideal(

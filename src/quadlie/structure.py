@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as iter_product
+from itertools import chain, combinations, product as iter_product
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
@@ -34,12 +34,7 @@ from .exactla import (
     unit_vector,
     zero_vector,
 )
-from .heisenberg import (
-    SymplecticMap,
-    SymplecticSpace,
-    build_with_heisenberg_ideal,
-    in_omega_algebra,
-)
+from .heisenberg import SymplecticMap, SymplecticSpace, _assemble, in_omega_algebra
 from .liealg import (
     LieAlgebra,
     LinearMap,
@@ -172,30 +167,98 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
 
 @dataclass(frozen=True)
 class HeisenbergIdealData:
-    """An embedded ideal isomorphic to h_m.
+    """An embedded ideal isomorphic to h_m, with the algebra it lies in.
 
     ``hbar`` spans the (1-dimensional) derived space of the ideal and is
     central in it; ``v_basis`` completes it to the ideal, and ``omega`` is
     the induced symplectic form: [v_i, v_j] = omega[i][j] hbar.
+    Construction checks all of this on ``algebra`` and raises
+    ``ValueError`` otherwise, so the functions that take an instance only
+    check that it belongs to their algebra.
     """
 
+    algebra: LieAlgebra
     ideal: Subspace
     hbar: Vector
     v_basis: tuple
     omega: Matrix
+
+    def __post_init__(self):
+        g = self.algebra
+        if self.ideal.ambient_dim != g.dim:
+            raise ValueError("ideal ambient dimension mismatch")
+        dim = self.ideal.dim
+        if dim < 3 or dim % 2 == 0:
+            raise ValueError("Heisenberg ideal must have odd dimension >= 3")
+        if len(self.v_basis) != dim - 1:
+            raise ValueError("v_basis size does not match the ideal dimension")
+        if self.omega.shape != (dim - 1, dim - 1):
+            raise ValueError("omega size does not match v_basis")
+        if not self.omega.is_skew_symmetric() or self.omega.det() == 0:
+            raise ValueError("omega must be skew-symmetric and nondegenerate")
+        if is_zero_vec(self.hbar) or not self.ideal.contains(self.hbar):
+            raise ValueError("hbar must be a nonzero element of the ideal")
+        span = Subspace.from_vectors(g.dim, list(self.v_basis) + [self.hbar])
+        if span != self.ideal:
+            raise ValueError("v_basis and hbar do not span the ideal")
+        if not is_ideal(g, self.ideal):
+            raise ValueError("the subspace is not an ideal")
+        for row in self.ideal.vectors():
+            if not is_zero_vec(bracket(g, row, self.hbar)):
+                raise ValueError("hbar is not central in the ideal")
+        for i, j in combinations(range(dim - 1), 2):
+            expected = scale_vec(self.omega.entry(i, j), self.hbar)
+            if bracket(g, self.v_basis[i], self.v_basis[j]) != expected:
+                raise ValueError("brackets do not match omega")
 
     @property
     def m(self) -> int:
         return (self.ideal.dim - 1) // 2
 
 
-def _multiple_of(w: Vector, h: Vector) -> Optional[Fraction]:
-    """The scalar c with w = c * h, or None."""
-    pivot = next((i for i, x in enumerate(h) if x != 0), None)
-    if pivot is None:
-        return Fraction(0) if is_zero_vec(w) else None
-    c = w[pivot] / h[pivot]
-    return c if w == scale_vec(c, h) else None
+def _heisenberg_data(
+    g: LieAlgebra, candidate: Subspace
+) -> Union[HeisenbergIdealData, str]:
+    """The Heisenberg-ideal data on ``candidate``, or why there is none.
+
+    Reads hbar (the rref generator of the candidate's derived space), the
+    other candidate rows as ``v_basis`` and omega off hbar's pivot entry,
+    and leaves every other condition to the ``HeisenbergIdealData``
+    constructor.  The reasons name the derived subalgebra, the only
+    candidate whose reason is ever reported; as [g, g] is an ideal, none
+    of them is about ideal-ness.
+    """
+    dim = candidate.dim
+    if dim == 0:
+        return "derived subalgebra is zero"
+    if dim % 2 == 0 or dim < 3:
+        return f"derived subalgebra has dimension {dim}, not 2m+1 with m >= 1"
+    derived = bracket_subspaces(g, candidate, candidate)
+    if derived.dim != 1:
+        return (
+            "derived subalgebra of the candidate has dimension "
+            f"{derived.dim}, expected 1"
+        )
+    failed = "candidate fails the Heisenberg bracket relations"
+    hbar = derived.vectors()[0]
+    coords = candidate.coordinates_of(hbar)
+    if coords is None:
+        return failed
+    skip = next(i for i, c in enumerate(coords) if c != 0)
+    v_basis = tuple(row for i, row in enumerate(candidate.vectors()) if i != skip)
+    # hbar is an rref row: its first nonzero entry is 1, so a multiple c hbar
+    # shows c there; the constructor checks the whole bracket
+    pivot = next(i for i, x in enumerate(hbar) if x != 0)
+    two_m = dim - 1
+    omega_rows = [[Fraction(0)] * two_m for _ in range(two_m)]
+    for i, j in combinations(range(two_m), 2):
+        c = bracket(g, v_basis[i], v_basis[j])[pivot]
+        omega_rows[i][j] = c
+        omega_rows[j][i] = -c
+    try:
+        return HeisenbergIdealData(g, candidate, hbar, v_basis, Matrix(omega_rows, two_m))
+    except ValueError:
+        return failed
 
 
 def find_heisenberg_ideal(
@@ -211,68 +274,13 @@ def find_heisenberg_ideal(
     """
     if candidate.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    dim = candidate.dim
-    if dim < 3 or dim % 2 == 0:
-        return None
-    if not is_ideal(g, candidate):
-        return None
-    derived = bracket_subspaces(g, candidate, candidate)
-    if derived.dim != 1:
-        return None
-    hbar = derived.vectors()[0]
-    for row in candidate.vectors():
-        if not is_zero_vec(bracket(g, row, hbar)):
-            return None
-    coords = candidate.coordinates_of(hbar)
-    if coords is None:
-        return None
-    pivot = next(i for i, c in enumerate(coords) if c != 0)
-    v_basis = tuple(
-        row for i, row in enumerate(candidate.vectors()) if i != pivot
-    )
-    two_m = dim - 1
-    omega_rows = [[Fraction(0)] * two_m for _ in range(two_m)]
-    for i in range(two_m):
-        for j in range(i + 1, two_m):
-            c = _multiple_of(bracket(g, v_basis[i], v_basis[j]), hbar)
-            if c is None:
-                return None
-            omega_rows[i][j] = c
-            omega_rows[j][i] = -c
-    omega = Matrix(omega_rows, two_m)
-    if omega.det() == 0:
-        return None
-    return HeisenbergIdealData(candidate, hbar, v_basis, omega)
+    h = _heisenberg_data(g, candidate)
+    return h if isinstance(h, HeisenbergIdealData) else None
 
 
-def _validate_heisenberg_data(g: LieAlgebra, h: HeisenbergIdealData) -> None:
-    """Raise ValueError unless ``h`` is coherent Heisenberg-ideal data."""
-    if h.ideal.ambient_dim != g.dim:
-        raise ValueError("ideal ambient dimension mismatch")
-    dim = h.ideal.dim
-    if dim < 3 or dim % 2 == 0:
-        raise ValueError("Heisenberg ideal must have odd dimension >= 3")
-    if len(h.v_basis) != dim - 1:
-        raise ValueError("v_basis size does not match the ideal dimension")
-    if h.omega.shape != (dim - 1, dim - 1):
-        raise ValueError("omega size does not match v_basis")
-    if not h.omega.is_skew_symmetric() or h.omega.det() == 0:
-        raise ValueError("omega must be skew-symmetric and nondegenerate")
-    if is_zero_vec(h.hbar) or not h.ideal.contains(h.hbar):
-        raise ValueError("hbar must be a nonzero element of the ideal")
-    span = Subspace.from_vectors(g.dim, list(h.v_basis) + [h.hbar])
-    if span != h.ideal:
-        raise ValueError("v_basis and hbar do not span the ideal")
-    if not is_ideal(g, h.ideal):
-        raise ValueError("the subspace is not an ideal")
-    for row in h.ideal.vectors():
-        if not is_zero_vec(bracket(g, row, h.hbar)):
-            raise ValueError("hbar is not central in the ideal")
-    for i in range(len(h.v_basis)):
-        for j in range(i + 1, len(h.v_basis)):
-            expected = scale_vec(h.omega.entry(i, j), h.hbar)
-            if bracket(g, h.v_basis[i], h.v_basis[j]) != expected:
-                raise ValueError("brackets do not match omega")
+def _require_own_data(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> None:
+    if h.algebra != q.algebra:
+        raise ValueError("the Heisenberg-ideal data belongs to another algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +386,17 @@ def recover_structure(
     and read off D and sigma(D) from the action of d.  The result is
     verified by rebuilding: transporting q through the certificate must
     equal the rebuilt algebra exactly, else an internal error is raised.
+    That equality certifies the rebuild and, with the ensures on B_S and
+    D, the core, so neither goes through the validating constructor.
+    Raises ``ValueError`` when ``h`` was found in another algebra.
     """
     g, B = q.algebra, q.metric
     n = g.dim
-    _validate_heisenberg_data(g, h)
+    _require_own_data(q, h)
     two_m = 2 * h.m
 
     # hbar is central in g and B-orthogonal to the ideal; both are forced
-    # by invariance once the ideal validates, so failures are internal
+    # by invariance for a valid Heisenberg ideal, so failures are internal
     for i in range(n):
         ensure(
             is_zero_vec(bracket(g, unit_vector(n, i), h.hbar)),
@@ -477,11 +488,13 @@ def recover_structure(
         "metric on V does not match omega(sigma^{-1} u, v)",
     )
 
+    # Neither the core nor the rebuild is validated on its own.  The rebuild
+    # equals transport_quadratic(q, P), a valid algebra, once the round trip
+    # below holds.  hbar is central and B(hbar, S) = 0, so the S-components
+    # of the rebuild's Jacobi identity and invariance on S are the core's,
+    # and the core's nondegeneracy is the B_S ensure above.
     s_algebra = LieAlgebra(k, s_structure, [f"s{t + 1}" for t in range(k)])
-    try:
-        core = QuadraticLieAlgebra(s_algebra, BilinearForm(B_S))
-    except ValueError as exc:
-        raise InternalVerificationError(f"recovered core is invalid: {exc}") from exc
+    core = QuadraticLieAlgebra._unchecked(s_algebra, BilinearForm(B_S))
     ensure(is_derivation(s_algebra, D_mat), "recovered D is not a derivation")
     ensure(
         (D_mat.transpose() @ B_S + B_S @ D_mat).is_zero(),
@@ -490,7 +503,8 @@ def recover_structure(
 
     V_space = SymplecticSpace(h.omega)
     sigma_map = SymplecticMap(V_space, sigma_mat)
-    rebuilt = build_with_heisenberg_ideal(core, D_mat, V_space, sigma_map)
+    algebra, gram = _assemble(core, D_mat, V_space, sigma_mat)
+    rebuilt = QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
     transported = transport_quadratic(q, P)
     ensure(
         transported == rebuilt,
@@ -541,23 +555,6 @@ class NotApplicableVerdict:
 Verdict = Union[ExtendedHeisenbergVerdict, DecomposableVerdict, NotApplicableVerdict]
 
 
-def _heisenberg_reject_reason(g: LieAlgebra, candidate: Subspace) -> str:
-    dim = candidate.dim
-    if dim == 0:
-        return "derived subalgebra is zero"
-    if dim % 2 == 0 or dim < 3:
-        return f"derived subalgebra has dimension {dim}, not 2m+1 with m >= 1"
-    if not is_ideal(g, candidate):
-        return "derived subalgebra is not an ideal"
-    derived2 = bracket_subspaces(g, candidate, candidate)
-    if derived2.dim != 1:
-        return (
-            "derived subalgebra of the candidate has dimension "
-            f"{derived2.dim}, expected 1"
-        )
-    return "candidate fails the Heisenberg bracket relations"
-
-
 def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
     """Decide whether q is an extended Heisenberg algebra.
 
@@ -567,10 +564,9 @@ def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
     S != 0, in which case [g, g] = h_m forces D = 0 and S abelian, so S is
     a nondegenerate ideal and the algebra splits (Decomposable).
     """
-    der = derived_subalgebra(q.algebra)
-    h = find_heisenberg_ideal(q.algebra, der)
-    if h is None:
-        return NotApplicableVerdict(_heisenberg_reject_reason(q.algebra, der))
+    h = _heisenberg_data(q.algebra, derived_subalgebra(q.algebra))
+    if isinstance(h, str):
+        return NotApplicableVerdict(h)
     rec = recover_structure(q, h)
     if rec.s_basis.dim == 0:
         # with S = 0 the rebuild is extend_heisenberg(m, omega, sigmaD), and
@@ -607,11 +603,12 @@ def quotient_metric_from_complement(
     Normalizes the complement to S ⊕ QQ d coordinates (d with B(d, hbar) =
     1 and B(d, S) = 0) and evaluates B_a(a + λd, b + μd) = B(a, b) + λμ on
     quotient representatives.  The output is verified to be an invariant
-    metric on the quotient.
+    metric on the quotient.  Raises ``ValueError`` when ``h`` was found in
+    another algebra or ``comp`` is not a subalgebra complement.
     """
     g, B = q.algebra, q.metric
     n = g.dim
-    _validate_heisenberg_data(g, h)
+    _require_own_data(q, h)
     if comp.ambient_dim != n:
         raise ValueError("complement has wrong ambient dimension")
     total, meet = sum_intersect(comp, h.ideal)
@@ -674,10 +671,12 @@ def complement_from_quotient_metric(
     Ba(F(a), b), T is Ba-symmetric and T∘F = F∘T = ad(e); F is an inner
     derivation ad(c), and {a + Ba(c, a) hbar} is the subalgebra complement.
     The symmetry and commutation identities are asserted on every run.
+    Raises ``ValueError`` when ``h`` was found in another algebra or ``Ba``
+    is not an invariant metric on the quotient.
     """
     g, B = q.algebra, q.metric
     n = g.dim
-    _validate_heisenberg_data(g, h)
+    _require_own_data(q, h)
     q_alg, proj = quotient(g, h.ideal)
     qd = q_alg.dim
     if Ba.dim != qd:
@@ -815,11 +814,11 @@ def has_invariant_quotient_metric(
     enumerate), then 100 seeded pseudorandom small-integer combinations.
     Returns None when no probe is nondegenerate; this is a documented
     heuristic gap when the form space is nontrivial but every probe lies on
-    the determinant hypersurface.
+    the determinant hypersurface.  Raises ``ValueError`` when ``h`` was
+    found in another algebra.
     """
-    g, _ = q.algebra, q.metric
-    _validate_heisenberg_data(g, h)
-    q_alg, _ = quotient(g, h.ideal)
+    _require_own_data(q, h)
+    q_alg, _ = quotient(q.algebra, h.ideal)
     if q_alg.dim == 0:
         return BilinearForm(Matrix([], 0))
     forms = invariant_symmetric_forms(q_alg)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from quadlie import cli, structure
+from quadlie import cli, liealg, quadform, structure
 from quadlie.cli import main
 from quadlie.errors import InternalVerificationError
 
@@ -228,22 +228,39 @@ def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys
 def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     """One analyze pass of h2_phi: one nilradical; one radical (the theorem
     check's, passed on to the nilradical); two recoveries (the recognizer's,
-    which the report reuses, and the theorem check's on the radical)."""
+    which the report reuses, and the theorem check's on the radical); one
+    Jacobi check and two invariance checks (the document's metric, and the
+    quotient form that the complement step is given).  Recovery certifies
+    its core and rebuild by the round trip and restriction inherits both
+    properties, so neither checks again."""
     calls = {}
-    for name in ("nilradical", "radical", "recover_structure"):
-        original = getattr(structure, name)
+
+    def count(name, original):
         calls[name] = 0
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-        for module in (structure, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        # every module binding of the function, so that no call slips past
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("quadlie"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+    for name in ("nilradical", "radical", "recover_structure"):
+        count(name, getattr(structure, name))
+    count("check_jacobi", liealg.check_jacobi)
+    count("check_invariant_metric", quadform.check_invariant_metric)
     code, _, _ = run_cli(["analyze", corpus_path("h2_phi.algebra.json")], capsys)
     assert code == 0
-    assert calls == {"nilradical": 1, "radical": 1, "recover_structure": 2}
+    assert calls == {
+        "nilradical": 1,
+        "radical": 1,
+        "recover_structure": 2,
+        "check_jacobi": 1,
+        "check_invariant_metric": 2,
+    }
 
 
 # Coordinate Heisenberg ideals of the corpus documents that the benchmark

@@ -37,13 +37,14 @@ from quadlie.heisenberg import (
     extend_heisenberg,
     standard_symplectic_matrix,
 )
-from quadlie.exactla import Matrix, kernel, unit_vector
+from quadlie.exactla import Matrix, form_restrict_nondegenerate, kernel, unit_vector
 from quadlie.liealg import LieAlgebra, LinearMap, bracket, check_jacobi, killing_form
 from quadlie.quadform import (
     QuadraticLieAlgebra,
     _cocycle_system,
     _invariance_system,
     check_invariant_metric,
+    restrict_quadratic,
     skew_derivation_space,
     transport_quadratic,
 )
@@ -56,7 +57,7 @@ from quadlie.randomized import (
     random_symmetric_matrix,
     random_unimodular,
 )
-from quadlie.structure import nilradical
+from quadlie.structure import nilradical, radical
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corpus"
 RANDOM_SEEDS = range(30)
@@ -357,6 +358,21 @@ def test_checks_match_dense_on_algebras(g):
     neither of which need be invariant."""
     _assert_same_violations(g, Matrix.identity(g.dim))
     _assert_same_violations(g, random_symmetric_matrix(random.Random(g.dim), g.dim))
+
+
+# -- restriction against the validating constructor -----------------------------
+
+@pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
+def test_restriction_to_radical_passes_the_constructor(q):
+    """``restrict_quadratic`` checks only the subalgebra and nondegeneracy; on
+    a nondegenerate radical the full constructor accepts the same pair."""
+    rad = radical(q.algebra)
+    if not form_restrict_nondegenerate(q.metric.gram, rad):
+        with pytest.raises(ValueError):
+            restrict_quadratic(q, rad)
+        return
+    restricted = restrict_quadratic(q, rad)
+    assert QuadraticLieAlgebra(restricted.algebra, restricted.metric) == restricted
 
 
 def _perturb(rng, matrix_rows, i, j):

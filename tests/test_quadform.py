@@ -25,6 +25,7 @@ from quadlie.quadform import (
     flat,
     invariant_symmetric_forms,
     orthogonal_in,
+    restrict_quadratic,
     sharp,
     skew_derivation_space,
     split_by_nondegenerate_ideal,
@@ -239,3 +240,18 @@ def test_skew_derivation_space_basics():
         assert (M.transpose() + M).is_zero()
     # sl2: skew derivations = inner derivations, a 3-dimensional space
     assert len(skew_derivation_space(sl2_quadratic())) == 3
+
+
+def test_restrict_quadratic_rejects_non_subalgebra():
+    # [e, f] = h leaves span(e, f)
+    U = Subspace.from_vectors(3, [unit_vector(3, 1), unit_vector(3, 2)])
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        restrict_quadratic(sl2_quadratic(), U)
+
+
+def test_restrict_quadratic_rejects_degenerate_subalgebra():
+    # the hbar line of h1_phi is an abelian subalgebra with B(hbar, hbar) = 0
+    U = Subspace.from_vectors(4, [unit_vector(4, 3)])
+    with pytest.raises(ValueError, match="degenerates"):
+        restrict_quadratic(h1_phi(), U)
+

@@ -44,10 +44,17 @@ from quadlie.liealg import (
 )
 from quadlie.quadform import (
     BilinearForm,
+    QuadraticLieAlgebra,
     check_invariant_metric,
     transport_quadratic,
 )
-from quadlie.randomized import random_build_input, random_unimodular
+from quadlie.randomized import (
+    random_build_input,
+    random_core_algebra,
+    random_invertible_omega_skew,
+    random_skew_derivation,
+    random_unimodular,
+)
 from quadlie.structure import (
     DecomposableVerdict,
     ExtendedHeisenbergVerdict,
@@ -263,14 +270,35 @@ def test_recover_rotation_core():
 def test_recover_validates_input_data():
     q = h1_phi()
     h = find_heisenberg_ideal(q.algebra, derived_subalgebra(q.algebra))
-    tampered = HeisenbergIdealData(
-        ideal=h.ideal,
-        hbar=unit_vector(4, 1),  # not the derived generator
-        v_basis=h.v_basis,
-        omega=h.omega,
-    )
-    with pytest.raises(ValueError):
-        recover_structure(q, tampered)
+    with pytest.raises(ValueError, match="do not span the ideal"):
+        HeisenbergIdealData(
+            algebra=q.algebra,
+            ideal=h.ideal,
+            hbar=unit_vector(4, 1),  # not the derived generator
+            v_basis=h.v_basis,
+            omega=h.omega,
+        )
+
+
+def test_consumers_reject_data_of_another_algebra():
+    """Data found in q, passed with a base-changed copy of q, is refused by
+    each of its four consumers, and accepted with q itself."""
+    q = h1_phi()
+    h = find_heisenberg_ideal(q.algebra, derived_subalgebra(q.algebra))
+    moved = transport_quadratic(q, random_unimodular(random.Random(7), q.dim))
+    assert moved.algebra != q.algebra
+    comp = Subspace.from_vectors(4, [unit_vector(4, 0)])
+    Ba = BilinearForm(Matrix([[1]], 1))
+    consumers = [
+        lambda target: recover_structure(target, h),
+        lambda target: quotient_metric_from_complement(target, h, comp),
+        lambda target: complement_from_quotient_metric(target, h, Ba),
+        lambda target: has_invariant_quotient_metric(target, h),
+    ]
+    for consume in consumers:
+        assert consume(q) is not None
+        with pytest.raises(ValueError, match="another algebra"):
+            consume(moved)
 
 
 def test_recover_randomized_roundtrip_30():
@@ -287,6 +315,37 @@ def test_recover_randomized_roundtrip_30():
         assert h is not None, f"trial {trial}"
         rec = recover_structure(moved, h)  # verifies the round trip internally
         assert transport_quadratic(moved, rec.base_change) == rec.rebuilt
+
+
+def _core_of_dim_4(rng):
+    while True:
+        S = random_core_algebra(rng, 4)
+        if S.dim == 4:
+            return S
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_recover_roundtrip_at_dims_12_to_18(seed):
+    """Builds with core dim 4 and m = 3..6 (dim 12-18) round-trip after a
+    random base change, and the unvalidated core and rebuild pass the full
+    constructor."""
+    m = 3 + seed % 4
+    rng = random.Random(500 + seed)
+    S = _core_of_dim_4(rng)
+    V = SymplecticSpace.standard(m)
+    q = build_with_heisenberg_ideal(
+        S, random_skew_derivation(rng, S), V, random_invertible_omega_skew(rng, V)
+    )
+    assert q.dim == 6 + 2 * m
+    P = random_unimodular(rng, q.dim)
+    moved = transport_quadratic(q, P)
+    candidate = transport_subspace(heisenberg_ideal_span(q, m), P)
+    h = find_heisenberg_ideal(moved.algebra, candidate)
+    assert h is not None
+    rec = recover_structure(moved, h)
+    assert transport_quadratic(moved, rec.base_change) == rec.rebuilt
+    for built in (rec.rebuilt, rec.core):
+        assert QuadraticLieAlgebra(built.algebra, built.metric) == built
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +402,13 @@ def test_recognizer_decomposable():
 def test_recognizer_not_applicable():
     v1 = recognize_extended_heisenberg(coadjoint_double(LieAlgebra.abelian(1)))
     assert isinstance(v1, NotApplicableVerdict)
+    assert v1.reason == "derived subalgebra is zero"
     v2 = recognize_extended_heisenberg(sl2_quadratic())
     assert isinstance(v2, NotApplicableVerdict)
+    assert v2.reason == "derived subalgebra of the candidate has dimension 3, expected 1"
     v3 = recognize_extended_heisenberg(coadjoint_double(heisenberg(1)))
     assert isinstance(v3, NotApplicableVerdict)
+    assert v3.reason == "derived subalgebra of the candidate has dimension 0, expected 1"
 
 
 def test_recognizer_agrees_with_derived_condition():
