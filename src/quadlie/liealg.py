@@ -7,6 +7,7 @@ structural.  All operations are pure and return new values.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exactla import (
@@ -223,9 +224,16 @@ def ad(g: LieAlgebra, x: Sequence) -> LinearMap:
 
 
 def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
-    """span{[u, w] : u in U, w in W}."""
-    vecs = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
-    return Subspace.from_vectors(g.dim, vecs)
+    """span{[u, w] : u in U, w in W}.
+
+    When W equals U only the basis pairs i < j are bracketed: [u, u] = 0
+    and [u_j, u_i] = -[u_i, u_j] add nothing to the span.
+    """
+    if W == U:
+        pairs = combinations(U.vectors(), 2)
+    else:
+        pairs = ((u, w) for u in U.vectors() for w in W.vectors())
+    return Subspace.from_vectors(g.dim, [bracket(g, u, w) for u, w in pairs])
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -277,15 +285,8 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}, computed as one stacked kernel."""
-    if g.dim == 0:
-        return Subspace.zero(0)
-    rows = []
-    for j in range(g.dim):
-        # row block: x -> [x, e_j] = -ad(e_j) x
-        adj = ad(g, unit_vector(g.dim, j)).matrix
-        rows.extend((-adj).rows)
-    return kernel(Matrix(rows, g.dim))
+    """{x : [x, y] = 0 for all y}, the centralizer of the whole algebra."""
+    return centralizer(g, Subspace.full(g.dim))
 
 
 def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:

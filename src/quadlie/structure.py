@@ -26,7 +26,6 @@ from .exactla import (
     form_restrict_nondegenerate,
     is_zero_vec,
     kernel,
-    restricted_gram,
     scale_vec,
     solve,
     sub_vec,
@@ -308,12 +307,15 @@ class RecoveredStructure:
 
 
 def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> List[Vector]:
-    """A complement of h in g inside V^perp with V-free brackets.
+    """A complement of h in g inside V^perp whose brackets with V lie in V.
 
-    Takes a complement of the hbar line in V^perp (non-pivot choice) and
-    applies the correction a -> a - L(a) that removes the hbar-component
-    map L from [a, v]; for complements inside V^perp the correction is
-    provably trivial, and the result is verified to stay in V^perp.
+    Takes a complement of the hbar line in V^perp (non-pivot choice).  Its
+    brackets [a, v] have no hbar-component, so no correction a -> a - L(a)
+    is needed.  Proof: take z in V^perp with B(z, hbar) = 1.  For w in h
+    the hbar-coefficient of w is B(w, z), as B(V, z) = 0.  For a in V^perp
+    and v in V, [a, v] lies in the ideal h and its hbar-coefficient is
+    B([a, v], z) = B(a, [v, z]) = c B(a, hbar), where c, the
+    hbar-coefficient of [v, z], is B([v, z], z) = B(v, [z, z]) = 0.
     """
     g, B = q.algebra, q.metric
     n = g.dim
@@ -333,32 +335,14 @@ def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Li
     a_vecs = [
         row for i, row in enumerate(Vperp.vectors()) if i != pivot
     ]
-
-    # decomposition of h_m vectors into (v-coordinates, hbar-coordinate)
-    h_cols = Matrix.from_columns(list(h.v_basis) + [h.hbar], n)
-    omega_t = h.omega.transpose()
-    corrected = []
+    # the proof above rests on a in V^perp, where the L-correction is zero
     for a in a_vecs:
-        tau = []
-        for j in range(two_m):
-            w = bracket(g, a, h.v_basis[j])
-            coords = solve(h_cols, w)
-            ensure(coords is not None, "[a, v] left the Heisenberg ideal")
-            tau.append(coords[two_m])
-        l_coords = solve(omega_t, tuple(tau))
-        ensure(l_coords is not None, "omega failed to invert")
-        La = zero_vector(n)
-        for i, c in enumerate(l_coords):
-            if c != 0:
-                La = add_vec(La, scale_vec(c, h.v_basis[i]))
-        corrected.append(sub_vec(a, La))
-    for a in corrected:
         for v in h.v_basis:
             ensure(
                 B.evaluate(a, v) == 0,
                 "complement left V^perp after the L-correction",
             )
-    return corrected
+    return a_vecs
 
 
 def _split_off_d(
@@ -381,13 +365,22 @@ def recover_structure(
     Heisenberg ideal, with a base-change certificate.
 
     Follows the constructive normalization: choose a complement of h inside
-    V^perp, correct it to have V-free brackets, pick d with B(d, hbar) = 1
-    normalized to B(d, d) = 0, slide the rest to S = {a - B(a, d) hbar},
-    and read off D and sigma(D) from the action of d.  The result is
-    verified by rebuilding: transporting q through the certificate must
-    equal the rebuilt algebra exactly, else an internal error is raised.
-    That equality certifies the rebuild and, with the ensures on B_S and
-    D, the core, so neither goes through the validating constructor.
+    V^perp, pick d with B(d, hbar) = 1 normalized to B(d, d) = 0, slide the
+    rest to S = {a - B(a, d) hbar}, and read off D and sigma(D) from the
+    action of d.  The complement needs no correction to have V-free
+    brackets: for a in V^perp and v in V, [a, v] has hbar-coefficient
+    B([a, v], z) = B(a, [v, z]) = 0 for z in V^perp with B(z, hbar) = 1
+    (see ``_normalized_complement``).
+
+    Everything is read in one coordinate system, the transport of q to the
+    basis (S..., d, V..., hbar): the core structure, D, sigma(D), B_S, the
+    metric on V and the zero blocks behind the ensures are its structure
+    constants and Gram entries, the same numbers a bracket of the basis
+    vectors followed by the inverse base change gives.  The result is
+    verified by rebuilding: that transport must equal the rebuilt algebra
+    exactly, else an internal error is raised.  That equality certifies
+    the rebuild and, with the ensures on B_S and D, the core, so neither
+    goes through the validating constructor.
     Raises ``ValueError`` when ``h`` was found in another algebra.
     """
     g, B = q.algebra, q.metric
@@ -418,31 +411,29 @@ def recover_structure(
     S_sub = Subspace.from_vectors(n, s_raw)
     k = len(ker_eta)
     ensure(S_sub.dim == k, "S lost dimension")
-    s_rows = list(S_sub.vectors())
-    for s in s_rows:
-        ensure(B.evaluate(s, d) == 0, "B(S, d) != 0")
-        ensure(B.evaluate(s, h.hbar) == 0, "B(S, hbar) != 0")
-        for v in h.v_basis:
-            ensure(B.evaluate(s, v) == 0, "B(S, V) != 0")
 
-    # final basis (s..., d, v..., hbar) and coordinate extraction
-    P = Matrix(s_rows + [d] + list(h.v_basis) + [h.hbar], n)
+    # final basis (s..., d, v..., hbar); every block below is read off q
+    # transported to it, the algebra the round trip at the end certifies
+    P = Matrix(list(S_sub.vectors()) + [d] + list(h.v_basis) + [h.hbar], n)
     try:
-        Pt_inv = P.transpose().inverse()
+        transported = transport_quadratic(q, P)
     except ValueError as exc:
         raise InternalVerificationError("recovered basis is not a basis") from exc
-
-    def new_coords(w: Vector) -> Vector:
-        return Pt_inv.apply(w)
+    T, G = transported.algebra, transported.metric.gram
 
     d_slot = k
     v_slots = range(k + 1, k + 1 + two_m)
     h_slot = n - 1
 
+    for i in range(k):
+        ensure(G.entry(i, d_slot) == 0, "B(S, d) != 0")
+        ensure(G.entry(i, h_slot) == 0, "B(S, hbar) != 0")
+        ensure(all(G.entry(i, t) == 0 for t in v_slots), "B(S, V) != 0")
+
     s_structure = {}
     for i in range(k):
         for j in range(i + 1, k):
-            coords = new_coords(bracket(g, s_rows[i], s_rows[j]))
+            coords = T.bracket_basis(i, j)
             ensure(coords[d_slot] == 0, "[S, S] has a d-component")
             ensure(
                 all(coords[t] == 0 for t in v_slots),
@@ -454,7 +445,7 @@ def recover_structure(
 
     D_cols = []
     for j in range(k):
-        coords = new_coords(bracket(g, d, s_rows[j]))
+        coords = T.bracket_basis(d_slot, j)
         ensure(coords[d_slot] == 0, "[d, S] has a d-component")
         ensure(all(coords[t] == 0 for t in v_slots), "[d, S] has a V-component")
         ensure(coords[h_slot] == 0, "[d, S] has an hbar-component")
@@ -462,8 +453,8 @@ def recover_structure(
     D_mat = Matrix.from_columns(D_cols, k)
 
     sigma_cols = []
-    for j in range(two_m):
-        coords = new_coords(bracket(g, d, h.v_basis[j]))
+    for j in v_slots:
+        coords = T.bracket_basis(d_slot, j)
         ensure(
             all(coords[t] == 0 for t in range(k)) and coords[d_slot] == 0,
             "[d, V] left V",
@@ -474,22 +465,20 @@ def recover_structure(
     ensure(sigma_mat.det() != 0, "sigma(D) is singular")
     ensure(in_omega_algebra(sigma_mat, h.omega), "sigma(D) is not in o(omega)")
 
-    for s in s_rows:
-        for v in h.v_basis:
-            ensure(is_zero_vec(bracket(g, s, v)), "[S, V] != 0")
+    for i in range(k):
+        for j in v_slots:
+            ensure(is_zero_vec(T.bracket_basis(i, j)), "[S, V] != 0")
 
-    B_S = restricted_gram(B.gram, S_sub)
+    B_S = Matrix([G.rows[i][:k] for i in range(k)], k)
     ensure(k == 0 or B_S.det() != 0, "metric degenerates on S")
-    gram_V = Matrix(
-        [[B.evaluate(u, v) for v in h.v_basis] for u in h.v_basis], two_m
-    )
+    gram_V = Matrix([G.rows[t][k + 1 : h_slot] for t in v_slots], two_m)
     ensure(
         gram_V == sigma_mat.inverse().transpose() @ h.omega,
         "metric on V does not match omega(sigma^{-1} u, v)",
     )
 
     # Neither the core nor the rebuild is validated on its own.  The rebuild
-    # equals transport_quadratic(q, P), a valid algebra, once the round trip
+    # equals the transport above, a valid algebra, once the round trip
     # below holds.  hbar is central and B(hbar, S) = 0, so the S-components
     # of the rebuild's Jacobi identity and invariance on S are the core's,
     # and the core's nondegeneracy is the B_S ensure above.
@@ -505,7 +494,6 @@ def recover_structure(
     sigma_map = SymplecticMap(V_space, sigma_mat)
     algebra, gram = _assemble(core, D_mat, V_space, sigma_mat)
     rebuilt = QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
-    transported = transport_quadratic(q, P)
     ensure(
         transported == rebuilt,
         "round trip failed: transported algebra differs from the rebuilt one",
@@ -901,20 +889,14 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
     clause_extended = False
     if clause_ideal and clause_nondeg and clause_line:
         q_rad = restrict_quadratic(q, rad)
-        nil_coords = []
-        inside = True
-        for v in nil.vectors():
-            coords = rad.coordinates_of(v)
-            if coords is None:
-                inside = False
-                break
-            nil_coords.append(coords)
-        if inside:
-            nil_in_rad = Subspace.from_vectors(rad.dim, nil_coords)
-            h_rad = find_heisenberg_ideal(q_rad.algebra, nil_in_rad)
-            if h_rad is not None:
-                recovery = recover_structure(q_rad, h_rad)
-                clause_extended = recovery.s_basis.dim == 0
+        # clause_line has shown nil inside rad, so every coordinate exists
+        nil_in_rad = Subspace.from_vectors(
+            rad.dim, [rad.coordinates_of(v) for v in nil.vectors()]
+        )
+        h_rad = find_heisenberg_ideal(q_rad.algebra, nil_in_rad)
+        if h_rad is not None:
+            recovery = recover_structure(q_rad, h_rad)
+            clause_extended = recovery.s_basis.dim == 0
     clauses = (
         ("radical_is_ideal", clause_ideal),
         ("radical_nondegenerate", clause_nondeg),

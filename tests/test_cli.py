@@ -295,6 +295,25 @@ def test_corpus_outputs_match_benchmark_reference(capsys):
     assert wrong == []
 
 
+@pytest.mark.parametrize("workload", ["grid_analyze", "grid_forms"])
+def test_grid_outputs_match_benchmark_reference(workload, monkeypatch):
+    """Every seed-0 grid output (``analyze`` on dense builder outputs among
+    them) has the SHA-256 the benchmark pins."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    expected = workloads.load_reference(workload, 0)
+    assert len(expected) == {"grid_analyze": 8, "grid_forms": 6}[workload]
+    ops = workloads.prepare(workload, 0)
+    assert sorted(op.label for op in ops) == sorted(expected)
+    wrong = [
+        op.label
+        for op in ops
+        if workloads.digest(workloads.run_op(op)[2]) != expected[op.label]
+    ]
+    assert wrong == []
+
+
 def test_analyze_reports_missing_quotient_metric(capsys):
     """Over the small ideal of the rotation-core build, the quotient admits
     no invariant metric and no complement subalgebra exists."""

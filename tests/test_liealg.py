@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from fixtures import h1_phi, sl2, sl2_killing_gram, two_dim_nonabelian
+from fixtures import (
+    build_rotation_core_fixture,
+    build_sl2_fixture,
+    five_dim_trace_zero,
+    h1_phi,
+    oscillator,
+    sl2,
+    sl2_killing_gram,
+    sl2_plus_h1,
+    two_dim_nonabelian,
+)
 
 from quadlie.exactla import Matrix, Subspace, unit_vector, vector
 from quadlie.heisenberg import heisenberg
@@ -13,6 +23,7 @@ from quadlie.liealg import (
     LieAlgebra,
     ad,
     bracket,
+    bracket_subspaces,
     center,
     centralizer,
     check_jacobi,
@@ -93,8 +104,44 @@ def test_derived_and_series():
     assert derived_series(sl2())[-1] == Subspace.full(3)
 
 
+def _full_product_span(g, U, W):
+    return Subspace.from_vectors(
+        g.dim, [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
+    )
+
+
+def test_bracket_subspaces_matches_full_product_span():
+    """[U, U] from the pairs i < j, and [U, W] for W != U, equal the span of
+    all ordered products on every subspace of the derived and lower central
+    series and on two seeded subspaces that need not be subalgebras."""
+    rng = random.Random(31)
+    for g in (
+        sl2(),
+        two_dim_nonabelian(),
+        heisenberg(2),
+        five_dim_trace_zero(),
+        sl2_plus_h1(),
+        h1_phi().algebra,
+        oscillator().algebra,
+        build_sl2_fixture().algebra,
+        build_rotation_core_fixture().algebra,
+    ):
+        full = Subspace.full(g.dim)
+        seeded = [
+            Subspace.from_vectors(
+                g.dim, [[rng.randint(-2, 2) for _ in range(g.dim)] for _ in range(2)]
+            )
+            for _ in range(2)
+        ]
+        for U in derived_series(g) + lower_central_series(g) + seeded:
+            assert bracket_subspaces(g, U, U) == _full_product_span(g, U, U)
+            assert bracket_subspaces(g, full, U) == _full_product_span(g, full, U)
+        assert bracket_subspaces(g, *seeded) == _full_product_span(g, *seeded)
+
+
 def test_center():
     assert center(LieAlgebra.abelian(3)) == Subspace.full(3)
+    assert center(LieAlgebra.abelian(0)) == Subspace.zero(0)
     for m in (1, 2, 3):
         g = heisenberg(m)
         assert center(g) == Subspace.from_vectors(2 * m + 1, [unit_vector(2 * m + 1, 2 * m)])

@@ -1,11 +1,14 @@
 """Radical/nilradical, Heisenberg-ideal recovery, recognizer, complements."""
 
+import pathlib
 import random
 
 import pytest
 
 from fixtures import (
     DIAG_1_M1,
+    abelian_line_quadratic,
+    abelian_plane_quadratic,
     build_abelian_line_fixture,
     build_rotation_core_fixture,
     build_sl2_fixture,
@@ -15,8 +18,12 @@ from fixtures import (
     sl2,
     sl2_plus_h1,
     sl2_quadratic,
+    zero_quadratic,
 )
 
+from quadlie import structure
+from quadlie.documents import loads_document
+from quadlie.errors import InternalVerificationError
 from quadlie.exactla import Matrix, Subspace, unit_vector, vector
 from quadlie.heisenberg import (
     SymplecticSpace,
@@ -60,6 +67,7 @@ from quadlie.structure import (
     ExtendedHeisenbergVerdict,
     HeisenbergIdealData,
     NotApplicableVerdict,
+    _normalized_complement,
     complement_from_quotient_metric,
     find_heisenberg_ideal,
     has_invariant_quotient_metric,
@@ -71,6 +79,7 @@ from quadlie.structure import (
     verify_nilradical_theorem,
 )
 
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corpus"
 
 # ---------------------------------------------------------------------------
 # radical
@@ -346,6 +355,100 @@ def test_recover_roundtrip_at_dims_12_to_18(seed):
     assert transport_quadratic(moved, rec.base_change) == rec.rebuilt
     for built in (rec.rebuilt, rec.core):
         assert QuadraticLieAlgebra(built.algebra, built.metric) == built
+
+
+def _corpus_quadratics():
+    """(name, algebra) of every corpus document that carries a metric."""
+    found = []
+    for path in sorted(CORPUS.glob("*.algebra.json")):
+        doc = loads_document(path.read_text(encoding="utf-8"))
+        if doc.metric is not None:
+            found.append((path.name, doc.quadratic()))
+    return found
+
+
+QUADRATIC_CASES = [
+    (f.__name__, f())
+    for f in (
+        sl2_quadratic,
+        h1_phi,
+        oscillator,
+        abelian_line_quadratic,
+        abelian_plane_quadratic,
+        zero_quadratic,
+        build_sl2_fixture,
+        build_abelian_line_fixture,
+        build_rotation_core_fixture,
+    )
+] + _corpus_quadratics()
+
+
+def _heisenberg_ideals(g):
+    """The distinct Heisenberg ideals among the nilradical, the derived
+    subalgebra and the spans of the last 2m + 1 basis vectors."""
+    n = g.dim
+    candidates = [nilradical(g), derived_subalgebra(g)] + [
+        Subspace.from_vectors(n, [unit_vector(n, i) for i in range(n - 2 * m - 1, n)])
+        for m in range(1, (n - 1) // 2 + 1)
+    ]
+    found = []
+    for candidate in candidates:
+        h = find_heisenberg_ideal(g, candidate)
+        if h is not None and all(h.ideal != other.ideal for other in found):
+            found.append(h)
+    return found
+
+
+def _assert_complement_brackets_stay_in_v(q, h):
+    """[a, v] has no hbar-coefficient for every returned a and every v."""
+    V = Subspace.from_vectors(q.dim, h.v_basis)
+    a_vecs = _normalized_complement(q, h)
+    assert len(a_vecs) == q.dim - h.ideal.dim
+    for a in a_vecs:
+        for v in h.v_basis:
+            assert V.contains(bracket(q.algebra, a, v))
+
+
+def test_normalized_complement_needs_no_correction_on_fixtures_and_corpus():
+    """Fixture and corpus algebras: the uncorrected complement inside V^perp
+    already brackets V into V, as B([a, v], z) = B(a, [v, z]) = 0."""
+    cases = 0
+    for _, q in QUADRATIC_CASES:
+        for h in _heisenberg_ideals(q.algebra):
+            _assert_complement_brackets_stay_in_v(q, h)
+            cases += 1
+    # 9 of the 16 algebras have one Heisenberg ideal here; the two
+    # rotation-core builds have two (dimensions 3 and 5)
+    assert cases == 13
+
+
+def test_normalized_complement_needs_no_correction_on_random_builds():
+    """30 seeded builds after a random base change, where no vector of the
+    complement is a coordinate vector."""
+    rng = random.Random(808)
+    for trial in range(30):
+        S, D, V, sigma = random_build_input(rng)
+        q = build_with_heisenberg_ideal(S, D, V, sigma)
+        P = random_unimodular(rng, q.dim)
+        moved = transport_quadratic(q, P)
+        candidate = transport_subspace(heisenberg_ideal_span(q, V.dim // 2), P)
+        h = find_heisenberg_ideal(moved.algebra, candidate)
+        assert h is not None, f"trial {trial}"
+        _assert_complement_brackets_stay_in_v(moved, h)
+
+
+def test_recover_reports_a_singular_basis_as_internal(monkeypatch):
+    """A transport that rejects the recovered basis is a library fault, so
+    recovery raises InternalVerificationError, not ValueError."""
+    q = h1_phi()
+    h = find_heisenberg_ideal(q.algebra, derived_subalgebra(q.algebra))
+
+    def singular(*args, **kwargs):
+        raise ValueError("base change matrix is singular")
+
+    monkeypatch.setattr(structure, "transport_quadratic", singular)
+    with pytest.raises(InternalVerificationError, match="recovered basis is not a basis"):
+        recover_structure(q, h)
 
 
 # ---------------------------------------------------------------------------
