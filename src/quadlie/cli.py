@@ -142,6 +142,8 @@ def cmd_analyze(
         "nilradical": _subspace_to_json(theorem.nilradical),
     }
 
+    verdict = recognize_extended_heisenberg(q)
+    recovered = getattr(verdict, "recovered", None)
     if candidate is not None:
         source = "given"
         h = find_heisenberg_ideal(g, candidate)
@@ -150,7 +152,9 @@ def cmd_analyze(
         h = theorem.heisenberg
         if h is None:
             source = "derived"
-            h = find_heisenberg_ideal(g, derived_subalgebra(g))
+            # the recognizer recovers from the Heisenberg data of [g, g]
+            # exactly when [g, g] is a Heisenberg ideal
+            h = None if recovered is None else recovered.heis
     if h is None:
         report["heisenberg_ideal"] = {"found": False, "source": source}
     else:
@@ -158,7 +162,6 @@ def cmd_analyze(
         data.update({"found": True, "source": source})
         report["heisenberg_ideal"] = data
 
-    verdict = recognize_extended_heisenberg(q)
     if isinstance(verdict, ExtendedHeisenbergVerdict):
         report["recognizer"] = {
             "verdict": "extended_heisenberg",
@@ -179,7 +182,7 @@ def cmd_analyze(
         }
 
     if h is not None:
-        rec = getattr(verdict, "recovered", None)
+        rec = recovered
         if rec is None or rec.heis != h:
             rec = recover_structure(q, h)
         report["recovery"] = {

@@ -238,7 +238,8 @@ def _assemble(
     Valid whenever D_mat is a skew derivation of S and sigma an invertible
     element of o(omega); ``build_with_heisenberg_ideal`` checks both and
     certifies the result, while structure recovery certifies its rebuild by
-    the round trip instead.
+    the round trip instead.  The brackets on S are S's structure constants,
+    with the B_S(D s_i, s_j) hbar term added.
     """
     k = S.dim
     two_m = V.dim
@@ -252,11 +253,9 @@ def _assemble(
     mu = D_mat.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
     for i in range(k):
         for j in range(i + 1, k):
-            terms = [
-                (t, c) for t, c in enumerate(S.algebra.bracket_basis(i, j)) if c != 0
-            ]
+            terms = list(S.algebra.structure.get((i, j), ()))
             if mu.entry(i, j) != 0:
-                terms = terms + [(hb, mu.entry(i, j))]
+                terms.append((hb, mu.entry(i, j)))
             if terms:
                 structure[(i, j)] = terms
     for j in range(k):
@@ -307,27 +306,20 @@ def coadjoint_double(g: LieAlgebra) -> QuadraticLieAlgebra:
     """The quadratic algebra on g ⊕ g* with the hyperbolic metric.
 
     The bracket extends that of g by the coadjoint action; g* is an abelian
-    ideal and B(x + zeta, y + nu) = zeta(y) + nu(x).
+    ideal and B(x + zeta, y + nu) = zeta(y) + nu(x).  Each structure
+    constant of g gives its two coadjoint terms in one pass over the table.
     """
     if check_jacobi(g):
         raise ValueError("input algebra fails the Jacobi identity")
     n = g.dim
     dim = 2 * n
-    structure = {}
-    for (i, j), terms in g.structure.items():
-        structure[(i, j)] = list(terms)
-    # [x_i, xi_j] = -sum_l c^j_{il} xi_l
-    for i in range(n):
-        for j in range(n):
-            terms = []
-            for l in range(n):
-                c = g.bracket_basis(i, l)[j]
-                if c != 0:
-                    terms.append((n + l, -c))
-            if terms:
-                key = (i, n + j)
-                existing = list(structure.get(key, []))
-                structure[key] = existing + terms
+    structure = dict(g.structure)
+    # [x_i, xi_k] = -sum_l c^k_{il} xi_l: the entry c = c^k_{ab} adds
+    # -c xi_b to [x_a, xi_k] and, as c^k_{ba} = -c, c xi_a to [x_b, xi_k]
+    for (a, b), terms in g.structure.items():
+        for k, c in terms:
+            structure.setdefault((a, n + k), []).append((n + b, -c))
+            structure.setdefault((b, n + k), []).append((n + a, c))
     labels = list(g.basis_labels) + [s + "*" for s in g.basis_labels]
     algebra = LieAlgebra(dim, structure, labels)
 

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exactla import (
     Matrix,
     Subspace,
     Vector,
-    add_vec,
     kernel,
     rat,
+    sub_vec,
     unit_vector,
     vector,
     zero_vector,
@@ -188,6 +188,42 @@ def _bracket_table(g: LieAlgebra) -> list:
     return table
 
 
+def _ad_columns(table: list, x: Vector) -> List[Vector]:
+    """[x, e_j] for every j: the columns of ad x.
+
+    Column j is sum_i x_i [e_i, e_j], read off the signed table over the
+    support of x, so a unit vector costs one product per term of its row.
+    """
+    n = len(table)
+    columns = [[Fraction(0)] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if xi:
+            for column, terms in zip(columns, table[i]):
+                for k, c in terms:
+                    column[k] += xi * c
+    return [tuple(column) for column in columns]
+
+
+def _structure_in(
+    g: LieAlgebra, vectors: Sequence[Vector], coordinates: Callable
+) -> Optional[Dict[Tuple[int, int], list]]:
+    """Structure constants of g on the span of ``vectors``.
+
+    Brackets each pair i < j, maps the result through ``coordinates`` and
+    keeps the nonzero terms under (i, j).  Returns None as soon as a
+    bracket has no coordinates (``coordinates`` returned None).
+    """
+    structure = {}
+    for (i, u), (j, w) in combinations(enumerate(vectors), 2):
+        coords = coordinates(bracket(g, u, w))
+        if coords is None:
+            return None
+        terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+        if terms:
+            structure[(i, j)] = terms
+    return structure
+
+
 def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
     """All triples i < j < k where the Jacobi identity fails.
 
@@ -217,9 +253,11 @@ def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
 
 
 def ad(g: LieAlgebra, x: Sequence) -> LinearMap:
-    """Adjoint map y -> [x, y]."""
+    """Adjoint map y -> [x, y]; its columns come from ``_ad_columns``."""
     x = vector(x)
-    columns = [bracket(g, x, unit_vector(g.dim, j)) for j in range(g.dim)]
+    if len(x) != g.dim:
+        raise ValueError("vector dimension mismatch")
+    columns = _ad_columns(_bracket_table(g), x)
     return LinearMap(g.dim, g.dim, Matrix.from_columns(columns, g.dim))
 
 
@@ -290,46 +328,51 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:
-    """{x : [x, u] = 0 for all u in U}."""
+    """{x : [x, u] = 0 for all u in U}.
+
+    [u, x] = ad(u) x, so x lies in the kernel of the stacked ad(u) rows;
+    the kernel of -ad(u) that [x, u] suggests is the same subspace.
+    """
     if U.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     if U.is_zero():
         return Subspace.full(g.dim)
+    table = _bracket_table(g)
     rows = []
     for u in U.vectors():
-        adj = ad(g, u).matrix
-        rows.extend((-adj).rows)
+        rows.extend(zip(*_ad_columns(table, u)))
     return kernel(Matrix(rows, g.dim))
 
 
 def is_subalgebra(g: LieAlgebra, U: Subspace) -> bool:
-    """[U, U] ⊆ U."""
-    vecs = U.vectors()
-    return all(
-        U.contains(bracket(g, vecs[i], vecs[j]))
-        for i in range(len(vecs))
-        for j in range(i + 1, len(vecs))
-    )
+    """[U, U] ⊆ U: every pair of basis vectors brackets into U."""
+    return _structure_in(g, U.vectors(), U.coordinates_of) is not None
 
 
 def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
-    """[g, U] ⊆ U."""
+    """[g, U] ⊆ U: every column [u, e_j] of ad(u), u in U's basis, lies in U."""
+    if U.ambient_dim != g.dim:
+        raise ValueError("ambient dimension mismatch")
+    table = _bracket_table(g)
     return all(
-        U.contains(bracket(g, unit_vector(g.dim, i), u))
-        for i in range(g.dim)
+        U.contains(column)
         for u in U.vectors()
+        for column in _ad_columns(table, u)
     )
 
 
 def ideal_generated_by(g: LieAlgebra, vectors_in: Iterable[Sequence]) -> Subspace:
-    """Smallest ideal containing the given vectors (closure under ad)."""
+    """Smallest ideal containing the given vectors (closure under ad).
+
+    Each round adds the columns of ad(u) for every basis vector u of the
+    current span, until the span stops growing.
+    """
+    table = _bracket_table(g)
     current = Subspace.from_vectors(g.dim, [vector(v) for v in vectors_in])
     for _ in range(g.dim + 1):
         new_vecs = list(current.vectors())
-        for i in range(g.dim):
-            ei = unit_vector(g.dim, i)
-            for u in current.vectors():
-                new_vecs.append(bracket(g, ei, u))
+        for u in current.vectors():
+            new_vecs.extend(_ad_columns(table, u))
         nxt = Subspace.from_vectors(g.dim, new_vecs)
         if nxt == current:
             return current
@@ -341,55 +384,37 @@ def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
     """Quotient algebra g/I with its projection.
 
     The quotient coordinates are the non-pivot coordinates of the ideal's
-    rref basis, making the construction deterministic.
+    rref basis, making the construction deterministic.  The projection is
+    read off that basis: e_c maps to the unit vector of c for a non-pivot
+    column c, and e_p, which reduces to e_p minus the row of pivot p, maps
+    to minus that row read at the non-pivot columns.
     """
     if not is_ideal(g, I):
         raise ValueError("subspace is not an ideal")
-    _, pivots = I.basis.rref()
-    pivot_set = set(pivots)
-    complement_cols = [c for c in range(g.dim) if c not in pivot_set]
+    row_at = dict(zip(I.pivots, I.basis.rows))
+    complement_cols = [c for c in range(g.dim) if c not in row_at]
+    proj_rows = [
+        [-row_at[j][c] if j in row_at else int(j == c) for j in range(g.dim)]
+        for c in complement_cols
+    ]
     qdim = len(complement_cols)
-
-    # projection: reduce modulo the ideal rows, then read complement coords
-    proj_columns = []
-    for j in range(g.dim):
-        v = list(unit_vector(g.dim, j))
-        for r, c in enumerate(pivots):
-            if v[c] != 0:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, I.basis.rows[r])]
-        proj_columns.append(tuple(v[c] for c in complement_cols))
-    proj = LinearMap(g.dim, qdim, Matrix.from_columns(proj_columns, qdim))
-
-    structure = {}
-    for s in range(qdim):
-        for t in range(s + 1, qdim):
-            w = g.bracket_basis(complement_cols[s], complement_cols[t])
-            coords = proj.apply(w)
-            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
-            if terms:
-                structure[(s, t)] = terms
+    proj = LinearMap(g.dim, qdim, Matrix(proj_rows, g.dim))
+    units = [unit_vector(g.dim, c) for c in complement_cols]
     labels = [g.basis_labels[c] + "~" for c in complement_cols]
-    return LieAlgebra(qdim, structure, labels), proj
+    return LieAlgebra(qdim, _structure_in(g, units, proj.apply), labels), proj
 
 
 def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:
-    """The algebra structure on a subalgebra U, in its rref basis."""
-    if not is_subalgebra(g, U):
+    """The algebra structure on a subalgebra U, in its rref basis.
+
+    One pass brackets each basis pair once; a bracket outside U raises
+    ``ValueError``.
+    """
+    structure = _structure_in(g, U.vectors(), U.coordinates_of)
+    if structure is None:
         raise ValueError("subspace is not a subalgebra")
-    vecs = U.vectors()
-    structure = {}
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            w = bracket(g, vecs[i], vecs[j])
-            coords = U.coordinates_of(w)
-            if coords is None:
-                raise ValueError("bracket left the subalgebra")
-            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
-            if terms:
-                structure[(i, j)] = terms
-    labels = [f"r{t + 1}" for t in range(len(vecs))]
-    return LieAlgebra(len(vecs), structure, labels)
+    labels = [f"r{t + 1}" for t in range(U.dim)]
+    return LieAlgebra(U.dim, structure, labels)
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
@@ -414,11 +439,10 @@ def killing_form(g: LieAlgebra) -> Matrix:
     """
     n = g.dim
     # ads[i][(k, l)] = c_il^k, nonzero entries only
-    ads: List[Dict[Tuple[int, int], Fraction]] = [{} for _ in range(n)]
-    for (i, j), terms in g.structure.items():
-        for k, c in terms:
-            ads[i][(k, j)] = c
-            ads[j][(k, i)] = -c
+    ads = [
+        {(k, l): c for l, terms in enumerate(row) for k, c in terms}
+        for row in _bracket_table(g)
+    ]
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -432,18 +456,19 @@ def killing_form(g: LieAlgebra) -> Matrix:
 
 
 def is_derivation(g: LieAlgebra, M: Matrix) -> bool:
-    """Whether M([x,y]) = [Mx, y] + [x, My] holds on all basis pairs."""
+    """Whether M([x,y]) = [Mx, y] + [x, My] holds on all basis pairs.
+
+    With images[i] the columns of ad(M e_i), the right side on (e_i, e_j)
+    is [M e_i, e_j] - [M e_j, e_i] = images[i][j] - images[j][i].
+    """
     if M.shape != (g.dim, g.dim):
         raise ValueError("matrix shape does not match algebra dimension")
-    for i in range(g.dim):
-        ei = unit_vector(g.dim, i)
-        for j in range(i + 1, g.dim):
-            ej = unit_vector(g.dim, j)
-            lhs = M.apply(g.bracket_basis(i, j))
-            rhs = add_vec(bracket(g, M.apply(ei), ej), bracket(g, ei, M.apply(ej)))
-            if lhs != rhs:
-                return False
-    return True
+    table = _bracket_table(g)
+    images = [_ad_columns(table, M.column(i)) for i in range(g.dim)]
+    return all(
+        M.apply(g.bracket_basis(i, j)) == sub_vec(images[i][j], images[j][i])
+        for i, j in combinations(range(g.dim), 2)
+    )
 
 
 def transport(g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = None) -> LieAlgebra:
@@ -459,17 +484,9 @@ def transport(g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = 
         Pt_inv = P.transpose().inverse()
     except ValueError as exc:
         raise ValueError("base change matrix is singular") from exc
-    structure = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            w = bracket(g, P.rows[i], P.rows[j])
-            coords = Pt_inv.apply(w)
-            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
-            if terms:
-                structure[(i, j)] = terms
     if basis_labels is None:
         basis_labels = [f"b{t + 1}" for t in range(g.dim)]
-    return LieAlgebra(g.dim, structure, basis_labels)
+    return LieAlgebra(g.dim, _structure_in(g, P.rows, Pt_inv.apply), basis_labels)
 
 
 def transport_subspace(U: Subspace, P: Matrix) -> Subspace:

@@ -37,6 +37,7 @@ from .heisenberg import SymplecticMap, SymplecticSpace, _assemble, in_omega_alge
 from .liealg import (
     LieAlgebra,
     LinearMap,
+    ad,
     bracket,
     bracket_subspaces,
     derived_subalgebra,
@@ -126,11 +127,7 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     if k == 0:
         return R
     gR = subalgebra_on(g, R)
-    # column j of ad(e_i) is [e_i, e_j]
-    ads = [
-        Matrix.from_columns([gR.bracket_basis(i, j) for j in range(k)], k)
-        for i in range(k)
-    ]
+    ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
     # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: a dot product with ad_t transposed
     ads_transposed = [M.transpose().flatten() for M in ads]
     floor = bracket_subspaces(g, Subspace.full(g.dim), R).dim
@@ -222,8 +219,8 @@ def _heisenberg_data(
 
     Reads hbar (the rref generator of the candidate's derived space), the
     other candidate rows as ``v_basis`` and omega off hbar's pivot entry,
-    and leaves every other condition to the ``HeisenbergIdealData``
-    constructor.  The reasons name the derived subalgebra, the only
+    all from one bracket of each pair of candidate rows, and leaves every
+    other condition to the ``HeisenbergIdealData`` constructor.  The reasons name the derived subalgebra, the only
     candidate whose reason is ever reported; as [g, g] is an ideal, none
     of them is about ideal-ness.
     """
@@ -232,7 +229,11 @@ def _heisenberg_data(
         return "derived subalgebra is zero"
     if dim % 2 == 0 or dim < 3:
         return f"derived subalgebra has dimension {dim}, not 2m+1 with m >= 1"
-    derived = bracket_subspaces(g, candidate, candidate)
+    rows = candidate.vectors()
+    brackets = {
+        (i, j): bracket(g, rows[i], rows[j]) for i, j in combinations(range(dim), 2)
+    }
+    derived = Subspace.from_vectors(g.dim, brackets.values())
     if derived.dim != 1:
         return (
             "derived subalgebra of the candidate has dimension "
@@ -244,14 +245,15 @@ def _heisenberg_data(
     if coords is None:
         return failed
     skip = next(i for i, c in enumerate(coords) if c != 0)
-    v_basis = tuple(row for i, row in enumerate(candidate.vectors()) if i != skip)
+    kept = [i for i in range(dim) if i != skip]
+    v_basis = tuple(rows[i] for i in kept)
     # hbar is an rref row: its first nonzero entry is 1, so a multiple c hbar
     # shows c there; the constructor checks the whole bracket
     pivot = next(i for i, x in enumerate(hbar) if x != 0)
     two_m = dim - 1
     omega_rows = [[Fraction(0)] * two_m for _ in range(two_m)]
     for i, j in combinations(range(two_m), 2):
-        c = bracket(g, v_basis[i], v_basis[j])[pivot]
+        c = brackets[(kept[i], kept[j])][pivot]
         omega_rows[i][j] = c
         omega_rows[j][i] = -c
     try:
@@ -390,11 +392,9 @@ def recover_structure(
 
     # hbar is central in g and B-orthogonal to the ideal; both are forced
     # by invariance for a valid Heisenberg ideal, so failures are internal
-    for i in range(n):
-        ensure(
-            is_zero_vec(bracket(g, unit_vector(n, i), h.hbar)),
-            "hbar is not central in the ambient algebra",
-        )
+    ensure(
+        ad(g, h.hbar).matrix.is_zero(), "hbar is not central in the ambient algebra"
+    )
     for row in h.ideal.vectors():
         ensure(B.evaluate(row, h.hbar) == 0, "hbar is not orthogonal to the ideal")
 

@@ -4,15 +4,18 @@ These are the earlier, slower algorithms for the Killing form, the
 nilradical, row reduction, the bracket, the Jacobi and invariant-metric
 checks and the linear systems of the form and skew-derivation solvers (the
 full n^3 invariance system and the system in the n^2 entries of D), the
-earlier stand-alone constructors of h_m(phi) and S(D), and an
-entry-by-entry builder of the skew 2-cocycle system.  The library replaced
+earlier stand-alone constructors of h_m(phi) and S(D), an entry-by-entry
+builder of the skew 2-cocycle system, and the per-function bracket loops
+of ``liealg`` (adjoint maps, ideal, subalgebra and derivation tests,
+subalgebra, quotient and transported structures, centralizers, generated
+ideals) and of the coadjoint double.  The library replaced
 them with sparse, direct versions and with special cases of the one
 builder; the tests compare the two on many inputs and require identical
 values.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
 from quadlie.exactla import (
@@ -37,6 +40,7 @@ from quadlie.liealg import (
     LieAlgebra,
     LinearMap,
     ad,
+    bracket,
     check_jacobi,
     derived_subalgebra,
     subalgebra_on,
@@ -427,4 +431,162 @@ def double_extension_direct(
             rows[1 + i][1 + j] = gram_s.entry(i, j)
     rows[0][hb] = Fraction(1)
     rows[hb][0] = Fraction(1)
+    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+
+
+# -- bracket loops, one per function -----------------------------------------
+
+def ad_by_brackets(g: LieAlgebra, x) -> LinearMap:
+    """ad x with column j formed as the full bracket [x, e_j]."""
+    x = vector(x)
+    columns = [bracket(g, x, unit_vector(g.dim, j)) for j in range(g.dim)]
+    return LinearMap(g.dim, g.dim, Matrix.from_columns(columns, g.dim))
+
+
+def is_subalgebra_by_brackets(g: LieAlgebra, U: Subspace) -> bool:
+    vecs = U.vectors()
+    return all(
+        U.contains(bracket(g, vecs[i], vecs[j]))
+        for i in range(len(vecs))
+        for j in range(i + 1, len(vecs))
+    )
+
+
+def is_ideal_by_brackets(g: LieAlgebra, U: Subspace) -> bool:
+    """[e_i, u] for every basis vector e_i and every u in U's basis."""
+    return all(
+        U.contains(bracket(g, unit_vector(g.dim, i), u))
+        for i in range(g.dim)
+        for u in U.vectors()
+    )
+
+
+def centralizer_by_brackets(g: LieAlgebra, U: Subspace) -> Subspace:
+    """The kernel of the stacked -ad(u) rows."""
+    if U.is_zero():
+        return Subspace.full(g.dim)
+    rows = []
+    for u in U.vectors():
+        adj = ad_by_brackets(g, u).matrix
+        rows.extend((-adj).rows)
+    return kernel(Matrix(rows, g.dim))
+
+
+def ideal_generated_by_brackets(g: LieAlgebra, vectors_in) -> Subspace:
+    current = Subspace.from_vectors(g.dim, [vector(v) for v in vectors_in])
+    for _ in range(g.dim + 1):
+        new_vecs = list(current.vectors())
+        for i in range(g.dim):
+            ei = unit_vector(g.dim, i)
+            for u in current.vectors():
+                new_vecs.append(bracket(g, ei, u))
+        nxt = Subspace.from_vectors(g.dim, new_vecs)
+        if nxt == current:
+            return current
+        current = nxt
+    return current
+
+
+def quotient_by_reduction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
+    """g/I with the projection found by reducing each e_j modulo I's rref rows."""
+    if not is_ideal_by_brackets(g, I):
+        raise ValueError("subspace is not an ideal")
+    _, pivots = I.basis.rref()
+    pivot_set = set(pivots)
+    complement_cols = [c for c in range(g.dim) if c not in pivot_set]
+    qdim = len(complement_cols)
+    proj_columns = []
+    for j in range(g.dim):
+        v = list(unit_vector(g.dim, j))
+        for r, c in enumerate(pivots):
+            if v[c] != 0:
+                f = v[c]
+                v = [a - f * b for a, b in zip(v, I.basis.rows[r])]
+        proj_columns.append(tuple(v[c] for c in complement_cols))
+    proj = LinearMap(g.dim, qdim, Matrix.from_columns(proj_columns, qdim))
+    structure = {}
+    for s in range(qdim):
+        for t in range(s + 1, qdim):
+            w = g.bracket_basis(complement_cols[s], complement_cols[t])
+            coords = proj.apply(w)
+            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+            if terms:
+                structure[(s, t)] = terms
+    labels = [g.basis_labels[c] + "~" for c in complement_cols]
+    return LieAlgebra(qdim, structure, labels), proj
+
+
+def subalgebra_on_by_brackets(g: LieAlgebra, U: Subspace) -> LieAlgebra:
+    """A subalgebra test first, then a second bracket of every pair."""
+    if not is_subalgebra_by_brackets(g, U):
+        raise ValueError("subspace is not a subalgebra")
+    vecs = U.vectors()
+    structure = {}
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            w = bracket(g, vecs[i], vecs[j])
+            coords = U.coordinates_of(w)
+            if coords is None:
+                raise ValueError("bracket left the subalgebra")
+            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+            if terms:
+                structure[(i, j)] = terms
+    labels = [f"r{t + 1}" for t in range(len(vecs))]
+    return LieAlgebra(len(vecs), structure, labels)
+
+
+def is_derivation_by_brackets(g: LieAlgebra, M: Matrix) -> bool:
+    """M[e_i, e_j] against [M e_i, e_j] + [e_i, M e_j], two full brackets per pair."""
+    for i in range(g.dim):
+        ei = unit_vector(g.dim, i)
+        for j in range(i + 1, g.dim):
+            ej = unit_vector(g.dim, j)
+            lhs = M.apply(g.bracket_basis(i, j))
+            rhs = add_vec(bracket(g, M.apply(ei), ej), bracket(g, ei, M.apply(ej)))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def transport_by_brackets(
+    g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = None
+) -> LieAlgebra:
+    Pt_inv = P.transpose().inverse()
+    structure = {}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            w = bracket(g, P.rows[i], P.rows[j])
+            coords = Pt_inv.apply(w)
+            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+            if terms:
+                structure[(i, j)] = terms
+    if basis_labels is None:
+        basis_labels = [f"b{t + 1}" for t in range(g.dim)]
+    return LieAlgebra(g.dim, structure, basis_labels)
+
+
+def coadjoint_double_by_bracket_basis(g: LieAlgebra) -> QuadraticLieAlgebra:
+    """g ⊕ g* with [x_i, xi_j] = -sum_l c^j_{il} xi_l from n^3 basis brackets."""
+    n = g.dim
+    dim = 2 * n
+    structure = {}
+    for (i, j), terms in g.structure.items():
+        structure[(i, j)] = list(terms)
+    for i in range(n):
+        for j in range(n):
+            terms = []
+            for l in range(n):
+                c = g.bracket_basis(i, l)[j]
+                if c != 0:
+                    terms.append((n + l, -c))
+            if terms:
+                key = (i, n + j)
+                existing = list(structure.get(key, []))
+                structure[key] = existing + terms
+    labels = list(g.basis_labels) + [s + "*" for s in g.basis_labels]
+    algebra = LieAlgebra(dim, structure, labels)
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        rows[i][n + i] = Fraction(1)
+        rows[n + i][i] = Fraction(1)
     return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))

@@ -263,6 +263,33 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     }
 
 
+def test_analyze_reuses_the_recognizer_data_for_the_derived_fallback(monkeypatch, capsys):
+    """build_abelian_line has no Heisenberg ideal among its nilradical, so
+    analyze falls back to [g, g]: the recognizer has already found that
+    data and recovered from it, so it is neither searched nor recovered
+    again (one search for the theorem check, one for the recognizer)."""
+    calls = {}
+
+    def count(name, original):
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("quadlie"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+    for name in ("_heisenberg_data", "recover_structure"):
+        count(name, getattr(structure, name))
+    code, out, _ = run_cli(["analyze", corpus_path("build_abelian_line.algebra.json")], capsys)
+    assert code == 0
+    assert json.loads(out)["heisenberg_ideal"]["source"] == "derived"
+    assert calls == {"_heisenberg_data": 2, "recover_structure": 1}
+
+
 # Coordinate Heisenberg ideals of the corpus documents that the benchmark
 # round-trips; the labels and digests come from bench/reference.json.
 ROUNDTRIP_IDEALS = {

@@ -182,6 +182,9 @@ def test_ideals_and_subalgebras():
     d_line = Subspace.from_vectors(4, [unit_vector(4, 0)])
     assert is_subalgebra(g, d_line)
     assert not is_ideal(g, d_line)
+    for U in (Subspace.zero(3), Subspace.full(5)):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            is_ideal(g, U)
 
 
 def test_ideal_generated_by():

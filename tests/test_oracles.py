@@ -1,6 +1,6 @@
 """The direct Killing form, nilradical, constructors, sparse row reduction,
-bracket, solver systems and Jacobi/invariance checks against the earlier
-algorithms.
+bracket, solver systems, Jacobi/invariance checks and the ``liealg`` bracket
+kernels against the earlier algorithms.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -16,29 +16,58 @@ import pytest
 
 import fixtures
 from oracles import (
+    ad_by_brackets,
     bracket_by_formula,
+    centralizer_by_brackets,
     check_invariant_metric_dense,
     check_jacobi_dense,
+    coadjoint_double_by_bracket_basis,
     cocycle_rows_dense,
     double_extension_direct,
     extend_heisenberg_direct,
+    ideal_generated_by_brackets,
     invariance_rows_dense,
+    is_derivation_by_brackets,
+    is_ideal_by_brackets,
+    is_subalgebra_by_brackets,
     killing_form_by_products,
     nilradical_four_step,
+    quotient_by_reduction,
     rref_dense,
     skew_derivation_rows_dense,
+    subalgebra_on_by_brackets,
+    transport_by_brackets,
 )
 
 from quadlie.documents import AlgebraDocument, dumps_document, loads_document
 from quadlie.heisenberg import (
     SymplecticSpace,
     build_with_heisenberg_ideal,
+    coadjoint_double,
     double_extension,
     extend_heisenberg,
     standard_symplectic_matrix,
 )
-from quadlie.exactla import Matrix, form_restrict_nondegenerate, kernel, unit_vector
-from quadlie.liealg import LieAlgebra, LinearMap, bracket, check_jacobi, killing_form
+from quadlie.exactla import Matrix, Subspace, form_restrict_nondegenerate, kernel, unit_vector
+from quadlie.liealg import (
+    LieAlgebra,
+    LinearMap,
+    ad,
+    bracket,
+    center,
+    centralizer,
+    check_jacobi,
+    derived_series,
+    ideal_generated_by,
+    is_derivation,
+    is_ideal,
+    is_subalgebra,
+    killing_form,
+    lower_central_series,
+    quotient,
+    subalgebra_on,
+    transport,
+)
 from quadlie.quadform import (
     QuadraticLieAlgebra,
     _cocycle_system,
@@ -438,3 +467,108 @@ def test_bracket_matches_formula(g):
 @pytest.mark.parametrize("seed", range(5))
 def test_bracket_matches_formula_on_random_builds(seed):
     _assert_bracket_matches_formula(_random_build(seed))
+
+
+# -- liealg bracket kernels against the per-function bracket loops -------------
+
+def _assert_same_algebra(got, expected):
+    assert got == expected
+    assert got.basis_labels == expected.basis_labels
+    assert all(type(c) is Fraction for terms in got.structure.values() for _, c in terms)
+
+
+def _all_fractions(M):
+    return all(type(x) is Fraction for row in M.rows for x in row)
+
+
+def _small_entry(rng):
+    """0 with probability 0.4, else a rational with numerator and denominator below 4."""
+    return 0 if rng.random() < 0.4 else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _subspaces(g, rng):
+    """The derived and lower central series and the center (ideals), the
+    coordinate lines, and one seeded random subspace of each dimension
+    1..n-1 (of dimension 2 and up, mostly neither ideals nor subalgebras)."""
+    n = g.dim
+    found = derived_series(g) + lower_central_series(g) + [center(g)]
+    found += [Subspace.from_vectors(n, [unit_vector(n, i)]) for i in range(n)]
+    for d in range(1, n):
+        vectors = [[_small_entry(rng) for _ in range(n)] for _ in range(d)]
+        found.append(Subspace.from_vectors(n, vectors))
+    return found
+
+
+def _random_invertible(rng, n):
+    """A dense invertible matrix with non-integer entries."""
+    while True:
+        P = Matrix([[_small_entry(rng) for _ in range(n)] for _ in range(n)], n)
+        if P.det() != 0:
+            return P
+
+
+def _assert_kernels_match_oracles(g, seed):
+    """ad, the ideal/subalgebra/derivation tests, subalgebra_on, quotient,
+    centralizer, ideal_generated_by, transport and the coadjoint double
+    against the loops they replaced; returns the (test, answer) pairs seen."""
+    rng = random.Random(seed)
+    n = g.dim
+    seen = set()
+    vectors = [unit_vector(n, i) for i in range(n)]
+    vectors += [[_small_entry(rng) for _ in range(n)] for _ in range(3)]
+    for x in vectors:
+        got = ad(g, x)
+        assert got == ad_by_brackets(g, x)
+        assert _all_fractions(got.matrix)
+        assert ideal_generated_by(g, [x]) == ideal_generated_by_brackets(g, [x])
+    for U in _subspaces(g, rng):
+        ideal, sub = is_ideal(g, U), is_subalgebra(g, U)
+        assert ideal == is_ideal_by_brackets(g, U)
+        assert sub == is_subalgebra_by_brackets(g, U)
+        seen |= {("ideal", ideal), ("subalgebra", sub)}
+        if sub:
+            _assert_same_algebra(subalgebra_on(g, U), subalgebra_on_by_brackets(g, U))
+        else:
+            with pytest.raises(ValueError, match="not a subalgebra"):
+                subalgebra_on(g, U)
+        if ideal:
+            (got, proj), (expected, expected_proj) = quotient(g, U), quotient_by_reduction(g, U)
+            _assert_same_algebra(got, expected)
+            assert proj.matrix == expected_proj.matrix
+            assert (proj.source_dim, proj.target_dim) == (n, n - U.dim)
+            assert _all_fractions(proj.matrix)
+        else:
+            with pytest.raises(ValueError, match="not an ideal"):
+                quotient(g, U)
+        assert centralizer(g, U) == centralizer_by_brackets(g, U)
+    # inner derivations, then random matrices (almost never derivations)
+    matrices = [ad(g, x).matrix for x in vectors[n:]]
+    matrices += [random_integer_matrix(rng, n, n) for _ in range(3)]
+    for M in matrices:
+        answer = is_derivation(g, M)
+        assert answer == is_derivation_by_brackets(g, M)
+        seen.add(("derivation", answer))
+    P = random_unimodular(rng, n)
+    _assert_same_algebra(transport(g, P), transport_by_brackets(g, P))
+    P, labels = _random_invertible(rng, n), [f"t{i}" for i in range(n)]
+    _assert_same_algebra(transport(g, P, labels), transport_by_brackets(g, P, labels))
+    double, expected = coadjoint_double(g), coadjoint_double_by_bracket_basis(g)
+    _assert_same_algebra(double.algebra, expected.algebra)
+    assert double.metric == expected.metric
+    return seen
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_kernels_match_oracles(g):
+    _assert_kernels_match_oracles(g, g.dim)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_kernels_match_oracles_on_random_builds(seed):
+    """Each random build also meets both answers of every test."""
+    seen = _assert_kernels_match_oracles(_random_build(seed), seed)
+    assert seen == {
+        (test, answer)
+        for test in ("ideal", "subalgebra", "derivation")
+        for answer in (True, False)
+    }

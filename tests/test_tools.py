@@ -1,0 +1,50 @@
+"""The repository tools under ``tools/``."""
+
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import sys  # a trailing comment keeps the line
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+
+    y = """a string that is not a docstring
+spans two lines"""
+    return x, y
+
+
+class C:
+    """Class docstring."""
+    value = 1
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import code_lines
+
+    # import, def, y = (two lines), return, class, value
+    assert code_lines.code_lines(SOURCE) == 7
+    assert code_lines.docstring_lines(SOURCE) == {1, 2, 9, 17}
+
+
+def test_code_lines_prints_each_module_and_the_total(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import code_lines
+
+    first, second = tmp_path / "a.py", tmp_path / "b.py"
+    first.write_text(SOURCE, encoding="utf-8")
+    second.write_text("x = 1\n\n# end\n", encoding="utf-8")
+    assert code_lines.main([str(first), str(second)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "     7  a.py",
+        "     1  b.py",
+        "     8  total",
+        "",
+    ]
