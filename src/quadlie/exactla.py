@@ -2,12 +2,18 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable dense
 row tuples, the value type of the API.  Elimination runs inside on sparse
-rows: one Gauss-Jordan core (``_rref_rows``) on dicts {column: nonzero
-Fraction} serves ``rref``, ``kernel``, ``solve``, ``inverse`` and the
-subspace operations, and ``SparseSystem`` lets a solver hand a large sparse
-system to ``kernel`` without writing out its zeros.  Subspaces are kept in
-reduced row-echelon form so that set equality is literal equality of basis
-matrices.  Everything is exact: no tolerances, no floats.
+rows: one fraction-free Gauss-Jordan core (``_rref_rows``) serves ``rref``,
+``kernel``, ``solve``, ``inverse`` and the subspace operations.  It scales
+each row, a dict {column: nonzero rational}, to primitive integers,
+eliminates by integer cross-multiplication and divides each updated row by
+its content (the gcd of its entries), so no Fraction arithmetic runs inside
+the loop; the finished rows are converted to Fractions once, divided by
+their pivots (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
+Computational Algebraic Number Theory, 2.2).  ``SparseSystem`` lets a
+solver hand a large sparse system to ``kernel`` without writing out its
+zeros.  Subspaces are kept in reduced row-echelon form so that set equality
+is literal equality of basis matrices.  Everything is exact: no tolerances,
+no floats.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -123,6 +130,14 @@ class Matrix:
             ncols = 0
         object.__setattr__(self, "rows", normalized)
         object.__setattr__(self, "ncols", ncols)
+
+    @classmethod
+    def _unchecked(cls, rows: tuple, ncols: int) -> "Matrix":
+        """A Matrix on ``rows`` that are already tuples of ``ncols`` Fractions."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", rows)
+        object.__setattr__(M, "ncols", ncols)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -236,9 +251,10 @@ class Matrix:
 
         Returns ``(R, pivots)`` where ``pivots`` is the tuple of pivot
         column indices.  Zero rows are kept at the bottom (callers drop them
-        as needed).  The elimination runs on sparse rows (``_rref_rows``);
-        the reduced row-echelon form is unique, so R does not depend on how
-        it was reached.
+        as needed).  The elimination runs on sparse primitive integer rows
+        (``_rref_rows``), dividing each updated row by its content, and
+        converts to Fractions once, at the end; the reduced row-echelon form
+        is unique, so R does not depend on how it was reached.
         """
         return _reduced_matrix(self.sparse_rows(), self.nrows, self.ncols)
 
@@ -344,21 +360,40 @@ def kernel(A: Union[Matrix, "SparseSystem"]) -> "Subspace":
 # sparse elimination
 # ---------------------------------------------------------------------------
 
-def _rref_rows(rows: list, ncols: int) -> tuple:
-    """Exact Gauss-Jordan elimination on sparse rows.
+def _primitive(row: dict) -> dict:
+    """``row`` times the lcm of its denominators, divided by the gcd of the
+    resulting numerators: the primitive integer row on the same line."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    content = gcd(*ints.values())
+    if content > 1:
+        for j in ints:
+            ints[j] //= content
+    return ints
 
-    ``rows`` are distinct dicts {column: nonzero Fraction}; they are
-    consumed.  The columns are walked left to right.  The pivot of column c
-    is the shortest pending row holding c (the reduced form is unique, so
-    the choice only keeps the fill-in low); it is normalised, and c is
-    eliminated from every other row holding it, pending rows and earlier
-    pivot rows alike, over the pivot row's support only.  Entries that
-    cancel are deleted, so no product with a zero is ever formed.
+
+def _rref_rows(rows: list, ncols: int) -> tuple:
+    """Exact fraction-free Gauss-Jordan elimination on sparse rows.
+
+    ``rows`` are dicts {column: nonzero rational}.  Each is first replaced
+    by its primitive integer multiple (``_primitive``), and the elimination
+    runs on integers.  The columns are walked left to right.  The pivot of
+    column c is the shortest pending row holding c (the reduced form is
+    unique, so the choice only keeps the fill-in low).  With pivot entry pv,
+    c is eliminated from every other row holding it, pending rows and
+    earlier pivot rows alike, as row <- (pv/g) row - (f/g) pivot_row with f
+    the row's entry at c and g = gcd(pv, f), over the pivot row's support
+    only; entries that cancel are deleted, and the row is divided by the gcd
+    of its entries (its content), which keeps the integers small.  Every row
+    so stays a nonzero multiple of the row the same steps over the
+    rationals would give, so the supports and pivot choices are theirs.
 
     Returns ``(reduced, pivots)``: the nonzero rows of the reduced row
-    echelon form as dicts, in pivot order, and the pivot columns.
+    echelon form as dicts {column: Fraction}, in pivot order, and the pivot
+    columns.  Each finished row is divided by its pivot entry once, at the
+    end, so its pivot entry is Fraction(1).
     """
-    pending = [row for row in rows if row]
+    pending = [_primitive(row) for row in rows if row]
     done: list = []
     pivots = []
     for c in range(ncols):
@@ -369,15 +404,16 @@ def _rref_rows(rows: list, ncols: int) -> tuple:
             continue
         pivot_row = min(holders, key=len)
         pv = pivot_row.pop(c)
-        if pv != 1:
-            inv = 1 / pv
-            for j in pivot_row:
-                pivot_row[j] *= inv
         support = list(pivot_row.items())
         for row in chain(holders, done):
             f = row.pop(c, None)
             if f is None:
                 continue
+            g = gcd(pv, f)
+            a, f = pv // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
             for j, b in support:
                 x = row.get(j)
                 if x is None:
@@ -388,11 +424,19 @@ def _rref_rows(rows: list, ncols: int) -> tuple:
                         row[j] = x
                     else:
                         del row[j]
-        pivot_row[c] = Fraction(1)
+            content = gcd(*row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
+        pivot_row[c] = pv
         pending = [row for row in pending if row and row is not pivot_row]
         done.append(pivot_row)
         pivots.append(c)
-    return done, tuple(pivots)
+    reduced = []
+    for c, row in zip(pivots, done):
+        pv = row[c]
+        reduced.append({j: Fraction(x, pv) for j, x in row.items()})
+    return reduced, tuple(pivots)
 
 
 def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
@@ -401,7 +445,7 @@ def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
     zero = Fraction(0)
     dense = [tuple(row.get(j, zero) for j in range(ncols)) for row in reduced]
     dense += [zero_vector(ncols)] * (nrows - len(dense))
-    return Matrix(dense, ncols), pivots
+    return Matrix._unchecked(tuple(dense), ncols), pivots
 
 
 class SparseSystem:

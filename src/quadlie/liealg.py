@@ -264,14 +264,21 @@ def ad(g: LieAlgebra, x: Sequence) -> LinearMap:
 def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
     """span{[u, w] : u in U, w in W}.
 
-    When W equals U only the basis pairs i < j are bracketed: [u, u] = 0
+    When U is the whole algebra this is the span of the columns of ad w,
+    w in W's basis, read off the signed table (``_ad_columns``).  Otherwise,
+    when W equals U only the basis pairs i < j are bracketed: [u, u] = 0
     and [u_j, u_i] = -[u_i, u_j] add nothing to the span.
     """
-    if W == U:
-        pairs = combinations(U.vectors(), 2)
+    if U.ambient_dim != g.dim or W.ambient_dim != g.dim:
+        raise ValueError("ambient dimension mismatch")
+    if U.is_full():
+        table = _bracket_table(g)
+        vectors = [column for w in W.vectors() for column in _ad_columns(table, w)]
+    elif W == U:
+        vectors = [bracket(g, u, w) for u, w in combinations(U.vectors(), 2)]
     else:
-        pairs = ((u, w) for u in U.vectors() for w in W.vectors())
-    return Subspace.from_vectors(g.dim, [bracket(g, u, w) for u, w in pairs])
+        vectors = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
+    return Subspace.from_vectors(g.dim, vectors)
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:

@@ -1,20 +1,22 @@
 """Reference implementations kept only as test oracles.
 
 These are the earlier, slower algorithms for the Killing form, the
-nilradical, row reduction, the bracket, the Jacobi and invariant-metric
-checks and the linear systems of the form and skew-derivation solvers (the
+nilradical, row reduction (dense, and the sparse elimination on Fraction
+rows that the integer core replaced), the bracket, the Jacobi and
+invariant-metric checks and the linear systems of the form and skew-derivation solvers (the
 full n^3 invariance system and the system in the n^2 entries of D), the
 earlier stand-alone constructors of h_m(phi) and S(D), an entry-by-entry
 builder of the skew 2-cocycle system, and the per-function bracket loops
 of ``liealg`` (adjoint maps, ideal, subalgebra and derivation tests,
 subalgebra, quotient and transported structures, centralizers, generated
-ideals) and of the coadjoint double.  The library replaced
+ideals, [g, W]) and of the coadjoint double.  The library replaced
 them with sparse, direct versions and with special cases of the one
 builder; the tests compare the two on many inputs and require identical
 values.
 """
 
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
@@ -75,6 +77,52 @@ def rref_dense(A: Matrix) -> tuple:
         pivots.append(c)
         r += 1
     return Matrix(rows, nc), tuple(pivots)
+
+
+def rref_rows_fraction(rows: list, ncols: int) -> tuple:
+    """Sparse Gauss-Jordan on dicts {column: nonzero Fraction}, in Fractions.
+
+    The rows are consumed.  The pivot of column c is the shortest pending
+    row holding c; it is normalised, and c is eliminated from every other
+    row holding it, pending and earlier pivot rows alike, over the pivot
+    row's support.  Returns the nonzero reduced rows as dicts, in pivot
+    order, and the pivot columns.
+    """
+    pending = [row for row in rows if row]
+    done: list = []
+    pivots = []
+    for c in range(ncols):
+        if not pending:
+            break
+        holders = [row for row in pending if c in row]
+        if not holders:
+            continue
+        pivot_row = min(holders, key=len)
+        pv = pivot_row.pop(c)
+        if pv != 1:
+            inv = 1 / pv
+            for j in pivot_row:
+                pivot_row[j] *= inv
+        support = list(pivot_row.items())
+        for row in chain(holders, done):
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for j, b in support:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * b
+                else:
+                    x -= f * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivot_row[c] = Fraction(1)
+        pending = [row for row in pending if row and row is not pivot_row]
+        done.append(pivot_row)
+        pivots.append(c)
+    return done, tuple(pivots)
 
 
 def bracket_by_formula(g: LieAlgebra, x, y) -> tuple:
@@ -485,6 +533,15 @@ def ideal_generated_by_brackets(g: LieAlgebra, vectors_in) -> Subspace:
             return current
         current = nxt
     return current
+
+
+def bracket_subspaces_by_pairs(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
+    """[U, W] from one full bracket per basis pair (u, w), pairs i < j when W is U."""
+    if W == U:
+        pairs = combinations(U.vectors(), 2)
+    else:
+        pairs = ((u, w) for u in U.vectors() for w in W.vectors())
+    return Subspace.from_vectors(g.dim, [bracket(g, u, w) for u, w in pairs])
 
 
 def quotient_by_reduction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:

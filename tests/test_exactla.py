@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -182,6 +183,39 @@ def test_matrix_inverse_and_det():
     assert A @ A.inverse() == Matrix.identity(2)
     with pytest.raises(ValueError):
         Matrix([[1, 1], [1, 1]], 2).inverse()
+
+
+def _hilbert(n):
+    return Matrix([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)], n)
+
+
+def _hilbert_inverse(n):
+    """The closed form (-1)^(i+j) (i+j+1) C(n+i, n-j-1) C(n+j, n-i-1) C(i+j, i)^2."""
+    return Matrix(
+        [
+            [
+                (-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1)
+                * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
+                for j in range(n)
+            ]
+            for i in range(n)
+        ],
+        n,
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_hilbert_inverse_is_exact_under_bit_growth(n):
+    """The Hilbert matrices are the classic ill-conditioned case: their
+    inverses have integer entries up to 122,367,445,200 at n = 9, and every
+    step of the elimination must stay exact to reach them."""
+    H = _hilbert(n)
+    H_inv = H.inverse()
+    assert H_inv == _hilbert_inverse(n)
+    assert all(type(x) is Fraction for row in H_inv.rows for x in row)
+    assert H @ H_inv == Matrix.identity(n)
+    b = [Fraction((-1) ** i * (2 * i + 1), i + 2) for i in range(n)]
+    assert solve(H, b) == H_inv.apply(b)
 
 
 def test_coordinates_of():

@@ -113,7 +113,8 @@ def _full_product_span(g, U, W):
 def test_bracket_subspaces_matches_full_product_span():
     """[U, U] from the pairs i < j, and [U, W] for W != U, equal the span of
     all ordered products on every subspace of the derived and lower central
-    series and on two seeded subspaces that need not be subalgebras."""
+    series and on two seeded subspaces that need not be subalgebras; a
+    subspace of another ambient dimension is refused on either side."""
     rng = random.Random(31)
     for g in (
         sl2(),
@@ -137,6 +138,10 @@ def test_bracket_subspaces_matches_full_product_span():
             assert bracket_subspaces(g, U, U) == _full_product_span(g, U, U)
             assert bracket_subspaces(g, full, U) == _full_product_span(g, full, U)
         assert bracket_subspaces(g, *seeded) == _full_product_span(g, *seeded)
+        for U in (Subspace.zero(g.dim + 1), Subspace.full(g.dim + 1)):
+            for pair in ((U, full), (full, U)):
+                with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                    bracket_subspaces(g, *pair)
 
 
 def test_center():

@@ -18,6 +18,7 @@ import fixtures
 from oracles import (
     ad_by_brackets,
     bracket_by_formula,
+    bracket_subspaces_by_pairs,
     centralizer_by_brackets,
     check_invariant_metric_dense,
     check_jacobi_dense,
@@ -34,6 +35,7 @@ from oracles import (
     nilradical_four_step,
     quotient_by_reduction,
     rref_dense,
+    rref_rows_fraction,
     skew_derivation_rows_dense,
     subalgebra_on_by_brackets,
     transport_by_brackets,
@@ -48,12 +50,20 @@ from quadlie.heisenberg import (
     extend_heisenberg,
     standard_symplectic_matrix,
 )
-from quadlie.exactla import Matrix, Subspace, form_restrict_nondegenerate, kernel, unit_vector
+from quadlie.exactla import (
+    Matrix,
+    Subspace,
+    _rref_rows,
+    form_restrict_nondegenerate,
+    kernel,
+    unit_vector,
+)
 from quadlie.liealg import (
     LieAlgebra,
     LinearMap,
     ad,
     bracket,
+    bracket_subspaces,
     center,
     centralizer,
     check_jacobi,
@@ -173,9 +183,12 @@ def test_fixture_and_corpus_algebras_match_oracles(g):
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_random_builds_match_oracles(seed):
+    """Also: the elimination core on the forms and skew 2-cocycle systems."""
     g = _random_build(seed)
     assert 4 <= g.dim <= 10
     _assert_matches_oracles(g)
+    _assert_rref_matches_oracles(_dense(_invariance_system(g)))
+    _assert_rref_matches_oracles(_dense(_cocycle_system(g)))
 
 
 CONSTRUCTOR_SEEDS = range(40)
@@ -222,14 +235,25 @@ def test_double_extension_is_the_builder_with_zero_v(seed):
     _assert_same_construction(double_extension(S, D), double_extension_direct(S, D))
 
 
-# -- sparse row reduction against the dense Gauss-Jordan -----------------------
+# -- the integer elimination core against the Fraction and dense cores --------
 
-def _assert_rref_matches_dense(A):
+def _assert_core_matches_fraction_core(A):
+    """``_rref_rows`` returns the rows of the Fraction core: nonzero Fraction
+    entries only, and every pivot entry exactly Fraction(1)."""
+    reduced, pivots = _rref_rows(A.sparse_rows(), A.ncols)
+    assert (reduced, pivots) == rref_rows_fraction(A.sparse_rows(), A.ncols)
+    assert all(type(x) is Fraction and x for row in reduced for x in row.values())
+    assert all(type(row[c]) is Fraction and row[c] == 1 for row, c in zip(reduced, pivots))
+
+
+def _assert_rref_matches_oracles(A):
     R, pivots = A.rref()
     assert (R, pivots) == rref_dense(A)
+    _assert_core_matches_fraction_core(A)
     assert R.shape == A.shape
     assert all(type(x) is Fraction for row in R.rows for x in row)
     rank = len(pivots)
+    assert all(R.rows[r][c] == 1 for r, c in enumerate(pivots))
     assert all(any(row) for row in R.rows[:rank])
     assert not any(any(row) for row in R.rows[rank:])
 
@@ -267,7 +291,7 @@ RREF_SEEDS = range(200)
 
 @pytest.mark.parametrize("seed", RREF_SEEDS)
 def test_rref_matches_dense_on_random_matrices(seed):
-    _assert_rref_matches_dense(_random_matrix(random.Random(seed)))
+    _assert_rref_matches_oracles(_random_matrix(random.Random(seed)))
 
 
 def _big(p, q):
@@ -293,7 +317,7 @@ def _big(p, q):
     ],
 )
 def test_rref_matches_dense_on_edge_cases(A):
-    _assert_rref_matches_dense(A)
+    _assert_rref_matches_oracles(A)
 
 
 def _dense(system):
@@ -325,7 +349,8 @@ def test_forms_system_matches_dense_builder(g):
     R_full, pivots_full = rref_dense(full)
     assert pivots == pivots_full
     assert R.rows[: len(pivots)] == R_full.rows[: len(pivots)]
-    _assert_rref_matches_dense(full)
+    _assert_core_matches_fraction_core(_dense(system))
+    _assert_rref_matches_oracles(full)
     _assert_kernel_of(system, full)
 
 
@@ -350,7 +375,7 @@ def _assert_cocycle_system_matches_dense(g):
 @pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
 def test_skew_system_matches_dense_builder(q):
     system, dense = _assert_cocycle_system_matches_dense(q.algebra)
-    _assert_rref_matches_dense(dense)
+    _assert_rref_matches_oracles(dense)
     _assert_kernel_of(system, dense)
     _assert_skew_space_is_d_system_kernel(q)
 
@@ -509,10 +534,12 @@ def _random_invertible(rng, n):
 
 def _assert_kernels_match_oracles(g, seed):
     """ad, the ideal/subalgebra/derivation tests, subalgebra_on, quotient,
-    centralizer, ideal_generated_by, transport and the coadjoint double
-    against the loops they replaced; returns the (test, answer) pairs seen."""
+    centralizer, ideal_generated_by, [g, U], transport and the coadjoint
+    double against the loops they replaced; returns the (test, answer)
+    pairs seen."""
     rng = random.Random(seed)
     n = g.dim
+    full = Subspace.full(n)
     seen = set()
     vectors = [unit_vector(n, i) for i in range(n)]
     vectors += [[_small_entry(rng) for _ in range(n)] for _ in range(3)]
@@ -541,6 +568,7 @@ def _assert_kernels_match_oracles(g, seed):
             with pytest.raises(ValueError, match="not an ideal"):
                 quotient(g, U)
         assert centralizer(g, U) == centralizer_by_brackets(g, U)
+        assert bracket_subspaces(g, full, U) == bracket_subspaces_by_pairs(g, full, U)
     # inner derivations, then random matrices (almost never derivations)
     matrices = [ad(g, x).matrix for x in vectors[n:]]
     matrices += [random_integer_matrix(rng, n, n) for _ in range(3)]

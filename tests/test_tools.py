@@ -1,5 +1,6 @@
 """The repository tools under ``tools/``."""
 
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -48,3 +49,16 @@ def test_code_lines_prints_each_module_and_the_total(monkeypatch, tmp_path, caps
         "     8  total",
         "",
     ]
+
+
+def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import time_solvers
+
+    assert time_solvers.SHAPES == tuple((4, False, m) for m in range(2, 8))
+    line = time_solvers.time_solvers((4, False, 2))
+    assert line["shape"] == [4, False, 2] and line["dim"] == 10
+    assert (line["skew_derivations"], line["invariant_forms"]) == (10, 5)
+    for key in ("skew_derivation_space_s", "invariant_symmetric_forms_s"):
+        assert isinstance(line[key], float) and line[key] >= 0
+    assert json.loads(json.dumps(line)) == line

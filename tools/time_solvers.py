@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Time the two large exact solvers at the scale of the benchmark grid.
+
+Builds the fixed ``bench.workloads.grid_algebras`` shapes (4, False, m) for
+m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
+10, 12, ..., 20, and times ``quadform.skew_derivation_space`` and
+``quadform.invariant_symmetric_forms`` once each on every shape.  Each shape
+is its own one-entry grid, so the dim-10 algebra is the first one of the
+``grid_forms`` workload.  Standard library only, no options:
+
+    python tools/time_solvers.py
+
+Prints one JSON line per shape: the shape, the dimension, the seconds of
+each solver (``time.perf_counter``, one call, set-up excluded) and the
+dimension of each solution space.  Single runs on a shared machine vary;
+repeat the command to see the spread.
+"""
+
+import json
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from bench.workloads import grid_algebras  # noqa: E402
+from quadlie.quadform import invariant_symmetric_forms, skew_derivation_space  # noqa: E402
+
+SHAPES = tuple((4, False, m) for m in range(2, 8))
+
+
+def time_solvers(shape) -> dict:
+    """One timed call of each solver on the grid algebra of ``shape``."""
+    q = grid_algebras([shape])[0]
+    start = time.perf_counter()
+    skew = skew_derivation_space(q)
+    middle = time.perf_counter()
+    forms = invariant_symmetric_forms(q.algebra)
+    end = time.perf_counter()
+    return {
+        "shape": list(shape),
+        "dim": q.dim,
+        "skew_derivation_space_s": round(middle - start, 4),
+        "skew_derivations": len(skew),
+        "invariant_symmetric_forms_s": round(end - middle, 4),
+        "invariant_forms": len(forms),
+    }
+
+
+def main() -> int:
+    for shape in SHAPES:
+        print(json.dumps(time_solvers(shape)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
