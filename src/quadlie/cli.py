@@ -36,6 +36,7 @@ from .structure import (
     DecomposableVerdict,
     ExtendedHeisenbergVerdict,
     HeisenbergIdealData,
+    QuotientMetricObstruction,
     complement_from_quotient_metric,
     find_heisenberg_ideal,
     has_invariant_quotient_metric,
@@ -120,7 +121,7 @@ def _candidate_from_indices(doc: AlgebraDocument, indices: List[int]) -> Subspac
 
 
 def cmd_analyze(
-    doc: AlgebraDocument, ideal: Optional[List[int]] = None, seed: int = 0
+    doc: AlgebraDocument, ideal: Optional[List[int]] = None
 ) -> Tuple[dict, int]:
     """Full structure report on a quadratic algebra document."""
     g = doc.algebra
@@ -193,9 +194,13 @@ def cmd_analyze(
             "base_change": matrix_to_json(rec.base_change),
             "round_trip_exact": True,
         }
-        quotient_form = has_invariant_quotient_metric(q, h, seed=seed)
-        if quotient_form is None:
-            report["quotient_metric"] = {"exists": False}
+        quotient_form = has_invariant_quotient_metric(q, h)
+        if isinstance(quotient_form, QuotientMetricObstruction):
+            obstruction = {
+                "complement": [vector_to_json(a) for a in quotient_form.complement],
+                "y": vector_to_json(quotient_form.y),
+            }
+            report["quotient_metric"] = {"exists": False, "obstruction": obstruction}
             report["complement"] = {"exists": False}
         else:
             report["quotient_metric"] = {
@@ -308,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full structure analysis")
     p_analyze.add_argument("input", help="algebra document with metric (JSON)")
     p_analyze.add_argument("--ideal", help="comma-separated basis indices")
-    p_analyze.add_argument("--seed", type=int, default=0,
-                           help="seed for randomized probing")
     p_analyze.add_argument("--out", help="write the report to a file")
 
     p_round = sub.add_parser("roundtrip", help="recover and rebuild exactly")
@@ -346,9 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "check":
             report, code = cmd_check(doc)
         elif args.command == "analyze":
-            report, code = cmd_analyze(
-                doc, _parse_ideal(args.ideal), seed=args.seed
-            )
+            report, code = cmd_analyze(doc, _parse_ideal(args.ideal))
         elif args.command == "roundtrip":
             ideal = _parse_ideal(args.ideal)
             report, code = cmd_roundtrip(doc, ideal)

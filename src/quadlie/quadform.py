@@ -55,7 +55,11 @@ class BilinearForm:
         return self.gram.nrows
 
     def evaluate(self, x: Sequence, y: Sequence) -> Fraction:
-        return dot(self.gram.apply(vector(x)), vector(y))
+        """B(x, y) = sum of x_i (G_i . y) over the nonzero x_i."""
+        x, y = vector(x), vector(y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length mismatch")
+        return sum((a * dot(self.gram.rows[i], y) for i, a in enumerate(x) if a), Fraction(0))
 
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0

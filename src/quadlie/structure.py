@@ -3,17 +3,16 @@
 Contains the solvable radical and nilradical, validation of Heisenberg
 ideals, the inverse structure-recovery algorithm (with a base-change
 certificate and an exact rebuild check), the extended-Heisenberg
-recognizer, the complement-subalgebra machinery for quotient metrics, and
-the nilradical-theorem verifier.
+recognizer, the complement-subalgebra machinery for quotient metrics with
+the exact decision whether one exists, and the nilradical-theorem verifier.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product as iter_product
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
@@ -328,7 +327,8 @@ def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Li
         form_restrict_nondegenerate(B.gram, V_sub),
         "metric degenerates on the symplectic part of the ideal",
     )
-    Vperp = kernel(V_sub.basis @ B.gram)
+    VG = V_sub.basis @ B.gram
+    Vperp = kernel(VG)
     ensure(Vperp.dim == n - two_m, "wrong orthogonal dimension")
     gamma = Vperp.coordinates_of(h.hbar)
     ensure(gamma is not None, "hbar does not lie in V^perp")
@@ -339,11 +339,7 @@ def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Li
     ]
     # the proof above rests on a in V^perp, where the L-correction is zero
     for a in a_vecs:
-        for v in h.v_basis:
-            ensure(
-                B.evaluate(a, v) == 0,
-                "complement left V^perp after the L-correction",
-            )
+        ensure(is_zero_vec(VG.apply(a)), "complement left V^perp after the L-correction")
     return a_vecs
 
 
@@ -583,6 +579,21 @@ class ComplementWitness:
     c: Vector
 
 
+@dataclass(frozen=True)
+class QuotientMetricObstruction:
+    """Proof that g/h_m admits no invariant metric.
+
+    On the normalized complement a_1, ..., a_k write [a_i, a_j] =
+    sum_l beta_ij^l a_l + mu_ij hbar for the pairs i < j in lexicographic
+    order.  A complement {a_i + lambda_i hbar} is a subalgebra exactly when
+    beta lambda = mu, and ``y``, indexed by the pairs, has y^T beta = 0 and
+    y^T mu != 0, so that system has no solution (Fredholm alternative).
+    """
+
+    complement: Tuple[Vector, ...]
+    y: Vector
+
+
 def quotient_metric_from_complement(
     q: QuadraticLieAlgebra, h: HeisenbergIdealData, comp: Subspace
 ) -> BilinearForm:
@@ -649,6 +660,29 @@ def quotient_metric_from_complement(
     return form
 
 
+def _complement_brackets(
+    q: QuadraticLieAlgebra, h: HeisenbergIdealData
+) -> Tuple[List[Vector], Matrix, dict]:
+    """The normalized complement a_1, ..., a_k, the inverse of the basis
+    E = (a..., v..., hbar), and {(i, j): (beta_ij, mu_ij)} for i < j in
+    lexicographic order, where [a_i, a_j] = sum_l beta_ij^l a_l + mu_ij hbar.
+    The brackets are ensured to have no V-component."""
+    n = q.dim
+    a_vecs = _normalized_complement(q, h)
+    k = len(a_vecs)
+    E = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n)
+    ensure(E.is_invertible(), "complement plus ideal is not a basis")
+    E_inv = E.inverse()
+    brackets = {}
+    for i, j in combinations(range(k), 2):
+        coords = E_inv.apply(bracket(q.algebra, a_vecs[i], a_vecs[j]))
+        ensure(
+            is_zero_vec(coords[k:n - 1]), "[a, b] has a V-component on the normalized complement"
+        )
+        brackets[(i, j)] = (coords[:k], coords[n - 1])
+    return a_vecs, E_inv, brackets
+
+
 def complement_from_quotient_metric(
     q: QuadraticLieAlgebra, h: HeisenbergIdealData, Ba: BilinearForm
 ) -> ComplementWitness:
@@ -672,13 +706,8 @@ def complement_from_quotient_metric(
     if check_invariant_metric(q_alg, Ba):
         raise ValueError("form is not an invariant metric on the quotient")
 
-    a_vecs = _normalized_complement(q, h)
+    a_vecs, E_inv, brackets = _complement_brackets(q, h)
     ensure(len(a_vecs) == qd, "complement dimension mismatch")
-    two_m = 2 * h.m
-    h_cols = list(h.v_basis) + [h.hbar]
-    E = Matrix.from_columns(a_vecs + h_cols, n)
-    ensure(E.is_invertible(), "complement plus ideal is not a basis")
-    E_inv = E.inverse()
 
     # pull the quotient metric back to the complement
     pi_a = [proj.apply(a) for a in a_vecs]
@@ -693,27 +722,19 @@ def complement_from_quotient_metric(
     ensure(G_a.det() != 0, "pulled-back quotient metric is degenerate")
     G_a_inv = G_a.inverse()
 
-    # bracket decomposition on the complement: a-part and hbar-part
-    brk_a = {}
+    # the hbar-part of the brackets on the complement, as a skew matrix
     mu_rows = [[Fraction(0)] * qd for _ in range(qd)]
-    for i in range(qd):
-        for j in range(i + 1, qd):
-            coords = E_inv.apply(bracket(g, a_vecs[i], a_vecs[j]))
-            ensure(
-                all(coords[qd + t] == 0 for t in range(two_m)),
-                "[a, b] has a V-component on the normalized complement",
-            )
-            brk_a[(i, j)] = coords[:qd]
-            mu_rows[i][j] = coords[n - 1]
-            mu_rows[j][i] = -coords[n - 1]
+    for (i, j), (_, mu_ij) in brackets.items():
+        mu_rows[i][j] = mu_ij
+        mu_rows[j][i] = -mu_ij
     mu = Matrix(mu_rows, qd)
 
     def bracket_a(i: int, j: int) -> Vector:
         if i == j:
             return zero_vector(qd)
         if i < j:
-            return brk_a[(i, j)]
-        return scale_vec(-1, brk_a[(j, i)])
+            return brackets[(i, j)][0]
+        return scale_vec(-1, brackets[(j, i)][0])
 
     # varphi(a_i) = B#(Ba(a_i, p(.)))
     p_matrix = Matrix(E_inv.rows[:qd], n)
@@ -724,10 +745,7 @@ def complement_from_quotient_metric(
         varphi_i = solve(B.gram, alpha.row(i))
         ensure(varphi_i is not None, "metric failed to invert")
         coords = E_inv.apply(varphi_i)
-        ensure(
-            all(coords[qd + t] == 0 for t in range(two_m)),
-            "varphi has a V-component",
-        )
+        ensure(is_zero_vec(coords[qd:n - 1]), "varphi has a V-component")
         T_cols.append(coords[:qd])
         beta.append(coords[n - 1])
     T = Matrix.from_columns(T_cols, qd)
@@ -793,48 +811,49 @@ def complement_from_quotient_metric(
 
 
 def has_invariant_quotient_metric(
-    q: QuadraticLieAlgebra, h: HeisenbergIdealData, seed: int = 0
-) -> Optional[BilinearForm]:
-    """Search the invariant-form space of g/h_m for a nondegenerate element.
+    q: QuadraticLieAlgebra, h: HeisenbergIdealData
+) -> Union[BilinearForm, QuotientMetricObstruction]:
+    """Decide whether g/h_m admits an invariant metric, with a certificate.
 
-    Probes, in order: each solver-basis form, every integer combination
-    with coefficients in {-2..2} (when the basis is small enough to
-    enumerate), then 100 seeded pseudorandom small-integer combinations.
-    Returns None when no probe is nondegenerate; this is a documented
-    heuristic gap when the form space is nontrivial but every probe lies on
-    the determinant hypersurface.  Raises ``ValueError`` when ``h`` was
-    found in another algebra.
+    A metric exists exactly when a subalgebra complement to h_m does, and
+    from any metric ``complement_from_quotient_metric`` builds one of the
+    form {a_i + lambda_i hbar} on the normalized complement.  So a metric
+    exists exactly when beta lambda = mu is solvable (see
+    ``QuotientMetricObstruction``), k(k - 1)/2 equations in the k =
+    dim g/h_m unknowns.  When it is, the witness is the first
+    nondegenerate solver-basis form of the quotient, else -2 times their
+    sum when that is nondegenerate, else the metric that
+    ``quotient_metric_from_complement`` builds on {a_i + lambda_i hbar}.
+    Otherwise the obstruction is returned.  Raises ``ValueError`` when
+    ``h`` was found in another algebra.
     """
     _require_own_data(q, h)
+    a_vecs, _, brackets = _complement_brackets(q, h)
+    k = len(a_vecs)
+    beta = Matrix([b for b, _ in brackets.values()], k)
+    mu = tuple(m for _, m in brackets.values())
+    lambdas = solve(beta, mu)
+    if lambdas is None:
+        beta_t = beta.transpose()
+        y = next((y for y in kernel(beta_t).vectors() if dot(y, mu) != 0), None)
+        ensure(
+            y is not None and is_zero_vec(beta_t.apply(y)) and dot(y, mu) != 0,
+            "unsolvable complement system has no Fredholm certificate",
+        )
+        return QuotientMetricObstruction(tuple(a_vecs), y)
     q_alg, _ = quotient(q.algebra, h.ideal)
-    if q_alg.dim == 0:
-        return BilinearForm(Matrix([], 0))
     forms = invariant_symmetric_forms(q_alg)
-    if not forms:
-        return None
-    # provably none: a vector in every form's radical kills all combinations
-    common = Subspace.full(q_alg.dim)
-    for form in forms:
-        common = sum_intersect(common, kernel(form.gram))[1]
-    if not common.is_zero():
-        return None
     for form in forms:
         if form.is_nondegenerate():
             return form
-    r = len(forms)
-    sweep = iter_product(range(-2, 3), repeat=r) if 5 ** r <= 20000 else ()
-    rng = random.Random(seed)
-    draws = ([rng.randint(-9, 9) for _ in range(r)] for _ in range(100))
-    for coeffs in chain(sweep, draws):
-        if all(c == 0 for c in coeffs):
-            continue
-        gram = Matrix.zeros(q_alg.dim, q_alg.dim)
-        for c, form in zip(coeffs, forms):
-            if c != 0:
-                gram = gram + form.gram.scale(c)
+    if forms:
+        gram = sum((form.gram for form in forms[1:]), forms[0].gram).scale(-2)
         if gram.det() != 0:
             return BilinearForm(gram)
-    return None
+    comp = Subspace.from_vectors(
+        q.dim, [add_vec(a, scale_vec(lam, h.hbar)) for a, lam in zip(a_vecs, lambdas)]
+    )
+    return quotient_metric_from_complement(q, h, comp)
 
 
 # ---------------------------------------------------------------------------

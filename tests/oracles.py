@@ -12,11 +12,14 @@ subalgebra, quotient and transported structures, centralizers, generated
 ideals, [g, W]) and of the coadjoint double.  The library replaced
 them with sparse, direct versions and with special cases of the one
 builder; the tests compare the two on many inputs and require identical
-values.
+values.  The seeded probe for an invariant metric on g/h_m, which the
+exact decision replaced, stays too; the tests require the two to agree
+on existence, and re-check each obstruction from brackets solved anew.
 """
 
+import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
@@ -26,6 +29,8 @@ from quadlie.exactla import (
     add_vec,
     kernel,
     scale_vec,
+    solve,
+    sum_intersect,
     unit_vector,
     vector,
     zero_vector,
@@ -45,9 +50,15 @@ from quadlie.liealg import (
     bracket,
     check_jacobi,
     derived_subalgebra,
+    quotient,
     subalgebra_on,
 )
-from quadlie.quadform import BilinearForm, MetricViolation, QuadraticLieAlgebra
+from quadlie.quadform import (
+    BilinearForm,
+    MetricViolation,
+    QuadraticLieAlgebra,
+    invariant_symmetric_forms,
+)
 
 
 def rref_dense(A: Matrix) -> tuple:
@@ -647,3 +658,66 @@ def coadjoint_double_by_bracket_basis(g: LieAlgebra) -> QuadraticLieAlgebra:
         rows[i][n + i] = Fraction(1)
         rows[n + i][i] = Fraction(1)
     return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+
+
+def quotient_metric_probe(q: QuadraticLieAlgebra, h, seed: int = 0) -> Optional[BilinearForm]:
+    """Search the invariant-form space of g/h_m for a nondegenerate element.
+
+    Probes, in order: each solver-basis form, every integer combination
+    with coefficients in {-2..2} (when 5^r <= 20000), then 100 seeded
+    pseudorandom combinations with coefficients in {-9..9}.  Returns None
+    when a vector lies in every form's radical or no probe is
+    nondegenerate; the second case is no proof that no metric exists.
+    """
+    q_alg, _ = quotient(q.algebra, h.ideal)
+    if q_alg.dim == 0:
+        return BilinearForm(Matrix([], 0))
+    forms = invariant_symmetric_forms(q_alg)
+    if not forms:
+        return None
+    common = Subspace.full(q_alg.dim)
+    for form in forms:
+        common = sum_intersect(common, kernel(form.gram))[1]
+    if not common.is_zero():
+        return None
+    for form in forms:
+        if form.is_nondegenerate():
+            return form
+    r = len(forms)
+    sweep = product(range(-2, 3), repeat=r) if 5 ** r <= 20000 else ()
+    rng = random.Random(seed)
+    draws = ([rng.randint(-9, 9) for _ in range(r)] for _ in range(100))
+    for coeffs in chain(sweep, draws):
+        if all(c == 0 for c in coeffs):
+            continue
+        gram = Matrix.zeros(q_alg.dim, q_alg.dim)
+        for c, form in zip(coeffs, forms):
+            if c != 0:
+                gram = gram + form.gram.scale(c)
+        if gram.det() != 0:
+            return BilinearForm(gram)
+    return None
+
+
+def obstruction_holds(g: LieAlgebra, complement, v_basis, hbar, y) -> bool:
+    """Whether y certifies that no complement {a_i + lambda_i hbar} is a subalgebra.
+
+    Each [a_i, a_j], i < j in lexicographic order, is solved for in the
+    basis (a..., v..., hbar) of g as sum_l beta_ij^l a_l + mu_ij hbar with
+    no V-part; y must satisfy y^T beta = 0 and y^T mu != 0.
+    """
+    k, n = len(complement), g.dim
+    E = Matrix.from_columns(list(complement) + list(v_basis) + [hbar], n)
+    if not E.is_invertible():
+        return False
+    beta, mu = [], []
+    for i, j in combinations(range(k), 2):
+        coords = solve(E, bracket(g, complement[i], complement[j]))
+        if any(coords[k : n - 1]):
+            return False
+        beta.append(coords[:k])
+        mu.append(coords[n - 1])
+    if len(y) != len(beta):
+        return False
+    kills_beta = all(sum(c * row[l] for c, row in zip(y, beta)) == 0 for l in range(k))
+    return kills_beta and sum(c * m for c, m in zip(y, mu)) != 0

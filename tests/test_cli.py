@@ -6,11 +6,14 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from oracles import obstruction_holds
 from quadlie import cli, liealg, quadform, structure
 from quadlie.cli import main
+from quadlie.documents import loads_document
 from quadlie.errors import InternalVerificationError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -166,11 +169,15 @@ def test_analyze_requires_metric(capsys):
 
 
 def test_analyze_deterministic(capsys):
-    args = ["analyze", corpus_path("build_sl2.algebra.json"), "--seed", "5"]
+    args = ["analyze", corpus_path("build_sl2.algebra.json")]
     code1, out1, _ = run_cli(args, capsys)
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+    # the quotient metric is decided exactly, so analyze takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", "5"])
+    assert exc.value.code == 2
 
 
 def test_analyze_with_given_ideal(capsys):
@@ -343,7 +350,8 @@ def test_grid_outputs_match_benchmark_reference(workload, monkeypatch):
 
 def test_analyze_reports_missing_quotient_metric(capsys):
     """Over the small ideal of the rotation-core build, the quotient admits
-    no invariant metric and no complement subalgebra exists."""
+    no invariant metric and no complement subalgebra exists; the reported
+    obstruction re-checks against brackets solved anew."""
     code, out, _ = run_cli(
         [
             "analyze",
@@ -355,8 +363,26 @@ def test_analyze_reports_missing_quotient_metric(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["quotient_metric"] == {"exists": False}
+    quotient_metric = report["quotient_metric"]
+    assert sorted(quotient_metric) == ["exists", "obstruction"]
+    assert quotient_metric["exists"] is False
     assert report["complement"] == {"exists": False}
+
+    def vec(entries):
+        return tuple(Fraction(x) for x in entries)
+
+    heis = report["heisenberg_ideal"]
+    obstruction = quotient_metric["obstruction"]
+    g = loads_document(
+        pathlib.Path(corpus_path("build_rotation_core.algebra.json")).read_text("utf-8")
+    ).algebra
+    assert obstruction_holds(
+        g,
+        [vec(a) for a in obstruction["complement"]],
+        [vec(v) for v in heis["v_basis"]],
+        vec(heis["hbar"]),
+        vec(obstruction["y"]),
+    )
     # the same algebra, seen whole, is an extended Heisenberg over h_2
     assert report["recognizer"]["verdict"] == "extended_heisenberg"
     assert report["nilradical"]["dim"] == 5

@@ -20,6 +20,7 @@ from fixtures import (
     sl2_quadratic,
     zero_quadratic,
 )
+from oracles import obstruction_holds, quotient_metric_probe
 
 from quadlie import structure
 from quadlie.documents import loads_document
@@ -67,6 +68,7 @@ from quadlie.structure import (
     ExtendedHeisenbergVerdict,
     HeisenbergIdealData,
     NotApplicableVerdict,
+    QuotientMetricObstruction,
     _normalized_complement,
     complement_from_quotient_metric,
     find_heisenberg_ideal,
@@ -635,7 +637,7 @@ def test_complement_roundtrip_on_fixtures():
         h = _heis_of(q)
         q_alg, _ = quotient(q.algebra, h.ideal)
         Ba = has_invariant_quotient_metric(q, h)
-        assert Ba is not None
+        assert isinstance(Ba, BilinearForm)
         assert check_invariant_metric(q_alg, Ba) == []
         witness = complement_from_quotient_metric(q, h, Ba)
         assert is_subalgebra(q.algebra, witness.complement)
@@ -660,12 +662,12 @@ def test_complement_inner_witness_identity():
 def test_has_invariant_quotient_metric_cases():
     q = h1_phi()
     h = _heis_of(q)
-    assert has_invariant_quotient_metric(q, h) is not None
+    assert isinstance(has_invariant_quotient_metric(q, h), BilinearForm)
 
     q2 = build_sl2_fixture()
     h2 = _heis_of(q2)
     form = has_invariant_quotient_metric(q2, h2)
-    assert form is not None
+    assert isinstance(form, BilinearForm)
     q_alg, _ = quotient(q2.algebra, h2.ideal)
     assert check_invariant_metric(q_alg, form) == []
 
@@ -674,7 +676,41 @@ def test_has_invariant_quotient_metric_cases():
     q3 = build_rotation_core_fixture()
     h3 = find_heisenberg_ideal(q3.algebra, heisenberg_ideal_span(q3, 1))
     assert h3 is not None
-    assert has_invariant_quotient_metric(q3, h3) is None
+    found = has_invariant_quotient_metric(q3, h3)
+    assert isinstance(found, QuotientMetricObstruction)
+    assert obstruction_holds(q3.algebra, found.complement, h3.v_basis, h3.hbar, found.y)
+
+
+def test_quotient_metric_decision_agrees_with_probe_on_random_builds():
+    """60 seeded builds (core dim <= 4, m <= 3) moved by a unimodular base
+    change, over the builder's ideal: the decision agrees with the seeded
+    probe on existence, each obstruction re-checks against brackets solved
+    anew, and each metric is invariant and round-trips through its
+    complement subalgebra."""
+    seen = {BilinearForm: 0, QuotientMetricObstruction: 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        S, D, V, sigma = random_build_input(rng, max_core_dim=4, max_m=3)
+        q = build_with_heisenberg_ideal(S, D, V, sigma)
+        P = random_unimodular(rng, q.dim)
+        moved = transport_quadratic(q, P)
+        ideal = heisenberg_ideal_span(q, V.omega.nrows // 2)
+        h = find_heisenberg_ideal(moved.algebra, transport_subspace(ideal, P))
+        found = has_invariant_quotient_metric(moved, h)
+        seen[type(found)] += 1
+        probe = quotient_metric_probe(moved, h)
+        assert isinstance(found, BilinearForm) == (probe is not None), seed
+        if isinstance(found, QuotientMetricObstruction):
+            assert obstruction_holds(
+                moved.algebra, found.complement, h.v_basis, h.hbar, found.y
+            ), seed
+            continue
+        q_alg, _ = quotient(moved.algebra, h.ideal)
+        assert check_invariant_metric(q_alg, found) == [], seed
+        witness = complement_from_quotient_metric(moved, h, found)
+        again = quotient_metric_from_complement(moved, h, witness.complement)
+        assert check_invariant_metric(q_alg, again) == [], seed
+    assert seen[BilinearForm] > 0 and seen[QuotientMetricObstruction] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +772,7 @@ def test_full_pipeline_at_max_dimensions():
     rec = recover_structure(moved, h)
     assert rec.s_basis.dim == 4
     Ba = has_invariant_quotient_metric(moved, h)
-    if Ba is not None:
+    if isinstance(Ba, BilinearForm):
         witness = complement_from_quotient_metric(moved, h, Ba)
         again = quotient_metric_from_complement(moved, h, witness.complement)
         q_alg, _ = quotient(moved.algebra, h.ideal)
