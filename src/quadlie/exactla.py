@@ -1,19 +1,24 @@
 """Exact linear algebra over the rational numbers.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable dense
-row tuples, the value type of the API.  Elimination runs inside on sparse
-rows: one fraction-free Gauss-Jordan core (``_rref_rows``) serves ``rref``,
-``kernel``, ``solve``, ``inverse`` and the subspace operations.  It scales
-each row, a dict {column: nonzero rational}, to primitive integers,
-eliminates by integer cross-multiplication and divides each updated row by
-its content (the gcd of its entries), so no Fraction arithmetic runs inside
-the loop; the finished rows are converted to Fractions once, divided by
-their pivots (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
-Computational Algebraic Number Theory, 2.2).  ``SparseSystem`` lets a
-solver hand a large sparse system to ``kernel`` without writing out its
-zeros.  Subspaces are kept in reduced row-echelon form so that set equality
-is literal equality of basis matrices.  Everything is exact: no tolerances,
-no floats.
+row tuples, the value type of the API.  The kernels run inside on integer
+numerators over one known denominator, and build Fractions only for their
+results.  One fraction-free Gauss-Jordan core (``_rref_rows``) serves
+``rref``, ``kernel``, ``solve``, ``inverse`` and the subspace operations.
+It scales each row, a dict {column: nonzero rational}, to primitive
+integers, eliminates by integer cross-multiplication and divides each
+updated row by its content (the gcd of its entries), so no Fraction
+arithmetic runs inside the loop; the finished rows are converted to
+Fractions once, divided by their pivots (Bareiss, Math. Comp. 22, 1968;
+Cohen, A Course in Computational Algebraic Number Theory, 2.2).  The
+product ``@`` scales each left row and right column by the lcm of its
+denominators and takes integer dot products; ``det`` is Bareiss's
+fraction-free elimination on the row-scaled integer matrix.
+``SparseSystem`` lets a solver hand a large sparse system of integer or
+rational equations to ``kernel`` without writing out its zeros.  Subspaces
+are kept in reduced row-echelon form so that set equality is literal
+equality of basis matrices.  Everything is exact: no tolerances, no
+floats.
 """
 
 from __future__ import annotations
@@ -166,12 +171,24 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]], nrows: Optional[int] = None) -> "Matrix":
+        """The matrix whose columns are ``columns``; ``nrows`` sizes a 0-column one.
+
+        Raises ``ValueError`` when the columns differ in length or ``nrows``
+        differs from their length.
+        """
         cols = [vector(c) for c in columns]
+        heights = {len(c) for c in cols}
+        if len(heights) > 1:
+            raise ValueError("ragged columns")
         if cols:
-            nrows = len(cols[0])
+            height = heights.pop()
+            if nrows is not None and nrows != height:
+                raise ValueError("nrows does not match column length")
+            nrows = height
         elif nrows is None:
             nrows = 0
-        return cls([[c[i] for c in cols] for i in range(nrows)], len(cols))
+        rows = tuple(zip(*cols)) if cols else ((),) * nrows
+        return cls._unchecked(rows, len(cols))
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -218,12 +235,28 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Exact product on integer numerators.
+
+        Each left row and each right column is scaled by the lcm of its
+        denominators; entry (i, j) is the integer dot product over the
+        nonzero entries of left row i, divided once by the two scales.
+        """
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return Matrix(
-            [[dot(row, col) for col in cols] for row in self.rows], other.ncols
-        )
+        zero = Fraction(0)
+        cols = [_integer_row(other.column(j)) for j in range(other.ncols)]
+        rows = []
+        for row in self.rows:
+            da, ints = _integer_row(row)
+            terms = [(j, a) for j, a in enumerate(ints) if a]
+            out = []
+            for db, col in cols:
+                s = 0
+                for j, a in terms:
+                    s += a * col[j]
+                out.append(Fraction(s, da * db) if s else zero)
+            rows.append(tuple(out))
+        return Matrix._unchecked(tuple(rows), other.ncols)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix-vector product with ``v`` as a column vector."""
@@ -262,30 +295,39 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
+        """Fraction-free Bareiss elimination on the row-scaled integer matrix.
+
+        Row i is scaled by the lcm s_i of its denominators.  Each step
+        swaps the first row with a nonzero leading entry a_00 to the top and
+        replaces the rows below by a_ij <- (a_ij a_00 - a_i0 a_0j) / p over
+        j >= 1, p the previous pivot: an exact integer division (Bareiss,
+        Math. Comp. 22, 1968).  The last pivot is the determinant of the
+        scaled matrix, so det = +-(last pivot) / prod(s_i).
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        result = Fraction(1)
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        scale = 1
+        rows = []
+        for row in self.rows:
+            s, ints = _integer_row(row)
+            scale *= s
+            rows.append(ints)
+        sign, previous = 1, 1
+        while rows:
+            p = next((i for i, row in enumerate(rows) if row[0]), None)
+            if p is None:
                 return Fraction(0)
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                result = -result
-            pv = rows[c][c]
-            result *= pv
-            inv = 1 / pv
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return result
+            if p:
+                rows[0], rows[p] = rows[p], rows[0]
+                sign = -sign
+            pv, *top = rows[0]
+            rows = [
+                [(a * pv - row[0] * b) // previous for a, b in zip(row[1:], top)]
+                if row[0] else [a * pv // previous for a in row[1:]]
+                for row in rows[1:]
+            ]
+            previous = pv
+        return Fraction(sign * previous, scale)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
@@ -359,6 +401,13 @@ def kernel(A: Union[Matrix, "SparseSystem"]) -> "Subspace":
 # ---------------------------------------------------------------------------
 # sparse elimination
 # ---------------------------------------------------------------------------
+
+def _integer_row(row: Sequence[Fraction]) -> tuple:
+    """(s, ints): s the lcm of the denominators of ``row``, ints the list of
+    its entries times s."""
+    s = lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
 
 def _primitive(row: dict) -> dict:
     """``row`` times the lcm of its denominators, divided by the gcd of the
@@ -451,10 +500,11 @@ def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
 class SparseSystem:
     """A homogeneous linear system collected equation by equation.
 
-    Each equation is kept as a dict {column: nonzero Fraction}; all-zero
-    equations are dropped.  It has the ``nrows``, ``ncols`` and ``rref`` of
-    a Matrix, so ``kernel`` takes it in place of one, and a large sparse
-    system (the solvers in ``quadform``) is never written out with its
+    Each equation is kept as a dict {column: nonzero coefficient}, the
+    coefficients ints or Fractions as the caller gives them (the solvers
+    in ``quadform`` give ints); all-zero equations are dropped.  It has the
+    ``nrows``, ``ncols`` and ``rref`` of a Matrix, so ``kernel`` takes it in
+    place of one, and a large sparse system is never written out with its
     zeros.
     """
 
@@ -472,11 +522,12 @@ class SparseSystem:
         """Append the equation sum a x_col = 0 over the (col, a) terms.
 
         Terms on the same column add up; zero coefficients are dropped.
+        The coefficients are kept as given: ints or Fractions.
         """
         row: dict = {}
         for col, a in terms:
             row[col] = row.get(col, 0) + a
-        row = {col: rat(a) for col, a in row.items() if a}
+        row = {col: a for col, a in row.items() if a}
         if row:
             self.rows.append(row)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exactla import (
@@ -188,6 +189,19 @@ def _bracket_table(g: LieAlgebra) -> list:
     return table
 
 
+def _integer_table(g: LieAlgebra) -> tuple:
+    """(d, table): d the lcm of the structure-constant denominators, and
+    table[i][j] the nonzero (k, d c) with [e_i, e_j] = sum c e_k, as ints."""
+    d = lcm(*(c.denominator for terms in g.structure.values() for _, c in terms))
+    n = g.dim
+    table = [[()] * n for _ in range(n)]
+    for (i, j), terms in g.structure.items():
+        scaled = tuple((k, c.numerator * (d // c.denominator)) for k, c in terms)
+        table[i][j] = scaled
+        table[j][i] = tuple((k, -c) for k, c in scaled)
+    return d, table
+
+
 def _ad_columns(table: list, x: Vector) -> List[Vector]:
     """[x, e_j] for every j: the columns of ad x.
 
@@ -228,26 +242,27 @@ def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
     """All triples i < j < k where the Jacobi identity fails.
 
     The residual [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
-    expanded through the signed sparse bracket table: each nonzero c_ab^p
-    meets only the nonzero entries of [e_p, e_t], so a triple whose three
-    brackets vanish costs no arithmetic.  The residual is reported as a
-    dense tuple of Fractions.
+    expanded through the signed integer table d c (``_integer_table``):
+    each nonzero d c_ab^p meets only the nonzero entries of [e_p, e_t], so
+    a triple whose three brackets vanish costs no arithmetic.  The sums are
+    d^2 times the residual; it is reported as a dense tuple of Fractions
+    r / d^2.
     """
     n = g.dim
-    table = _bracket_table(g)
-    zero = Fraction(0)
+    d, table = _integer_table(g)
+    dd = d * d
     violations = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                residual: Dict[int, Fraction] = {}
+                residual: Dict[int, int] = {}
                 for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
                     for p, c in table[a][b]:
                         for s, x in table[p][t]:
-                            residual[s] = residual.get(s, zero) + c * x
+                            residual[s] = residual.get(s, 0) + c * x
                 if any(residual.values()):
                     violations.append(JacobiViolation(
-                        i, j, k, tuple(residual.get(s, zero) for s in range(n))
+                        i, j, k, tuple(Fraction(residual.get(s, 0), dd) for s in range(n))
                     ))
     return violations
 

@@ -10,6 +10,7 @@ ideals.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
@@ -27,7 +28,7 @@ from .exactla import (
 )
 from .liealg import (
     LieAlgebra,
-    _bracket_table,
+    _integer_table,
     check_jacobi,
     is_ideal,
     subalgebra_on,
@@ -88,11 +89,14 @@ def check_invariant_metric(
     Invariance means B([x,y],z) = B(x,[y,z]) on all basis triples.  The
     returned list is empty iff B is an invariant metric for g.  For each
     pair (i, j) the difference B([e_i,e_j], e_k) - B(e_i, [e_j,e_k]) is
-    accumulated over all k at once from the signed sparse bracket table and
-    the nonzero Gram entries, B(x, y) = x^T G y; the triples where it is
-    nonzero are reported in lexicographic order.  All n^3 triples are
-    checked, since a Gram matrix that fails symmetry breaks the (i, j, k) /
-    (k, j, i) pairing that ``_invariance_system`` relies on.
+    accumulated over all k at once from the signed integer bracket table
+    d c (``_integer_table``) and the nonzero Gram entries times the lcm e
+    of their denominators, B(x, y) = x^T G y.  The integer sums are d e
+    times the differences, so they vanish exactly where the differences
+    do; the triples where they are nonzero are reported in lexicographic
+    order.  All n^3 triples are checked, since a Gram matrix that fails
+    symmetry breaks the (i, j, k) / (k, j, i) pairing that
+    ``_invariance_system`` relies on.
     """
     gram = B.gram if isinstance(B, BilinearForm) else B
     n = g.dim
@@ -107,8 +111,12 @@ def check_invariant_metric(
                 )
     if gram.det() == 0:
         violations.append(MetricViolation("nondegenerate", (), "det(gram) = 0"))
-    table = _bracket_table(g)
-    rows = gram.sparse_rows()
+    _, table = _integer_table(g)
+    e = lcm(*(x.denominator for row in gram.rows for x in row))
+    rows = [
+        {k: x.numerator * (e // x.denominator) for k, x in enumerate(row) if x}
+        for row in gram.rows
+    ]
     # into[j]: the (k, p, c) with c the e_p-coefficient of [e_j, e_k]
     into = [[(k, p, c) for k in range(n) for p, c in table[j][k]] for j in range(n)]
     for i in range(n):
@@ -211,7 +219,9 @@ def _invariance_system(g: LieAlgebra) -> SparseSystem:
     (i, j, k) is the equation of (k, j, i) term for term (both say that
     ad e_j is B-skew on e_i, e_k), so only k >= i is kept: n^2 (n+1)/2
     equations instead of n^3, in lexicographic order, all-zero ones dropped,
-    with the same row space as the full set.
+    with the same row space as the full set.  The coefficients are the
+    integers d c of ``_integer_table``: the system is homogeneous, so the
+    factor d leaves its kernel unchanged.
     """
     n = g.dim
     index = [[0] * n for _ in range(n)]
@@ -220,7 +230,7 @@ def _invariance_system(g: LieAlgebra) -> SparseSystem:
         for q in range(p, n):
             index[p][q] = index[q][p] = t
             t += 1
-    table = _bracket_table(g)
+    _, table = _integer_table(g)
     system = SparseSystem(t)
     for i in range(n):
         for j in range(n):
@@ -309,6 +319,8 @@ def _cocycle_system(g: LieAlgebra) -> SparseSystem:
     order, all-zero ones dropped:
     A([e_i,e_j],e_k) + A([e_j,e_k],e_i) + A([e_k,e_i],e_j) = 0.  The cyclic
     sum is alternating in (i, j, k), so the other triples add nothing.
+    The coefficients are the integers d c of ``_integer_table``, which
+    leave the kernel of the homogeneous system unchanged.
     """
     n = g.dim
     index = [[0] * n for _ in range(n)]
@@ -317,7 +329,7 @@ def _cocycle_system(g: LieAlgebra) -> SparseSystem:
         for q in range(p + 1, n):
             index[p][q] = t
             t += 1
-    table = _bracket_table(g)
+    _, table = _integer_table(g)
     system = SparseSystem(t)
 
     def terms(a: int, b: int, k: int) -> list:

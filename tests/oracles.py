@@ -2,7 +2,8 @@
 
 These are the earlier, slower algorithms for the Killing form, the
 nilradical, row reduction (dense, and the sparse elimination on Fraction
-rows that the integer core replaced), the bracket, the Jacobi and
+rows that the integer core replaced), the matrix product and determinant
+in Fraction arithmetic, the bracket, the Jacobi and
 invariant-metric checks and the linear systems of the form and skew-derivation solvers (the
 full n^3 invariance system and the system in the n^2 entries of D), the
 earlier stand-alone constructors of h_m(phi) and S(D), an entry-by-entry
@@ -27,6 +28,7 @@ from quadlie.exactla import (
     Matrix,
     Subspace,
     add_vec,
+    dot,
     kernel,
     scale_vec,
     solve,
@@ -134,6 +136,43 @@ def rref_rows_fraction(rows: list, ncols: int) -> tuple:
         done.append(pivot_row)
         pivots.append(c)
     return done, tuple(pivots)
+
+
+def matmul_fraction(A: Matrix, B: Matrix) -> Matrix:
+    """A @ B as one Fraction ``dot`` per entry, over the columns of B."""
+    if A.ncols != B.nrows:
+        raise ValueError("inner dimension mismatch")
+    cols = [B.column(j) for j in range(B.ncols)]
+    return Matrix([[dot(row, col) for col in cols] for row in A.rows], B.ncols)
+
+
+def det_fraction(A: Matrix) -> Fraction:
+    """Gaussian elimination in Fractions: the product of the pivots, signed
+    by the row swaps."""
+    if A.nrows != A.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = A.nrows
+    rows = [list(r) for r in A.rows]
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            result = -result
+        pv = rows[c][c]
+        result *= pv
+        inv = 1 / pv
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return result
 
 
 def bracket_by_formula(g: LieAlgebra, x, y) -> tuple:
@@ -279,7 +318,7 @@ def check_invariant_metric_dense(g: LieAlgebra, B) -> List[MetricViolation]:
                 violations.append(
                     MetricViolation("symmetric", (i, j), "gram[i][j] != gram[j][i]")
                 )
-    if gram.det() == 0:
+    if det_fraction(gram) == 0:
         violations.append(MetricViolation("nondegenerate", (), "det(gram) = 0"))
     brk = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
     zero = zero_vector(n)

@@ -245,3 +245,27 @@ def test_products_return_fractions_even_when_every_term_is_skipped():
         assert all(type(x) is Fraction for x in M.apply(v))
     for M in (Matrix([], 0), Matrix.zeros(2, 2), Matrix.identity(3)):
         assert type(M.trace()) is Fraction
+
+
+def test_from_columns_builds_the_transpose_of_its_rows():
+    assert Matrix.from_columns([[1, 2, 3], [4, 5, 6]]) == Matrix([[1, 4], [2, 5], [3, 6]], 2)
+    assert Matrix.from_columns([[1, 2], [3, 4]], 2) == Matrix([[1, 3], [2, 4]], 2)
+    assert Matrix.from_columns([]).shape == (0, 0)
+    assert Matrix.from_columns([], 3).shape == (3, 0)
+    assert Matrix.from_columns([(), ()]).shape == (0, 2)
+    M = Matrix.from_columns([[1, Fraction(1, 2)]])
+    assert all(type(x) is Fraction for row in M.rows for x in row)
+
+
+@pytest.mark.parametrize(
+    "columns, nrows",
+    [
+        pytest.param([[1, 2, 3], [4, 5, 6, 7, 8]], None, id="long-column"),
+        pytest.param([[1, 2, 3], [4, 5]], None, id="short-column"),
+        pytest.param([[1, 2], [3, 4]], 5, id="conflicting-nrows"),
+        pytest.param([(), ()], 1, id="conflicting-nrows-empty-columns"),
+    ],
+)
+def test_from_columns_rejects_ragged_columns_and_conflicting_nrows(columns, nrows):
+    with pytest.raises(ValueError):
+        Matrix.from_columns(columns, nrows)

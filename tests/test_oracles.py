@@ -1,6 +1,7 @@
 """The direct Killing form, nilradical, constructors, sparse row reduction,
-bracket, solver systems, Jacobi/invariance checks and the ``liealg`` bracket
-kernels against the earlier algorithms.
+integer matrix product and determinant, bracket, solver systems,
+Jacobi/invariance checks and the ``liealg`` bracket kernels against the
+earlier algorithms, also over structure constants with denominators.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -11,6 +12,7 @@ import inspect
 import pathlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +26,7 @@ from oracles import (
     check_jacobi_dense,
     coadjoint_double_by_bracket_basis,
     cocycle_rows_dense,
+    det_fraction,
     double_extension_direct,
     extend_heisenberg_direct,
     ideal_generated_by_brackets,
@@ -32,6 +35,7 @@ from oracles import (
     is_ideal_by_brackets,
     is_subalgebra_by_brackets,
     killing_form_by_products,
+    matmul_fraction,
     nilradical_four_step,
     quotient_by_reduction,
     rref_dense,
@@ -61,6 +65,7 @@ from quadlie.exactla import (
 from quadlie.liealg import (
     LieAlgebra,
     LinearMap,
+    _integer_table,
     ad,
     bracket,
     bracket_subspaces,
@@ -83,6 +88,7 @@ from quadlie.quadform import (
     _cocycle_system,
     _invariance_system,
     check_invariant_metric,
+    invariant_symmetric_forms,
     restrict_quadratic,
     skew_derivation_space,
     transport_quadratic,
@@ -335,20 +341,38 @@ def _assert_kernel_of(system, dense):
     assert all(not any(dense.apply(v)) for v in K.vectors())
 
 
-@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
-def test_forms_system_matches_dense_builder(g):
-    """The system keeps exactly the k >= i rows of the full n^3 system, in
-    order, and the dropped rows add nothing: its rref is that of the full
-    system."""
+def _assert_forms_system_matches_dense(g):
+    """The system is d times the k >= i rows of the full n^3 system, in
+    order, d the structure-constant denominator, with integer coefficients;
+    the dropped rows add nothing: its rref is that of the full system, and
+    the invariant forms span the full system's kernel.  Returns the system
+    and the full dense system."""
     system = _invariance_system(g)
-    ncols = g.dim * (g.dim + 1) // 2
+    d, _ = _integer_table(g)
+    n = g.dim
+    ncols = n * (n + 1) // 2
     triples = invariance_rows_dense(g)
     full = Matrix([row for _, row in triples], ncols)
-    assert _dense(system) == Matrix([row for (i, j, k), row in triples if k >= i], ncols)
+    kept = Matrix([row for (i, j, k), row in triples if k >= i], ncols)
+    assert _dense(system) == kept.scale(d)
+    assert all(type(c) is int for row in system.rows for c in row.values())
     R, pivots = system.rref()
     R_full, pivots_full = rref_dense(full)
     assert pivots == pivots_full
     assert R.rows[: len(pivots)] == R_full.rows[: len(pivots)]
+    forms = [
+        [B.gram.entry(p, q) for p in range(n) for q in range(p, n)]
+        for B in invariant_symmetric_forms(g)
+    ]
+    assert len(forms) == ncols - len(pivots)
+    assert Subspace.from_vectors(ncols, forms).dim == len(forms)
+    assert all(not any(full.apply(v)) for v in forms)
+    return system, full
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_forms_system_matches_dense_builder(g):
+    system, full = _assert_forms_system_matches_dense(g)
     _assert_core_matches_fraction_core(_dense(system))
     _assert_rref_matches_oracles(full)
     _assert_kernel_of(system, full)
@@ -366,9 +390,11 @@ def _assert_skew_space_is_d_system_kernel(q):
 
 
 def _assert_cocycle_system_matches_dense(g):
+    """The system is d times the dense rows, with integer coefficients."""
     system = _cocycle_system(g)
     dense = Matrix(cocycle_rows_dense(g), g.dim * (g.dim - 1) // 2)
-    assert _dense(system) == dense
+    assert _dense(system) == dense.scale(_integer_table(g)[0])
+    assert all(type(c) is int for row in system.rows for c in row.values())
     return system, dense
 
 
@@ -412,6 +438,142 @@ def test_checks_match_dense_on_algebras(g):
     neither of which need be invariant."""
     _assert_same_violations(g, Matrix.identity(g.dim))
     _assert_same_violations(g, random_symmetric_matrix(random.Random(g.dim), g.dim))
+
+
+# -- rational structure constants: denominators d > 1 ---------------------------
+
+def _rational_base_change(rng, n):
+    """An invertible matrix with denominators 2 to 7: a rational diagonal
+    and about n/2 rational entries off it."""
+    def entry():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(2, 7))
+
+    while True:
+        rows = [[entry() if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(max(1, n // 2)):
+            rows[rng.randrange(n)][rng.randrange(n)] = entry()
+        P = Matrix(rows, n)
+        if det_fraction(P) != 0:
+            return P
+
+
+def _assert_rational_case(q, rng):
+    """q moved by a rational base change has d > 1.  Its checks agree with
+    the dense checkers on the valid metric, on a perturbed fractional Gram
+    matrix (symmetric and not) and on the algebra with one structure
+    constant c_ij^k moved by 1/11, the first (i < j, k) in lexicographic
+    order whose Jacobi residuals are not all integers.  The forms and skew
+    solvers agree with their dense systems."""
+    t = transport_quadratic(q, _rational_base_change(rng, q.dim))
+    g, n = t.algebra, t.dim
+    assert _integer_table(g)[0] > 1
+    gram = [list(row) for row in t.metric.gram.rows]
+    symmetric = [list(row) for row in gram]
+    a, b = rng.randrange(n), rng.randrange(n)
+    _perturb(rng, symmetric, a, b)
+    symmetric[b][a] = symmetric[a][b]
+    asymmetric = [list(row) for row in gram]
+    a, b = rng.sample(range(n), 2)
+    _perturb(rng, asymmetric, a, b)
+    for G in (t.metric.gram, Matrix(symmetric, n), Matrix(asymmetric, n)):
+        _assert_same_violations(g, G)
+    assert not check_jacobi(g) and not check_invariant_metric(g, t.metric)
+
+    for i, j, k in ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)):
+        structure = {key: dict(terms) for key, terms in g.structure.items()}
+        slot = structure.setdefault((i, j), {})
+        slot[k] = slot.get(k, 0) + Fraction(1, 11)
+        broken = LieAlgebra(n, structure)
+        if any(x.denominator > 1 for v in check_jacobi(broken) for x in v.residual):
+            break
+    else:
+        pytest.fail("no move of one structure constant gives a fractional residual")
+    _assert_same_violations(broken, t.metric.gram)
+
+    _assert_forms_system_matches_dense(g)
+    _assert_cocycle_system_matches_dense(g)
+    _assert_skew_space_is_d_system_kernel(t)
+
+
+@pytest.mark.parametrize(
+    "q", [p for p in _fixture_quadratics() + _corpus_quadratics() if p.values[0].algebra.structure]
+)
+def test_checks_and_solvers_match_oracles_with_rational_constants(q):
+    _assert_rational_case(q, random.Random(q.dim))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_checks_and_solvers_match_oracles_with_rational_constants_on_random_builds(seed):
+    rng = random.Random(seed)
+    _assert_rational_case(build_with_heisenberg_ideal(*random_build_input(rng)), rng)
+
+
+# -- the integer product and determinant against the Fraction versions ---------
+
+def _rational_matrix(rng, nrows, ncols):
+    """Entries with denominators up to 10^6; in one matrix in three, some
+    rows and columns are zero."""
+    density = rng.choice((0.4, 0.7, 1.0))
+    zero_share = rng.choice((0, 0, 0.2))
+    zero_rows = {i for i in range(nrows) if rng.random() < zero_share}
+    zero_cols = {j for j in range(ncols) if rng.random() < zero_share}
+    return Matrix(
+        [
+            [
+                0 if i in zero_rows or j in zero_cols or rng.random() >= density
+                else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                for j in range(ncols)
+            ]
+            for i in range(nrows)
+        ],
+        ncols,
+    )
+
+
+def _assert_product_and_det_match_oracles(A, B):
+    product = A @ B
+    assert product == matmul_fraction(A, B)
+    assert product.shape == (A.nrows, B.ncols)
+    assert all(type(x) is Fraction for row in product.rows for x in row)
+    for M in (A, B, product):
+        if M.nrows == M.ncols:
+            det = M.det()
+            assert type(det) is Fraction and det == det_fraction(M)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_product_and_det_match_fraction_oracles_on_random_matrices(seed):
+    """Non-square products and square ones (0x0 and 1x1 included); one square
+    matrix in three is made singular by a row that combines the others."""
+    rng = random.Random(seed)
+    n, m, p = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+    _assert_product_and_det_match_oracles(_rational_matrix(rng, n, m), _rational_matrix(rng, m, p))
+    S = _rational_matrix(rng, n, n)
+    if n and seed % 3 == 0:
+        rows = [list(row) for row in S.rows]
+        r = rng.randrange(n)
+        others = [row for i, row in enumerate(rows) if i != r]
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in others]
+        rows[r] = [sum(x * row[j] for x, row in zip(c, others)) for j in range(n)]
+        S = Matrix(rows, n)
+        assert S.det() == det_fraction(S) == 0
+    _assert_product_and_det_match_oracles(S, S)
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_product_and_det_match_fraction_oracles_on_hilbert_matrices(n):
+    H = Matrix([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)], n)
+    _assert_product_and_det_match_oracles(H, H)
+    _assert_product_and_det_match_oracles(H, H.inverse())
+
+
+@pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
+def test_product_and_det_match_fraction_oracles_on_gram_matrices(q):
+    G = q.metric.gram
+    P = _random_invertible(random.Random(q.dim), q.dim)
+    _assert_product_and_det_match_oracles(G, G)
+    _assert_product_and_det_match_oracles(P, G)
+    _assert_product_and_det_match_oracles(G, P.transpose())
 
 
 # -- restriction against the validating constructor -----------------------------
