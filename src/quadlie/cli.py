@@ -37,7 +37,6 @@ from .structure import (
     ExtendedHeisenbergVerdict,
     HeisenbergIdealData,
     QuotientMetricObstruction,
-    complement_from_quotient_metric,
     find_heisenberg_ideal,
     has_invariant_quotient_metric,
     recognize_extended_heisenberg,
@@ -194,20 +193,19 @@ def cmd_analyze(
             "base_change": matrix_to_json(rec.base_change),
             "round_trip_exact": True,
         }
-        quotient_form = has_invariant_quotient_metric(q, h)
-        if isinstance(quotient_form, QuotientMetricObstruction):
+        witness = has_invariant_quotient_metric(q, h)
+        if isinstance(witness, QuotientMetricObstruction):
             obstruction = {
-                "complement": [vector_to_json(a) for a in quotient_form.complement],
-                "y": vector_to_json(quotient_form.y),
+                "complement": [vector_to_json(a) for a in witness.complement],
+                "y": vector_to_json(witness.y),
             }
             report["quotient_metric"] = {"exists": False, "obstruction": obstruction}
             report["complement"] = {"exists": False}
         else:
             report["quotient_metric"] = {
                 "exists": True,
-                "gram": matrix_to_json(quotient_form.gram),
+                "gram": matrix_to_json(witness.quotient_metric.gram),
             }
-            witness = complement_from_quotient_metric(q, h, quotient_form)
             report["complement"] = {
                 "exists": True,
                 "basis": [vector_to_json(v) for v in witness.complement.vectors()],

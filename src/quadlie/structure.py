@@ -9,7 +9,6 @@ the exact decision whether one exists, and the nilradical-theorem verifier.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -73,33 +72,6 @@ def radical(g: LieAlgebra) -> Subspace:
     return kernel(der.basis @ K)
 
 
-class _SpanBuilder:
-    """Incrementally maintained row span with pivot-reduced rows."""
-
-    def __init__(self):
-        self.rows: List[list] = []
-        self.pivots: List[int] = []
-
-    def add(self, vec: Sequence) -> bool:
-        """Add a vector; returns True when the span grew."""
-        v = list(vec)
-        for pivot, row in zip(self.pivots, self.rows):
-            if v[pivot] != 0:
-                f = v[pivot]
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        self.rows.append([x * inv for x in v])
-        self.pivots.append(pivot)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     """Maximal nilpotent ideal, as one linear system over the radical.
 
@@ -108,14 +80,22 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     {a in A : trace(ab) = 0 for all b in A} (de Graaf, Lie Algebras: Theory
     and Algorithms, 2000), and Nil(g) = {x in R : ad_R(x) in Rad(A)}.  As
     ad_R(x) lies in A, Nil(g) = {x in R : trace(ad_R(x) b) = 0 for every b
-    in a basis of A}: k unknowns, one row per basis element of A, and each
-    entry trace(XY) = sum X_ij Y_ji needs no matrix product.
+    in a spanning set of A}: k unknowns, one row per element b, and as
+    trace(XY) = sum X_ij Y_ji the rows are the flattened b times the
+    flattened transposes of the ad_R(e_t).
 
-    A is spanned by the words in the ad_R(e_t); its basis grows by left
-    multiplication with these generators, and each new basis element adds
-    one row.  Since [g, R] lies in Nil(g) (Jacobson, Lie Algebras), the
-    kernel always contains [g, R], and the closure stops once the two have
-    the same dimension.
+    A is spanned by the words in the generators ad_R(e_t) and grows in
+    rounds on rref subspaces of the flattened k x k matrices: A_1 is the
+    span of the generators, and A_r is A_(r-1) plus the generators times
+    the rows of A_(r-1) whose pivot is new in A_(r-1).  The pivots of
+    nested rref subspaces are nested.  A nonzero combination of the rows
+    with a new pivot vanishes at the old pivots, where no nonzero element
+    of A_(r-2) does, so A_(r-1) is A_(r-2) plus those rows: their trace
+    rows join the earlier ones, and by induction every generator maps
+    A_(r-1) into A_r.  Once no pivot is new, A_r is closed and equals A.
+    Since [g, R] lies in Nil(g) (Jacobson, Lie Algebras), the kernel always
+    contains [g, R], and the closure stops once the two have the same
+    dimension.
 
     A caller that already holds R = Rad(g) passes it in, so that the
     radical is computed once.
@@ -127,26 +107,28 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
         return R
     gR = subalgebra_on(g, R)
     ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
-    # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: a dot product with ad_t transposed
-    ads_transposed = [M.transpose().flatten() for M in ads]
+    # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: B flattened times column t
+    traces = Matrix.from_columns([M.transpose().flatten() for M in ads], k * k)
     floor = bracket_subspaces(g, Subspace.full(g.dim), R).dim
-    words = _SpanBuilder()
-    constraints = _SpanBuilder()
-    unexpanded: deque = deque()
-
-    def add_word(M: Matrix) -> None:
-        flat = M.flatten()
-        if words.add(flat):
-            constraints.add([dot(a, flat) for a in ads_transposed])
-            unexpanded.append(M)
-
-    for M in ads:
-        add_word(M)
-    while unexpanded and k - constraints.dim > floor:
-        M = unexpanded.popleft()
-        for G in ads:
-            add_word(G @ M)
-    coords = kernel(Matrix(constraints.rows, k))
+    A = Subspace.zero(k * k)
+    trace_rows: List[Vector] = []
+    coords = Subspace.full(k)  # the kernel of no trace rows
+    words = [M.flatten() for M in ads]
+    while True:
+        grown = Subspace.from_vectors(k * k, A.vectors() + tuple(words))
+        old = set(A.pivots)
+        fresh = tuple(row for row, p in zip(grown.vectors(), grown.pivots) if p not in old)
+        if not fresh:
+            break
+        A = grown
+        trace_rows += (Matrix._unchecked(fresh, k * k) @ traces).rows
+        coords = kernel(Matrix._unchecked(tuple(trace_rows), k))
+        if coords.dim <= floor:
+            break
+        squares = [
+            Matrix._unchecked(tuple(row[i * k:(i + 1) * k] for i in range(k)), k) for row in fresh
+        ]
+        words = [(G @ W).flatten() for W in squares for G in ads]
     nil = Subspace(g.dim, coords.basis @ R.basis)
     ensure(is_ideal(g, nil), "nilradical candidate is not an ideal")
     ensure(
@@ -219,9 +201,10 @@ def _heisenberg_data(
     Reads hbar (the rref generator of the candidate's derived space), the
     other candidate rows as ``v_basis`` and omega off hbar's pivot entry,
     all from one bracket of each pair of candidate rows, and leaves every
-    other condition to the ``HeisenbergIdealData`` constructor.  The reasons name the derived subalgebra, the only
-    candidate whose reason is ever reported; as [g, g] is an ideal, none
-    of them is about ideal-ness.
+    other condition to the ``HeisenbergIdealData`` constructor.  The
+    reasons name the derived subalgebra, the only candidate whose reason
+    is ever reported; as [g, g] is an ideal, none of them is about
+    ideal-ness.
     """
     dim = candidate.dim
     if dim == 0:
@@ -572,7 +555,8 @@ def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
 
 @dataclass(frozen=True)
 class ComplementWitness:
-    """A subalgebra complement to the Heisenberg ideal, with its data."""
+    """A subalgebra complement to the Heisenberg ideal, with the invariant
+    quotient metric it was built from and the c with F = ad(c)."""
 
     complement: Subspace
     quotient_metric: BilinearForm
@@ -615,9 +599,20 @@ def quotient_metric_from_complement(
         raise ValueError("subspace is not a complement to the ideal")
     if not is_subalgebra(g, comp):
         raise ValueError("complement is not a subalgebra")
+    return _metric_on_complement(q, h, comp.vectors(), *quotient(g, h.ideal))
 
-    q_alg, proj = quotient(g, h.ideal)
-    comp_rows = list(comp.vectors())
+
+def _metric_on_complement(
+    q: QuadraticLieAlgebra,
+    h: HeisenbergIdealData,
+    comp_rows: Sequence[Vector],
+    q_alg: LieAlgebra,
+    proj: LinearMap,
+) -> BilinearForm:
+    """The body of ``quotient_metric_from_complement`` on the rows of a
+    subalgebra complement, with the quotient and its projection."""
+    B = q.metric
+    n = q.dim
     d, s_rows = _split_off_d(B, h.hbar, comp_rows)
     if s_rows:
         G_S0 = Matrix(
@@ -694,19 +689,33 @@ def complement_from_quotient_metric(
     derivation ad(c), and {a + Ba(c, a) hbar} is the subalgebra complement.
     The symmetry and commutation identities are asserted on every run.
     Raises ``ValueError`` when ``h`` was found in another algebra or ``Ba``
-    is not an invariant metric on the quotient.
+    is not an invariant metric on the quotient; these checks are on the
+    caller's ``Ba``, and ``has_invariant_quotient_metric`` runs the same
+    construction on its own metric without them.
     """
-    g, B = q.algebra, q.metric
-    n = g.dim
     _require_own_data(q, h)
-    q_alg, proj = quotient(g, h.ideal)
-    qd = q_alg.dim
-    if Ba.dim != qd:
+    q_alg, proj = quotient(q.algebra, h.ideal)
+    if Ba.dim != q_alg.dim:
         raise ValueError("quotient form has the wrong dimension")
     if check_invariant_metric(q_alg, Ba):
         raise ValueError("form is not an invariant metric on the quotient")
+    return _complement_from_metric(q, h, Ba, proj, _complement_brackets(q, h))
 
-    a_vecs, E_inv, brackets = _complement_brackets(q, h)
+
+def _complement_from_metric(
+    q: QuadraticLieAlgebra,
+    h: HeisenbergIdealData,
+    Ba: BilinearForm,
+    proj: LinearMap,
+    complement: Tuple[List[Vector], Matrix, dict],
+) -> ComplementWitness:
+    """The body of ``complement_from_quotient_metric`` on an invariant
+    metric ``Ba`` of the quotient, with the projection onto it and the
+    ``_complement_brackets`` output."""
+    g, B = q.algebra, q.metric
+    n = g.dim
+    qd = proj.target_dim
+    a_vecs, E_inv, brackets = complement
     ensure(len(a_vecs) == qd, "complement dimension mismatch")
 
     # pull the quotient metric back to the complement
@@ -812,7 +821,7 @@ def complement_from_quotient_metric(
 
 def has_invariant_quotient_metric(
     q: QuadraticLieAlgebra, h: HeisenbergIdealData
-) -> Union[BilinearForm, QuotientMetricObstruction]:
+) -> Union[ComplementWitness, QuotientMetricObstruction]:
     """Decide whether g/h_m admits an invariant metric, with a certificate.
 
     A metric exists exactly when a subalgebra complement to h_m does, and
@@ -820,15 +829,20 @@ def has_invariant_quotient_metric(
     form {a_i + lambda_i hbar} on the normalized complement.  So a metric
     exists exactly when beta lambda = mu is solvable (see
     ``QuotientMetricObstruction``), k(k - 1)/2 equations in the k =
-    dim g/h_m unknowns.  When it is, the witness is the first
+    dim g/h_m unknowns.  When it is, the witness metric is the first
     nondegenerate solver-basis form of the quotient, else -2 times their
     sum when that is nondegenerate, else the metric that
-    ``quotient_metric_from_complement`` builds on {a_i + lambda_i hbar}.
-    Otherwise the obstruction is returned.  Raises ``ValueError`` when
-    ``h`` was found in another algebra.
+    ``quotient_metric_from_complement`` builds on {a_i + lambda_i hbar},
+    and the result is the ``ComplementWitness`` that
+    ``complement_from_quotient_metric`` builds from it.  The normalized
+    complement, its brackets and the quotient are computed once for both
+    steps, and the witness metric, invariant by construction, is not
+    checked again.  Otherwise the obstruction is returned.  Raises
+    ``ValueError`` when ``h`` was found in another algebra.
     """
     _require_own_data(q, h)
-    a_vecs, _, brackets = _complement_brackets(q, h)
+    complement = _complement_brackets(q, h)
+    a_vecs, _, brackets = complement
     k = len(a_vecs)
     beta = Matrix([b for b, _ in brackets.values()], k)
     mu = tuple(m for _, m in brackets.values())
@@ -841,19 +855,19 @@ def has_invariant_quotient_metric(
             "unsolvable complement system has no Fredholm certificate",
         )
         return QuotientMetricObstruction(tuple(a_vecs), y)
-    q_alg, _ = quotient(q.algebra, h.ideal)
+    q_alg, proj = quotient(q.algebra, h.ideal)
     forms = invariant_symmetric_forms(q_alg)
-    for form in forms:
-        if form.is_nondegenerate():
-            return form
-    if forms:
+    Ba = next((form for form in forms if form.is_nondegenerate()), None)
+    if Ba is None and forms:
         gram = sum((form.gram for form in forms[1:]), forms[0].gram).scale(-2)
         if gram.det() != 0:
-            return BilinearForm(gram)
-    comp = Subspace.from_vectors(
-        q.dim, [add_vec(a, scale_vec(lam, h.hbar)) for a, lam in zip(a_vecs, lambdas)]
-    )
-    return quotient_metric_from_complement(q, h, comp)
+            Ba = BilinearForm(gram)
+    if Ba is None:
+        comp = Subspace.from_vectors(
+            q.dim, [add_vec(a, scale_vec(lam, h.hbar)) for a, lam in zip(a_vecs, lambdas)]
+        )
+        Ba = _metric_on_complement(q, h, comp.vectors(), q_alg, proj)
+    return _complement_from_metric(q, h, Ba, proj, complement)
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +899,9 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
     is marked not applicable.  Otherwise the clauses verify: the radical is
     an ideal, the metric restricted to it is nondegenerate, it extends the
     nilradical by one line, and recovery on the radical exhibits it as an
-    extended Heisenberg algebra (trivial core).
+    extended Heisenberg algebra (trivial core).  The nilradical is an
+    ideal of g inside the radical, so it is a Heisenberg ideal of the
+    radical too; data not found there is an internal failure.
     """
     g = q.algebra
     rad = radical(g)
@@ -912,10 +928,11 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
         nil_in_rad = Subspace.from_vectors(
             rad.dim, [rad.coordinates_of(v) for v in nil.vectors()]
         )
+        # nil is an ideal of g inside rad, so h's relations hold in rad too
         h_rad = find_heisenberg_ideal(q_rad.algebra, nil_in_rad)
-        if h_rad is not None:
-            recovery = recover_structure(q_rad, h_rad)
-            clause_extended = recovery.s_basis.dim == 0
+        ensure(h_rad is not None, "the nilradical is not a Heisenberg ideal of the radical")
+        recovery = recover_structure(q_rad, h_rad)
+        clause_extended = recovery.s_basis.dim == 0
     clauses = (
         ("radical_is_ideal", clause_ideal),
         ("radical_nondegenerate", clause_nondeg),

@@ -69,6 +69,22 @@ def five_dim_trace_zero():
     )
 
 
+def two_cyclic_shifts():
+    """x and y acting on QQ^3 and QQ^4 by cyclic shifts P_3 and P_4.
+
+    Not nilpotent, but trace(P_n^j) = 0 for 0 < j < n: the nilradical
+    QQ^7 needs the words ad_x^2 and ad_y^3 of the closure, which join it
+    in different rounds.
+    """
+    x_shift = {(0, 2 + i): [(2 + (i + 1) % 3, 1)] for i in range(3)}
+    y_shift = {(1, 5 + i): [(5 + (i + 1) % 4, 1)] for i in range(4)}
+    return LieAlgebra(
+        9,
+        {**x_shift, **y_shift},
+        ["x", "y", "u1", "u2", "u3", "w1", "w2", "w3", "w4"],
+    )
+
+
 def sl2_plus_h1():
     return direct_sum(sl2(), heisenberg(1))
 

@@ -1,24 +1,27 @@
 """Reference implementations kept only as test oracles.
 
 These are the earlier, slower algorithms for the Killing form, the
-nilradical, row reduction (dense, and the sparse elimination on Fraction
-rows that the integer core replaced), the matrix product and determinant
-in Fraction arithmetic, the bracket, the Jacobi and
-invariant-metric checks and the linear systems of the form and skew-derivation solvers (the
-full n^3 invariance system and the system in the n^2 entries of D), the
-earlier stand-alone constructors of h_m(phi) and S(D), an entry-by-entry
-builder of the skew 2-cocycle system, and the per-function bracket loops
-of ``liealg`` (adjoint maps, ideal, subalgebra and derivation tests,
+nilradical (by the four-step closure, and by the word-at-a-time closure
+that the round-wise one on rref subspaces replaced), row reduction
+(dense, and the sparse elimination on Fraction rows that the integer
+core replaced), the matrix product and determinant in Fraction
+arithmetic, the bracket, the Jacobi and invariant-metric checks and the
+linear systems of the form and skew-derivation solvers (the full n^3
+invariance system and the system in the n^2 entries of D), the earlier
+stand-alone constructors of h_m(phi) and S(D), an entry-by-entry builder
+of the skew 2-cocycle system, and the per-function bracket loops of
+``liealg`` (adjoint maps, ideal, subalgebra and derivation tests,
 subalgebra, quotient and transported structures, centralizers, generated
-ideals, [g, W]) and of the coadjoint double.  The library replaced
-them with sparse, direct versions and with special cases of the one
-builder; the tests compare the two on many inputs and require identical
+ideals, [g, W]) and of the coadjoint double.  The library replaced them
+with sparse, direct versions and with special cases of the one builder;
+the tests compare the two on many inputs and require identical
 values.  The seeded probe for an invariant metric on g/h_m, which the
 exact decision replaced, stays too; the tests require the two to agree
 on existence, and re-check each obstruction from brackets solved anew.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import List, Optional, Sequence, Tuple, Union
@@ -447,6 +450,43 @@ def nilradical_four_step(g: LieAlgebra) -> Subspace:
                 v = add_vec(v, scale_vec(c, R.vectors()[t]))
         ambient_vecs.append(v)
     return Subspace.from_vectors(g.dim, ambient_vecs)
+
+
+def nilradical_incremental(g: LieAlgebra) -> Subspace:
+    """Nilradical by growing the word span of ad_R(e_t) one word at a time.
+
+    Each word that enlarges the span is reduced against the earlier words
+    and adds one trace row trace(ad_t M); its left products with the
+    generators are queued.  The closure stops when the queue is empty or
+    the trace rows leave a kernel of dimension dim [g, R].  No certificates
+    are checked here.
+    """
+    R = radical_by_products(g)
+    k = R.dim
+    if k == 0:
+        return R
+    gR = subalgebra_on(g, R)
+    ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
+    ads_transposed = [M.transpose().flatten() for M in ads]
+    floor = bracket_subspaces_by_pairs(g, Subspace.full(g.dim), R).dim
+    words = _SpanBuilder()
+    constraints = _SpanBuilder()
+    unexpanded: deque = deque()
+
+    def add_word(M: Matrix) -> None:
+        flat = M.flatten()
+        if words.add(flat):
+            constraints.add([dot(a, flat) for a in ads_transposed])
+            unexpanded.append(M)
+
+    for M in ads:
+        add_word(M)
+    while unexpanded and k - len(constraints.rows) > floor:
+        M = unexpanded.popleft()
+        for G in ads:
+            add_word(G @ M)
+    coords = kernel(Matrix(constraints.rows, k))
+    return Subspace(g.dim, coords.basis @ R.basis)
 
 
 def extend_heisenberg_direct(

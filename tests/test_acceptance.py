@@ -47,7 +47,6 @@ from quadlie.liealg import (
     transport_subspace,
 )
 from quadlie.quadform import (
-    BilinearForm,
     check_invariant_metric,
     invariant_symmetric_forms,
     split_by_nondegenerate_ideal,
@@ -57,6 +56,7 @@ from quadlie.randomized import random_build_input, random_unimodular
 from quadlie.structure import (
     DecomposableVerdict,
     ExtendedHeisenbergVerdict,
+    ComplementWitness,
     NotApplicableVerdict,
     complement_from_quotient_metric,
     find_heisenberg_ideal,
@@ -291,11 +291,13 @@ def test_criterion_7_quotient_metric_both_directions():
         assert is_subalgebra(g, witness.complement)
         assert witness.complement.dim + h.ideal.dim == g.dim
 
-        # a second validated metric from the search also round-trips
+        # the decision's metric and complement also round-trip
         found = has_invariant_quotient_metric(q, h)
-        assert isinstance(found, BilinearForm)
-        witness2 = complement_from_quotient_metric(q, h, found)
-        again = quotient_metric_from_complement(q, h, witness2.complement)
+        assert isinstance(found, ComplementWitness)
+        assert check_invariant_metric(q_alg, found.quotient_metric) == []
+        assert found == complement_from_quotient_metric(q, h, found.quotient_metric)
+        assert is_subalgebra(g, found.complement)
+        again = quotient_metric_from_complement(q, h, found.complement)
         assert check_invariant_metric(q_alg, again) == []
     print("\nACCEPTANCE 7 quotient-metric theorem both directions: PASS")
 

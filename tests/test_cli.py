@@ -232,14 +232,39 @@ def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys
     assert err == "error: internal verification failed: nilradical candidate is not an ideal\n"
 
 
+def test_missing_heisenberg_data_on_the_radical_is_an_internal_failure(monkeypatch, capsys):
+    """The nilradical theorem check looks for the Heisenberg data twice: on
+    g, and on the radical it restricts to.  Data found on g but not on the
+    radical contradicts the theory, so analyze exits 3 instead of reporting
+    a failed clause."""
+    original = structure.find_heisenberg_ideal
+    seen = []
+
+    def lost_on_the_radical(g, candidate):
+        seen.append(g)
+        return original(g, candidate) if len(seen) == 1 else None
+
+    monkeypatch.setattr(structure, "find_heisenberg_ideal", lost_on_the_radical)
+    code, out, err = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
+    assert len(seen) == 2
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == (
+        "error: internal verification failed: "
+        "the nilradical is not a Heisenberg ideal of the radical\n"
+    )
+
+
 def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     """One analyze pass of h2_phi: one nilradical; one radical (the theorem
     check's, passed on to the nilradical); two recoveries (the recognizer's,
     which the report reuses, and the theorem check's on the radical); one
-    Jacobi check and two invariance checks (the document's metric, and the
-    quotient form that the complement step is given).  Recovery certifies
-    its core and rebuild by the round trip and restriction inherits both
-    properties, so neither checks again."""
+    Jacobi check and one invariance check (the document's metric: the
+    quotient metric that the decision picks is invariant by construction);
+    one normalized complement with its brackets and one quotient, shared by
+    the quotient-metric decision and the complement it returns.  Recovery
+    certifies its core and rebuild by the round trip and restriction
+    inherits both properties, so neither checks again."""
     calls = {}
 
     def count(name, original):
@@ -255,9 +280,10 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
 
-    for name in ("nilradical", "radical", "recover_structure"):
+    for name in ("nilradical", "radical", "recover_structure", "_complement_brackets"):
         count(name, getattr(structure, name))
     count("check_jacobi", liealg.check_jacobi)
+    count("quotient", liealg.quotient)
     count("check_invariant_metric", quadform.check_invariant_metric)
     code, _, _ = run_cli(["analyze", corpus_path("h2_phi.algebra.json")], capsys)
     assert code == 0
@@ -265,8 +291,10 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
         "nilradical": 1,
         "radical": 1,
         "recover_structure": 2,
+        "_complement_brackets": 1,
         "check_jacobi": 1,
-        "check_invariant_metric": 2,
+        "quotient": 1,
+        "check_invariant_metric": 1,
     }
 
 

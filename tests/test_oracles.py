@@ -1,7 +1,8 @@
-"""The direct Killing form, nilradical, constructors, sparse row reduction,
-integer matrix product and determinant, bracket, solver systems,
-Jacobi/invariance checks and the ``liealg`` bracket kernels against the
-earlier algorithms, also over structure constants with denominators.
+"""The direct Killing form, nilradical (also against the word-at-a-time
+closure), constructors, sparse row reduction, integer matrix product and
+determinant, bracket, solver systems, Jacobi/invariance checks and the
+``liealg`` bracket kernels against the earlier algorithms, also over
+structure constants with denominators.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -37,6 +38,7 @@ from oracles import (
     killing_form_by_products,
     matmul_fraction,
     nilradical_four_step,
+    nilradical_incremental,
     quotient_by_reduction,
     rref_dense,
     rref_rows_fraction,
@@ -172,7 +174,7 @@ def _random_build(seed):
 
 def _assert_matches_oracles(g):
     assert killing_form(g) == killing_form_by_products(g)
-    assert nilradical(g) == nilradical_four_step(g)
+    assert nilradical(g) == nilradical_four_step(g) == nilradical_incremental(g)
 
 
 def test_fixture_and_corpus_lists_are_found():
@@ -195,6 +197,22 @@ def test_random_builds_match_oracles(seed):
     _assert_matches_oracles(g)
     _assert_rref_matches_oracles(_dense(_invariance_system(g)))
     _assert_rref_matches_oracles(_dense(_cocycle_system(g)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nilradical_matches_word_closure_on_larger_random_builds(seed):
+    """Dims 4 to 15, where the four-step oracle is too slow.  On seed 4
+    (dim 15) Nil(g) is larger than [g, R], so the closure runs to the end;
+    seeds 0 and 7 stop once the kernel reaches [g, R]."""
+    rng = random.Random(seed)
+    q = build_with_heisenberg_ideal(*random_build_input(rng, 4, 6))
+    g = transport_quadratic(q, random_unimodular(rng, q.dim)).algebra
+    assert 4 <= g.dim <= 15
+    nil = nilradical(g)
+    assert nil == nilradical_incremental(g)
+    if seed == 4:
+        assert g.dim == 15
+        assert nil.dim > bracket_subspaces(g, Subspace.full(g.dim), radical(g)).dim
 
 
 CONSTRUCTOR_SEEDS = range(40)

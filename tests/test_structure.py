@@ -64,6 +64,7 @@ from quadlie.randomized import (
     random_unimodular,
 )
 from quadlie.structure import (
+    ComplementWitness,
     DecomposableVerdict,
     ExtendedHeisenbergVerdict,
     HeisenbergIdealData,
@@ -636,10 +637,10 @@ def test_complement_roundtrip_on_fixtures():
     for q in fixtures:
         h = _heis_of(q)
         q_alg, _ = quotient(q.algebra, h.ideal)
-        Ba = has_invariant_quotient_metric(q, h)
-        assert isinstance(Ba, BilinearForm)
-        assert check_invariant_metric(q_alg, Ba) == []
-        witness = complement_from_quotient_metric(q, h, Ba)
+        witness = has_invariant_quotient_metric(q, h)
+        assert isinstance(witness, ComplementWitness)
+        assert check_invariant_metric(q_alg, witness.quotient_metric) == []
+        assert witness == complement_from_quotient_metric(q, h, witness.quotient_metric)
         assert is_subalgebra(q.algebra, witness.complement)
         again = quotient_metric_from_complement(q, h, witness.complement)
         assert check_invariant_metric(q_alg, again) == []
@@ -649,8 +650,9 @@ def test_complement_inner_witness_identity():
     """F = ad(c) exactly: the hbar part of complement brackets matches."""
     q = build_sl2_fixture()
     h = _heis_of(q)
-    Ba = has_invariant_quotient_metric(q, h)
-    witness = complement_from_quotient_metric(q, h, Ba)
+    found = has_invariant_quotient_metric(q, h)
+    witness = complement_from_quotient_metric(q, h, found.quotient_metric)
+    assert witness == found
     g = q.algebra
     rows = witness.complement.vectors()
     for x in rows:
@@ -662,14 +664,15 @@ def test_complement_inner_witness_identity():
 def test_has_invariant_quotient_metric_cases():
     q = h1_phi()
     h = _heis_of(q)
-    assert isinstance(has_invariant_quotient_metric(q, h), BilinearForm)
+    assert isinstance(has_invariant_quotient_metric(q, h), ComplementWitness)
 
     q2 = build_sl2_fixture()
     h2 = _heis_of(q2)
-    form = has_invariant_quotient_metric(q2, h2)
-    assert isinstance(form, BilinearForm)
+    witness = has_invariant_quotient_metric(q2, h2)
+    assert isinstance(witness, ComplementWitness)
     q_alg, _ = quotient(q2.algebra, h2.ideal)
-    assert check_invariant_metric(q_alg, form) == []
+    assert check_invariant_metric(q_alg, witness.quotient_metric) == []
+    assert is_subalgebra(q2.algebra, witness.complement)
 
     # invertible D on an abelian core: over the V ⊕ hbar ideal the quotient
     # is d acting invertibly on QQ^2, which admits no invariant metric
@@ -685,9 +688,10 @@ def test_quotient_metric_decision_agrees_with_probe_on_random_builds():
     """60 seeded builds (core dim <= 4, m <= 3) moved by a unimodular base
     change, over the builder's ideal: the decision agrees with the seeded
     probe on existence, each obstruction re-checks against brackets solved
-    anew, and each metric is invariant and round-trips through its
-    complement subalgebra."""
-    seen = {BilinearForm: 0, QuotientMetricObstruction: 0}
+    anew, and each metric is invariant, comes with the complement that
+    ``complement_from_quotient_metric`` builds from it, and round-trips
+    through that complement subalgebra."""
+    seen = {ComplementWitness: 0, QuotientMetricObstruction: 0}
     for seed in range(60):
         rng = random.Random(seed)
         S, D, V, sigma = random_build_input(rng, max_core_dim=4, max_m=3)
@@ -699,18 +703,18 @@ def test_quotient_metric_decision_agrees_with_probe_on_random_builds():
         found = has_invariant_quotient_metric(moved, h)
         seen[type(found)] += 1
         probe = quotient_metric_probe(moved, h)
-        assert isinstance(found, BilinearForm) == (probe is not None), seed
+        assert isinstance(found, ComplementWitness) == (probe is not None), seed
         if isinstance(found, QuotientMetricObstruction):
             assert obstruction_holds(
                 moved.algebra, found.complement, h.v_basis, h.hbar, found.y
             ), seed
             continue
         q_alg, _ = quotient(moved.algebra, h.ideal)
-        assert check_invariant_metric(q_alg, found) == [], seed
-        witness = complement_from_quotient_metric(moved, h, found)
-        again = quotient_metric_from_complement(moved, h, witness.complement)
+        assert check_invariant_metric(q_alg, found.quotient_metric) == [], seed
+        assert found == complement_from_quotient_metric(moved, h, found.quotient_metric), seed
+        again = quotient_metric_from_complement(moved, h, found.complement)
         assert check_invariant_metric(q_alg, again) == [], seed
-    assert seen[BilinearForm] > 0 and seen[QuotientMetricObstruction] > 0
+    assert seen[ComplementWitness] > 0 and seen[QuotientMetricObstruction] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +775,10 @@ def test_full_pipeline_at_max_dimensions():
     h = find_heisenberg_ideal(moved.algebra, transport_subspace(ideal, P))
     rec = recover_structure(moved, h)
     assert rec.s_basis.dim == 4
-    Ba = has_invariant_quotient_metric(moved, h)
-    if isinstance(Ba, BilinearForm):
-        witness = complement_from_quotient_metric(moved, h, Ba)
-        again = quotient_metric_from_complement(moved, h, witness.complement)
+    found = has_invariant_quotient_metric(moved, h)
+    if isinstance(found, ComplementWitness):
+        assert found == complement_from_quotient_metric(moved, h, found.quotient_metric)
+        again = quotient_metric_from_complement(moved, h, found.complement)
         q_alg, _ = quotient(moved.algebra, h.ideal)
         assert check_invariant_metric(q_alg, again) == []
     verify_nilradical_theorem(moved)

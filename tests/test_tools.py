@@ -59,6 +59,12 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
     line = time_solvers.time_solvers((4, False, 2))
     assert line["shape"] == [4, False, 2] and line["dim"] == 10
     assert (line["skew_derivations"], line["invariant_forms"]) == (10, 5)
-    for key in ("skew_derivation_space_s", "invariant_symmetric_forms_s", "quadratic_constructor_s"):
+    assert line["nilradical_dim"] == 8
+    for key in (
+        "skew_derivation_space_s",
+        "invariant_symmetric_forms_s",
+        "quadratic_constructor_s",
+        "nilradical_s",
+    ):
         assert isinstance(line[key], float) and line[key] >= 0
     assert json.loads(json.dumps(line)) == line

@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Time the two large exact solvers and constructor validation at the scale
-of the benchmark grid.
+"""Time the two large exact solvers, constructor validation and the
+nilradical at the scale of the benchmark grid.
 
 Builds the fixed ``bench.workloads.grid_algebras`` shapes (4, False, m) for
 m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
 10, 12, ..., 20, and times ``quadform.skew_derivation_space``,
-``quadform.invariant_symmetric_forms`` and the validating constructor
+``quadform.invariant_symmetric_forms``, the validating constructor
 ``QuadraticLieAlgebra(algebra, metric)`` (the Jacobi identity and the
-invariant-metric check) once each on every shape.  Each shape is its own
+invariant-metric check) and ``structure.nilradical`` (with the radical it
+computes first) once each on every shape.  Each shape is its own
 one-entry grid, so the dim-10 algebra is the first one of the
 ``grid_forms`` workload.  Standard library only, no options:
 
     python tools/time_solvers.py
 
 Prints one JSON line per shape: the shape, the dimension, the seconds of
-each call (``time.perf_counter``, one call, set-up excluded) and the
-dimension of each solution space.  Single runs on a shared machine vary;
+each call (``time.perf_counter``, one call, set-up excluded), the
+dimension of each solution space and that of the nilradical.  Single runs on a shared machine vary;
 repeat the command to see the spread.
 """
 
@@ -35,13 +36,14 @@ from quadlie.quadform import (  # noqa: E402
     invariant_symmetric_forms,
     skew_derivation_space,
 )
+from quadlie.structure import nilradical  # noqa: E402
 
 SHAPES = tuple((4, False, m) for m in range(2, 8))
 
 
 def time_solvers(shape) -> dict:
-    """One timed call of each solver and of the validating constructor on
-    the grid algebra of ``shape``."""
+    """One timed call of each solver, of the validating constructor and of
+    the nilradical on the grid algebra of ``shape``."""
     q = grid_algebras([shape])[0]
     start = time.perf_counter()
     skew = skew_derivation_space(q)
@@ -50,6 +52,8 @@ def time_solvers(shape) -> dict:
     end = time.perf_counter()
     QuadraticLieAlgebra(q.algebra, q.metric)
     validated = time.perf_counter()
+    nil = nilradical(q.algebra)
+    nil_end = time.perf_counter()
     return {
         "shape": list(shape),
         "dim": q.dim,
@@ -58,6 +62,8 @@ def time_solvers(shape) -> dict:
         "invariant_symmetric_forms_s": round(end - middle, 4),
         "invariant_forms": len(forms),
         "quadratic_constructor_s": round(validated - end, 4),
+        "nilradical_s": round(nil_end - validated, 4),
+        "nilradical_dim": nil.dim,
     }
 
 
