@@ -9,6 +9,7 @@ verification failed (a certificate the theory guarantees did not hold).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional, Tuple
 
@@ -330,10 +331,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "construct":
-            import json as _json
-
             try:
-                data = _json.loads(_read_input(args.input))
+                data = json.loads(_read_input(args.input))
             except (ValueError, RecursionError) as exc:
                 raise DocumentError(f"invalid JSON: {exc}") from exc
             try:

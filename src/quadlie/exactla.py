@@ -116,7 +116,10 @@ class Matrix:
     """Immutable dense matrix of rationals.
 
     ``rows`` is a tuple of row tuples.  The column count is stored
-    explicitly so that 0-row matrices keep their shape.
+    explicitly so that 0-row matrices keep their shape.  The constructor
+    is the boundary for outside input and coerces every entry with
+    ``rat``; the operations below, whose entries are Fractions already,
+    build their results with ``_unchecked``.
     """
 
     __slots__ = ("rows", "ncols")
@@ -157,11 +160,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vector(n, i) for i in range(n)], n)
+        return cls._unchecked(tuple(unit_vector(n, i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([zero_vector(ncols)] * nrows, ncols)
+        return cls._unchecked((zero_vector(ncols),) * nrows, ncols)
 
     @classmethod
     def diagonal(cls, entries: Iterable[Scalar]) -> "Matrix":
@@ -216,15 +219,15 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [add_vec(r, s) for r, s in zip(self.rows, other.rows)], self.ncols
+        return Matrix._unchecked(
+            tuple(add_vec(r, s) for r, s in zip(self.rows, other.rows)), self.ncols
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [sub_vec(r, s) for r, s in zip(self.rows, other.rows)], self.ncols
+        return Matrix._unchecked(
+            tuple(sub_vec(r, s) for r, s in zip(self.rows, other.rows)), self.ncols
         )
 
     def __neg__(self) -> "Matrix":
@@ -232,7 +235,9 @@ class Matrix:
 
     def scale(self, c: Scalar) -> "Matrix":
         c = rat(c)
-        return Matrix([[c * x for x in row] for row in self.rows], self.ncols)
+        return Matrix._unchecked(
+            tuple(tuple(c * x for x in row) for row in self.rows), self.ncols
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product on integer numerators.
@@ -266,14 +271,14 @@ class Matrix:
         return tuple(dot(row, v) for row in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [self.column(j) for j in range(self.ncols)], self.nrows
+        return Matrix._unchecked(
+            tuple(self.column(j) for j in range(self.ncols)), self.nrows
         )
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return Matrix(self.rows + other.rows, self.ncols)
+        return Matrix._unchecked(self.rows + other.rows, self.ncols)
 
     def sparse_rows(self) -> list:
         """The rows as fresh dicts {column: entry} of the nonzero entries."""
@@ -336,13 +341,13 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        augmented = Matrix(
-            [row + unit_vector(n, i) for i, row in enumerate(self.rows)], 2 * n
+        augmented = Matrix._unchecked(
+            tuple(row + unit_vector(n, i) for i, row in enumerate(self.rows)), 2 * n
         )
         reduced, pivots = augmented.rref()
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced.rows], n)
+        return Matrix._unchecked(tuple(row[n:] for row in reduced.rows), n)
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self == self.transpose()
@@ -555,7 +560,7 @@ class Subspace:
         reduced, pivots = basis.rref()
         rows = reduced.rows[: len(pivots)]
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix(rows, ambient_dim))
+        object.__setattr__(self, "basis", Matrix._unchecked(rows, ambient_dim))
         object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):

@@ -10,10 +10,10 @@ coadjoint-double example generator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import InternalVerificationError
-from .exactla import Matrix, Subspace, unit_vector, vector
+from .exactla import Matrix, Subspace, unit_vector
 from .liealg import LieAlgebra, LinearMap, check_jacobi, is_derivation
 from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
@@ -57,11 +57,6 @@ class SymplecticSpace:
     @property
     def dim(self) -> int:
         return self.omega.nrows
-
-    def pairing(self, u: Sequence, v: Sequence) -> Fraction:
-        from .exactla import dot
-
-        return dot(self.omega.apply(vector(u)), vector(v))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticSpace) and self.omega == other.omega

@@ -56,12 +56,10 @@ def random_invertible_omega_skew(
             return f
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = None) -> Matrix:
-    """Product of elementary operations: invertible with determinant ±1."""
-    if steps is None:
-        steps = 3 * n
+def random_unimodular(rng: random.Random, n: int) -> Matrix:
+    """Product of 3n elementary operations: invertible with determinant ±1."""
     rows = [list(row) for row in Matrix.identity(n).rows]
-    for _ in range(steps):
+    for _ in range(3 * n):
         op = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
 from .exactla import (
     Matrix,
     Subspace,
     Vector,
-    add_vec,
     dot,
     form_restrict_nondegenerate,
     is_zero_vec,
@@ -29,7 +28,6 @@ from .exactla import (
     sub_vec,
     sum_intersect,
     unit_vector,
-    zero_vector,
 )
 from .heisenberg import SymplecticMap, SymplecticSpace, _assemble, in_omega_algebra
 from .liealg import (
@@ -331,7 +329,8 @@ def _split_off_d(
 ) -> Tuple[Vector, List[Vector]]:
     """d = a / B(a, hbar) for the first row a with B(a, hbar) != 0, and the
     other rows minus their B(., hbar) multiple of d (so B(., hbar) = 0)."""
-    eta = [B.evaluate(a, hbar) for a in rows]
+    B_hbar = B.gram.apply(hbar)
+    eta = [dot(a, B_hbar) for a in rows]
     jd = next((i for i, x in enumerate(eta) if x != 0), None)
     ensure(jd is not None, "B(., hbar) vanishes on the complement")
     d = scale_vec(1 / eta[jd], rows[jd])
@@ -589,7 +588,7 @@ def quotient_metric_from_complement(
     metric on the quotient.  Raises ``ValueError`` when ``h`` was found in
     another algebra or ``comp`` is not a subalgebra complement.
     """
-    g, B = q.algebra, q.metric
+    g = q.algebra
     n = g.dim
     _require_own_data(q, h)
     if comp.ambient_dim != n:
@@ -599,55 +598,45 @@ def quotient_metric_from_complement(
         raise ValueError("subspace is not a complement to the ideal")
     if not is_subalgebra(g, comp):
         raise ValueError("complement is not a subalgebra")
-    return _metric_on_complement(q, h, comp.vectors(), *quotient(g, h.ideal))
+    return _metric_on_complement(q, h, comp.basis, *quotient(g, h.ideal))
+
+
+def _outer(x: Vector, y: Vector) -> Matrix:
+    """The matrix x y^T, with entries x_i y_j."""
+    return Matrix([[a * b for b in y] for a in x], len(y))
 
 
 def _metric_on_complement(
     q: QuadraticLieAlgebra,
     h: HeisenbergIdealData,
-    comp_rows: Sequence[Vector],
+    C: Matrix,
     q_alg: LieAlgebra,
     proj: LinearMap,
 ) -> BilinearForm:
-    """The body of ``quotient_metric_from_complement`` on the rows of a
-    subalgebra complement, with the quotient and its projection."""
-    B = q.metric
-    n = q.dim
-    d, s_rows = _split_off_d(B, h.hbar, comp_rows)
-    if s_rows:
-        G_S0 = Matrix(
-            [[B.evaluate(a, b) for b in s_rows] for a in s_rows], len(s_rows)
-        )
-        rhs = tuple(B.evaluate(d, s) for s in s_rows)
-        correction = solve(G_S0, rhs)
-        ensure(correction is not None, "cannot orthogonalize d against S")
-        for i, c in enumerate(correction):
-            if c != 0:
-                d = sub_vec(d, scale_vec(c, s_rows[i]))
-        for s in s_rows:
-            ensure(B.evaluate(d, s) == 0, "d orthogonalization failed")
+    """The body of ``quotient_metric_from_complement`` on the rows of C, a
+    basis of a subalgebra complement, with the quotient and its projection.
 
-    pi_cols = Matrix.from_columns([proj.apply(r) for r in comp_rows], q_alg.dim)
-    ensure(pi_cols.is_invertible(), "complement does not project onto the quotient")
-    pi_inv = pi_cols.inverse()
-    reps = []
-    for t in range(q_alg.dim):
-        coeffs = pi_inv.apply(unit_vector(q_alg.dim, t))
-        rep = zero_vector(n)
-        for s, c in enumerate(coeffs):
-            if c != 0:
-                rep = add_vec(rep, scale_vec(c, comp_rows[s]))
-        reps.append(rep)
-    lambdas = [B.evaluate(rep, h.hbar) for rep in reps]
-    s_parts = [sub_vec(rep, scale_vec(lam, d)) for rep, lam in zip(reps, lambdas)]
-    gram_rows = [
-        [
-            B.evaluate(s_parts[t], s_parts[u]) + lambdas[t] * lambdas[u]
-            for u in range(q_alg.dim)
-        ]
-        for t in range(q_alg.dim)
-    ]
-    form = BilinearForm(Matrix(gram_rows, q_alg.dim))
+    With pi the matrix whose columns are the projections of the rows of C,
+    the representatives of the quotient basis are the rows of pi^-T C;
+    with lambda their B(., hbar) and S = reps - lambda d^T, the Gram matrix
+    is S G S^T + lambda lambda^T, G the Gram matrix of B.
+    """
+    G = q.metric.gram
+    d, s_rows = _split_off_d(q.metric, h.hbar, C.rows)
+    if s_rows:
+        S0 = Matrix(s_rows, q.dim)
+        S0G = S0 @ G
+        correction = solve(S0G @ S0.transpose(), S0G.apply(d))
+        ensure(correction is not None, "cannot orthogonalize d against S")
+        d = sub_vec(d, S0.transpose().apply(correction))
+        ensure(is_zero_vec(S0G.apply(d)), "d orthogonalization failed")
+
+    pi = proj.matrix @ C.transpose()
+    ensure(pi.is_invertible(), "complement does not project onto the quotient")
+    reps = pi.inverse().transpose() @ C
+    lambdas = (reps @ G).apply(h.hbar)
+    S = reps - _outer(lambdas, d)
+    form = BilinearForm(S @ G @ S.transpose() + _outer(lambdas, lambdas))
     ensure(
         not check_invariant_metric(q_alg, form),
         "constructed quotient form is not an invariant metric",
@@ -657,25 +646,28 @@ def _metric_on_complement(
 
 def _complement_brackets(
     q: QuadraticLieAlgebra, h: HeisenbergIdealData
-) -> Tuple[List[Vector], Matrix, dict]:
-    """The normalized complement a_1, ..., a_k, the inverse of the basis
-    E = (a..., v..., hbar), and {(i, j): (beta_ij, mu_ij)} for i < j in
-    lexicographic order, where [a_i, a_j] = sum_l beta_ij^l a_l + mu_ij hbar.
-    The brackets are ensured to have no V-component."""
+) -> Tuple[Matrix, Matrix, Matrix, Vector]:
+    """(A, E^-1, beta, mu): A the matrix whose rows are the normalized
+    complement a_1, ..., a_k, E^-1 the inverse of the basis E = (a..., v...,
+    hbar), and [a_i, a_j] = sum_l beta_ij^l a_l + mu_ij hbar for the pairs
+    i < j in lexicographic order, beta the matrix with rows beta_ij and mu
+    the vector of the mu_ij.  The brackets are ensured to have no
+    V-component."""
     n = q.dim
     a_vecs = _normalized_complement(q, h)
     k = len(a_vecs)
     E = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n)
     ensure(E.is_invertible(), "complement plus ideal is not a basis")
     E_inv = E.inverse()
-    brackets = {}
+    beta, mu = [], []
     for i, j in combinations(range(k), 2):
         coords = E_inv.apply(bracket(q.algebra, a_vecs[i], a_vecs[j]))
         ensure(
             is_zero_vec(coords[k:n - 1]), "[a, b] has a V-component on the normalized complement"
         )
-        brackets[(i, j)] = (coords[:k], coords[n - 1])
-    return a_vecs, E_inv, brackets
+        beta.append(coords[:k])
+        mu.append(coords[n - 1])
+    return Matrix(a_vecs, n), E_inv, Matrix(beta, k), tuple(mu)
 
 
 def complement_from_quotient_metric(
@@ -707,104 +699,83 @@ def _complement_from_metric(
     h: HeisenbergIdealData,
     Ba: BilinearForm,
     proj: LinearMap,
-    complement: Tuple[List[Vector], Matrix, dict],
+    complement: Tuple[Matrix, Matrix, Matrix, Vector],
 ) -> ComplementWitness:
     """The body of ``complement_from_quotient_metric`` on an invariant
     metric ``Ba`` of the quotient, with the projection onto it and the
-    ``_complement_brackets`` output."""
-    g, B = q.algebra, q.metric
+    ``_complement_brackets`` output.
+
+    Works in complement coordinates, with products of whole matrices: A
+    has the rows a_i and G is the Gram matrix of B.  The pulled-back metric
+    is G_a = pi^T Ba pi with pi = p A^T; B on the complement is A G A^T, and
+    eta = A G hbar.  One pass over the brackets fills the skew matrix of
+    the mu_ij and the matrix K with K c = ad(c), flattened row by row.  The
+    complement rows are A + (G_a c) hbar^T, and c is A^T c in g.
+    """
+    g, G = q.algebra, q.metric.gram
     n = g.dim
     qd = proj.target_dim
-    a_vecs, E_inv, brackets = complement
-    ensure(len(a_vecs) == qd, "complement dimension mismatch")
+    A, E_inv, beta, mu = complement
+    ensure(A.nrows == qd, "complement dimension mismatch")
 
     # pull the quotient metric back to the complement
-    pi_a = [proj.apply(a) for a in a_vecs]
-    ensure(
-        Matrix.from_columns(pi_a, qd).is_invertible(),
-        "complement does not project onto the quotient",
-    )
-    G_a = Matrix(
-        [[Ba.evaluate(pi_a[i], pi_a[j]) for j in range(qd)] for i in range(qd)],
-        qd,
-    )
+    pi = proj.matrix @ A.transpose()  # column i = p(a_i)
+    ensure(pi.is_invertible(), "complement does not project onto the quotient")
+    G_a = pi.transpose() @ Ba.gram @ pi
     ensure(G_a.det() != 0, "pulled-back quotient metric is degenerate")
     G_a_inv = G_a.inverse()
 
-    # the hbar-part of the brackets on the complement, as a skew matrix
+    # the hbar-part of the brackets as a skew matrix, and ad as K
     mu_rows = [[Fraction(0)] * qd for _ in range(qd)]
-    for (i, j), (_, mu_ij) in brackets.items():
-        mu_rows[i][j] = mu_ij
-        mu_rows[j][i] = -mu_ij
-    mu = Matrix(mu_rows, qd)
-
-    def bracket_a(i: int, j: int) -> Vector:
-        if i == j:
-            return zero_vector(qd)
-        if i < j:
-            return brackets[(i, j)][0]
-        return scale_vec(-1, brackets[(j, i)][0])
+    K_rows = [[Fraction(0)] * qd for _ in range(qd * qd)]
+    for (i, j), beta_ij, mu_ij in zip(combinations(range(qd), 2), beta.rows, mu):
+        mu_rows[i][j], mu_rows[j][i] = mu_ij, -mu_ij
+        for r, x in enumerate(beta_ij):
+            K_rows[r * qd + j][i], K_rows[r * qd + i][j] = x, -x
+    K = Matrix(K_rows, qd)
 
     # varphi(a_i) = B#(Ba(a_i, p(.)))
-    p_matrix = Matrix(E_inv.rows[:qd], n)
-    alpha = G_a @ p_matrix  # row i = the covector Ba(a_i, p(.))
+    alpha = G_a @ Matrix(E_inv.rows[:qd], n)  # row i = the covector Ba(a_i, p(.))
     T_cols = []
-    beta = []
-    for i in range(qd):
-        varphi_i = solve(B.gram, alpha.row(i))
+    varphi_hbar = []
+    for row in alpha.rows:
+        varphi_i = solve(G, row)
         ensure(varphi_i is not None, "metric failed to invert")
         coords = E_inv.apply(varphi_i)
         ensure(is_zero_vec(coords[qd:n - 1]), "varphi has a V-component")
         T_cols.append(coords[:qd])
-        beta.append(coords[n - 1])
+        varphi_hbar.append(coords[n - 1])
     T = Matrix.from_columns(T_cols, qd)
-    e_coords = solve(G_a, tuple(beta))
-    ensure(e_coords is not None, "no element e with Ba(e, .) matching varphi")
+    e = solve(G_a, varphi_hbar)
+    ensure(e is not None, "no element e with Ba(e, .) matching varphi")
 
     # Ba-symmetry of T (asserted on every run)
     ensure(T.transpose() @ G_a == G_a @ T, "T is not Ba-symmetric")
 
     # F from mu(a, b) = Ba(F(a), b)
-    F = G_a_inv @ mu.transpose()
+    F = G_a_inv @ Matrix(mu_rows, qd).transpose()
 
     # e: a = T(phi(a)) + B(a, hbar) e on the complement, and B(e, hbar) = 1
-    G_res = Matrix(
-        [[B.evaluate(a_vecs[i], a_vecs[j]) for j in range(qd)] for i in range(qd)],
-        qd,
+    AG = A @ G
+    phi = G_a_inv @ AG @ A.transpose()  # column i = phi(a_i)
+    eta = AG.apply(h.hbar)
+    ensure(
+        T @ phi + _outer(e, eta) == Matrix.identity(qd),
+        "decomposition a = T(phi(a)) + B(a, hbar) e failed",
     )
-    phi_on_a = G_a_inv @ G_res  # column i = phi(a_i) in complement coordinates
-    eta = [B.evaluate(a, h.hbar) for a in a_vecs]
-    for i in range(qd):
-        lhs = unit_vector(qd, i)
-        rhs = add_vec(
-            T.apply(phi_on_a.column(i)), scale_vec(eta[i], e_coords)
-        )
-        ensure(lhs == rhs, "decomposition a = T(phi(a)) + B(a, hbar) e failed")
-    eta_e = sum((c * eta[s] for s, c in enumerate(e_coords)), Fraction(0))
-    ensure(eta_e == 1, "B(e, hbar) != 1")
+    ensure(dot(e, eta) == 1, "B(e, hbar) != 1")
 
     # T∘F = F∘T = ad(e) (asserted on every run)
-    ad_mats = [
-        Matrix.from_columns([bracket_a(s, j) for j in range(qd)], qd)
-        for s in range(qd)
-    ]
-    ad_e = Matrix.zeros(qd, qd)
-    for s, c in enumerate(e_coords):
-        if c != 0:
-            ad_e = ad_e + ad_mats[s].scale(c)
+    ad_e_flat = K.apply(e)
+    ad_e = Matrix([ad_e_flat[r * qd:(r + 1) * qd] for r in range(qd)], qd)
     ensure(T @ F == ad_e, "T∘F != ad(e)")
     ensure(F @ T == ad_e, "F∘T != ad(e)")
 
     # F is inner: solve F = ad(c)
-    K = Matrix.from_columns([M.flatten() for M in ad_mats], qd * qd)
-    c_coords = solve(K, F.flatten())
-    ensure(c_coords is not None, "F is not an inner derivation")
+    c = solve(K, F.flatten())
+    ensure(c is not None, "F is not an inner derivation")
 
-    weights = G_a.apply(c_coords)  # Ba(c, a_i)
-    comp_rows = [
-        add_vec(a, scale_vec(weights[i], h.hbar)) for i, a in enumerate(a_vecs)
-    ]
-    comp = Subspace.from_vectors(n, comp_rows)
+    comp = Subspace(n, A + _outer(G_a.apply(c), h.hbar))  # rows a_i + Ba(c, a_i) hbar
     ensure(comp.dim == qd, "complement rows are dependent")
     ensure(is_subalgebra(g, comp), "constructed complement is not a subalgebra")
     total, meet = sum_intersect(comp, h.ideal)
@@ -812,11 +783,7 @@ def _complement_from_metric(
         total.is_full() and meet.is_zero(),
         "constructed subspace is not a complement",
     )
-    c_ambient = zero_vector(n)
-    for s, c in enumerate(c_coords):
-        if c != 0:
-            c_ambient = add_vec(c_ambient, scale_vec(c, a_vecs[s]))
-    return ComplementWitness(comp, Ba, c_ambient)
+    return ComplementWitness(comp, Ba, A.transpose().apply(c))
 
 
 def has_invariant_quotient_metric(
@@ -842,10 +809,7 @@ def has_invariant_quotient_metric(
     """
     _require_own_data(q, h)
     complement = _complement_brackets(q, h)
-    a_vecs, _, brackets = complement
-    k = len(a_vecs)
-    beta = Matrix([b for b, _ in brackets.values()], k)
-    mu = tuple(m for _, m in brackets.values())
+    A, _, beta, mu = complement
     lambdas = solve(beta, mu)
     if lambdas is None:
         beta_t = beta.transpose()
@@ -854,7 +818,7 @@ def has_invariant_quotient_metric(
             y is not None and is_zero_vec(beta_t.apply(y)) and dot(y, mu) != 0,
             "unsolvable complement system has no Fredholm certificate",
         )
-        return QuotientMetricObstruction(tuple(a_vecs), y)
+        return QuotientMetricObstruction(A.rows, y)
     q_alg, proj = quotient(q.algebra, h.ideal)
     forms = invariant_symmetric_forms(q_alg)
     Ba = next((form for form in forms if form.is_nondegenerate()), None)
@@ -863,10 +827,8 @@ def has_invariant_quotient_metric(
         if gram.det() != 0:
             Ba = BilinearForm(gram)
     if Ba is None:
-        comp = Subspace.from_vectors(
-            q.dim, [add_vec(a, scale_vec(lam, h.hbar)) for a, lam in zip(a_vecs, lambdas)]
-        )
-        Ba = _metric_on_complement(q, h, comp.vectors(), q_alg, proj)
+        comp = Subspace(q.dim, A + _outer(lambdas, h.hbar))
+        Ba = _metric_on_complement(q, h, comp.basis, q_alg, proj)
     return _complement_from_metric(q, h, Ba, proj, complement)
 
 

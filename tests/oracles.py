@@ -18,6 +18,10 @@ the tests compare the two on many inputs and require identical
 values.  The seeded probe for an invariant metric on g/h_m, which the
 exact decision replaced, stays too; the tests require the two to agree
 on existence, and re-check each obstruction from brackets solved anew.
+So do the per-entry quotient-metric routines, which fill each Gram matrix
+one ``BilinearForm.evaluate`` at a time and sum linear combinations vector
+by vector, where the library now multiplies whole matrices; the tests
+require the same complements, c and metrics.
 """
 
 import random
@@ -35,6 +39,7 @@ from quadlie.exactla import (
     kernel,
     scale_vec,
     solve,
+    sub_vec,
     sum_intersect,
     unit_vector,
     vector,
@@ -64,6 +69,7 @@ from quadlie.quadform import (
     QuadraticLieAlgebra,
     invariant_symmetric_forms,
 )
+from quadlie.structure import ComplementWitness, _normalized_complement
 
 
 def rref_dense(A: Matrix) -> tuple:
@@ -800,3 +806,156 @@ def obstruction_holds(g: LieAlgebra, complement, v_basis, hbar, y) -> bool:
         return False
     kills_beta = all(sum(c * row[l] for c, row in zip(y, beta)) == 0 for l in range(k))
     return kills_beta and sum(c * m for c, m in zip(y, mu)) != 0
+
+
+def _brackets_by_pairs(q: QuadraticLieAlgebra, h) -> tuple:
+    """The normalized complement, the inverse of E = (a..., v..., hbar) and
+    {(i, j): (beta_ij, mu_ij)} with [a_i, a_j] = sum_l beta_ij^l a_l +
+    mu_ij hbar, for i < j."""
+    n = q.dim
+    a_vecs = _normalized_complement(q, h)
+    k = len(a_vecs)
+    E_inv = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n).inverse()
+    brackets = {}
+    for i, j in combinations(range(k), 2):
+        coords = E_inv.apply(bracket(q.algebra, a_vecs[i], a_vecs[j]))
+        ensure(not any(coords[k:n - 1]), "[a, b] has a V-component")
+        brackets[(i, j)] = (coords[:k], coords[n - 1])
+    return a_vecs, E_inv, brackets
+
+
+def _split_off_d_by_evaluation(B: BilinearForm, hbar, rows) -> tuple:
+    eta = [B.evaluate(a, hbar) for a in rows]
+    jd = next((i for i, x in enumerate(eta) if x != 0), None)
+    ensure(jd is not None, "B(., hbar) vanishes on the complement")
+    d = scale_vec(1 / eta[jd], rows[jd])
+    rest = [sub_vec(a, scale_vec(eta[i], d)) for i, a in enumerate(rows) if i != jd]
+    return d, rest
+
+
+def metric_on_complement_by_evaluation(
+    q: QuadraticLieAlgebra, h, comp: Subspace
+) -> BilinearForm:
+    """The quotient metric of a subalgebra complement, one
+    ``BilinearForm.evaluate`` per Gram entry and the quotient
+    representatives summed row by row."""
+    B = q.metric
+    n = q.dim
+    q_alg, proj = quotient(q.algebra, h.ideal)
+    comp_rows = comp.vectors()
+    d, s_rows = _split_off_d_by_evaluation(B, h.hbar, comp_rows)
+    if s_rows:
+        G_S0 = Matrix(
+            [[B.evaluate(a, b) for b in s_rows] for a in s_rows], len(s_rows)
+        )
+        rhs = tuple(B.evaluate(d, s) for s in s_rows)
+        correction = solve(G_S0, rhs)
+        ensure(correction is not None, "cannot orthogonalize d against S")
+        for i, c in enumerate(correction):
+            if c != 0:
+                d = sub_vec(d, scale_vec(c, s_rows[i]))
+        for s in s_rows:
+            ensure(B.evaluate(d, s) == 0, "d orthogonalization failed")
+
+    pi_cols = Matrix.from_columns([proj.apply(r) for r in comp_rows], q_alg.dim)
+    ensure(pi_cols.is_invertible(), "complement does not project onto the quotient")
+    pi_inv = pi_cols.inverse()
+    reps = []
+    for t in range(q_alg.dim):
+        coeffs = pi_inv.apply(unit_vector(q_alg.dim, t))
+        rep = zero_vector(n)
+        for s, c in enumerate(coeffs):
+            if c != 0:
+                rep = add_vec(rep, scale_vec(c, comp_rows[s]))
+        reps.append(rep)
+    lambdas = [B.evaluate(rep, h.hbar) for rep in reps]
+    s_parts = [sub_vec(rep, scale_vec(lam, d)) for rep, lam in zip(reps, lambdas)]
+    gram_rows = [
+        [
+            B.evaluate(s_parts[t], s_parts[u]) + lambdas[t] * lambdas[u]
+            for u in range(q_alg.dim)
+        ]
+        for t in range(q_alg.dim)
+    ]
+    return BilinearForm(Matrix(gram_rows, q_alg.dim))
+
+
+def complement_from_metric_by_evaluation(
+    q: QuadraticLieAlgebra, h, Ba: BilinearForm
+) -> ComplementWitness:
+    """The complement witness built from an invariant quotient metric by the
+    musical maps, one ``BilinearForm.evaluate`` per Gram entry, ad(a_s) one
+    matrix per complement vector, and c and the complement rows summed
+    vector by vector."""
+    g, B = q.algebra, q.metric
+    n = g.dim
+    _, proj = quotient(g, h.ideal)
+    qd = proj.target_dim
+    a_vecs, E_inv, brackets = _brackets_by_pairs(q, h)
+    ensure(len(a_vecs) == qd, "complement dimension mismatch")
+
+    pi_a = [proj.apply(a) for a in a_vecs]
+    G_a = Matrix(
+        [[Ba.evaluate(pi_a[i], pi_a[j]) for j in range(qd)] for i in range(qd)],
+        qd,
+    )
+    G_a_inv = G_a.inverse()
+    mu_rows = [[Fraction(0)] * qd for _ in range(qd)]
+    for (i, j), (_, mu_ij) in brackets.items():
+        mu_rows[i][j] = mu_ij
+        mu_rows[j][i] = -mu_ij
+    mu = Matrix(mu_rows, qd)
+
+    def bracket_a(i: int, j: int):
+        if i == j:
+            return zero_vector(qd)
+        if i < j:
+            return brackets[(i, j)][0]
+        return scale_vec(-1, brackets[(j, i)][0])
+
+    alpha = G_a @ Matrix(E_inv.rows[:qd], n)
+    T_cols = []
+    beta = []
+    for i in range(qd):
+        coords = E_inv.apply(solve(B.gram, alpha.row(i)))
+        ensure(not any(coords[qd:n - 1]), "varphi has a V-component")
+        T_cols.append(coords[:qd])
+        beta.append(coords[n - 1])
+    T = Matrix.from_columns(T_cols, qd)
+    e_coords = solve(G_a, tuple(beta))
+    ensure(T.transpose() @ G_a == G_a @ T, "T is not Ba-symmetric")
+    F = G_a_inv @ mu.transpose()
+
+    G_res = Matrix(
+        [[B.evaluate(a_vecs[i], a_vecs[j]) for j in range(qd)] for i in range(qd)],
+        qd,
+    )
+    phi_on_a = G_a_inv @ G_res
+    eta = [B.evaluate(a, h.hbar) for a in a_vecs]
+    for i in range(qd):
+        rhs = add_vec(T.apply(phi_on_a.column(i)), scale_vec(eta[i], e_coords))
+        ensure(unit_vector(qd, i) == rhs, "decomposition failed")
+    ensure(sum((c * eta[s] for s, c in enumerate(e_coords)), Fraction(0)) == 1, "B(e, hbar) != 1")
+
+    ad_mats = [
+        Matrix.from_columns([bracket_a(s, j) for j in range(qd)], qd)
+        for s in range(qd)
+    ]
+    ad_e = Matrix.zeros(qd, qd)
+    for s, c in enumerate(e_coords):
+        if c != 0:
+            ad_e = ad_e + ad_mats[s].scale(c)
+    ensure(T @ F == ad_e and F @ T == ad_e, "T∘F = F∘T = ad(e) fails")
+    K = Matrix.from_columns([M.flatten() for M in ad_mats], qd * qd)
+    c_coords = solve(K, F.flatten())
+    ensure(c_coords is not None, "F is not an inner derivation")
+
+    weights = G_a.apply(c_coords)
+    comp_rows = [
+        add_vec(a, scale_vec(weights[i], h.hbar)) for i, a in enumerate(a_vecs)
+    ]
+    c_ambient = zero_vector(n)
+    for s, c in enumerate(c_coords):
+        if c != 0:
+            c_ambient = add_vec(c_ambient, scale_vec(c, a_vecs[s]))
+    return ComplementWitness(Subspace.from_vectors(n, comp_rows), Ba, c_ambient)

@@ -20,12 +20,17 @@ from fixtures import (
     sl2_quadratic,
     zero_quadratic,
 )
-from oracles import obstruction_holds, quotient_metric_probe
+from oracles import (
+    complement_from_metric_by_evaluation,
+    metric_on_complement_by_evaluation,
+    obstruction_holds,
+    quotient_metric_probe,
+)
 
 from quadlie import structure
 from quadlie.documents import loads_document
 from quadlie.errors import InternalVerificationError
-from quadlie.exactla import Matrix, Subspace, unit_vector, vector
+from quadlie.exactla import Matrix, Subspace, add_vec, scale_vec, solve, unit_vector, vector
 from quadlie.heisenberg import (
     SymplecticSpace,
     build_with_heisenberg_ideal,
@@ -54,6 +59,7 @@ from quadlie.quadform import (
     BilinearForm,
     QuadraticLieAlgebra,
     check_invariant_metric,
+    invariant_symmetric_forms,
     transport_quadratic,
 )
 from quadlie.randomized import (
@@ -70,6 +76,7 @@ from quadlie.structure import (
     HeisenbergIdealData,
     NotApplicableVerdict,
     QuotientMetricObstruction,
+    _complement_brackets,
     _normalized_complement,
     complement_from_quotient_metric,
     find_heisenberg_ideal,
@@ -690,8 +697,11 @@ def test_quotient_metric_decision_agrees_with_probe_on_random_builds():
     probe on existence, each obstruction re-checks against brackets solved
     anew, and each metric is invariant, comes with the complement that
     ``complement_from_quotient_metric`` builds from it, and round-trips
-    through that complement subalgebra."""
+    through that complement subalgebra.  Each witness, and the metric
+    built back from its complement, equal the per-entry oracles, and each
+    of the three witness-metric rules is taken at least once."""
     seen = {ComplementWitness: 0, QuotientMetricObstruction: 0}
+    rules = {"solver form": 0, "-2 sum": 0, "complement": 0}
     for seed in range(60):
         rng = random.Random(seed)
         S, D, V, sigma = random_build_input(rng, max_core_dim=4, max_m=3)
@@ -712,9 +722,70 @@ def test_quotient_metric_decision_agrees_with_probe_on_random_builds():
         q_alg, _ = quotient(moved.algebra, h.ideal)
         assert check_invariant_metric(q_alg, found.quotient_metric) == [], seed
         assert found == complement_from_quotient_metric(moved, h, found.quotient_metric), seed
+        assert found == complement_from_metric_by_evaluation(moved, h, found.quotient_metric), seed
         again = quotient_metric_from_complement(moved, h, found.complement)
         assert check_invariant_metric(q_alg, again) == [], seed
+        assert again == metric_on_complement_by_evaluation(moved, h, found.complement), seed
+        rules[_witness_metric_rule(moved, h, q_alg, found.quotient_metric)] += 1
     assert seen[ComplementWitness] > 0 and seen[QuotientMetricObstruction] > 0
+    assert all(rules.values()), rules
+
+
+def _witness_metric_rule(q, h, q_alg, metric):
+    """Which of the three rules of ``has_invariant_quotient_metric`` gave
+    ``metric``; the third one is checked against the per-entry oracle on
+    the complement {a_i + lambda_i hbar}."""
+    forms = invariant_symmetric_forms(q_alg)
+    first = next((form for form in forms if form.is_nondegenerate()), None)
+    if first is not None:
+        assert metric == first
+        return "solver form"
+    if forms:
+        gram = sum((form.gram for form in forms[1:]), forms[0].gram).scale(-2)
+        if gram.det() != 0:
+            assert metric.gram == gram
+            return "-2 sum"
+    A, _, beta, mu = _complement_brackets(q, h)
+    lambdas = solve(beta, mu)
+    comp = Subspace.from_vectors(
+        q.dim, [add_vec(a, scale_vec(lam, h.hbar)) for a, lam in zip(A.rows, lambdas)]
+    )
+    assert metric == metric_on_complement_by_evaluation(q, h, comp)
+    return "complement"
+
+
+def test_quotient_metric_routines_match_per_entry_oracles_on_fixtures_and_corpus():
+    """On every Heisenberg ideal of every fixture and corpus algebra with an
+    invariant quotient metric, the complement built from the witness metric,
+    and from the metric built back from that complement, and that metric
+    itself equal the per-entry oracles exactly."""
+    cases = 0
+    for name, q in QUADRATIC_CASES:
+        for h in _heisenberg_ideals(q.algebra):
+            found = has_invariant_quotient_metric(q, h)
+            if not isinstance(found, ComplementWitness):
+                continue
+            again = quotient_metric_from_complement(q, h, found.complement)
+            assert again == metric_on_complement_by_evaluation(q, h, found.complement), name
+            for Ba in (found.quotient_metric, again):
+                expected = complement_from_metric_by_evaluation(q, h, Ba)
+                assert complement_from_quotient_metric(q, h, Ba) == expected, name
+            cases += 1
+    # the rotation-core builds admit no metric over their dimension-3 ideal
+    assert cases == 11
+
+
+def test_quotient_metric_decision_evaluates_no_form_entry(monkeypatch):
+    """The decision computes with whole matrix products: on the sl2 build it
+    makes no ``BilinearForm.evaluate`` call."""
+    q = build_sl2_fixture()
+    h = _heis_of(q)
+
+    def evaluate(self, x, y):
+        raise AssertionError("BilinearForm.evaluate called")
+
+    monkeypatch.setattr(BilinearForm, "evaluate", evaluate)
+    assert isinstance(has_invariant_quotient_metric(q, h), ComplementWitness)
 
 
 # ---------------------------------------------------------------------------
