@@ -123,7 +123,14 @@ def _candidate_from_indices(doc: AlgebraDocument, indices: List[int]) -> Subspac
 def cmd_analyze(
     doc: AlgebraDocument, ideal: Optional[List[int]] = None
 ) -> Tuple[dict, int]:
-    """Full structure report on a quadratic algebra document."""
+    """Full structure report on a quadratic algebra document.
+
+    Each algebra is recognized and recovered once.  When Rad(g) = g, the
+    nilradical theorem check has run the recognizer on the radical in g's
+    own coordinates, and its verdict is the report's; otherwise the
+    recognizer runs on g.  The recovery section reuses the recognizer's
+    recovery when that is over the reported Heisenberg ideal.
+    """
     g = doc.algebra
     if doc.metric is None:
         raise DocumentError("analyze requires a metric", "metric")
@@ -143,7 +150,9 @@ def cmd_analyze(
         "nilradical": _subspace_to_json(theorem.nilradical),
     }
 
-    verdict = recognize_extended_heisenberg(q)
+    verdict = theorem.radical_verdict if theorem.whole_algebra else None
+    if verdict is None:
+        verdict = recognize_extended_heisenberg(q)
     recovered = getattr(verdict, "recovered", None)
     if candidate is not None:
         source = "given"

@@ -21,7 +21,11 @@ on existence, and re-check each obstruction from brackets solved anew.
 So do the per-entry quotient-metric routines, which fill each Gram matrix
 one ``BilinearForm.evaluate`` at a time and sum linear combinations vector
 by vector, where the library now multiplies whole matrices; the tests
-require the same complements, c and metrics.
+require the same complements, c and metrics.  So does the earlier radical
+path of the nilradical theorem, which maps the nilradical into radical
+coordinates and searches its Heisenberg data there a second time, where
+the library now runs the recognizer on the radical; the tests require the
+same recovery.
 """
 
 import random
@@ -36,6 +40,7 @@ from quadlie.exactla import (
     Subspace,
     add_vec,
     dot,
+    form_restrict_nondegenerate,
     kernel,
     scale_vec,
     solve,
@@ -60,6 +65,7 @@ from quadlie.liealg import (
     bracket,
     check_jacobi,
     derived_subalgebra,
+    is_ideal,
     quotient,
     subalgebra_on,
 )
@@ -68,8 +74,17 @@ from quadlie.quadform import (
     MetricViolation,
     QuadraticLieAlgebra,
     invariant_symmetric_forms,
+    restrict_quadratic,
 )
-from quadlie.structure import ComplementWitness, _normalized_complement
+from quadlie.structure import (
+    ComplementWitness,
+    RecoveredStructure,
+    _normalized_complement,
+    find_heisenberg_ideal,
+    nilradical,
+    radical,
+    recover_structure,
+)
 
 
 def rref_dense(A: Matrix) -> tuple:
@@ -959,3 +974,26 @@ def complement_from_metric_by_evaluation(
         if c != 0:
             c_ambient = add_vec(c_ambient, scale_vec(c, a_vecs[s]))
     return ComplementWitness(Subspace.from_vectors(n, comp_rows), Ba, c_ambient)
+
+
+def radical_recovery_by_refind(q: QuadraticLieAlgebra) -> Optional[RecoveredStructure]:
+    """Recovery on Rad(g) over the nilradical, found again in radical
+    coordinates: None unless Nil(g) is a Heisenberg ideal and Rad(g) is a
+    nondegenerate ideal that extends it by one line."""
+    g = q.algebra
+    rad = radical(g)
+    nil = nilradical(g, rad)
+    if find_heisenberg_ideal(g, nil) is None:
+        return None
+    if not (
+        is_ideal(g, rad)
+        and form_restrict_nondegenerate(q.metric.gram, rad)
+        and rad.dim == nil.dim + 1
+        and rad.contains_subspace(nil)
+    ):
+        return None
+    q_rad = restrict_quadratic(q, rad)
+    nil_in_rad = Subspace.from_vectors(rad.dim, [rad.coordinates_of(v) for v in nil.vectors()])
+    h_rad = find_heisenberg_ideal(q_rad.algebra, nil_in_rad)
+    ensure(h_rad is not None, "the nilradical is not a Heisenberg ideal of the radical")
+    return recover_structure(q_rad, h_rad)

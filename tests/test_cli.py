@@ -233,38 +233,30 @@ def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys
 
 
 def test_missing_heisenberg_data_on_the_radical_is_an_internal_failure(monkeypatch, capsys):
-    """The nilradical theorem check looks for the Heisenberg data twice: on
-    g, and on the radical it restricts to.  Data found on g but not on the
-    radical contradicts the theory, so analyze exits 3 instead of reporting
-    a failed clause."""
-    original = structure.find_heisenberg_ideal
+    """The nilradical theorem check runs the recognizer on the radical once
+    the first three clauses hold, and the theory forces an extended
+    Heisenberg verdict there.  Any other verdict contradicts it, so analyze
+    exits 3 instead of reporting a failed clause."""
     seen = []
 
-    def lost_on_the_radical(g, candidate):
-        seen.append(g)
-        return original(g, candidate) if len(seen) == 1 else None
+    def not_extended_on_the_radical(q):
+        seen.append(q)
+        return structure.NotApplicableVerdict("derived subalgebra is zero")
 
-    monkeypatch.setattr(structure, "find_heisenberg_ideal", lost_on_the_radical)
+    monkeypatch.setattr(structure, "recognize_extended_heisenberg", not_extended_on_the_radical)
     code, out, err = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
-    assert len(seen) == 2
+    assert len(seen) == 1
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == (
         "error: internal verification failed: "
-        "the nilradical is not a Heisenberg ideal of the radical\n"
+        "the radical is not an extended Heisenberg algebra\n"
     )
 
 
-def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
-    """One analyze pass of h2_phi: one nilradical; one radical (the theorem
-    check's, passed on to the nilradical); two recoveries (the recognizer's,
-    which the report reuses, and the theorem check's on the radical); one
-    Jacobi check and one invariance check (the document's metric: the
-    quotient metric that the decision picks is invariant by construction);
-    one normalized complement with its brackets and one quotient, shared by
-    the quotient-metric decision and the complement it returns.  Recovery
-    certifies its core and rebuild by the round trip and restriction
-    inherits both properties, so neither checks again."""
+def _call_counter(monkeypatch):
+    """(calls, count): ``count(name, original)`` counts the calls of a
+    quadlie function through every module binding, so none slips past."""
     calls = {}
 
     def count(name, original):
@@ -274,13 +266,31 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        # every module binding of the function, so that no call slips past
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("quadlie"):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
 
-    for name in ("nilradical", "radical", "recover_structure", "_complement_brackets"):
+    return calls, count
+
+
+def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
+    """One analyze pass of h2_phi, where Rad(g) = g: one nilradical; one
+    radical (the theorem check's, passed on to the nilradical); one
+    recognizer run and one recovery (the theorem check's on the radical,
+    which is g in its own coordinates, so the report reuses both); two
+    Heisenberg-data searches (the nilradical's on g, the only
+    ``find_heisenberg_ideal`` call, and the recognizer's on [g, g]); one Jacobi check and one invariance check (the document's
+    metric: the quotient metric that the decision picks is invariant by
+    construction); one normalized complement with its brackets and one
+    quotient, shared by the quotient-metric decision and the complement it
+    returns.  Recovery certifies its core and rebuild by the round trip and
+    restriction inherits both properties, so neither checks again."""
+    calls, count = _call_counter(monkeypatch)
+    for name in (
+        "nilradical", "radical", "recognize_extended_heisenberg", "recover_structure",
+        "find_heisenberg_ideal", "_heisenberg_data", "_complement_brackets",
+    ):
         count(name, getattr(structure, name))
     count("check_jacobi", liealg.check_jacobi)
     count("quotient", liealg.quotient)
@@ -290,7 +300,10 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     assert calls == {
         "nilradical": 1,
         "radical": 1,
-        "recover_structure": 2,
+        "recognize_extended_heisenberg": 1,
+        "recover_structure": 1,
+        "find_heisenberg_ideal": 1,
+        "_heisenberg_data": 2,
         "_complement_brackets": 1,
         "check_jacobi": 1,
         "quotient": 1,
@@ -298,25 +311,27 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     }
 
 
+def test_analyze_recognizes_a_proper_radical_and_the_algebra_apart(monkeypatch, capsys):
+    """build_sl2 has Rad(g) != g: the theorem check recognizes and recovers
+    the radical, and analyze recognizes g (not applicable: [g, g] = g) and
+    recovers g over its nilradical, so each runs twice, once per algebra."""
+    calls, count = _call_counter(monkeypatch)
+    for name in ("recognize_extended_heisenberg", "recover_structure"):
+        count(name, getattr(structure, name))
+    code, out, _ = run_cli(["analyze", corpus_path("build_sl2.algebra.json")], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["nilradical_theorem"]["whole_algebra"] is False
+    assert report["recognizer"]["verdict"] == "not_applicable"
+    assert calls == {"recognize_extended_heisenberg": 2, "recover_structure": 2}
+
+
 def test_analyze_reuses_the_recognizer_data_for_the_derived_fallback(monkeypatch, capsys):
     """build_abelian_line has no Heisenberg ideal among its nilradical, so
     analyze falls back to [g, g]: the recognizer has already found that
     data and recovered from it, so it is neither searched nor recovered
     again (one search for the theorem check, one for the recognizer)."""
-    calls = {}
-
-    def count(name, original):
-        calls[name] = 0
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("quadlie"):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-
+    calls, count = _call_counter(monkeypatch)
     for name in ("_heisenberg_data", "recover_structure"):
         count(name, getattr(structure, name))
     code, out, _ = run_cli(["analyze", corpus_path("build_abelian_line.algebra.json")], capsys)

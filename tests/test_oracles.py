@@ -1,8 +1,9 @@
 """The direct Killing form, nilradical (also against the word-at-a-time
-closure), constructors, sparse row reduction, integer matrix product and
-determinant, bracket, solver systems, Jacobi/invariance checks and the
-``liealg`` bracket kernels against the earlier algorithms, also over
-structure constants with denominators.
+closure), the recognizer's recovery on the radical, constructors, sparse
+row reduction, integer matrix product and determinant, bracket, solver
+systems, Jacobi/invariance checks and the ``liealg`` bracket kernels
+against the earlier algorithms, also over structure constants with
+denominators.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -40,6 +41,7 @@ from oracles import (
     nilradical_four_step,
     nilradical_incremental,
     quotient_by_reduction,
+    radical_recovery_by_refind,
     rref_dense,
     rref_rows_fraction,
     skew_derivation_rows_dense,
@@ -104,7 +106,7 @@ from quadlie.randomized import (
     random_symmetric_matrix,
     random_unimodular,
 )
-from quadlie.structure import nilradical, radical
+from quadlie.structure import nilradical, radical, verify_nilradical_theorem
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corpus"
 RANDOM_SEEDS = range(30)
@@ -177,6 +179,14 @@ def _assert_matches_oracles(g):
     assert nilradical(g) == nilradical_four_step(g) == nilradical_incremental(g)
 
 
+def _assert_radical_verdict_matches_refind(q):
+    """The nilradical theorem's recognizer verdict on the radical recovers
+    what searching the nilradical again in radical coordinates recovers."""
+    verdict = verify_nilradical_theorem(q).radical_verdict
+    expected = radical_recovery_by_refind(q)
+    assert (None if verdict is None else verdict.recovered) == expected
+
+
 def test_fixture_and_corpus_lists_are_found():
     assert len(_fixture_algebras()) >= 13
     assert len(_corpus_algebras()) >= 10
@@ -191,10 +201,13 @@ def test_fixture_and_corpus_algebras_match_oracles(g):
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_random_builds_match_oracles(seed):
-    """Also: the elimination core on the forms and skew 2-cocycle systems."""
-    g = _random_build(seed)
+    """Also: the elimination core on the forms and skew 2-cocycle systems,
+    and the recognizer's recovery on the radical."""
+    q = _random_quadratic(seed)
+    g = q.algebra
     assert 4 <= g.dim <= 10
     _assert_matches_oracles(g)
+    _assert_radical_verdict_matches_refind(q)
     _assert_rref_matches_oracles(_dense(_invariance_system(g)))
     _assert_rref_matches_oracles(_dense(_cocycle_system(g)))
 
@@ -599,7 +612,9 @@ def test_product_and_det_match_fraction_oracles_on_gram_matrices(q):
 @pytest.mark.parametrize("q", _fixture_quadratics() + _corpus_quadratics())
 def test_restriction_to_radical_passes_the_constructor(q):
     """``restrict_quadratic`` checks only the subalgebra and nondegeneracy; on
-    a nondegenerate radical the full constructor accepts the same pair."""
+    a nondegenerate radical the full constructor accepts the same pair.
+    The recognizer's recovery on the radical equals the earlier one."""
+    _assert_radical_verdict_matches_refind(q)
     rad = radical(q.algebra)
     if not form_restrict_nondegenerate(q.metric.gram, rad):
         with pytest.raises(ValueError):

@@ -461,6 +461,24 @@ def test_recover_reports_a_singular_basis_as_internal(monkeypatch):
         recover_structure(q, h)
 
 
+def test_recovery_evaluates_no_form_entry(monkeypatch):
+    """Recovery reads every B(., hbar), B(d, d) and B(a, d) off G hbar and
+    G d: on the sl2 build and on h2_phi it makes no ``BilinearForm.evaluate``
+    call, and the recovered base change still transports q onto the rebuild."""
+    h2_phi = loads_document(
+        (CORPUS / "h2_phi.algebra.json").read_text(encoding="utf-8")
+    ).quadratic()
+    cases = [(q, _heis_of(q)) for q in (build_sl2_fixture(), h2_phi)]
+
+    def evaluate(self, x, y):
+        raise AssertionError("BilinearForm.evaluate called")
+
+    monkeypatch.setattr(BilinearForm, "evaluate", evaluate)
+    for q, h in cases:
+        rec = recover_structure(q, h)
+        assert transport_quadratic(q, rec.base_change) == rec.rebuilt
+
+
 # ---------------------------------------------------------------------------
 # recognizer
 # ---------------------------------------------------------------------------
@@ -788,6 +806,23 @@ def test_quotient_metric_decision_evaluates_no_form_entry(monkeypatch):
     assert isinstance(has_invariant_quotient_metric(q, h), ComplementWitness)
 
 
+def test_complement_from_a_singular_metric_is_an_internal_failure():
+    """The musical maps invert the Gram matrix of B; a singular one there is
+    a library fault, so the construction raises InternalVerificationError,
+    not the ValueError of ``Matrix.inverse``."""
+    q = build_sl2_fixture()
+    h = _heis_of(q)
+    witness = has_invariant_quotient_metric(q, h)
+    _, proj = quotient(q.algebra, h.ideal)
+    singular = QuadraticLieAlgebra._unchecked(
+        q.algebra, BilinearForm(Matrix.zeros(q.dim, q.dim))
+    )
+    with pytest.raises(InternalVerificationError, match="metric failed to invert"):
+        structure._complement_from_metric(
+            singular, h, witness.quotient_metric, proj, _complement_brackets(q, h)
+        )
+
+
 # ---------------------------------------------------------------------------
 # nilradical theorem
 # ---------------------------------------------------------------------------
@@ -799,8 +834,8 @@ def test_nilradical_theorem_sl2_build():
     assert report.nilradical.dim == 3
     assert report.radical.dim == 4
     assert not report.whole_algebra
-    assert report.radical_recovery is not None
-    assert report.radical_recovery.s_basis.dim == 0
+    assert isinstance(report.radical_verdict, ExtendedHeisenbergVerdict)
+    assert report.radical_verdict.recovered.s_basis.dim == 0
 
 
 def test_nilradical_theorem_solvable_corollary():
