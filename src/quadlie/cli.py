@@ -176,7 +176,7 @@ def cmd_analyze(
         report["recognizer"] = {
             "verdict": "extended_heisenberg",
             "m": verdict.recovered.heis.m,
-            "base_change": matrix_to_json(verdict.base_change),
+            "base_change": matrix_to_json(verdict.recovered.base_change),
             "phi": matrix_to_json(verdict.recovered.sigmaD.matrix),
         }
     elif isinstance(verdict, DecomposableVerdict):
@@ -335,9 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and reused by every later one; parsing
+# leaves an ArgumentParser unchanged.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "construct":
             try:

@@ -160,7 +160,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._unchecked(tuple(unit_vector(n, i) for i in range(n)), n)
+        # one shared 0 and 1, as the dense rows of rref share their zero
+        zero, one = Fraction(0), Fraction(1)
+        return cls._unchecked(
+            tuple(tuple(one if j == i else zero for j in range(n)) for i in range(n)), n
+        )
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
@@ -580,7 +584,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        # the identity is already reduced, with pivots 0..n-1
+        S = object.__new__(cls)
+        object.__setattr__(S, "ambient_dim", ambient_dim)
+        object.__setattr__(S, "basis", Matrix.identity(ambient_dim))
+        object.__setattr__(S, "pivots", tuple(range(ambient_dim)))
+        return S
 
     @property
     def dim(self) -> int:

@@ -496,11 +496,13 @@ def recover_structure(
 
 @dataclass(frozen=True)
 class ExtendedHeisenbergVerdict:
-    """The algebra is h_m(phi); transporting by the certificate equals it."""
+    """The algebra is h_m(phi); transporting by the certificate equals it.
+
+    The certificate is ``recovered.base_change``, and the extend_heisenberg
+    output it maps onto is ``recovered.rebuilt``.
+    """
 
     recovered: RecoveredStructure
-    target: QuadraticLieAlgebra
-    base_change: Matrix
 
 
 @dataclass(frozen=True)
@@ -538,7 +540,7 @@ def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
     if rec.s_basis.dim == 0:
         # with S = 0 the rebuild is extend_heisenberg(m, omega, sigmaD), and
         # recovery has certified that the base change maps q onto it
-        return ExtendedHeisenbergVerdict(rec, rec.rebuilt, rec.base_change)
+        return ExtendedHeisenbergVerdict(rec)
     ensure(
         rec.D.matrix.is_zero(),
         "derived = h_m but D != 0",

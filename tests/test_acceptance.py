@@ -178,7 +178,8 @@ def test_criterion_4_recognizer_agreement():
         verdict = recognize_extended_heisenberg(q)
         if expected == "extended":
             assert isinstance(verdict, ExtendedHeisenbergVerdict)
-            assert transport_quadratic(q, verdict.base_change) == verdict.target
+            rec = verdict.recovered
+            assert transport_quadratic(q, rec.base_change) == rec.rebuilt
         elif expected == "decomposable":
             assert isinstance(verdict, DecomposableVerdict)
             first, second = verdict.factors

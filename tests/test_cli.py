@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, deterministic reports, the shipped corpus."""
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -530,14 +531,66 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dim"] == 3
 
 
-def test_console_script_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "quadlie.cli", "check", corpus_path("h1.algebra.json")],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["dim"] == 3
+def test_console_script_runs(capsys):
+    """Under ``python -m`` the module runs as ``__main__``, with its own
+    parser slot; its output is main()'s, byte for byte."""
+    for args, dim in (
+        (["check", corpus_path("h1.algebra.json")], 3),
+        (["analyze", corpus_path("h1_phi.algebra.json")], 4),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "quadlie.cli"] + args, capture_output=True
+        )
+        code, out, _ = run_cli(args, capsys)
+        assert result.returncode == code == 0
+        assert result.stdout == out.encode("utf-8")
+        assert json.loads(out)["dim"] == dim
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """Five subcommands in one process: the first call builds the parser
+    and its 5 subparsers, later calls build none."""
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    commands = [
+        ["check", corpus_path("h1.algebra.json")],
+        ["construct", corpus_path("h1_phi.construction.json")],
+        ["analyze", corpus_path("h1_phi.algebra.json")],
+        ["roundtrip", corpus_path("h1_phi.algebra.json"), "--ideal", "1,2,3"],
+        ["forms", corpus_path("h1.algebra.json")],
+    ]
+    per_call = []
+    for args in commands:
+        before = len(built)
+        assert main(args) == 0
+        per_call.append(len(built) - before)
+    capsys.readouterr()
+    assert per_call == [6, 0, 0, 0, 0]
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """A usage error and an --out call leave nothing behind for the next."""
+    args = ["analyze", corpus_path("h1_phi.algebra.json")]
+    code1, out1, _ = run_cli(args, capsys)
+    for bad in (args + ["--seed", "5"], ["roundtrip", args[1]]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    target = tmp_path / "report.json"
+    code2, out2, _ = run_cli(args + ["--out", str(target)], capsys)
+    assert code2 == 0 and out2 == ""
+    assert target.read_text(encoding="utf-8") == out1
+    code3, out3, _ = run_cli(args, capsys)
+    assert code1 == code3 == 0
+    assert out3 == out1
 
 
 def test_missing_file_is_input_error(capsys):

@@ -57,6 +57,14 @@ def test_kernel_identity_and_zero():
     assert kernel(Matrix.zeros(2, 2)) == Subspace.full(2)
 
 
+def test_full_subspace_is_the_reduced_span_of_the_unit_vectors():
+    for n in range(7):
+        full = Subspace.full(n)
+        spanned = Subspace.from_vectors(n, [unit_vector(n, i) for i in range(n)])
+        assert full == spanned
+        assert full.pivots == spanned.pivots == tuple(range(n))
+
+
 def test_kernel_line():
     K = kernel(Matrix([[1, 2]], 2))
     assert K == Subspace.from_vectors(2, [vector([-2, 1])])
