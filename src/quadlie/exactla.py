@@ -68,16 +68,23 @@ def format_rational(value: Fraction) -> str:
 # vectors
 # ---------------------------------------------------------------------------
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def vector(entries: Iterable[Scalar]) -> Vector:
+    """``entries`` as a tuple of Fractions; a tuple of Fractions is returned as is."""
+    if type(entries) is tuple and all(type(x) is Fraction for x in entries):
+        return entries
     return tuple(rat(x) for x in entries)
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    # the shared 0 and 1: no Fraction is built per entry
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def add_vec(x: Vector, y: Vector) -> Vector:
@@ -160,11 +167,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        # one shared 0 and 1, as the dense rows of rref share their zero
-        zero, one = Fraction(0), Fraction(1)
-        return cls._unchecked(
-            tuple(tuple(one if j == i else zero for j in range(n)) for i in range(n)), n
-        )
+        return cls._unchecked(tuple(unit_vector(n, i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
@@ -252,8 +255,8 @@ class Matrix:
         """
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        zero = Fraction(0)
-        cols = [_integer_row(other.column(j)) for j in range(other.ncols)]
+        columns = zip(*other.rows) if other.rows else [()] * other.ncols
+        cols = [_integer_row(column) for column in columns]
         rows = []
         for row in self.rows:
             da, ints = _integer_row(row)
@@ -263,7 +266,7 @@ class Matrix:
                 s = 0
                 for j, a in terms:
                     s += a * col[j]
-                out.append(Fraction(s, da * db) if s else zero)
+                out.append(Fraction(s, da * db) if s else _ZERO)
             rows.append(tuple(out))
         return Matrix._unchecked(tuple(rows), other.ncols)
 
@@ -415,6 +418,8 @@ def _integer_row(row: Sequence[Fraction]) -> tuple:
     """(s, ints): s the lcm of the denominators of ``row``, ints the list of
     its entries times s."""
     s = lcm(*(x.denominator for x in row))
+    if s == 1:
+        return 1, [x.numerator for x in row]
     return s, [x.numerator * (s // x.denominator) for x in row]
 
 
@@ -572,11 +577,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        rows = [vector(v) for v in vectors]
+        rows = tuple(vector(v) for v in vectors)
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, Matrix(rows, ambient_dim))
+        return cls(ambient_dim, Matrix._unchecked(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -1,7 +1,10 @@
 """Lie algebras presented by structure constants over QQ.
 
 The bracket is stored sparsely for index pairs i < j only; antisymmetry is
-structural.  All operations are pure and return new values.
+structural.  Next to it each algebra keeps the signed table of its structure
+constants as integers over one common denominator, and the bracket kernels
+sum integers over that table, building Fractions only for their results.
+All operations are pure and return new values.
 """
 
 from __future__ import annotations
@@ -9,12 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
+    _ZERO,
     Matrix,
     Subspace,
     Vector,
+    _integer_row,
     kernel,
     rat,
     sub_vec,
@@ -67,11 +72,13 @@ class LieAlgebra:
     ``structure`` maps (i, j) with i < j to a tuple of (k, c) pairs meaning
     [e_i, e_j] = sum c * e_k.  Brackets [e_j, e_i] are derived by negation
     and diagonal brackets are zero, so antisymmetry holds by construction.
-    Equality compares dimension and structure constants; basis labels are
-    cosmetic.
+    The same constants are also stored as the signed integer table that
+    ``_integer_table`` returns, a part of the value derived from
+    ``structure``.  Equality compares dimension and structure constants;
+    basis labels are cosmetic.
     """
 
-    __slots__ = ("dim", "basis_labels", "structure")
+    __slots__ = ("dim", "basis_labels", "structure", "_integers")
 
     def __init__(
         self,
@@ -116,9 +123,16 @@ class LieAlgebra:
             )
             if entries:
                 normalized[key] = entries
+        d = lcm(*(c.denominator for terms in normalized.values() for _, c in terms))
+        rows = [[()] * dim for _ in range(dim)]
+        for (i, j), terms in normalized.items():
+            scaled = tuple((k, c.numerator * (d // c.denominator)) for k, c in terms)
+            rows[i][j] = scaled
+            rows[j][i] = tuple((k, -c) for k, c in scaled)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "structure", normalized)
+        object.__setattr__(self, "_integers", (d, tuple(map(tuple, rows))))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -154,87 +168,142 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.structure)})"
 
 
-def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """Bilinear extension of the structure constants to arbitrary vectors.
-
-    The coefficient x_i y_j - x_j y_i of each table entry forms a product
-    only when both of its factors are nonzero, so a unit-vector argument
-    costs one product per entry it touches.
-    """
-    x = vector(x)
-    y = vector(y)
-    if len(x) != g.dim or len(y) != g.dim:
-        raise ValueError("vector dimension mismatch")
-    out = [Fraction(0)] * g.dim
-    for (i, j), terms in g.structure.items():
-        xi, xj = x[i], x[j]
-        if not (xi or xj):
-            continue
-        yi, yj = y[i], y[j]
-        coeff = (xi * yj if xi and yj else 0) - (xj * yi if xj and yi else 0)
-        if not coeff:
-            continue
-        for k, c in terms:
-            out[k] += coeff * c
-    return tuple(out)
-
-
-def _bracket_table(g: LieAlgebra) -> list:
-    """table[i][j] holds the nonzero (k, c) with [e_i, e_j] = sum c e_k."""
-    n = g.dim
-    table = [[()] * n for _ in range(n)]
-    for (i, j), terms in g.structure.items():
-        table[i][j] = terms
-        table[j][i] = tuple((k, -c) for k, c in terms)
-    return table
-
-
 def _integer_table(g: LieAlgebra) -> tuple:
     """(d, table): d the lcm of the structure-constant denominators, and
-    table[i][j] the nonzero (k, d c) with [e_i, e_j] = sum c e_k, as ints."""
-    d = lcm(*(c.denominator for terms in g.structure.values() for _, c in terms))
-    n = g.dim
-    table = [[()] * n for _ in range(n)]
-    for (i, j), terms in g.structure.items():
-        scaled = tuple((k, c.numerator * (d // c.denominator)) for k, c in terms)
-        table[i][j] = scaled
-        table[j][i] = tuple((k, -c) for k, c in scaled)
-    return d, table
+    table[i][j] the nonzero (k, d c) with [e_i, e_j] = sum c e_k, as ints.
+
+    Both are stored on g when it is built, so this is a read."""
+    return g._integers
 
 
-def _ad_columns(table: list, x: Vector) -> List[Vector]:
-    """[x, e_j] for every j: the columns of ad x.
+def _fractions(ints: Sequence[int], den: int) -> Vector:
+    """The tuple of Fractions v / den, sharing one zero."""
+    if den == 1:  # Fraction(v) skips the gcd
+        return tuple(Fraction(v) if v else _ZERO for v in ints)
+    return tuple(Fraction(v, den) if v else _ZERO for v in ints)
 
-    Column j is sum_i x_i [e_i, e_j], read off the signed table over the
-    support of x, so a unit vector costs one product per term of its row.
-    """
+
+def _integer_ad(table: tuple, ints: Sequence[int]) -> List[List[int]]:
+    """columns[j] = sum_i ints_i table[i][j]: the columns of ad x times
+    s d, for ints = s x, read off the table over the support of x."""
     n = len(table)
-    columns = [[Fraction(0)] * n for _ in range(n)]
-    for i, xi in enumerate(x):
+    columns = [[0] * n for _ in range(n)]
+    for xi, row in zip(ints, table):
         if xi:
-            for column, terms in zip(columns, table[i]):
+            for column, terms in zip(columns, row):
                 for k, c in terms:
                     column[k] += xi * c
-    return [tuple(column) for column in columns]
+    return columns
+
+
+def _ad_columns(g: LieAlgebra, x: Vector) -> List[Vector]:
+    """[x, e_j] for every j: the columns of ad x.
+
+    x is scaled once to integers s x; column j is sum_i s x_i d [e_i, e_j],
+    summed in integers over the signed table (``_integer_table``) and the
+    support of x, so a unit vector costs one product per term of its row.
+    Each nonzero entry becomes one Fraction, divided by s d.
+    """
+    d, table = _integer_table(g)
+    s, ints = _integer_row(x)
+    return [_fractions(column, s * d) for column in _integer_ad(table, ints)]
+
+
+def _integer_pairs(g: LieAlgebra, vectors: Sequence[Vector]) -> List[Tuple[int, List[int]]]:
+    """(den, ints) with [u_i, u_j] = ints / den, for the pairs i < j in
+    lexicographic order, in one integer pass.
+
+    Each u_i is scaled once to integers s_i u_i; the nonzero entries of the
+    columns of its integer ad (``_integer_ad``) are summed against the
+    integer s_j u_j, j > i, and den = s_i s_j d.
+    """
+    vectors = [vector(u) for u in vectors]
+    if any(len(u) != g.dim for u in vectors):
+        raise ValueError("vector dimension mismatch")
+    d, table = _integer_table(g)
+    scaled = [_integer_row(u) for u in vectors]
+    out = []
+    for i, (si, xs) in enumerate(scaled):
+        later = scaled[i + 1:]
+        if not later:
+            break
+        columns = [
+            [(k, v) for k, v in enumerate(column) if v] for column in _integer_ad(table, xs)
+        ]
+        for sj, ys in later:
+            acc = [0] * g.dim
+            for yb, column in zip(ys, columns):
+                if yb:
+                    for k, v in column:
+                        acc[k] += yb * v
+            out.append((si * sj * d, acc))
+    return out
+
+
+def _pair_brackets(g: LieAlgebra, vectors: Sequence[Vector]) -> List[Vector]:
+    """[u_i, u_j] for the pairs i < j in lexicographic order
+    (``_integer_pairs``), one Fraction per nonzero entry."""
+    return [_fractions(ints, den) for den, ints in _integer_pairs(g, vectors)]
+
+
+def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
+    """Bilinear extension of the structure constants to arbitrary vectors:
+    the one pair of ``_pair_brackets``, so x and y are each scaled to
+    integers once and each nonzero entry is divided once."""
+    return _pair_brackets(g, (x, y))[0]
+
+
+def _all_in(U: Subspace, rows: Iterable[Sequence[int]]) -> bool:
+    """Whether every integer row w lies in U, read in U's rref basis b_p.
+
+    w lies in U exactly when w = sum_p w_p b_p, w_p its entries at the
+    pivot columns p.  With t the lcm of the basis denominators the check
+    runs on integers: t w - sum_p w_p t b_p must vanish, and it does at
+    the pivot columns, where b_p is 1 and the other basis rows are 0.
+    """
+    t = lcm(*(x.denominator for row in U.basis.rows for x in row))
+    basis = [
+        (p, [(j, x.numerator * (t // x.denominator)) for j, x in enumerate(row) if x])
+        for p, row in zip(U.pivots, U.basis.rows)
+    ]
+    for ints in rows:
+        residual = [t * v for v in ints]
+        for p, terms in basis:
+            c = ints[p]
+            if c:
+                for j, b in terms:
+                    residual[j] -= c * b
+        if any(residual):
+            return False
+    return True
 
 
 def _structure_in(
-    g: LieAlgebra, vectors: Sequence[Vector], coordinates: Callable
+    g: LieAlgebra, vectors: Sequence[Vector], coordinates: Union[Matrix, Subspace]
 ) -> Optional[Dict[Tuple[int, int], list]]:
     """Structure constants of g on the span of ``vectors``.
 
-    Brackets each pair i < j, maps the result through ``coordinates`` and
-    keeps the nonzero terms under (i, j).  Returns None as soon as a
-    bracket has no coordinates (``coordinates`` returned None).
+    Brackets every pair i < j in one integer pass (``_integer_pairs``) and
+    keeps the nonzero coordinates of each under (i, j).  With a matrix M the
+    coordinates of the brackets are the rows of brackets @ M.  With a
+    subspace U, given in its rref basis, they are the entries at U's pivot
+    columns, once ``_all_in`` has checked on the integers that every
+    bracket lies in U; otherwise None is returned.
     """
-    structure = {}
-    for (i, u), (j, w) in combinations(enumerate(vectors), 2):
-        coords = coordinates(bracket(g, u, w))
-        if coords is None:
+    pairs = _integer_pairs(g, vectors)
+    if isinstance(coordinates, Subspace):
+        if not _all_in(coordinates, (ints for _, ints in pairs)):
             return None
-        terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+        pivots = coordinates.pivots
+        rows = [_fractions([ints[p] for p in pivots], den) for den, ints in pairs]
+    else:
+        brackets = tuple(_fractions(ints, den) for den, ints in pairs)
+        rows = (Matrix._unchecked(brackets, g.dim) @ coordinates).rows
+    structure = {}
+    for pair, row in zip(combinations(range(len(vectors)), 2), rows):
+        terms = [(k, c) for k, c in enumerate(row) if c != 0]
         if terms:
-            structure[(i, j)] = terms
+            structure[pair] = terms
     return structure
 
 
@@ -272,7 +341,7 @@ def ad(g: LieAlgebra, x: Sequence) -> LinearMap:
     x = vector(x)
     if len(x) != g.dim:
         raise ValueError("vector dimension mismatch")
-    columns = _ad_columns(_bracket_table(g), x)
+    columns = _ad_columns(g, x)
     return LinearMap(g.dim, g.dim, Matrix.from_columns(columns, g.dim))
 
 
@@ -281,16 +350,16 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
 
     When U is the whole algebra this is the span of the columns of ad w,
     w in W's basis, read off the signed table (``_ad_columns``).  Otherwise,
-    when W equals U only the basis pairs i < j are bracketed: [u, u] = 0
-    and [u_j, u_i] = -[u_i, u_j] add nothing to the span.
+    when W equals U only the basis pairs i < j are bracketed, in one pass
+    (``_pair_brackets``): [u, u] = 0 and [u_j, u_i] = -[u_i, u_j] add
+    nothing to the span.
     """
     if U.ambient_dim != g.dim or W.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     if U.is_full():
-        table = _bracket_table(g)
-        vectors = [column for w in W.vectors() for column in _ad_columns(table, w)]
+        vectors = [column for w in W.vectors() for column in _ad_columns(g, w)]
     elif W == U:
-        vectors = [bracket(g, u, w) for u, w in combinations(U.vectors(), 2)]
+        vectors = _pair_brackets(g, U.vectors())
     else:
         vectors = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
     return Subspace.from_vectors(g.dim, vectors)
@@ -359,27 +428,28 @@ def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if U.is_zero():
         return Subspace.full(g.dim)
-    table = _bracket_table(g)
     rows = []
     for u in U.vectors():
-        rows.extend(zip(*_ad_columns(table, u)))
+        rows.extend(zip(*_ad_columns(g, u)))
     return kernel(Matrix(rows, g.dim))
 
 
 def is_subalgebra(g: LieAlgebra, U: Subspace) -> bool:
     """[U, U] ⊆ U: every pair of basis vectors brackets into U."""
-    return _structure_in(g, U.vectors(), U.coordinates_of) is not None
+    return _structure_in(g, U.vectors(), U) is not None
 
 
 def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
-    """[g, U] ⊆ U: every column [u, e_j] of ad(u), u in U's basis, lies in U."""
+    """[g, U] ⊆ U: every column [u, e_j] of ad(u), u in U's basis, lies in U.
+
+    The columns stay integers, s d [u, e_j] (``_integer_ad``), since the
+    scale does not change whether they lie in U (``_all_in``).
+    """
     if U.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    table = _bracket_table(g)
-    return all(
-        U.contains(column)
-        for u in U.vectors()
-        for column in _ad_columns(table, u)
+    _, table = _integer_table(g)
+    return _all_in(
+        U, (column for u in U.vectors() for column in _integer_ad(table, _integer_row(u)[1]))
     )
 
 
@@ -389,12 +459,11 @@ def ideal_generated_by(g: LieAlgebra, vectors_in: Iterable[Sequence]) -> Subspac
     Each round adds the columns of ad(u) for every basis vector u of the
     current span, until the span stops growing.
     """
-    table = _bracket_table(g)
     current = Subspace.from_vectors(g.dim, [vector(v) for v in vectors_in])
     for _ in range(g.dim + 1):
         new_vecs = list(current.vectors())
         for u in current.vectors():
-            new_vecs.extend(_ad_columns(table, u))
+            new_vecs.extend(_ad_columns(g, u))
         nxt = Subspace.from_vectors(g.dim, new_vecs)
         if nxt == current:
             return current
@@ -423,7 +492,8 @@ def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
     proj = LinearMap(g.dim, qdim, Matrix(proj_rows, g.dim))
     units = [unit_vector(g.dim, c) for c in complement_cols]
     labels = [g.basis_labels[c] + "~" for c in complement_cols]
-    return LieAlgebra(qdim, _structure_in(g, units, proj.apply), labels), proj
+    structure = _structure_in(g, units, proj.matrix.transpose())
+    return LieAlgebra(qdim, structure, labels), proj
 
 
 def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:
@@ -432,7 +502,7 @@ def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:
     One pass brackets each basis pair once; a bracket outside U raises
     ``ValueError``.
     """
-    structure = _structure_in(g, U.vectors(), U.coordinates_of)
+    structure = _structure_in(g, U.vectors(), U)
     if structure is None:
         raise ValueError("subspace is not a subalgebra")
     labels = [f"r{t + 1}" for t in range(U.dim)]
@@ -457,24 +527,22 @@ def killing_form(g: LieAlgebra) -> Matrix:
 
     With [e_i, e_l] = sum_k c_il^k e_k, entry (k, l) of ad e_i is c_il^k, so
     K_ij = sum_{k,l} c_il^k c_jk^l: one pass over the nonzero entries of
-    ad e_i per pair, and no matrix product.
+    ad e_i per pair, and no matrix product.  The sum runs on the integers
+    d c of ``_integer_table``, so it is d^2 K_ij, divided once per entry.
     """
     n = g.dim
-    # ads[i][(k, l)] = c_il^k, nonzero entries only
-    ads = [
-        {(k, l): c for l, terms in enumerate(row) for k, c in terms}
-        for row in _bracket_table(g)
-    ]
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    d, table = _integer_table(g)
+    dd = d * d
+    # ads[i][(k, l)] = d c_il^k, nonzero entries only
+    ads = [{(k, l): c for l, terms in enumerate(row) for k, c in terms} for row in table]
+    rows = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             adj = ads[j]
-            value = sum(
-                (c * adj[(l, k)] for (k, l), c in ads[i].items() if (l, k) in adj),
-                Fraction(0),
-            )
-            rows[i][j] = rows[j][i] = value
-    return Matrix(rows, n)
+            value = sum(c * adj[(l, k)] for (k, l), c in ads[i].items() if (l, k) in adj)
+            if value:
+                rows[i][j] = rows[j][i] = Fraction(value, dd)
+    return Matrix._unchecked(tuple(map(tuple, rows)), n)
 
 
 def is_derivation(g: LieAlgebra, M: Matrix) -> bool:
@@ -485,8 +553,7 @@ def is_derivation(g: LieAlgebra, M: Matrix) -> bool:
     """
     if M.shape != (g.dim, g.dim):
         raise ValueError("matrix shape does not match algebra dimension")
-    table = _bracket_table(g)
-    images = [_ad_columns(table, M.column(i)) for i in range(g.dim)]
+    images = [_ad_columns(g, M.column(i)) for i in range(g.dim)]
     return all(
         M.apply(g.bracket_basis(i, j)) == sub_vec(images[i][j], images[j][i])
         for i, j in combinations(range(g.dim), 2)
@@ -503,12 +570,13 @@ def transport(g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = 
     if P.shape != (g.dim, g.dim):
         raise ValueError("base change must be square of the algebra dimension")
     try:
-        Pt_inv = P.transpose().inverse()
+        P_inv = P.inverse()
     except ValueError as exc:
         raise ValueError("base change matrix is singular") from exc
     if basis_labels is None:
         basis_labels = [f"b{t + 1}" for t in range(g.dim)]
-    return LieAlgebra(g.dim, _structure_in(g, P.rows, Pt_inv.apply), basis_labels)
+    # the coordinates of w in the rows of P are (P^T)^-1 w, the row w P^-1
+    return LieAlgebra(g.dim, _structure_in(g, P.rows, P_inv), basis_labels)
 
 
 def transport_subspace(U: Subspace, P: Matrix) -> Subspace:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import List, Optional, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
@@ -33,8 +33,8 @@ from .heisenberg import SymplecticMap, SymplecticSpace, _assemble, in_omega_alge
 from .liealg import (
     LieAlgebra,
     LinearMap,
+    _pair_brackets,
     ad,
-    bracket,
     bracket_subspaces,
     derived_subalgebra,
     is_derivation,
@@ -85,7 +85,9 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     A is spanned by the words in the generators ad_R(e_t) and grows in
     rounds on rref subspaces of the flattened k x k matrices: A_1 is the
     span of the generators, and A_r is A_(r-1) plus the generators times
-    the rows of A_(r-1) whose pivot is new in A_(r-1).  The pivots of
+    the f rows of A_(r-1) whose pivot is new in A_(r-1).  One product per
+    round forms these words: the generators stacked (k^2 x k) times the f
+    rows, read as k x k matrices, side by side (k x k f).  The pivots of
     nested rref subspaces are nested.  A nonzero combination of the rows
     with a new pivot vanishes at the old pivots, where no nonzero element
     of A_(r-2) does, so A_(r-1) is A_(r-2) plus those rows: their trace
@@ -111,6 +113,7 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     A = Subspace.zero(k * k)
     trace_rows: List[Vector] = []
     coords = Subspace.full(k)  # the kernel of no trace rows
+    stacked = Matrix._unchecked(tuple(chain.from_iterable(M.rows for M in ads)), k)
     words = [M.flatten() for M in ads]
     while True:
         grown = Subspace.from_vectors(k * k, A.vectors() + tuple(words))
@@ -123,10 +126,17 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
         coords = kernel(Matrix._unchecked(tuple(trace_rows), k))
         if coords.dim <= floor:
             break
-        squares = [
-            Matrix._unchecked(tuple(row[i * k:(i + 1) * k] for i in range(k)), k) for row in fresh
+        # row i of W_f, for every fresh row W_f, side by side
+        side = tuple(
+            tuple(chain.from_iterable(row[i * k:(i + 1) * k] for row in fresh)) for i in range(k)
+        )
+        # block (t, f) of the product is ad_t W_f
+        blocks = (stacked @ Matrix._unchecked(side, k * len(fresh))).rows
+        words = [
+            tuple(chain.from_iterable(row[f * k:(f + 1) * k] for row in blocks[t * k:(t + 1) * k]))
+            for f in range(len(fresh))
+            for t in range(k)
         ]
-        words = [(G @ W).flatten() for W in squares for G in ads]
     nil = Subspace(g.dim, coords.basis @ R.basis)
     ensure(is_ideal(g, nil), "nilradical candidate is not an ideal")
     ensure(
@@ -149,7 +159,9 @@ class HeisenbergIdealData:
     the induced symplectic form: [v_i, v_j] = omega[i][j] hbar.
     Construction checks all of this on ``algebra`` and raises
     ``ValueError`` otherwise, so the functions that take an instance only
-    check that it belongs to their algebra.
+    check that it belongs to their algebra.  Centrality and omega are read
+    off one integer pass over the brackets of the pairs of v_1, ..., v_2m,
+    hbar (``liealg._pair_brackets``).
     """
 
     algebra: LieAlgebra
@@ -178,12 +190,15 @@ class HeisenbergIdealData:
             raise ValueError("v_basis and hbar do not span the ideal")
         if not is_ideal(g, self.ideal):
             raise ValueError("the subspace is not an ideal")
-        for row in self.ideal.vectors():
-            if not is_zero_vec(bracket(g, row, self.hbar)):
-                raise ValueError("hbar is not central in the ideal")
+        # one pass over the pairs of v_1, ..., v_2m, hbar, which span the
+        # ideal: hbar is central in it exactly when every [v_i, hbar] is 0
+        brackets = dict(
+            zip(combinations(range(dim), 2), _pair_brackets(g, tuple(self.v_basis) + (self.hbar,)))
+        )
+        if not all(is_zero_vec(brackets[(i, dim - 1)]) for i in range(dim - 1)):
+            raise ValueError("hbar is not central in the ideal")
         for i, j in combinations(range(dim - 1), 2):
-            expected = scale_vec(self.omega.entry(i, j), self.hbar)
-            if bracket(g, self.v_basis[i], self.v_basis[j]) != expected:
+            if brackets[(i, j)] != scale_vec(self.omega.entry(i, j), self.hbar):
                 raise ValueError("brackets do not match omega")
 
     @property
@@ -210,9 +225,7 @@ def _heisenberg_data(
     if dim % 2 == 0 or dim < 3:
         return f"derived subalgebra has dimension {dim}, not 2m+1 with m >= 1"
     rows = candidate.vectors()
-    brackets = {
-        (i, j): bracket(g, rows[i], rows[j]) for i, j in combinations(range(dim), 2)
-    }
+    brackets = dict(zip(combinations(range(dim), 2), _pair_brackets(g, rows)))
     derived = Subspace.from_vectors(g.dim, brackets.values())
     if derived.dim != 1:
         return (
@@ -663,9 +676,10 @@ def _complement_brackets(
     E = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n)
     ensure(E.is_invertible(), "complement plus ideal is not a basis")
     E_inv = E.inverse()
+    pairs = Matrix._unchecked(tuple(_pair_brackets(q.algebra, a_vecs)), n)
     beta, mu = [], []
-    for i, j in combinations(range(k), 2):
-        coords = E_inv.apply(bracket(q.algebra, a_vecs[i], a_vecs[j]))
+    # row ij of pairs @ E_inv^T holds the coordinates E_inv [a_i, a_j]
+    for coords in (pairs @ E_inv.transpose()).rows:
         ensure(
             is_zero_vec(coords[k:n - 1]), "[a, b] has a V-component on the normalized complement"
         )

@@ -25,14 +25,19 @@ require the same complements, c and metrics.  So does the earlier radical
 path of the nilradical theorem, which maps the nilradical into radical
 coordinates and searches its Heisenberg data there a second time, where
 the library now runs the recognizer on the radical; the tests require the
-same recovery.
+same recovery.  So do the ``liealg`` kernels in Fraction arithmetic over
+the signed table of Fraction structure constants (the bracket by formula,
+the columns of ad x, the Killing form off the table, and the structure
+constants on a span through a bracket and a coordinate callable per pair),
+which the library replaced with integer sums over the table stored on each
+algebra; the tests require the same Fractions.
 """
 
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
 from quadlie.exactla import (
@@ -591,6 +596,104 @@ def double_extension_direct(
     rows[0][hb] = Fraction(1)
     rows[hb][0] = Fraction(1)
     return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+
+
+# -- the liealg kernels in Fraction arithmetic ---------------------------------
+
+def bracket_table_fraction(g: LieAlgebra) -> list:
+    """table[i][j] holds the nonzero (k, c) with [e_i, e_j] = sum c e_k, as Fractions."""
+    n = g.dim
+    table = [[()] * n for _ in range(n)]
+    for (i, j), terms in g.structure.items():
+        table[i][j] = terms
+        table[j][i] = tuple((k, -c) for k, c in terms)
+    return table
+
+
+def ad_columns_fraction(g: LieAlgebra, x) -> List[tuple]:
+    """[x, e_j] for every j, summed in Fractions over the support of x."""
+    x = vector(x)
+    table = bracket_table_fraction(g)
+    n = g.dim
+    columns = [[Fraction(0)] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if xi:
+            for column, terms in zip(columns, table[i]):
+                for k, c in terms:
+                    column[k] += xi * c
+    return [tuple(column) for column in columns]
+
+
+def ad_fraction(g: LieAlgebra, x) -> LinearMap:
+    return LinearMap(g.dim, g.dim, Matrix.from_columns(ad_columns_fraction(g, x), g.dim))
+
+
+def killing_form_fraction(g: LieAlgebra) -> Matrix:
+    """K_ij = sum_{k,l} c_il^k c_jk^l in Fractions, off the Fraction table."""
+    n = g.dim
+    ads = [
+        {(k, l): c for l, terms in enumerate(row) for k, c in terms}
+        for row in bracket_table_fraction(g)
+    ]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            adj = ads[j]
+            rows[i][j] = rows[j][i] = sum(
+                (c * adj[(l, k)] for (k, l), c in ads[i].items() if (l, k) in adj),
+                Fraction(0),
+            )
+    return Matrix(rows, n)
+
+
+def structure_in_fraction(
+    g: LieAlgebra, vectors, coordinates: Callable
+) -> Optional[Dict[Tuple[int, int], list]]:
+    """Each pair i < j bracketed by formula and mapped through ``coordinates``;
+    None as soon as a bracket has no coordinates."""
+    structure = {}
+    for (i, u), (j, w) in combinations(enumerate(vectors), 2):
+        coords = coordinates(bracket_by_formula(g, u, w))
+        if coords is None:
+            return None
+        terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+        if terms:
+            structure[(i, j)] = terms
+    return structure
+
+
+def subalgebra_on_fraction(g: LieAlgebra, U: Subspace) -> LieAlgebra:
+    structure = structure_in_fraction(g, U.vectors(), U.coordinates_of)
+    if structure is None:
+        raise ValueError("subspace is not a subalgebra")
+    return LieAlgebra(U.dim, structure, [f"r{t + 1}" for t in range(U.dim)])
+
+
+def quotient_fraction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
+    """g/I on the non-pivot coordinates, the projection read off I's rref rows."""
+    if not all(I.contains(c) for u in I.vectors() for c in ad_columns_fraction(g, u)):
+        raise ValueError("subspace is not an ideal")
+    row_at = dict(zip(I.pivots, I.basis.rows))
+    complement_cols = [c for c in range(g.dim) if c not in row_at]
+    proj_rows = [
+        [-row_at[j][c] if j in row_at else int(j == c) for j in range(g.dim)]
+        for c in complement_cols
+    ]
+    qdim = len(complement_cols)
+    proj = LinearMap(g.dim, qdim, Matrix(proj_rows, g.dim))
+    units = [unit_vector(g.dim, c) for c in complement_cols]
+    labels = [g.basis_labels[c] + "~" for c in complement_cols]
+    return LieAlgebra(qdim, structure_in_fraction(g, units, proj.apply), labels), proj
+
+
+def transport_fraction(
+    g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = None
+) -> LieAlgebra:
+    """Brackets of the rows of P mapped through (P^T)^-1 one at a time."""
+    Pt_inv = P.transpose().inverse()
+    if basis_labels is None:
+        basis_labels = [f"b{t + 1}" for t in range(g.dim)]
+    return LieAlgebra(g.dim, structure_in_fraction(g, P.rows, Pt_inv.apply), basis_labels)
 
 
 # -- bracket loops, one per function -----------------------------------------

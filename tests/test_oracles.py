@@ -3,7 +3,8 @@ closure), the recognizer's recovery on the radical, constructors, sparse
 row reduction, integer matrix product and determinant, bracket, solver
 systems, Jacobi/invariance checks and the ``liealg`` bracket kernels
 against the earlier algorithms, also over structure constants with
-denominators.
+denominators; the integer ``liealg`` kernels against their Fraction
+versions.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -15,12 +16,14 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 import fixtures
 from oracles import (
     ad_by_brackets,
+    ad_fraction,
     bracket_by_formula,
     bracket_subspaces_by_pairs,
     centralizer_by_brackets,
@@ -37,16 +40,21 @@ from oracles import (
     is_ideal_by_brackets,
     is_subalgebra_by_brackets,
     killing_form_by_products,
+    killing_form_fraction,
     matmul_fraction,
     nilradical_four_step,
     nilradical_incremental,
     quotient_by_reduction,
+    quotient_fraction,
     radical_recovery_by_refind,
     rref_dense,
     rref_rows_fraction,
     skew_derivation_rows_dense,
+    structure_in_fraction,
     subalgebra_on_by_brackets,
+    subalgebra_on_fraction,
     transport_by_brackets,
+    transport_fraction,
 )
 
 from quadlie.documents import AlgebraDocument, dumps_document, loads_document
@@ -65,11 +73,13 @@ from quadlie.exactla import (
     form_restrict_nondegenerate,
     kernel,
     unit_vector,
+    zero_vector,
 )
 from quadlie.liealg import (
     LieAlgebra,
     LinearMap,
     _integer_table,
+    _structure_in,
     ad,
     bracket,
     bracket_subspaces,
@@ -795,3 +805,179 @@ def test_kernels_match_oracles_on_random_builds(seed):
         for test in ("ideal", "subalgebra", "derivation")
         for answer in (True, False)
     }
+
+
+# -- integer liealg kernels against their Fraction versions --------------------
+
+BIG = 10**15
+
+
+def _big_base_change(rng, n):
+    """An invertible matrix whose entries have denominators near 10^15."""
+    while True:
+        P = Matrix(
+            [
+                [
+                    Fraction(rng.choice((-2, -1, 1, 2)), BIG + rng.randint(0, 99))
+                    if i == j or rng.random() < 0.3 else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ],
+            n,
+        )
+        if P.det() != 0:
+            return P
+
+
+def _assert_integer_kernels_match_fractions(g, rng):
+    """bracket, ad, killing_form, transport, subalgebra_on (with
+    is_subalgebra and ``_structure_in``) and quotient give the values of
+    the Fraction kernels, every entry a Fraction, on unit vectors and on
+    vectors that mix zeros, integers and denominators up to 10^15."""
+    n = g.dim
+    vectors = [unit_vector(n, i) for i in range(n)]
+    vectors += [[_random_entry(rng, 0.7) for _ in range(n)] for _ in range(3)]
+    for x in vectors:
+        for y in vectors[n:] + vectors[:2]:
+            result = bracket(g, x, y)
+            assert result == bracket_by_formula(g, x, y)
+            assert all(type(c) is Fraction for c in result)
+        got = ad(g, x).matrix
+        assert got == ad_fraction(g, x).matrix and _all_fractions(got)
+    K = killing_form(g)
+    assert K == killing_form_fraction(g) and _all_fractions(K)
+    for P in (random_unimodular(rng, n), _random_invertible(rng, n), _big_base_change(rng, n)):
+        _assert_same_algebra(transport(g, P), transport_fraction(g, P))
+    for U in _subspaces(g, rng):
+        expected = structure_in_fraction(g, U.vectors(), U.coordinates_of)
+        assert _structure_in(g, U.vectors(), U) == expected
+        assert is_subalgebra(g, U) == (expected is not None)
+        if expected is not None:
+            _assert_same_algebra(subalgebra_on(g, U), subalgebra_on_fraction(g, U))
+        else:
+            with pytest.raises(ValueError, match="not a subalgebra"):
+                subalgebra_on(g, U)
+        if is_ideal(g, U):
+            (got, proj), (want, want_proj) = quotient(g, U), quotient_fraction(g, U)
+            _assert_same_algebra(got, want)
+            assert proj.matrix == want_proj.matrix and _all_fractions(proj.matrix)
+
+
+def _assert_integer_table_of(g):
+    """table[i][j] holds (k, d c) for [e_i, e_j] = sum c e_k, both signs."""
+    d, table = _integer_table(g)
+    assert d == lcm(*(c.denominator for terms in g.structure.values() for _, c in terms))
+    for i in range(g.dim):
+        for j in range(g.dim):
+            expected = g.bracket_basis(i, j)
+            assert all(type(v) is int for _, v in table[i][j])
+            assert tuple(Fraction(v, d) for _, v in table[i][j]) == tuple(c for c in expected if c)
+            assert [k for k, _ in table[i][j]] == [k for k, c in enumerate(expected) if c]
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_integer_kernels_match_fraction_kernels(g):
+    _assert_integer_table_of(g)
+    _assert_integer_kernels_match_fractions(g, random.Random(g.dim))
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_integer_kernels_match_fraction_kernels_on_random_builds(seed):
+    g = _random_build(seed)
+    _assert_integer_table_of(g)
+    _assert_integer_kernels_match_fractions(g, random.Random(seed))
+
+
+@pytest.mark.parametrize(
+    "g", [p for p in _fixture_algebras() + _corpus_algebras() if p.values[0].structure]
+)
+def test_integer_kernels_match_fraction_kernels_with_large_denominators(g):
+    """g moved by a base change with denominators near 10^15: structure
+    constants with large, mixed denominators, and d > 1."""
+    rng = random.Random(g.dim)
+    moved = transport_fraction(g, _big_base_change(rng, g.dim))
+    assert _integer_table(moved)[0] > BIG
+    _assert_integer_table_of(moved)
+    _assert_integer_kernels_match_fractions(moved, rng)
+
+
+def test_integer_kernels_on_dim_0_and_abelian_algebras():
+    empty = LieAlgebra(0, {})
+    assert _integer_table(empty) == (1, ())
+    assert bracket(empty, (), ()) == ()
+    assert ad(empty, ()).matrix == Matrix([], 0) == killing_form(empty)
+    assert transport(empty, Matrix([], 0)) == empty
+    assert subalgebra_on(empty, Subspace.zero(0)) == empty
+    assert quotient(empty, Subspace.zero(0))[0] == empty
+    flat = LieAlgebra.abelian(4)
+    assert _integer_table(flat) == (1, (((),) * 4,) * 4)
+    rng = random.Random(4)
+    x, y = ([_random_entry(rng, 0.8) for _ in range(4)] for _ in range(2))
+    assert bracket(flat, x, y) == zero_vector(4) == bracket_by_formula(flat, x, y)
+    assert ad(flat, x).matrix == Matrix.zeros(4, 4) == killing_form(flat)
+    assert transport(flat, _big_base_change(rng, 4)).structure == {}
+    _assert_integer_kernels_match_fractions(flat, rng)
+
+
+def test_structure_in_rejects_a_non_subalgebra():
+    """[e1, e2] = e3 leaves span(e1, e2); its pivot entries (0, 0) alone
+    would read as coordinates."""
+    g = LieAlgebra(3, {(0, 1): [(2, 1)]})
+    U = Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
+    assert _structure_in(g, U.vectors(), U) is None
+    assert structure_in_fraction(g, U.vectors(), U.coordinates_of) is None
+    assert not is_subalgebra(g, U)
+    with pytest.raises(ValueError, match="not a subalgebra"):
+        subalgebra_on(g, U)
+    with pytest.raises(ValueError, match="not an ideal"):
+        quotient(g, U)
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_integer_table_leaves_equality_and_hash_alone(g):
+    """Equality and hash read dimension and structure constants only; an
+    algebra built from the negated, reversed pairs and other labels is the
+    same value, with the same integer table."""
+    swapped = {(j, i): [(k, -c) for k, c in terms] for (i, j), terms in g.structure.items()}
+    other = LieAlgebra(g.dim, swapped, [f"z{t}" for t in range(g.dim)])
+    assert other == g and hash(other) == hash(g)
+    assert hash(g) == hash((g.dim, tuple(sorted(g.structure.items()))))
+    assert _integer_table(other) == _integer_table(g)
+    with pytest.raises(AttributeError):
+        g._integers = None
+
+
+def test_nilradical_forms_each_round_of_words_in_one_product(monkeypatch):
+    """Dim 15 (seed 4 of the larger builds), where the closure runs until no
+    pivot is new: the words of each round but the last come from one
+    product, the k generators stacked (k^2 x k) times the f rows new in
+    that round side by side (k x k f), and no generator meets a word alone
+    (a k x k times k x k product)."""
+    rng = random.Random(4)
+    q = build_with_heisenberg_ideal(*random_build_input(rng, 4, 6))
+    g = transport_quadratic(q, random_unimodular(rng, q.dim)).algebra
+    R = radical(g)
+    k = R.dim
+    shapes, dims = [], [0]
+    matmul, from_vectors = Matrix.__matmul__, Subspace.from_vectors.__func__
+
+    def counting_matmul(A, B):
+        shapes.append((A.shape, B.shape))
+        return matmul(A, B)
+
+    def counting_from_vectors(cls, ambient_dim, vectors):
+        result = from_vectors(cls, ambient_dim, vectors)
+        if ambient_dim == k * k:
+            dims.append(result.dim)
+        return result
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(counting_from_vectors))
+    nil = nilradical(g, R)
+    monkeypatch.undo()
+    assert nil == nilradical_incremental(g)
+    words = [B for A, B in shapes if A == (k * k, k)]
+    assert len(dims) >= 4 and len(words) == len(dims) - 2 and dims[-1] == dims[-2]
+    assert words == [(k, k * (after - before)) for before, after in zip(dims, dims[1:-1])]
+    assert ((k, k), (k, k)) not in shapes

@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""Time the two large exact solvers, constructor validation and the
-nilradical at the scale of the benchmark grid.
+"""Time the two large exact solvers, constructor validation, the
+nilradical and ``quadlie analyze`` at the scale of the benchmark grid.
 
 Builds the fixed ``bench.workloads.grid_algebras`` shapes (4, False, m) for
 m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
 10, 12, ..., 20, and times ``quadform.skew_derivation_space``,
 ``quadform.invariant_symmetric_forms``, the validating constructor
 ``QuadraticLieAlgebra(algebra, metric)`` (the Jacobi identity and the
-invariant-metric check) and ``structure.nilradical`` (with the radical it
-computes first) once each on every shape.  Each shape is its own
-one-entry grid, so the dim-10 algebra is the first one of the
-``grid_forms`` workload.  Standard library only, no options:
+invariant-metric check), ``structure.nilradical`` (with the radical it
+computes first) and the whole ``quadlie analyze`` command (``cli.main``
+reading the algebra's document from stdin, output discarded) once each on
+every shape.  Each shape is its own one-entry grid, so the dim-10 algebra
+is the first one of the ``grid_forms`` workload.  Standard library only,
+no options:
 
     python tools/time_solvers.py
 
 Prints one JSON line per shape: the shape, the dimension, the seconds of
 each call (``time.perf_counter``, one call, set-up excluded), the
-dimension of each solution space and that of the nilradical.  Single runs on a shared machine vary;
-repeat the command to see the spread.
+dimension of each solution space and that of the nilradical.  Single runs
+on a shared machine vary; repeat the command to see the spread.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
@@ -31,6 +35,8 @@ for path in (ROOT, ROOT / "src"):
         sys.path.insert(0, str(path))
 
 from bench.workloads import grid_algebras  # noqa: E402
+from quadlie import cli  # noqa: E402
+from quadlie.documents import AlgebraDocument, dumps_document  # noqa: E402
 from quadlie.quadform import (  # noqa: E402
     QuadraticLieAlgebra,
     invariant_symmetric_forms,
@@ -41,9 +47,28 @@ from quadlie.structure import nilradical  # noqa: E402
 SHAPES = tuple((4, False, m) for m in range(2, 8))
 
 
+def time_analyze(q) -> float:
+    """Seconds of one ``quadlie analyze -`` on the document of ``q``.
+
+    Raises ``RuntimeError`` when the command does not exit with 0."""
+    text = dumps_document(AlgebraDocument("grid", q.algebra, q.metric))
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            start = time.perf_counter()
+            code = cli.main(["analyze", "-"])
+            elapsed = time.perf_counter() - start
+    finally:
+        sys.stdin = saved_stdin
+    if code != 0:
+        raise RuntimeError(f"analyze exited with {code}: {sink.getvalue()}")
+    return elapsed
+
+
 def time_solvers(shape) -> dict:
-    """One timed call of each solver, of the validating constructor and of
-    the nilradical on the grid algebra of ``shape``."""
+    """One timed call of each solver, of the validating constructor, of
+    the nilradical and of ``analyze`` on the grid algebra of ``shape``."""
     q = grid_algebras([shape])[0]
     start = time.perf_counter()
     skew = skew_derivation_space(q)
@@ -64,6 +89,7 @@ def time_solvers(shape) -> dict:
         "quadratic_constructor_s": round(validated - end, 4),
         "nilradical_s": round(nil_end - validated, 4),
         "nilradical_dim": nil.dim,
+        "analyze_s": round(time_analyze(q), 4),
     }
 
 
