@@ -3,14 +3,15 @@
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable dense
 row tuples, the value type of the API.  The kernels run inside on integer
 numerators over one known denominator, and build Fractions only for their
-results.  One fraction-free Gauss-Jordan core (``_rref_rows``) serves
+results.  One fraction-free Gauss-Jordan core (``_echelon``) serves
 ``rref``, ``kernel``, ``solve``, ``inverse`` and the subspace operations.
 It scales each row, a dict {column: nonzero rational}, to primitive
 integers, eliminates by integer cross-multiplication and divides each
 updated row by its content (the gcd of its entries), so no Fraction
-arithmetic runs inside the loop; the finished rows are converted to
-Fractions once, divided by their pivots (Bareiss, Math. Comp. 22, 1968;
-Cohen, A Course in Computational Algebraic Number Theory, 2.2).  The
+arithmetic runs inside the loop (Bareiss, Math. Comp. 22, 1968; Cohen, A
+Course in Computational Algebraic Number Theory, 2.2).  ``rref`` divides
+the finished rows by their pivots once; ``kernel`` reads integer spanning
+vectors off them and builds Fractions only for its rref basis.  The
 product ``@`` scales each left row and right column by the lcm of its
 denominators and takes integer dot products; ``det`` is Bareiss's
 fraction-free elimination on the row-scaled integer matrix.
@@ -396,18 +397,27 @@ def solve(A: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
 
 
 def kernel(A: Union[Matrix, "SparseSystem"]) -> "Subspace":
-    """Null space {x : A x = 0} as a Subspace of the column space."""
-    reduced, pivots = A.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(A.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * A.ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.rows[r][f]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(A.ncols, basis)
+    """Null space {x : A x = 0} as a Subspace of the column space.
+
+    Runs on integers up to the final rref.  After ``_echelon`` each pivot
+    row r holds its pivot entry p_r at column c_r and its other entries at
+    free columns, so a solution has x_{c_r} = -sum_f (row_r[f] / p_r) x_f.
+    For each free column f, the integer vector with x_f = L and x_{c_r} =
+    -row_r[f] (L / p_r) on the rows holding f, L the lcm of their p_r, is
+    L times the free-column basis vector of f.  These vectors span the
+    kernel, and one ``rref`` of them gives its canonical basis.
+    """
+    done, pivots = _echelon(A.sparse_rows(), A.ncols)
+    spans = []
+    for f in sorted(set(range(A.ncols)).difference(pivots)):
+        terms = [(c, row[c], row[f]) for c, row in zip(pivots, done) if f in row]
+        L = lcm(*(pv for _, pv, _ in terms))
+        span = [_ZERO] * A.ncols
+        span[f] = Fraction(L)
+        for c, pv, x in terms:
+            span[c] = Fraction(-x * (L // pv))
+        spans.append(tuple(span))
+    return Subspace._reduced(*Matrix._unchecked(tuple(spans), A.ncols).rref())
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +445,26 @@ def _primitive(row: dict) -> dict:
     return ints
 
 
-def _rref_rows(rows: list, ncols: int) -> tuple:
+def _echelon(rows: list, ncols: int) -> tuple:
     """Exact fraction-free Gauss-Jordan elimination on sparse rows.
 
-    ``rows`` are dicts {column: nonzero rational}.  Each is first replaced
-    by its primitive integer multiple (``_primitive``), and the elimination
-    runs on integers.  The columns are walked left to right.  The pivot of
-    column c is the shortest pending row holding c (the reduced form is
-    unique, so the choice only keeps the fill-in low).  With pivot entry pv,
-    c is eliminated from every other row holding it, pending rows and
-    earlier pivot rows alike, as row <- (pv/g) row - (f/g) pivot_row with f
-    the row's entry at c and g = gcd(pv, f), over the pivot row's support
-    only; entries that cancel are deleted, and the row is divided by the gcd
-    of its entries (its content), which keeps the integers small.  Every row
-    so stays a nonzero multiple of the row the same steps over the
-    rationals would give, so the supports and pivot choices are theirs.
+    ``rows`` are dicts {column: nonzero rational or int}.  Each is first
+    replaced by its primitive integer multiple (``_primitive``), and the
+    elimination runs on integers.  The columns are walked left to right.  The pivot of column c is the shortest
+    pending row holding c (the reduced form is unique, so the choice only
+    keeps the fill-in low).  With pivot entry pv, c is eliminated from
+    every other row holding it, pending rows and earlier pivot rows alike,
+    as row <- (pv/g) row - (f/g) pivot_row with f the row's entry at c and
+    g = gcd(pv, f), over the pivot row's support only; entries that cancel
+    are deleted, and the row is divided by the gcd of its entries (its
+    content), which keeps the integers small.  Every row so stays a
+    nonzero multiple of the row the same steps over the rationals would
+    give, so the supports and pivot choices are theirs.
 
-    Returns ``(reduced, pivots)``: the nonzero rows of the reduced row
-    echelon form as dicts {column: Fraction}, in pivot order, and the pivot
-    columns.  Each finished row is divided by its pivot entry once, at the
-    end, so its pivot entry is Fraction(1).
+    Returns ``(rows, pivots)``: the nonzero rows as dicts {column: int},
+    in pivot order, and the pivot columns.  Each row keeps its pivot entry
+    and is zero at every other pivot column: it is a nonzero integer
+    multiple of the matching row of the reduced row echelon form.
     """
     pending = [_primitive(row) for row in rows if row]
     done: list = []
@@ -495,11 +505,17 @@ def _rref_rows(rows: list, ncols: int) -> tuple:
         pending = [row for row in pending if row and row is not pivot_row]
         done.append(pivot_row)
         pivots.append(c)
-    reduced = []
-    for c, row in zip(pivots, done):
-        pv = row[c]
-        reduced.append({j: Fraction(x, pv) for j, x in row.items()})
-    return reduced, tuple(pivots)
+    return done, tuple(pivots)
+
+
+def _rref_rows(rows: list, ncols: int) -> tuple:
+    """``_echelon`` as Fractions: the nonzero rows of the reduced row
+    echelon form as dicts {column: Fraction}, in pivot order, each divided
+    by its pivot entry once, and the pivot columns."""
+    done, pivots = _echelon(rows, ncols)
+    return [
+        {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, done)
+    ], pivots
 
 
 def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
@@ -545,9 +561,13 @@ class SparseSystem:
         if row:
             self.rows.append(row)
 
+    def sparse_rows(self) -> list:
+        """The equations as fresh dicts {column: nonzero coefficient}."""
+        return [dict(row) for row in self.rows]
+
     def rref(self) -> tuple:
         """As ``Matrix.rref`` of the system's coefficient matrix."""
-        return _reduced_matrix([dict(row) for row in self.rows], self.nrows, self.ncols)
+        return _reduced_matrix(self.sparse_rows(), self.nrows, self.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +608,18 @@ class Subspace:
         return cls(ambient_dim, Matrix([], ambient_dim))
 
     @classmethod
+    def _reduced(cls, basis: Matrix, pivots: tuple) -> "Subspace":
+        """The Subspace whose rref basis, without zero rows, is ``basis``."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "ambient_dim", basis.ncols)
+        object.__setattr__(S, "basis", basis)
+        object.__setattr__(S, "pivots", pivots)
+        return S
+
+    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         # the identity is already reduced, with pivots 0..n-1
-        S = object.__new__(cls)
-        object.__setattr__(S, "ambient_dim", ambient_dim)
-        object.__setattr__(S, "basis", Matrix.identity(ambient_dim))
-        object.__setattr__(S, "pivots", tuple(range(ambient_dim)))
-        return S
+        return cls._reduced(Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:

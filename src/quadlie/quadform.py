@@ -10,6 +10,7 @@ ideals.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -18,6 +19,8 @@ from .exactla import (
     SparseSystem,
     Subspace,
     Vector,
+    _integer_row,
+    _reduced_matrix,
     dot,
     form_orthogonal,
     form_restrict_nondegenerate,
@@ -94,9 +97,9 @@ def check_invariant_metric(
     of their denominators, B(x, y) = x^T G y.  The integer sums are d e
     times the differences, so they vanish exactly where the differences
     do; the triples where they are nonzero are reported in lexicographic
-    order.  All n^3 triples are checked, since a Gram matrix that fails
-    symmetry breaks the (i, j, k) / (k, j, i) pairing that
-    ``_invariance_system`` relies on.
+    order.  All n^3 triples are checked: the equations of
+    ``_invariance_system`` read B(x, [y, z]) as B([y, z], x), which holds
+    only for a symmetric Gram matrix.
     """
     gram = B.gram if isinstance(B, BilinearForm) else B
     n = g.dim
@@ -211,35 +214,55 @@ def orthogonal_in(q: QuadraticLieAlgebra, U: Subspace) -> Subspace:
     return form_orthogonal(q.metric.gram, U)
 
 
+def _symmetric_index(n: int) -> list:
+    """index[p][q] = index[q][p]: the place of B_pq, p <= q, in the row-major
+    upper triangle, the unknowns of ``_invariance_system``."""
+    index = [[0] * n for _ in range(n)]
+    for t, (p, q) in enumerate(combinations_with_replacement(range(n), 2)):
+        index[p][q] = index[q][p] = t
+    return index
+
+
 def _invariance_system(g: LieAlgebra) -> SparseSystem:
-    """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) for the basis triples with k >= i.
+    """"T(x, y, z) = B([x, y], z) is alternating" in the Gram entries of B.
 
     The unknowns are the upper triangle of the Gram matrix of B, B_pq with
-    p <= q at index t in row-major order.  For a symmetric B the equation of
-    (i, j, k) is the equation of (k, j, i) term for term (both say that
-    ad e_j is B-skew on e_i, e_k), so only k >= i is kept: n^2 (n+1)/2
-    equations instead of n^3, in lexicographic order, all-zero ones dropped,
-    with the same row space as the full set.  The coefficients are the
-    integers d c of ``_integer_table``: the system is homogeneous, so the
-    factor d leaves its kernel unchanged.
+    p <= q at index t in row-major order.  For a symmetric B, invariance
+    B([x,y],z) = B(x,[y,z]) = B([y,z],x) says T(x,y,z) = T(y,z,x): T is
+    invariant under the cycle (x y z).  T is antisymmetric in x, y, and
+    the transposition (x y) and the cycle generate S_3, the cycle being
+    even; so the two together say exactly that T is alternating, and the
+    kernel is the space of invariant symmetric forms.  On the basis,
+    given the antisymmetry in the first two places, T is alternating iff
+
+      T(i, k, i) = 0 for i != k, and
+      T(i, j, k) = T(j, k, i) = T(k, i, j) for i < j < k,
+
+    because T(i, i, k) = 0 and T(k, i, i) = -T(i, k, i), and each odd order
+    of i, j, k is minus an even one.  These are n(n-1) + 2 C(n,3)
+    equations: the first kind in lexicographic (i, k) order, then
+    T(i,j,k) - T(j,k,i) and T(i,j,k) - T(k,i,j) for each triple in
+    lexicographic order, all-zero ones dropped.  (The k >= i half
+    of the full n^3 system says the same with up to n^2 (n+1)/2 equations:
+    it states each one with a repeated index twice, and all three cyclic
+    differences of each triple i < j < k, of which two are independent.)
+    The coefficients are the integers d c of ``_integer_table``: the system
+    is homogeneous, so the factor d leaves its kernel unchanged.
     """
     n = g.dim
-    index = [[0] * n for _ in range(n)]
-    t = 0
-    for p in range(n):
-        for q in range(p, n):
-            index[p][q] = index[q][p] = t
-            t += 1
+    index = _symmetric_index(n)
     _, table = _integer_table(g)
-    system = SparseSystem(t)
-    for i in range(n):
-        for j in range(n):
-            cij = table[i][j]
-            for k in range(i, n):
-                system.add(
-                    [(index[p][k], c) for p, c in cij]
-                    + [(index[i][p], -c) for p, c in table[j][k]]
-                )
+    system = SparseSystem(n * (n + 1) // 2)
+
+    def T(i: int, j: int, k: int, sign: int = 1) -> list:
+        # T(e_i, e_j, e_k) = sum_p c_ij^p B_pk
+        return [(index[p][k], sign * c) for p, c in table[i][j]]
+
+    for i, k in permutations(range(n), 2):
+        system.add(T(i, k, i))
+    for i, j, k in combinations(range(n), 3):
+        system.add(T(i, j, k) + T(j, k, i, -1))
+        system.add(T(i, j, k) + T(k, i, j, -1))
     return system
 
 
@@ -247,22 +270,17 @@ def invariant_symmetric_forms(g: LieAlgebra) -> List[BilinearForm]:
     """Basis of the space of invariant symmetric bilinear forms on g.
 
     The Gram matrix is parameterized by its upper triangle (n(n+1)/2
-    unknowns); invariance on all basis triples gives a sparse linear
-    system, solved by one kernel computation.  The basis is the rref kernel
-    basis, so the output is deterministic.
+    unknowns); invariance is the sparse linear system "B([x, y], z) is
+    alternating" (``_invariance_system``), solved by one kernel
+    computation.  The basis is the rref kernel basis, so the output is
+    deterministic.
     """
     n = g.dim
-    solution = kernel(_invariance_system(g))
-    forms = []
-    for coords in solution.vectors():
-        gram_rows = [[Fraction(0)] * n for _ in range(n)]
-        t = 0
-        for p in range(n):
-            for q in range(p, n):
-                gram_rows[p][q] = gram_rows[q][p] = coords[t]
-                t += 1
-        forms.append(BilinearForm(Matrix(gram_rows, n)))
-    return forms
+    index = _symmetric_index(n)
+    return [
+        BilinearForm(Matrix._unchecked(tuple(tuple(coords[t] for t in row) for row in index), n))
+        for coords in kernel(_invariance_system(g)).vectors()
+    ]
 
 
 def restrict_quadratic(q: QuadraticLieAlgebra, U: Subspace) -> QuadraticLieAlgebra:
@@ -324,13 +342,10 @@ def _cocycle_system(g: LieAlgebra) -> SparseSystem:
     """
     n = g.dim
     index = [[0] * n for _ in range(n)]
-    t = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            index[p][q] = t
-            t += 1
+    for t, (p, q) in enumerate(combinations(range(n), 2)):
+        index[p][q] = t
     _, table = _integer_table(g)
-    system = SparseSystem(t)
+    system = SparseSystem(n * (n - 1) // 2)
 
     def terms(a: int, b: int, k: int) -> list:
         # A([e_a, e_b], e_k) = sum_p c_ab^p A_pk
@@ -340,10 +355,8 @@ def _cocycle_system(g: LieAlgebra) -> SparseSystem:
             if p != k
         ]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                system.add(terms(i, j, k) + terms(j, k, i) + terms(k, i, j))
+    for i, j, k in combinations(range(n), 3):
+        system.add(terms(i, j, k) + terms(j, k, i) + terms(k, i, j))
     return system
 
 
@@ -357,28 +370,32 @@ def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:
     2-cocycles).  So the solve runs on the n(n-1)/2 entries of A with one
     equation per triple i < j < k, n(n-1)(n-2)/6 in all
     (``_cocycle_system``), instead of on the n^2 entries of D with about
-    n^3/2 derivation and n(n+1)/2 skewness equations, and D = G^{-1} A is
-    formed only for the kernel basis.
-    The result is the rref basis of that space in the row-major entries
+    n^3/2 derivation and n(n+1)/2 skewness equations.  D = G^{-1} A is
+    formed only for the kernel basis, on integers: s G^{-1}, s the lcm of
+    its denominators, times each cocycle scaled to integers.  A -> G^{-1} A
+    is injective, so these D span the space, and they are reduced once:
+    the result is the rref basis of that space in the row-major entries
     of D, so the output is deterministic.
     """
     n = q.dim
     cocycles = kernel(_cocycle_system(q.algebra))
-    ginv = q.metric.gram.inverse().sparse_rows()  # symmetric: row p is column p
-    pairs = [(p, s) for p in range(n) for s in range(p + 1, n)]
+    # s G^{-1} as integer rows; it is symmetric, so row p is column p
+    _, flat = _integer_row(q.metric.gram.inverse().flatten())
+    ginv = [[(r, x) for r, x in enumerate(flat[p * n : (p + 1) * n]) if x] for p in range(n)]
+    pairs = list(combinations(range(n), 2))
     flats = []
     for coords in cocycles.vectors():
-        # D = G^{-1} A in row-major order, where A_ps = a and A_sp = -a
-        D = [Fraction(0)] * (n * n)
-        for (p, s), a in zip(pairs, coords):
+        # a multiple of D = G^{-1} A in row-major order, A_pt = a = -A_tp
+        D = [0] * (n * n)
+        for (p, t), a in zip(pairs, _integer_row(coords)[1]):
             if a:
-                for r, x in ginv[p].items():
-                    D[r * n + s] += x * a
-                for r, x in ginv[s].items():
+                for r, x in ginv[p]:
+                    D[r * n + t] += x * a
+                for r, x in ginv[t]:
                     D[r * n + p] -= x * a
-        flats.append(D)
-    solution = Subspace.from_vectors(n * n, flats)
+        flats.append({j: x for j, x in enumerate(D) if x})
+    basis, _ = _reduced_matrix(flats, len(flats), n * n)
     return [
-        Matrix([coords[r * n : (r + 1) * n] for r in range(n)], n)
-        for coords in solution.vectors()
+        Matrix._unchecked(tuple(coords[r * n : (r + 1) * n] for r in range(n)), n)
+        for coords in basis.rows
     ]

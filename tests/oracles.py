@@ -7,7 +7,12 @@ that the round-wise one on rref subspaces replaced), row reduction
 core replaced), the matrix product and determinant in Fraction
 arithmetic, the bracket, the Jacobi and invariant-metric checks and the
 linear systems of the form and skew-derivation solvers (the full n^3
-invariance system and the system in the n^2 entries of D), the earlier
+invariance system, the alternating-form system built entry by entry, and
+the system in the n^2 entries of D), the kernel by free columns (the
+rref of the system, one Fraction basis vector per free column, reduced
+again as a subspace) that the integer kernel replaced, the Fraction
+skew-derivation solver (D = G^{-1} A in Fractions for each cocycle, then
+a second reduction) that the integer one replaced, the earlier
 stand-alone constructors of h_m(phi) and S(D), an entry-by-entry builder
 of the skew 2-cocycle system, and the per-function bracket loops of
 ``liealg`` (adjoint maps, ideal, subalgebra and derivation tests,
@@ -78,6 +83,7 @@ from quadlie.quadform import (
     BilinearForm,
     MetricViolation,
     QuadraticLieAlgebra,
+    _cocycle_system,
     invariant_symmetric_forms,
     restrict_quadratic,
 )
@@ -167,6 +173,22 @@ def rref_rows_fraction(rows: list, ncols: int) -> tuple:
     return done, tuple(pivots)
 
 
+def kernel_by_free_columns(A) -> Subspace:
+    """Null space of a Matrix or SparseSystem: its rref, one Fraction basis
+    vector per free column (1 there, minus the rref entries of that column
+    at the pivot columns), reduced again by ``Subspace.from_vectors``."""
+    reduced, pivots = A.rref()
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(A.ncols) if c not in pivot_set):
+        v = [Fraction(0)] * A.ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced.rows[r][f]
+        basis.append(tuple(v))
+    return Subspace.from_vectors(A.ncols, basis)
+
+
 def matmul_fraction(A: Matrix, B: Matrix) -> Matrix:
     """A @ B as one Fraction ``dot`` per entry, over the columns of B."""
     if A.ncols != B.nrows:
@@ -249,6 +271,33 @@ def invariance_rows_dense(g: LieAlgebra) -> List[tuple]:
     return rows
 
 
+def alternating_rows_dense(g: LieAlgebra) -> List[list]:
+    """"T(x, y, z) = B([x, y], z) is alternating" as dense rows, entry by entry.
+
+    Unknowns B_pq (p <= q) in row-major order.  The rows are T(i, k, i)
+    for i != k in lexicographic order, then T(i,j,k) - T(j,k,i) and
+    T(i,j,k) - T(k,i,j) for each triple i < j < k in lexicographic order,
+    where T(i, j, k) = sum_p c_ij^p B_pk; all-zero rows are dropped.
+    """
+    n = g.dim
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    index = {pq: t for t, pq in enumerate(pairs)}
+
+    def T(i: int, j: int, k: int) -> list:
+        coeffs = [Fraction(0)] * len(pairs)
+        for p, c in enumerate(g.bracket_basis(i, j)):
+            if c != 0:
+                coeffs[index[(min(p, k), max(p, k))]] += c
+        return coeffs
+
+    rows = [T(i, k, i) for i in range(n) for k in range(n) if k != i]
+    for i, j, k in combinations(range(n), 3):
+        first = T(i, j, k)
+        for other in (T(j, k, i), T(k, i, j)):
+            rows.append([a - b for a, b in zip(first, other)])
+    return [row for row in rows if any(c != 0 for c in row)]
+
+
 def cocycle_rows_dense(g: LieAlgebra) -> List[list]:
     """The skew 2-cocycle system as dense rows, built entry by entry.
 
@@ -304,6 +353,31 @@ def skew_derivation_rows_dense(q: QuadraticLieAlgebra) -> List[list]:
             if any(c != 0 for c in coeffs):
                 rows.append(coeffs)
     return rows
+
+
+def skew_derivation_space_fraction(q: QuadraticLieAlgebra) -> List[Matrix]:
+    """The metric-skew derivations in Fraction arithmetic: the skew
+    2-cocycle kernel by free columns, D = G^{-1} A in Fractions for each of
+    its basis vectors, and ``Subspace.from_vectors`` on the flattened D."""
+    n = q.dim
+    cocycles = kernel_by_free_columns(_cocycle_system(q.algebra))
+    ginv = q.metric.gram.inverse().sparse_rows()  # symmetric: row p is column p
+    pairs = [(p, s) for p in range(n) for s in range(p + 1, n)]
+    flats = []
+    for coords in cocycles.vectors():
+        D = [Fraction(0)] * (n * n)
+        for (p, s), a in zip(pairs, coords):
+            if a:
+                for r, x in ginv[p].items():
+                    D[r * n + s] += x * a
+                for r, x in ginv[s].items():
+                    D[r * n + p] -= x * a
+        flats.append(D)
+    solution = Subspace.from_vectors(n * n, flats)
+    return [
+        Matrix([coords[r * n : (r + 1) * n] for r in range(n)], n)
+        for coords in solution.vectors()
+    ]
 
 
 def check_jacobi_dense(g: LieAlgebra) -> List[JacobiViolation]:

@@ -1,10 +1,10 @@
 """The direct Killing form, nilradical (also against the word-at-a-time
 closure), the recognizer's recovery on the radical, constructors, sparse
 row reduction, integer matrix product and determinant, bracket, solver
-systems, Jacobi/invariance checks and the ``liealg`` bracket kernels
-against the earlier algorithms, also over structure constants with
-denominators; the integer ``liealg`` kernels against their Fraction
-versions.
+systems, kernel, skew-derivation solver, Jacobi/invariance checks and
+the ``liealg`` bracket kernels against the earlier algorithms, also over
+structure constants with denominators; the integer ``liealg`` kernels
+against their Fraction versions.
 
 The oracles in ``oracles.py`` compute the same values the slow way.  Subspaces
 are compared by literal rref equality, so any difference in the result fails;
@@ -24,6 +24,7 @@ import fixtures
 from oracles import (
     ad_by_brackets,
     ad_fraction,
+    alternating_rows_dense,
     bracket_by_formula,
     bracket_subspaces_by_pairs,
     centralizer_by_brackets,
@@ -39,6 +40,7 @@ from oracles import (
     is_derivation_by_brackets,
     is_ideal_by_brackets,
     is_subalgebra_by_brackets,
+    kernel_by_free_columns,
     killing_form_by_products,
     killing_form_fraction,
     matmul_fraction,
@@ -50,6 +52,7 @@ from oracles import (
     rref_dense,
     rref_rows_fraction,
     skew_derivation_rows_dense,
+    skew_derivation_space_fraction,
     structure_in_fraction,
     subalgebra_on_by_brackets,
     subalgebra_on_fraction,
@@ -68,6 +71,7 @@ from quadlie.heisenberg import (
 )
 from quadlie.exactla import (
     Matrix,
+    SparseSystem,
     Subspace,
     _rref_rows,
     form_restrict_nondegenerate,
@@ -211,15 +215,16 @@ def test_fixture_and_corpus_algebras_match_oracles(g):
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_random_builds_match_oracles(seed):
-    """Also: the elimination core on the forms and skew 2-cocycle systems,
-    and the recognizer's recovery on the radical."""
+    """Also: the elimination core and the kernel on the forms and skew
+    2-cocycle systems, and the recognizer's recovery on the radical."""
     q = _random_quadratic(seed)
     g = q.algebra
     assert 4 <= g.dim <= 10
     _assert_matches_oracles(g)
     _assert_radical_verdict_matches_refind(q)
-    _assert_rref_matches_oracles(_dense(_invariance_system(g)))
-    _assert_rref_matches_oracles(_dense(_cocycle_system(g)))
+    for system in (_invariance_system(g), _cocycle_system(g)):
+        _assert_rref_matches_oracles(_dense(system))
+        _assert_kernel_matches_oracle(system)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -345,24 +350,24 @@ def _big(p, q):
     return Fraction(p * 10**18 + 7, q * 10**17 + 3)
 
 
-@pytest.mark.parametrize(
-    "A",
-    [
-        pytest.param(Matrix([], 0), id="0x0"),
-        pytest.param(Matrix([], 5), id="0x5"),
-        pytest.param(Matrix([(), (), ()], 0), id="3x0"),
-        pytest.param(Matrix.zeros(4, 6), id="all-zero"),
-        pytest.param(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 2, 4]], 3), id="rank-deficient"),
-        pytest.param(Matrix([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 3), id="duplicated-rows"),
-        pytest.param(Matrix([[0, 0, 2, 0, 1, 0, 0, 3], [0, 5, 0, 0, 0, 1, 0, 0]], 8), id="wide"),
-        pytest.param(Matrix([[0, 1], [0, 2], [3, 0], [0, 0], [1, 1], [2, 7]], 2), id="tall"),
-        pytest.param(
-            Matrix([[_big(1, 2), _big(3, 5), 1], [_big(7, 1), 0, _big(2, 9)], [1, _big(4, 4), 0]], 3),
-            id="large-denominators",
-        ),
-        pytest.param(Matrix.identity(5), id="identity"),
-    ],
-)
+EDGE_MATRICES = [
+    pytest.param(Matrix([], 0), id="0x0"),
+    pytest.param(Matrix([], 5), id="0x5"),
+    pytest.param(Matrix([(), (), ()], 0), id="3x0"),
+    pytest.param(Matrix.zeros(4, 6), id="all-zero"),
+    pytest.param(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 2, 4]], 3), id="rank-deficient"),
+    pytest.param(Matrix([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 3), id="duplicated-rows"),
+    pytest.param(Matrix([[0, 0, 2, 0, 1, 0, 0, 3], [0, 5, 0, 0, 0, 1, 0, 0]], 8), id="wide"),
+    pytest.param(Matrix([[0, 1], [0, 2], [3, 0], [0, 0], [1, 1], [2, 7]], 2), id="tall"),
+    pytest.param(
+        Matrix([[_big(1, 2), _big(3, 5), 1], [_big(7, 1), 0, _big(2, 9)], [1, _big(4, 4), 0]], 3),
+        id="large-denominators",
+    ),
+    pytest.param(Matrix.identity(5), id="identity"),
+]
+
+
+@pytest.mark.parametrize("A", EDGE_MATRICES)
 def test_rref_matches_dense_on_edge_cases(A):
     _assert_rref_matches_oracles(A)
 
@@ -373,29 +378,75 @@ def _dense(system):
     )
 
 
+def _assert_kernel_matches_oracle(A):
+    """kernel(A) is the Subspace of the free-column oracle: the same basis
+    rows and pivots, every entry a Fraction.  A SparseSystem gives the
+    kernel of its dense matrix too.  Returns the kernel."""
+    K = kernel(A)
+    expected = kernel_by_free_columns(A)
+    assert K == expected and K.pivots == expected.pivots
+    assert K.basis.shape == (len(K.pivots), A.ncols)
+    assert all(type(x) is Fraction for row in K.vectors() for x in row)
+    if isinstance(A, SparseSystem):
+        assert kernel(_dense(A)) == expected
+    return K
+
+
+def _sparse_system(A):
+    system = SparseSystem(A.ncols)
+    for row in A.rows:
+        system.add(enumerate(row))
+    return system
+
+
+@pytest.mark.parametrize("A", EDGE_MATRICES + [
+    pytest.param(Matrix([[1, 2, 0, 5], [0, 3, 1, 0], [7, 0, 0, 1]], 4), id="full-row-rank"),
+    pytest.param(Matrix([[1, 2], [3, 4], [5, 7]], 2), id="full-column-rank"),
+])
+def test_kernel_matches_free_column_oracle_on_edge_cases(A):
+    _assert_kernel_matches_oracle(A)
+    _assert_kernel_matches_oracle(_sparse_system(A))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_kernel_matches_free_column_oracle_on_random_matrices(seed):
+    """Denominators up to 10^6, some zero rows and columns; one matrix in
+    three gets rows that combine the others, so its rank drops."""
+    rng = random.Random(seed)
+    A = _rational_matrix(rng, rng.randint(0, 9), rng.randint(0, 9))
+    if A.nrows and seed % 3 == 0:
+        rows = [list(row) for row in A.rows]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rows.insert(rng.randrange(len(rows) + 1), [x + c * y for x, y in zip(a, b)])
+        A = Matrix(rows, A.ncols)
+    _assert_kernel_matches_oracle(A)
+    _assert_kernel_matches_oracle(_sparse_system(A))
+
+
 def _assert_kernel_of(system, dense):
-    """kernel(system) is the null space of the dense system: A v = 0 on its
-    basis, and its dimension is the number of free columns."""
-    K = kernel(system)
+    """kernel(system) is the oracle's null space of the dense system: A v = 0
+    on its basis, and its dimension is the number of free columns."""
+    K = _assert_kernel_matches_oracle(system)
+    assert K == kernel_by_free_columns(dense)
     assert K.ambient_dim == dense.ncols
     assert K.dim == dense.ncols - len(rref_dense(dense)[1])
     assert all(not any(dense.apply(v)) for v in K.vectors())
 
 
 def _assert_forms_system_matches_dense(g):
-    """The system is d times the k >= i rows of the full n^3 system, in
-    order, d the structure-constant denominator, with integer coefficients;
-    the dropped rows add nothing: its rref is that of the full system, and
-    the invariant forms span the full system's kernel.  Returns the system
-    and the full dense system."""
+    """The system is d times the alternating-form rows built entry by entry,
+    in order, d the structure-constant denominator, with integer
+    coefficients; they say what the full n^3 system says: its rref is that
+    of the full system, and the invariant forms span the full system's
+    kernel.  Returns the system and the full dense system."""
     system = _invariance_system(g)
     d, _ = _integer_table(g)
     n = g.dim
     ncols = n * (n + 1) // 2
-    triples = invariance_rows_dense(g)
-    full = Matrix([row for _, row in triples], ncols)
-    kept = Matrix([row for (i, j, k), row in triples if k >= i], ncols)
-    assert _dense(system) == kept.scale(d)
+    full = Matrix([row for _, row in invariance_rows_dense(g)], ncols)
+    assert _dense(system) == Matrix(alternating_rows_dense(g), ncols).scale(d)
     assert all(type(c) is int for row in system.rows for c in row.values())
     R, pivots = system.rref()
     R_full, pivots_full = rref_dense(full)
@@ -419,15 +470,27 @@ def test_forms_system_matches_dense_builder(g):
     _assert_kernel_of(system, full)
 
 
-def _assert_skew_space_is_d_system_kernel(q):
-    """skew_derivation_space(q) is the rref kernel of the system in the n^2
-    entries of D ("D is a derivation and D^T G + G D = 0"), reshaped."""
-    n = q.dim
-    d_space = kernel(Matrix(skew_derivation_rows_dense(q), n * n))
-    expected = [Matrix([v[r * n : (r + 1) * n] for r in range(n)], n) for v in d_space.vectors()]
+def _assert_skew_space_matches_fraction_solver(q):
+    """skew_derivation_space(q) is literally the Fraction solver's list,
+    every entry a Fraction.  Returns it."""
     result = skew_derivation_space(q)
-    assert result == expected
+    assert result == skew_derivation_space_fraction(q)
+    assert all(D.shape == (q.dim, q.dim) for D in result)
     assert all(type(x) is Fraction for D in result for row in D.rows for x in row)
+    return result
+
+
+def _assert_skew_space_is_d_system_kernel(q):
+    """skew_derivation_space(q) is the free-column oracle's rref kernel of
+    the system in the n^2 entries of D ("D is a derivation and
+    D^T G + G D = 0"), reshaped, and the Fraction solver's list; the library
+    kernel of that system is the oracle's too."""
+    n = q.dim
+    d_system = Matrix(skew_derivation_rows_dense(q), n * n)
+    d_space = kernel_by_free_columns(d_system)
+    expected = [Matrix([v[r * n : (r + 1) * n] for r in range(n)], n) for v in d_space.vectors()]
+    assert _assert_skew_space_matches_fraction_solver(q) == expected
+    _assert_kernel_matches_oracle(d_system)
 
 
 def _assert_cocycle_system_matches_dense(g):
@@ -900,6 +963,19 @@ def test_integer_kernels_match_fraction_kernels_with_large_denominators(g):
     assert _integer_table(moved)[0] > BIG
     _assert_integer_table_of(moved)
     _assert_integer_kernels_match_fractions(moved, rng)
+
+
+@pytest.mark.parametrize(
+    "q", [p for p in _fixture_quadratics() + _corpus_quadratics() if p.values[0].algebra.structure]
+)
+def test_skew_space_matches_fraction_solver_with_large_denominators(q):
+    """q moved by a base change with denominators near 10^15: s G^{-1}, s
+    the lcm of the denominators of G^{-1}, has large entries."""
+    rng = random.Random(q.dim)
+    moved = transport_quadratic(q, _big_base_change(rng, q.dim))
+    ginv = moved.metric.gram.inverse()
+    assert lcm(*(x.denominator for row in ginv.rows for x in row)) > BIG
+    _assert_skew_space_matches_fraction_solver(moved)
 
 
 def test_integer_kernels_on_dim_0_and_abelian_algebras():

@@ -60,6 +60,9 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
     assert line["shape"] == [4, False, 2] and line["dim"] == 10
     assert (line["skew_derivations"], line["invariant_forms"]) == (10, 5)
     assert line["nilradical_dim"] == 8
+    n = line["dim"]
+    assert isinstance(line["invariance_rows"], int) and isinstance(line["cocycle_rows"], int)
+    assert line["invariance_rows"] <= n * (n - 1) + 2 * (n * (n - 1) * (n - 2) // 6)
     for key in (
         "skew_derivation_space_s",
         "invariant_symmetric_forms_s",

@@ -18,7 +18,9 @@ no options:
 
 Prints one JSON line per shape: the shape, the dimension, the seconds of
 each call (``time.perf_counter``, one call, set-up excluded), the
-dimension of each solution space and that of the nilradical.  Single runs
+dimension of each solution space and that of the nilradical, and the
+number of equations of each solver's system (``invariance_rows``,
+``cocycle_rows``: the nonzero rows passed to ``kernel``).  Single runs
 on a shared machine vary; repeat the command to see the spread.
 """
 
@@ -39,6 +41,8 @@ from quadlie import cli  # noqa: E402
 from quadlie.documents import AlgebraDocument, dumps_document  # noqa: E402
 from quadlie.quadform import (  # noqa: E402
     QuadraticLieAlgebra,
+    _cocycle_system,
+    _invariance_system,
     invariant_symmetric_forms,
     skew_derivation_space,
 )
@@ -68,7 +72,8 @@ def time_analyze(q) -> float:
 
 def time_solvers(shape) -> dict:
     """One timed call of each solver, of the validating constructor, of
-    the nilradical and of ``analyze`` on the grid algebra of ``shape``."""
+    the nilradical and of ``analyze`` on the grid algebra of ``shape``,
+    and the row counts of the two solver systems."""
     q = grid_algebras([shape])[0]
     start = time.perf_counter()
     skew = skew_derivation_space(q)
@@ -86,6 +91,8 @@ def time_solvers(shape) -> dict:
         "skew_derivations": len(skew),
         "invariant_symmetric_forms_s": round(end - middle, 4),
         "invariant_forms": len(forms),
+        "invariance_rows": _invariance_system(q.algebra).nrows,
+        "cocycle_rows": _cocycle_system(q.algebra).nrows,
         "quadratic_constructor_s": round(validated - end, 4),
         "nilradical_s": round(nil_end - validated, 4),
         "nilradical_dim": nil.dim,
