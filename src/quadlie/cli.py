@@ -28,6 +28,7 @@ from .exactla import Subspace, unit_vector
 from .liealg import (
     center,
     check_jacobi,
+    derived_series,
     derived_subalgebra,
     is_nilpotent,
     is_solvable,
@@ -77,7 +78,8 @@ def cmd_check(doc: AlgebraDocument) -> Tuple[dict, int]:
         ],
         "center_dim": center(g).dim,
         "derived_dim": derived_subalgebra(g).dim,
-        "solvable": is_solvable(g),
+        # is_solvable needs the Jacobi identity
+        "solvable": derived_series(g)[-1].is_zero() if jacobi else is_solvable(g),
         "nilpotent": is_nilpotent(g),
     }
     clean = not jacobi

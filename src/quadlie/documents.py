@@ -58,13 +58,14 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_rational_at(value: Any, where: str) -> Fraction:
-    if not isinstance(value, str):
-        raise DocumentError(f"expected a rational string, got {value!r}", where)
+def _parse_rational_at(value: Any, where: str, *index: int) -> Fraction:
     try:
-        return parse_rational(value)
+        if isinstance(value, str):
+            return parse_rational(value)
+        message = f"expected a rational string, got {value!r}"
     except ValueError as exc:
-        raise DocumentError(str(exc), where) from exc
+        message = str(exc)
+    raise DocumentError(message, where + "".join(f"[{i}]" for i in index))
 
 
 def _parse_matrix(value: Any, where: str, nrows: Optional[int] = None,
@@ -72,10 +73,9 @@ def _parse_matrix(value: Any, where: str, nrows: Optional[int] = None,
     _expect(isinstance(value, list), "expected a matrix (list of rows)", where)
     rows = []
     for r, row in enumerate(value):
-        _expect(isinstance(row, list), "expected a row (list)", f"{where}[{r}]")
-        rows.append(
-            [_parse_rational_at(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]
-        )
+        if not isinstance(row, list):
+            raise DocumentError("expected a row (list)", f"{where}[{r}]")
+        rows.append([_parse_rational_at(x, where, r, c) for c, x in enumerate(row)])
     widths = {len(row) for row in rows}
     _expect(len(widths) <= 1, "ragged matrix rows", where)
     matrix = Matrix(rows, ncols if not rows else None)

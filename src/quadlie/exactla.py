@@ -52,7 +52,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse the interchange form ``p`` or ``p/q`` (q > 0, gcd(|p|, q) = 1)."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    value = Fraction(text)
+    p, _, q = text.partition("/")
+    value = Fraction(int(p), int(q)) if q else Fraction(int(p))
     if format_rational(value) != text:
         raise ValueError(f"rational literal not in canonical form: {text!r}")
     return value
@@ -521,8 +522,12 @@ def _rref_rows(rows: list, ncols: int) -> tuple:
 def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
     """``rref`` of ``nrows`` sparse rows: (R, pivots), zero rows at the bottom."""
     reduced, pivots = _rref_rows(rows, ncols)
-    zero = Fraction(0)
-    dense = [tuple(row.get(j, zero) for j in range(ncols)) for row in reduced]
+    dense = []
+    for row in reduced:
+        out = [_ZERO] * ncols
+        for j, x in row.items():
+            out[j] = x
+        dense.append(tuple(out))
     dense += [zero_vector(ncols)] * (nrows - len(dense))
     return Matrix._unchecked(tuple(dense), ncols), pivots
 
@@ -680,23 +685,22 @@ class Subspace:
 
 
 def sum_intersect(U: Subspace, W: Subspace) -> tuple:
-    """(U + W, U ∩ W) via the Zassenhaus double-block reduction."""
+    """(U + W, U ∩ W) from one Zassenhaus rref of the rows (u, u), (w, 0):
+    rows with pivot c < n give U + W on the first n columns, the rest U ∩ W."""
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = U.ambient_dim
     block_rows = [row + row for row in U.vectors()]
     block_rows += [row + zero_vector(n) for row in W.vectors()]
-    reduced, pivots = Matrix(block_rows, 2 * n).rref()
-    sum_rows = []
-    intersect_rows = []
-    for r, c in enumerate(pivots):
-        if c < n:
-            sum_rows.append(reduced.rows[r][:n])
-        else:
-            intersect_rows.append(reduced.rows[r][n:])
+    reduced, pivots = Matrix._unchecked(tuple(block_rows), 2 * n).rref()
+    s = sum(c < n for c in pivots)
+    rows = reduced.rows
     return (
-        Subspace.from_vectors(n, sum_rows),
-        Subspace.from_vectors(n, intersect_rows),
+        Subspace._reduced(Matrix._unchecked(tuple(r[:n] for r in rows[:s]), n), pivots[:s]),
+        Subspace._reduced(
+            Matrix._unchecked(tuple(r[n:] for r in rows[s:len(pivots)]), n),
+            tuple(c - n for c in pivots[s:]),
+        ),
     )
 
 

@@ -368,8 +368,8 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """[g, g] = span of all basis brackets."""
     vecs = []
-    for (i, j), terms in g.structure.items():
-        out = [Fraction(0)] * g.dim
+    for terms in g.structure.values():
+        out = [_ZERO] * g.dim
         for k, c in terms:
             out[k] = c
         vecs.append(tuple(out))
@@ -406,7 +406,8 @@ def lower_central_series(g: LieAlgebra) -> List[Subspace]:
 
 
 def is_solvable(g: LieAlgebra) -> bool:
-    return derived_series(g)[-1].is_zero()
+    """Cartan's criterion K(g, [g, g]) = 0; needs the Jacobi identity."""
+    return (derived_subalgebra(g).basis @ killing_form(g)).is_zero()
 
 
 def is_nilpotent(g: LieAlgebra) -> bool:

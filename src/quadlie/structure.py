@@ -36,6 +36,7 @@ from .liealg import (
     _pair_brackets,
     ad,
     bracket_subspaces,
+    center,
     derived_subalgebra,
     is_derivation,
     is_ideal,
@@ -65,40 +66,27 @@ def radical(g: LieAlgebra) -> Subspace:
 
     Rad(g) = {x : K(x, [g, g]) = 0} for the Killing form K.
     """
-    der = derived_subalgebra(g)
-    K = killing_form(g)
-    return kernel(der.basis @ K)
+    return kernel(derived_subalgebra(g).basis @ killing_form(g))
 
 
 def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     """Maximal nilpotent ideal, as one linear system over the radical.
 
-    Let R = Rad(g), of dimension k, and A the associative algebra generated
-    by the ad_R(x), x in R.  In characteristic zero the radical of A is
-    {a in A : trace(ab) = 0 for all b in A} (de Graaf, Lie Algebras: Theory
-    and Algorithms, 2000), and Nil(g) = {x in R : ad_R(x) in Rad(A)}.  As
-    ad_R(x) lies in A, Nil(g) = {x in R : trace(ad_R(x) b) = 0 for every b
-    in a spanning set of A}: k unknowns, one row per element b, and as
-    trace(XY) = sum X_ij Y_ji the rows are the flattened b times the
-    flattened transposes of the ad_R(e_t).
+    With R = Rad(g) of dimension k and A the associative algebra generated
+    by the ad_R(x), x in R, Nil(g) = {x in R : trace(ad_R(x) b) = 0 for b
+    in a spanning set of A} in characteristic zero (de Graaf, Lie Algebras:
+    Theory and Algorithms, 2000).  Any such kernel contains Nil(g), which
+    contains the floor [g, R] + Z(g), a sum of nilpotent ideals; a kernel
+    no larger than the floor is Nil(g).  In round one b runs over the
+    generators ad_R(e_s), whose trace rows are the Killing form K_R of R;
+    Z(g) joins the floor only if ker K_R exceeds [g, R].
 
-    A is spanned by the words in the generators ad_R(e_t) and grows in
-    rounds on rref subspaces of the flattened k x k matrices: A_1 is the
-    span of the generators, and A_r is A_(r-1) plus the generators times
-    the f rows of A_(r-1) whose pivot is new in A_(r-1).  One product per
-    round forms these words: the generators stacked (k^2 x k) times the f
-    rows, read as k x k matrices, side by side (k x k f).  The pivots of
-    nested rref subspaces are nested.  A nonzero combination of the rows
-    with a new pivot vanishes at the old pivots, where no nonzero element
-    of A_(r-2) does, so A_(r-1) is A_(r-2) plus those rows: their trace
-    rows join the earlier ones, and by induction every generator maps
-    A_(r-1) into A_r.  Once no pivot is new, A_r is closed and equals A.
-    Since [g, R] lies in Nil(g) (Jacobson, Lie Algebras), the kernel always
-    contains [g, R], and the closure stops once the two have the same
-    dimension.
-
-    A caller that already holds R = Rad(g) passes it in, so that the
-    radical is computed once.
+    Otherwise A grows on rref subspaces of the flattened k x k matrices:
+    A_r is A_(r-1) plus the generators times the f rows with a new pivot
+    in A_(r-1), formed in one product (the generators stacked, k^2 x k,
+    times those rows side by side, k x k f), and as the pivots are nested
+    only those rows add trace rows.  Once no pivot is new, A_r = A.
+    Pass R = Rad(g) if it is known.
     """
     if R is None:
         R = radical(g)
@@ -106,26 +94,19 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     if k == 0:
         return R
     gR = subalgebra_on(g, R)
-    ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
-    # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: B flattened times column t
-    traces = Matrix.from_columns([M.transpose().flatten() for M in ads], k * k)
-    floor = bracket_subspaces(g, Subspace.full(g.dim), R).dim
-    A = Subspace.zero(k * k)
-    trace_rows: List[Vector] = []
-    coords = Subspace.full(k)  # the kernel of no trace rows
-    stacked = Matrix._unchecked(tuple(chain.from_iterable(M.rows for M in ads)), k)
-    words = [M.flatten() for M in ads]
-    while True:
-        grown = Subspace.from_vectors(k * k, A.vectors() + tuple(words))
-        old = set(A.pivots)
-        fresh = tuple(row for row, p in zip(grown.vectors(), grown.pivots) if p not in old)
-        if not fresh:
-            break
-        A = grown
-        trace_rows += (Matrix._unchecked(fresh, k * k) @ traces).rows
-        coords = kernel(Matrix._unchecked(tuple(trace_rows), k))
-        if coords.dim <= floor:
-            break
+    K = killing_form(gR)
+    coords = kernel(K)
+    floor = bracket_subspaces(g, Subspace.full(g.dim), R)
+    if coords.dim > floor.dim:
+        floor = sum_intersect(floor, center(g))[0]
+    if coords.dim > floor.dim:
+        ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
+        # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: B flattened times column t
+        traces = Matrix.from_columns([M.transpose().flatten() for M in ads], k * k)
+        stacked = Matrix._unchecked(tuple(chain.from_iterable(M.rows for M in ads)), k)
+        A = Subspace.from_vectors(k * k, [M.flatten() for M in ads])
+        fresh, trace_rows = A.vectors(), K.rows
+    while coords.dim > floor.dim:
         # row i of W_f, for every fresh row W_f, side by side
         side = tuple(
             tuple(chain.from_iterable(row[i * k:(i + 1) * k] for row in fresh)) for i in range(k)
@@ -137,7 +118,15 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
             for f in range(len(fresh))
             for t in range(k)
         ]
-    nil = Subspace(g.dim, coords.basis @ R.basis)
+        grown = Subspace.from_vectors(k * k, A.vectors() + tuple(words))
+        old = set(A.pivots)
+        fresh = tuple(row for row, p in zip(grown.vectors(), grown.pivots) if p not in old)
+        if not fresh:
+            break
+        A = grown
+        trace_rows += (Matrix._unchecked(fresh, k * k) @ traces).rows
+        coords = kernel(Matrix._unchecked(trace_rows, k))
+    nil = floor if coords.dim <= floor.dim else Subspace(g.dim, coords.basis @ R.basis)
     ensure(is_ideal(g, nil), "nilradical candidate is not an ideal")
     ensure(
         nil.is_zero() or is_nilpotent(subalgebra_on(g, nil)),

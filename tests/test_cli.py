@@ -52,6 +52,30 @@ def test_check_flags_bad_metric(tmp_path, capsys):
     assert report["metric_violations"]
 
 
+def test_check_reports_the_derived_series_of_a_table_that_violates_jacobi(tmp_path, capsys):
+    """Cartan's criterion in ``is_solvable`` holds for Lie algebras only; on
+    this table it disagrees with the derived series, which ``check`` reports."""
+    structure = {(0, 2): [(0, 1), (1, -1), (2, -1)], (0, 3): [(1, -2), (2, -1)]}
+    g = liealg.LieAlgebra(4, structure)
+    assert liealg.check_jacobi(g)
+    solvable = liealg.derived_series(g)[-1].is_zero()
+    assert liealg.is_solvable(g) is not solvable
+    doc = {
+        "name": "not_lie",
+        "dim": 4,
+        "basis": ["a", "b", "c", "d"],
+        "brackets": [
+            {"i": i, "j": j, "terms": [{"k": k, "c": str(c)} for k, c in terms]}
+            for (i, j), terms in structure.items()
+        ],
+    }
+    path = tmp_path / "not_lie.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["solvable"] is solvable
+
+
 def test_check_rejects_malformed_rational(tmp_path, capsys):
     doc = json.loads((CORPUS / "h1.algebra.json").read_text())
     doc["brackets"][0]["terms"][0]["c"] = "1/0"

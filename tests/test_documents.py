@@ -68,6 +68,26 @@ def test_parse_errors_carry_location(mutate, where):
     assert where in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "metric,message",
+    [
+        ([["1", "0", "0"], "row", ["0", "0", "1"]], "metric[1]: expected a row (list)"),
+        ([["1", "0", "0"], ["0", 1, "0"], ["0", "0", "1"]],
+         "metric[1][1]: expected a rational string, got 1"),
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2/4"]],
+         "metric[2][2]: rational literal not in canonical form: '2/4'"),
+        ([["1", "0", "0"], ["0", "1", "0"], ["x", "0", "1"]],
+         "metric[2][0]: not a rational literal: 'x'"),
+    ],
+)
+def test_matrix_entry_errors_keep_their_messages(metric, message):
+    data = h1_doc_json()
+    data["metric"] = metric
+    with pytest.raises(DocumentError) as info:
+        algebra_document_from_json(data)
+    assert str(info.value) == message
+
+
 def test_loads_reports_json_position():
     with pytest.raises(DocumentError, match="line"):
         loads_document("{\n  bad json\n}")

@@ -37,6 +37,23 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+def test_parse_rational_messages_and_values():
+    """Values equal ``Fraction(text)``; the two messages are exact, and a
+    trailing newline, which ``$`` lets the pattern match, is not canonical."""
+    for text in ("7", "-12/35", "0", "123456789012345678901/2"):
+        assert parse_rational(text) == Fraction(text)
+    for bad, message in [
+        ("1.5", "not a rational literal: '1.5'"),
+        (3, "not a rational literal: 3"),
+        ("2/4", "rational literal not in canonical form: '2/4'"),
+        ("007", "rational literal not in canonical form: '007'"),
+        ("1/2\n", "rational literal not in canonical form: '1/2\\n'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_rational(bad)
+        assert str(info.value) == message
+
+
 def test_solve_identity():
     A = Matrix.identity(2)
     assert solve(A, vector([3, Fraction(1, 2)])) == vector([3, Fraction(1, 2)])
@@ -105,6 +122,26 @@ def test_sum_intersect_dimension_formula():
         )
         total, meet = sum_intersect(U, W)
         assert total.dim + meet.dim == U.dim + W.dim
+
+
+def test_sum_intersect_matches_reduced_spans():
+    """Both results read straight off the Zassenhaus rref carry the basis
+    and the pivots that reducing their spans again gives."""
+    rng = random.Random(12)
+    for _ in range(50):
+        n = rng.randint(1, 7)
+        U, W = (
+            Subspace.from_vectors(
+                n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            )
+            for _ in range(2)
+        )
+        total, meet = sum_intersect(U, W)
+        expected = Subspace.from_vectors(n, U.vectors() + W.vectors())
+        assert (total.basis, total.pivots) == (expected.basis, expected.pivots)
+        again = Subspace.from_vectors(n, meet.vectors())
+        assert (meet.basis, meet.pivots) == (again.basis, again.pivots)
+        assert all(U.contains(v) and W.contains(v) for v in meet.vectors())
 
 
 def test_sum_intersect_ambient_mismatch():

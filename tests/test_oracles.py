@@ -91,9 +91,11 @@ from quadlie.liealg import (
     centralizer,
     check_jacobi,
     derived_series,
+    direct_sum,
     ideal_generated_by,
     is_derivation,
     is_ideal,
+    is_solvable,
     is_subalgebra,
     killing_form,
     lower_central_series,
@@ -122,7 +124,8 @@ from quadlie.randomized import (
 )
 from quadlie.structure import nilradical, radical, verify_nilradical_theorem
 
-CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "quadlie" / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "quadlie" / "corpus"
 RANDOM_SEEDS = range(30)
 
 
@@ -191,6 +194,7 @@ def _random_build(seed):
 def _assert_matches_oracles(g):
     assert killing_form(g) == killing_form_by_products(g)
     assert nilradical(g) == nilradical_four_step(g) == nilradical_incremental(g)
+    assert is_solvable(g) == derived_series(g)[-1].is_zero()
 
 
 def _assert_radical_verdict_matches_refind(q):
@@ -230,8 +234,8 @@ def test_random_builds_match_oracles(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_nilradical_matches_word_closure_on_larger_random_builds(seed):
     """Dims 4 to 15, where the four-step oracle is too slow.  On seed 4
-    (dim 15) Nil(g) is larger than [g, R], so the closure runs to the end;
-    seeds 0 and 7 stop once the kernel reaches [g, R]."""
+    (dim 15) Nil(g) is larger than [g, R]: the oracle's closure runs to the
+    end, while the library stops on the floor [g, R] + Z(g)."""
     rng = random.Random(seed)
     q = build_with_heisenberg_ideal(*random_build_input(rng, 4, 6))
     g = transport_quadratic(q, random_unimodular(rng, q.dim)).algebra
@@ -1024,15 +1028,20 @@ def test_integer_table_leaves_equality_and_hash_alone(g):
         g._integers = None
 
 
+def _filiform(n):
+    """The standard filiform algebra [e_1, e_i] = e_(i+1), 1 < i < n."""
+    return LieAlgebra(n, {(0, i): [(i + 1, 1)] for i in range(1, n - 1)})
+
+
 def test_nilradical_forms_each_round_of_words_in_one_product(monkeypatch):
-    """Dim 15 (seed 4 of the larger builds), where the closure runs until no
-    pivot is new: the words of each round but the last come from one
-    product, the k generators stacked (k^2 x k) times the f rows new in
-    that round side by side (k x k f), and no generator meets a word alone
-    (a k x k times k x k product)."""
-    rng = random.Random(4)
-    q = build_with_heisenberg_ideal(*random_build_input(rng, 4, 6))
-    g = transport_quadratic(q, random_unimodular(rng, q.dim)).algebra
+    """sl2 beside the dim-7 filiform algebra, whose radical R is that
+    nilpotent summand: K_R = 0, so the kernel stays above the floor
+    [g, R] + Z(g) and the closure runs until no pivot is new (R is not g,
+    so the map back to g is no k x k product).  The words of each round
+    but the last come from one product, the k generators stacked (k^2 x k)
+    times the f rows new in that round side by side (k x k f), and no
+    generator meets a word alone (a k x k times k x k product)."""
+    g = direct_sum(fixtures.sl2(), _filiform(7))
     R = radical(g)
     k = R.dim
     shapes, dims = [], [0]
@@ -1057,3 +1066,56 @@ def test_nilradical_forms_each_round_of_words_in_one_product(monkeypatch):
     assert len(dims) >= 4 and len(words) == len(dims) - 2 and dims[-1] == dims[-2]
     assert words == [(k, k * (after - before)) for before, after in zip(dims, dims[1:-1])]
     assert ((k, k), (k, k)) not in shapes
+
+
+# the four grid_analyze algebras and 40 seeded builds of dim 4 to 12
+SETTLING = [("grid", index) for index in range(4)] + [("seed", seed) for seed in range(40)]
+
+
+@pytest.mark.parametrize("source,index", SETTLING, ids=[f"{s}{i}" for s, i in SETTLING])
+def test_nilradical_settles_in_round_one(monkeypatch, source, index):
+    """ker K_R meets the floor [g, R] + Z(g) on these inputs, so the
+    nilradical builds no span of k x k matrices (no k^2-wide
+    ``Subspace.from_vectors``) and still equals the word closure; Cartan's
+    criterion agrees with the derived series, sl2 cores included.  On
+    grid1 Z(g) is not in [g, R], so the floor needs it."""
+    if source == "grid":
+        monkeypatch.syspath_prepend(str(ROOT))
+        from bench.workloads import GRID_ANALYZE, grid_algebras
+
+        g = grid_algebras([GRID_ANALYZE[index]])[0].algebra
+    else:
+        rng = random.Random(index)
+        q = build_with_heisenberg_ideal(*random_build_input(rng, 4, 3))
+        g = transport_quadratic(q, random_unimodular(rng, q.dim)).algebra
+    R = radical(g)
+    k = R.dim
+    assert k * k > g.dim  # a k^2-wide call is none of the g-wide ones
+    widths = []
+    from_vectors = Subspace.from_vectors.__func__
+
+    def counting_from_vectors(cls, ambient_dim, vectors):
+        widths.append(ambient_dim)
+        return from_vectors(cls, ambient_dim, vectors)
+
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(counting_from_vectors))
+    nil = nilradical(g, R)
+    monkeypatch.undo()
+    assert k * k not in widths
+    assert nil == nilradical_incremental(g)
+    assert is_solvable(g) == derived_series(g)[-1].is_zero() == (k == g.dim)
+    if (source, index) == ("grid", 1):
+        assert GRID_ANALYZE[1] == (1, True, 2)
+        floor = bracket_subspaces(g, Subspace.full(g.dim), R)
+        assert nil.dim > floor.dim and not floor.contains_subspace(center(g))
+
+
+def test_settling_inputs_include_cores_that_are_not_solvable():
+    """Some of the 40 seeded builds have an sl2 core, so Cartan's criterion
+    meets both answers above."""
+    solvable = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = build_with_heisenberg_ideal(*random_build_input(rng, 4, 3)).algebra
+        solvable.append(is_solvable(g))
+    assert not all(solvable) and any(solvable)

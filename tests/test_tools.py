@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import fixtures
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SOURCE = '''"""Module docstring,
@@ -60,6 +62,7 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
     assert line["shape"] == [4, False, 2] and line["dim"] == 10
     assert (line["skew_derivations"], line["invariant_forms"]) == (10, 5)
     assert line["nilradical_dim"] == 8
+    assert line["nilradical_closure_rounds"] == 0
     n = line["dim"]
     assert isinstance(line["invariance_rows"], int) and isinstance(line["cocycle_rows"], int)
     assert line["invariance_rows"] <= n * (n - 1) + 2 * (n * (n - 1) * (n - 2) // 6)
@@ -72,3 +75,21 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
     ):
         assert isinstance(line[key], float) and line[key] >= 0
     assert json.loads(json.dumps(line)) == line
+
+
+def test_time_solvers_counts_the_closure_rounds(monkeypatch):
+    """sl2 beside the dim-6 filiform algebra: its radical is nilpotent, so
+    K_R = 0 and the closure runs until no pivot is new, one span per round;
+    sl2 alone has no radical and no round.  The count leaves
+    ``Subspace.from_vectors`` as it was."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import time_solvers
+    from quadlie.exactla import Subspace
+    from quadlie.liealg import LieAlgebra, direct_sum
+
+    saved = Subspace.__dict__["from_vectors"]
+    sl2 = fixtures.sl2()
+    filiform = LieAlgebra(6, {(0, i): [(i + 1, 1)] for i in range(1, 5)})
+    assert time_solvers.closure_rounds(direct_sum(sl2, filiform)) == 5
+    assert time_solvers.closure_rounds(sl2) == 0
+    assert Subspace.__dict__["from_vectors"] is saved

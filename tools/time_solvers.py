@@ -18,10 +18,14 @@ no options:
 
 Prints one JSON line per shape: the shape, the dimension, the seconds of
 each call (``time.perf_counter``, one call, set-up excluded), the
-dimension of each solution space and that of the nilradical, and the
+dimension of each solution space and that of the nilradical, the
 number of equations of each solver's system (``invariance_rows``,
-``cocycle_rows``: the nonzero rows passed to ``kernel``).  Single runs
-on a shared machine vary; repeat the command to see the spread.
+``cocycle_rows``: the nonzero rows passed to ``kernel``), and the
+nilradical's closure rounds (``nilradical_closure_rounds``: the spans of
+flattened k x k matrices it builds, k = dim Rad(g), counted on a second,
+untimed call; 0 when ker K_R meets the floor [g, R] + Z(g) in round one).
+Single runs on a shared machine vary; repeat the command to see the
+spread.
 """
 
 import contextlib
@@ -46,7 +50,8 @@ from quadlie.quadform import (  # noqa: E402
     invariant_symmetric_forms,
     skew_derivation_space,
 )
-from quadlie.structure import nilradical  # noqa: E402
+from quadlie.exactla import Subspace  # noqa: E402
+from quadlie.structure import nilradical, radical  # noqa: E402
 
 SHAPES = tuple((4, False, m) for m in range(2, 8))
 
@@ -68,6 +73,25 @@ def time_analyze(q) -> float:
     if code != 0:
         raise RuntimeError(f"analyze exited with {code}: {sink.getvalue()}")
     return elapsed
+
+
+def closure_rounds(g) -> int:
+    """The spans of flattened k x k matrices, k = dim Rad(g), that one
+    ``nilradical(g)`` builds: its k^2-wide ``Subspace.from_vectors`` calls."""
+    R = radical(g)
+    saved = Subspace.__dict__["from_vectors"]
+    widths = []
+
+    def counting(cls, ambient_dim, vectors):
+        widths.append(ambient_dim)
+        return saved.__func__(cls, ambient_dim, vectors)
+
+    Subspace.from_vectors = classmethod(counting)
+    try:
+        nilradical(g, R)
+    finally:
+        Subspace.from_vectors = saved
+    return widths.count(R.dim ** 2)
 
 
 def time_solvers(shape) -> dict:
@@ -96,6 +120,7 @@ def time_solvers(shape) -> dict:
         "quadratic_constructor_s": round(validated - end, 4),
         "nilradical_s": round(nil_end - validated, 4),
         "nilradical_dim": nil.dim,
+        "nilradical_closure_rounds": closure_rounds(q.algebra),
         "analyze_s": round(time_analyze(q), 4),
     }
 
