@@ -39,11 +39,9 @@ from .structure import (
     ExtendedHeisenbergVerdict,
     HeisenbergIdealData,
     QuotientMetricObstruction,
+    analyze,
     find_heisenberg_ideal,
-    has_invariant_quotient_metric,
-    recognize_extended_heisenberg,
     recover_structure,
-    verify_nilradical_theorem,
 )
 
 EXIT_CLEAN = 0
@@ -65,6 +63,13 @@ def _heisenberg_to_json(h: HeisenbergIdealData) -> dict:
     }
 
 
+def _metric_violations(doc: AlgebraDocument) -> List[dict]:
+    return [
+        {"kind": v.kind, "indices": list(v.indices)}
+        for v in check_invariant_metric(doc.algebra, doc.metric)
+    ]
+
+
 def cmd_check(doc: AlgebraDocument) -> Tuple[dict, int]:
     """Jacobi and metric checks plus basic structure flags."""
     g = doc.algebra
@@ -84,11 +89,8 @@ def cmd_check(doc: AlgebraDocument) -> Tuple[dict, int]:
     }
     clean = not jacobi
     if doc.metric is not None:
-        metric_violations = check_invariant_metric(g, doc.metric)
-        report["metric_violations"] = [
-            {"kind": v.kind, "indices": list(v.indices)} for v in metric_violations
-        ]
-        clean = clean and not metric_violations
+        report["metric_violations"] = _metric_violations(doc)
+        clean = clean and not report["metric_violations"]
     return report, EXIT_CLEAN if clean else EXIT_VIOLATION
 
 
@@ -103,10 +105,7 @@ def _violation_report(doc: AlgebraDocument) -> dict:
     return {
         "name": doc.name,
         "jacobi_violations": len(check_jacobi(doc.algebra)),
-        "metric_violations": [
-            {"kind": v.kind, "indices": list(v.indices)}
-            for v in check_invariant_metric(doc.algebra, doc.metric)
-        ],
+        "metric_violations": _metric_violations(doc),
     }
 
 
@@ -125,14 +124,8 @@ def _candidate_from_indices(doc: AlgebraDocument, indices: List[int]) -> Subspac
 def cmd_analyze(
     doc: AlgebraDocument, ideal: Optional[List[int]] = None
 ) -> Tuple[dict, int]:
-    """Full structure report on a quadratic algebra document.
-
-    Each algebra is recognized and recovered once.  When Rad(g) = g, the
-    nilradical theorem check has run the recognizer on the radical in g's
-    own coordinates, and its verdict is the report's; otherwise the
-    recognizer runs on g.  The recovery section reuses the recognizer's
-    recovery when that is over the reported Heisenberg ideal.
-    """
+    """Full structure report on a quadratic algebra document: the
+    serialized ``structure.analyze`` result."""
     g = doc.algebra
     if doc.metric is None:
         raise DocumentError("analyze requires a metric", "metric")
@@ -142,37 +135,17 @@ def cmd_analyze(
         report = _violation_report(doc)
         report["dim"] = g.dim
         return report, EXIT_VIOLATION
-    candidate = None if ideal is None else _candidate_from_indices(doc, ideal)
-
-    theorem = verify_nilradical_theorem(q)
+    result = analyze(q, None if ideal is None else _candidate_from_indices(doc, ideal))
+    theorem, verdict, h = result.theorem, result.verdict, result.heisenberg
     report = {
         "name": doc.name,
         "dim": g.dim,
         "radical": _subspace_to_json(theorem.radical),
         "nilradical": _subspace_to_json(theorem.nilradical),
+        "heisenberg_ideal": {"found": h is not None, "source": result.source},
     }
-
-    verdict = theorem.radical_verdict if theorem.whole_algebra else None
-    if verdict is None:
-        verdict = recognize_extended_heisenberg(q)
-    recovered = getattr(verdict, "recovered", None)
-    if candidate is not None:
-        source = "given"
-        h = find_heisenberg_ideal(g, candidate)
-    else:
-        source = "nilradical"
-        h = theorem.heisenberg
-        if h is None:
-            source = "derived"
-            # the recognizer recovers from the Heisenberg data of [g, g]
-            # exactly when [g, g] is a Heisenberg ideal
-            h = None if recovered is None else recovered.heis
-    if h is None:
-        report["heisenberg_ideal"] = {"found": False, "source": source}
-    else:
-        data = _heisenberg_to_json(h)
-        data.update({"found": True, "source": source})
-        report["heisenberg_ideal"] = data
+    if h is not None:
+        report["heisenberg_ideal"].update(_heisenberg_to_json(h))
 
     if isinstance(verdict, ExtendedHeisenbergVerdict):
         report["recognizer"] = {
@@ -188,24 +161,19 @@ def cmd_analyze(
             "factor_dims": [f.dim for f in verdict.factors],
         }
     else:
-        report["recognizer"] = {
-            "verdict": "not_applicable",
-            "reason": verdict.reason,
-        }
+        report["recognizer"] = {"verdict": "not_applicable", "reason": verdict.reason}
 
     if h is not None:
-        rec = recovered
-        if rec is None or rec.heis != h:
-            rec = recover_structure(q, h)
+        rec = result.recovery
         report["recovery"] = {
             "s_dim": rec.s_basis.dim,
             "d": vector_to_json(rec.d),
             "sigmaD": matrix_to_json(rec.sigmaD.matrix),
-            "D": matrix_to_json(rec.D.matrix),
+            "D": matrix_to_json(rec.D),
             "base_change": matrix_to_json(rec.base_change),
             "round_trip_exact": True,
         }
-        witness = has_invariant_quotient_metric(q, h)
+        witness = result.quotient_metric
         if isinstance(witness, QuotientMetricObstruction):
             obstruction = {
                 "complement": [vector_to_json(a) for a in witness.complement],
@@ -258,7 +226,7 @@ def cmd_roundtrip(doc: AlgebraDocument, ideal: List[int]) -> Tuple[dict, int]:
         "s_dim": rec.s_basis.dim,
         "base_change": matrix_to_json(rec.base_change),
         "core": algebra_document_to_json(core_doc),
-        "D": matrix_to_json(rec.D.matrix),
+        "D": matrix_to_json(rec.D),
         "sigmaD": matrix_to_json(rec.sigmaD.matrix),
         "omega": matrix_to_json(rec.heis.omega),
     }
@@ -278,21 +246,24 @@ def cmd_forms(doc: AlgebraDocument) -> Tuple[dict, int]:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except (OSError, UnicodeEncodeError) as exc:  # a string with a lone surrogate
+        raise DocumentError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _parse_ideal(arg: Optional[str]) -> Optional[List[int]]:

@@ -14,7 +14,7 @@ from typing import Optional, Tuple, Union
 
 from .errors import InternalVerificationError
 from .exactla import Matrix, Subspace, unit_vector
-from .liealg import LieAlgebra, LinearMap, check_jacobi, is_derivation
+from .liealg import LieAlgebra, check_jacobi, is_derivation
 from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
 
@@ -179,9 +179,7 @@ def _require_skew_derivation(S: QuadraticLieAlgebra, D: Matrix, name: str = "D")
         raise ValueError(f"{name} is not skew-symmetric with respect to the metric")
 
 
-def double_extension(
-    S: QuadraticLieAlgebra, D: Union[LinearMap, Matrix]
-) -> QuadraticLieAlgebra:
+def double_extension(S: QuadraticLieAlgebra, D: Matrix) -> QuadraticLieAlgebra:
     """Double extension S(D) of a quadratic algebra by a skew derivation.
 
     Basis (D, s_1..s_n, hbar) with [D, x] = D(x), [x, y] = [x, y]_S +
@@ -201,7 +199,7 @@ def double_extension(
 
 def build_with_heisenberg_ideal(
     S: QuadraticLieAlgebra,
-    D: Union[LinearMap, Matrix, None],
+    D: Optional[Matrix],
     V: SymplecticSpace,
     sigmaD: Union[SymplecticMap, Matrix],
 ) -> QuadraticLieAlgebra:
@@ -214,10 +212,7 @@ def build_with_heisenberg_ideal(
     ideal of the result.  ``extend_heisenberg`` is the case S = 0 and
     ``double_extension`` the case V = 0.
     """
-    if D is None:
-        D_mat = Matrix.zeros(S.dim, S.dim)
-    else:
-        D_mat = D.matrix if isinstance(D, LinearMap) else D
+    D_mat = Matrix.zeros(S.dim, S.dim) if D is None else D
     _require_skew_derivation(S, D_mat)
     sigma = _as_omega_matrix(sigmaD, V, "sigmaD")
     if sigma.det() == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
     _ZERO,
@@ -29,34 +29,6 @@ from .exactla import (
 )
 
 StructureInput = Mapping
-
-
-class LinearMap:
-    """A linear map given by its matrix in the column-vector convention."""
-
-    __slots__ = ("source_dim", "target_dim", "matrix")
-
-    def __init__(self, source_dim: int, target_dim: int, matrix: Matrix):
-        if matrix.shape != (target_dim, source_dim):
-            raise ValueError("matrix shape does not match declared dimensions")
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
-
-    def apply(self, v: Sequence) -> Vector:
-        return self.matrix.apply(v)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearMap) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"LinearMap({self.source_dim}->{self.target_dim})"
 
 
 class JacobiViolation(NamedTuple):
@@ -336,13 +308,12 @@ def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
     return violations
 
 
-def ad(g: LieAlgebra, x: Sequence) -> LinearMap:
-    """Adjoint map y -> [x, y]; its columns come from ``_ad_columns``."""
+def ad(g: LieAlgebra, x: Sequence) -> Matrix:
+    """The matrix of y -> [x, y]; its columns come from ``_ad_columns``."""
     x = vector(x)
     if len(x) != g.dim:
         raise ValueError("vector dimension mismatch")
-    columns = _ad_columns(g, x)
-    return LinearMap(g.dim, g.dim, Matrix.from_columns(columns, g.dim))
+    return Matrix.from_columns(_ad_columns(g, x), g.dim)
 
 
 def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
@@ -376,33 +347,26 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
     return Subspace.from_vectors(g.dim, vecs)
 
 
-def derived_series(g: LieAlgebra) -> List[Subspace]:
-    """g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until stabilization."""
+def _series(g: LieAlgebra, step: Callable[[Subspace], Subspace]) -> List[Subspace]:
+    """g, step(g), step(step(g)), ... until a term is zero or repeats."""
     series = [Subspace.full(g.dim)]
-    while True:
-        current = series[-1]
-        nxt = bracket_subspaces(g, current, current)
-        if nxt == current:
+    while not series[-1].is_zero():
+        nxt = step(series[-1])
+        if nxt == series[-1]:
             break
         series.append(nxt)
-        if nxt.is_zero():
-            break
     return series
+
+
+def derived_series(g: LieAlgebra) -> List[Subspace]:
+    """g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until stabilization."""
+    return _series(g, lambda U: bracket_subspaces(g, U, U))
 
 
 def lower_central_series(g: LieAlgebra) -> List[Subspace]:
     """g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ... until stabilization."""
     full = Subspace.full(g.dim)
-    series = [full]
-    while True:
-        current = series[-1]
-        nxt = bracket_subspaces(g, full, current)
-        if nxt == current:
-            break
-        series.append(nxt)
-        if nxt.is_zero():
-            break
-    return series
+    return _series(g, lambda U: bracket_subspaces(g, full, U))
 
 
 def is_solvable(g: LieAlgebra) -> bool:
@@ -472,8 +436,8 @@ def ideal_generated_by(g: LieAlgebra, vectors_in: Iterable[Sequence]) -> Subspac
     return current
 
 
-def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
-    """Quotient algebra g/I with its projection.
+def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
+    """Quotient algebra g/I with the matrix of its projection.
 
     The quotient coordinates are the non-pivot coordinates of the ideal's
     rref basis, making the construction deterministic.  The projection is
@@ -489,12 +453,11 @@ def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
         [-row_at[j][c] if j in row_at else int(j == c) for j in range(g.dim)]
         for c in complement_cols
     ]
-    qdim = len(complement_cols)
-    proj = LinearMap(g.dim, qdim, Matrix(proj_rows, g.dim))
+    proj = Matrix(proj_rows, g.dim)
     units = [unit_vector(g.dim, c) for c in complement_cols]
     labels = [g.basis_labels[c] + "~" for c in complement_cols]
-    structure = _structure_in(g, units, proj.matrix.transpose())
-    return LieAlgebra(qdim, structure, labels), proj
+    structure = _structure_in(g, units, proj.transpose())
+    return LieAlgebra(len(complement_cols), structure, labels), proj
 
 
 def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:

@@ -4,7 +4,8 @@ Contains the solvable radical and nilradical, validation of Heisenberg
 ideals, the inverse structure-recovery algorithm (with a base-change
 certificate and an exact rebuild check), the extended-Heisenberg
 recognizer, the complement-subalgebra machinery for quotient metrics with
-the exact decision whether one exists, and the nilradical-theorem verifier.
+the exact decision whether one exists, the nilradical-theorem verifier, and
+``analyze``, which joins them into one analysis.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .exactla import (
 from .heisenberg import SymplecticMap, SymplecticSpace, _assemble, in_omega_algebra
 from .liealg import (
     LieAlgebra,
-    LinearMap,
     _pair_brackets,
     ad,
     bracket_subspaces,
@@ -100,7 +100,7 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     if coords.dim > floor.dim:
         floor = sum_intersect(floor, center(g))[0]
     if coords.dim > floor.dim:
-        ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
+        ads = [ad(gR, unit_vector(k, i)) for i in range(k)]
         # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: B flattened times column t
         traces = Matrix.from_columns([M.transpose().flatten() for M in ads], k * k)
         stacked = Matrix._unchecked(tuple(chain.from_iterable(M.rows for M in ads)), k)
@@ -280,8 +280,7 @@ class RecoveredStructure:
     """
 
     s_basis: Subspace
-    metric_S: BilinearForm
-    D: LinearMap
+    D: Matrix
     d: Vector
     sigmaD: SymplecticMap
     heis: HeisenbergIdealData
@@ -370,9 +369,7 @@ def recover_structure(
 
     # hbar is central in g and B-orthogonal to the ideal; both are forced
     # by invariance for a valid Heisenberg ideal, so failures are internal
-    ensure(
-        ad(g, h.hbar).matrix.is_zero(), "hbar is not central in the ambient algebra"
-    )
+    ensure(ad(g, h.hbar).is_zero(), "hbar is not central in the ambient algebra")
     G_hbar = B.gram.apply(h.hbar)
     ensure(is_zero_vec(h.ideal.basis.apply(G_hbar)), "hbar is not orthogonal to the ideal")
 
@@ -481,8 +478,7 @@ def recover_structure(
     )
     return RecoveredStructure(
         s_basis=S_sub,
-        metric_S=BilinearForm(B_S),
-        D=LinearMap(k, k, D_mat),
+        D=D_mat,
         d=d,
         sigmaD=sigma_map,
         heis=h,
@@ -543,10 +539,7 @@ def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
         # with S = 0 the rebuild is extend_heisenberg(m, omega, sigmaD), and
         # recovery has certified that the base change maps q onto it
         return ExtendedHeisenbergVerdict(rec)
-    ensure(
-        rec.D.matrix.is_zero(),
-        "derived = h_m but D != 0",
-    )
+    ensure(rec.D.is_zero(), "derived = h_m but D != 0")
     ensure(not rec.core.algebra.structure, "derived = h_m but S is nonabelian")
     split = split_by_nondegenerate_ideal(q, rec.s_basis)
     ensure(split is not None, "nondegenerate core failed to split the algebra")
@@ -616,7 +609,7 @@ def _metric_on_complement(
     h: HeisenbergIdealData,
     C: Matrix,
     q_alg: LieAlgebra,
-    proj: LinearMap,
+    proj: Matrix,
 ) -> BilinearForm:
     """The body of ``quotient_metric_from_complement`` on the rows of C, a
     basis of a subalgebra complement, with the quotient and its projection.
@@ -637,7 +630,7 @@ def _metric_on_complement(
         d = sub_vec(d, S0.transpose().apply(correction))
         ensure(is_zero_vec(S0G.apply(d)), "d orthogonalization failed")
 
-    pi = proj.matrix @ C.transpose()
+    pi = proj @ C.transpose()
     ensure(pi.is_invertible(), "complement does not project onto the quotient")
     reps = pi.inverse().transpose() @ C
     lambdas = reps.apply(G_hbar)
@@ -705,7 +698,7 @@ def _complement_from_metric(
     q: QuadraticLieAlgebra,
     h: HeisenbergIdealData,
     Ba: BilinearForm,
-    proj: LinearMap,
+    proj: Matrix,
     complement: Tuple[Matrix, Matrix, Matrix, Vector],
 ) -> ComplementWitness:
     """The body of ``complement_from_quotient_metric`` on an invariant
@@ -721,12 +714,12 @@ def _complement_from_metric(
     """
     g, G = q.algebra, q.metric.gram
     n = g.dim
-    qd = proj.target_dim
+    qd = proj.nrows
     A, E_inv, beta, mu = complement
     ensure(A.nrows == qd, "complement dimension mismatch")
 
     # pull the quotient metric back to the complement
-    pi = proj.matrix @ A.transpose()  # column i = p(a_i)
+    pi = proj @ A.transpose()  # column i = p(a_i)
     ensure(pi.is_invertible(), "complement does not project onto the quotient")
     G_a = pi.transpose() @ Ba.gram @ pi
     ensure(G_a.det() != 0, "pulled-back quotient metric is degenerate")
@@ -917,3 +910,53 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
         radical_verdict=verdict,
         whole_algebra=rad.dim == g.dim,
     )
+
+
+# ---------------------------------------------------------------------------
+# the analysis
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything ``analyze`` finds about one quadratic algebra.
+
+    ``source`` says where the Heisenberg ideal was looked for: "given",
+    "nilradical" or "derived" ([g, g]).  ``heisenberg``, ``recovery`` and
+    ``quotient_metric`` are set exactly when an ideal was found."""
+
+    theorem: NilradicalTheoremReport
+    verdict: Verdict
+    source: str
+    heisenberg: Optional[HeisenbergIdealData]
+    recovery: Optional[RecoveredStructure]
+    quotient_metric: Union[ComplementWitness, QuotientMetricObstruction, None]
+
+
+def analyze(q: QuadraticLieAlgebra, ideal: Optional[Subspace] = None) -> Analysis:
+    """The nilradical theorem check, the recognizer verdict and, over a
+    Heisenberg ideal, the recovery and the quotient-metric decision.
+
+    The ideal is ``ideal`` when given, else Nil(g), else [g, g].  Each
+    algebra is recognized and recovered once: when Rad(g) = g the theorem
+    check has run the recognizer on the radical in g's own coordinates,
+    and its verdict is g's; otherwise the recognizer runs on g.  The
+    recovery is the recognizer's when that is over the same ideal.
+    """
+    theorem = verify_nilradical_theorem(q)
+    verdict = theorem.radical_verdict if theorem.whole_algebra else None
+    if verdict is None:
+        verdict = recognize_extended_heisenberg(q)
+    recovered = getattr(verdict, "recovered", None)
+    if ideal is not None:
+        source, h = "given", find_heisenberg_ideal(q.algebra, ideal)
+    elif theorem.heisenberg is not None:
+        source, h = "nilradical", theorem.heisenberg
+    else:
+        # the recognizer recovers from the Heisenberg data of [g, g]
+        # exactly when [g, g] is a Heisenberg ideal
+        source, h = "derived", None if recovered is None else recovered.heis
+    if h is None:
+        return Analysis(theorem, verdict, source, None, None, None)
+    if recovered is None or recovered.heis != h:
+        recovered = recover_structure(q, h)
+    return Analysis(theorem, verdict, source, h, recovered, has_invariant_quotient_metric(q, h))

@@ -70,7 +70,6 @@ from quadlie.heisenberg import (
 from quadlie.liealg import (
     JacobiViolation,
     LieAlgebra,
-    LinearMap,
     ad,
     bracket,
     check_jacobi,
@@ -453,7 +452,7 @@ def check_invariant_metric_dense(g: LieAlgebra, B) -> List[MetricViolation]:
 
 def killing_form_by_products(g: LieAlgebra) -> Matrix:
     """K(x, y) = trace(ad x · ad y) through n^2 dense matrix products."""
-    ads = [ad(g, unit_vector(g.dim, i)).matrix for i in range(g.dim)]
+    ads = [ad(g, unit_vector(g.dim, i)) for i in range(g.dim)]
     return Matrix(
         [[(ads[i] @ ads[j]).trace() for j in range(g.dim)] for i in range(g.dim)],
         g.dim,
@@ -566,7 +565,7 @@ def nilradical_incremental(g: LieAlgebra) -> Subspace:
     if k == 0:
         return R
     gR = subalgebra_on(g, R)
-    ads = [ad(gR, unit_vector(k, i)).matrix for i in range(k)]
+    ads = [ad(gR, unit_vector(k, i)) for i in range(k)]
     ads_transposed = [M.transpose().flatten() for M in ads]
     floor = bracket_subspaces_by_pairs(g, Subspace.full(g.dim), R).dim
     words = _SpanBuilder()
@@ -633,23 +632,20 @@ def extend_heisenberg_direct(
     return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
 
 
-def double_extension_direct(
-    S: QuadraticLieAlgebra, D: Union[LinearMap, Matrix]
-) -> QuadraticLieAlgebra:
+def double_extension_direct(S: QuadraticLieAlgebra, D: Matrix) -> QuadraticLieAlgebra:
     """S(D) on the basis (D, s_1..s_n, hbar) with its own bracket table and Gram matrix."""
-    D_mat = D.matrix if isinstance(D, LinearMap) else D
-    _require_skew_derivation(S, D_mat)
+    _require_skew_derivation(S, D)
     n = S.dim
     dim = n + 2
     hb = dim - 1
     structure = {}
     for j in range(n):
-        col = D_mat.column(j)
+        col = D.column(j)
         terms = [(1 + i, c) for i, c in enumerate(col) if c != 0]
         if terms:
             structure[(0, 1 + j)] = terms
     gram_s = S.metric.gram
-    mu = D_mat.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
+    mu = D.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
     for i in range(n):
         for j in range(i + 1, n):
             terms = [
@@ -698,8 +694,8 @@ def ad_columns_fraction(g: LieAlgebra, x) -> List[tuple]:
     return [tuple(column) for column in columns]
 
 
-def ad_fraction(g: LieAlgebra, x) -> LinearMap:
-    return LinearMap(g.dim, g.dim, Matrix.from_columns(ad_columns_fraction(g, x), g.dim))
+def ad_fraction(g: LieAlgebra, x) -> Matrix:
+    return Matrix.from_columns(ad_columns_fraction(g, x), g.dim)
 
 
 def killing_form_fraction(g: LieAlgebra) -> Matrix:
@@ -743,7 +739,7 @@ def subalgebra_on_fraction(g: LieAlgebra, U: Subspace) -> LieAlgebra:
     return LieAlgebra(U.dim, structure, [f"r{t + 1}" for t in range(U.dim)])
 
 
-def quotient_fraction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
+def quotient_fraction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
     """g/I on the non-pivot coordinates, the projection read off I's rref rows."""
     if not all(I.contains(c) for u in I.vectors() for c in ad_columns_fraction(g, u)):
         raise ValueError("subspace is not an ideal")
@@ -754,7 +750,7 @@ def quotient_fraction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap
         for c in complement_cols
     ]
     qdim = len(complement_cols)
-    proj = LinearMap(g.dim, qdim, Matrix(proj_rows, g.dim))
+    proj = Matrix(proj_rows, g.dim)
     units = [unit_vector(g.dim, c) for c in complement_cols]
     labels = [g.basis_labels[c] + "~" for c in complement_cols]
     return LieAlgebra(qdim, structure_in_fraction(g, units, proj.apply), labels), proj
@@ -772,11 +768,11 @@ def transport_fraction(
 
 # -- bracket loops, one per function -----------------------------------------
 
-def ad_by_brackets(g: LieAlgebra, x) -> LinearMap:
+def ad_by_brackets(g: LieAlgebra, x) -> Matrix:
     """ad x with column j formed as the full bracket [x, e_j]."""
     x = vector(x)
     columns = [bracket(g, x, unit_vector(g.dim, j)) for j in range(g.dim)]
-    return LinearMap(g.dim, g.dim, Matrix.from_columns(columns, g.dim))
+    return Matrix.from_columns(columns, g.dim)
 
 
 def is_subalgebra_by_brackets(g: LieAlgebra, U: Subspace) -> bool:
@@ -803,7 +799,7 @@ def centralizer_by_brackets(g: LieAlgebra, U: Subspace) -> Subspace:
         return Subspace.full(g.dim)
     rows = []
     for u in U.vectors():
-        adj = ad_by_brackets(g, u).matrix
+        adj = ad_by_brackets(g, u)
         rows.extend((-adj).rows)
     return kernel(Matrix(rows, g.dim))
 
@@ -832,7 +828,7 @@ def bracket_subspaces_by_pairs(g: LieAlgebra, U: Subspace, W: Subspace) -> Subsp
     return Subspace.from_vectors(g.dim, [bracket(g, u, w) for u, w in pairs])
 
 
-def quotient_by_reduction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, LinearMap]:
+def quotient_by_reduction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
     """g/I with the projection found by reducing each e_j modulo I's rref rows."""
     if not is_ideal_by_brackets(g, I):
         raise ValueError("subspace is not an ideal")
@@ -848,7 +844,7 @@ def quotient_by_reduction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Linea
                 f = v[c]
                 v = [a - f * b for a, b in zip(v, I.basis.rows[r])]
         proj_columns.append(tuple(v[c] for c in complement_cols))
-    proj = LinearMap(g.dim, qdim, Matrix.from_columns(proj_columns, qdim))
+    proj = Matrix.from_columns(proj_columns, qdim)
     structure = {}
     for s in range(qdim):
         for t in range(s + 1, qdim):
@@ -1082,7 +1078,7 @@ def complement_from_metric_by_evaluation(
     g, B = q.algebra, q.metric
     n = g.dim
     _, proj = quotient(g, h.ideal)
-    qd = proj.target_dim
+    qd = proj.nrows
     a_vecs, E_inv, brackets = _brackets_by_pairs(q, h)
     ensure(len(a_vecs) == qd, "complement dimension mismatch")
 

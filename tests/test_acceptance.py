@@ -208,7 +208,7 @@ def _nilradical_oracle(g, nil):
     if nil.dim:
         assert is_nilpotent(subalgebra_on(g, nil))
     for v in nil.vectors():
-        M = ad(g, v).matrix
+        M = ad(g, v)
         power = Matrix.identity(g.dim)
         for _ in range(g.dim + 1):
             power = power @ M

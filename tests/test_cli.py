@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import pathlib
 import random
@@ -11,11 +12,26 @@ from fractions import Fraction
 
 import pytest
 
+from fixtures import (
+    abelian_line_quadratic,
+    abelian_plane_quadratic,
+    build_abelian_line_fixture,
+    build_rotation_core_fixture,
+    build_sl2_fixture,
+    h1_phi,
+    oscillator,
+    sl2_quadratic,
+    zero_quadratic,
+)
 from oracles import obstruction_holds
 from quadlie import cli, liealg, quadform, structure
 from quadlie.cli import main
-from quadlie.documents import loads_document
+from quadlie.documents import AlgebraDocument, loads_document, matrix_to_json, vector_to_json
 from quadlie.errors import InternalVerificationError
+from quadlie.exactla import Subspace, unit_vector
+from quadlie.heisenberg import build_with_heisenberg_ideal
+from quadlie.quadform import transport_quadratic
+from quadlie.randomized import random_build_input, random_unimodular
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "quadlie" / "corpus"
@@ -377,6 +393,107 @@ ROUNDTRIP_IDEALS = {
 }
 
 
+VERDICT_NAMES = {
+    structure.ExtendedHeisenbergVerdict: "extended_heisenberg",
+    structure.DecomposableVerdict: "decomposable",
+    structure.NotApplicableVerdict: "not_applicable",
+}
+
+
+def _assert_report_serializes(result, report, g):
+    """The ``analyze`` report says what the ``structure.analyze`` result
+    holds, and the result's ideal is the one its ``source`` names."""
+    theorem, h = result.theorem, result.heisenberg
+    assert report["radical"] == cli._subspace_to_json(theorem.radical)
+    assert report["nilradical"] == cli._subspace_to_json(theorem.nilradical)
+    assert report["nilradical_theorem"]["passed"] is theorem.passed
+    assert report["nilradical_theorem"]["whole_algebra"] is theorem.whole_algebra
+    assert report["recognizer"]["verdict"] == VERDICT_NAMES[type(result.verdict)]
+    assert report["heisenberg_ideal"]["source"] == result.source
+    assert report["heisenberg_ideal"]["found"] is (h is not None)
+    if result.source == "nilradical":
+        assert h == theorem.heisenberg == structure.find_heisenberg_ideal(g, theorem.nilradical)
+    elif result.source == "derived":
+        assert theorem.heisenberg is None
+        assert h == structure.find_heisenberg_ideal(g, liealg.derived_subalgebra(g))
+    if h is None:
+        assert (result.recovery, result.quotient_metric) == (None, None)
+        assert not {"recovery", "quotient_metric", "complement"} & set(report)
+        return
+    assert report["heisenberg_ideal"] == {
+        **cli._heisenberg_to_json(h), "found": True, "source": result.source
+    }
+    rec = result.recovery
+    assert rec.heis == h
+    assert report["recovery"]["D"] == matrix_to_json(rec.D)
+    assert report["recovery"]["base_change"] == matrix_to_json(rec.base_change)
+    witness = result.quotient_metric
+    exists = isinstance(witness, structure.ComplementWitness)
+    assert report["quotient_metric"]["exists"] is exists
+    if exists:
+        assert report["quotient_metric"]["gram"] == matrix_to_json(witness.quotient_metric.gram)
+        assert report["complement"]["c"] == vector_to_json(witness.c)
+    else:
+        assert report["quotient_metric"]["obstruction"]["y"] == vector_to_json(witness.y)
+
+
+def _analysis_inputs():
+    """(document, ideal indices or None): the corpus documents with a metric,
+    the coordinate ideals of ``ROUNDTRIP_IDEALS``, the quadratic fixtures
+    and 40 seeded builds, the odd seeds moved by a random base change."""
+    inputs = []
+    for path in sorted(CORPUS.glob("*.algebra.json")):
+        doc = loads_document(path.read_text(encoding="utf-8"))
+        if doc.metric is not None:
+            inputs.append((doc, None))
+            stem = path.name.split(".")[0]
+            if stem in ROUNDTRIP_IDEALS:
+                inputs.append((doc, cli._parse_ideal(ROUNDTRIP_IDEALS[stem])))
+    fixtures = {
+        "sl2": sl2_quadratic(), "h1_phi": h1_phi(), "oscillator": oscillator(),
+        "line": abelian_line_quadratic(), "plane": abelian_plane_quadratic(),
+        "zero": zero_quadratic(), "build_sl2": build_sl2_fixture(),
+        "build_abelian_line": build_abelian_line_fixture(),
+        "build_rotation_core": build_rotation_core_fixture(),
+    }
+    for seed in range(40):
+        rng = random.Random(seed)
+        q = build_with_heisenberg_ideal(*random_build_input(rng, 4, 3))
+        if seed % 2:
+            q = transport_quadratic(q, random_unimodular(rng, q.dim))
+        fixtures[f"seed{seed}"] = q
+    inputs += [(AlgebraDocument(name, q.algebra, q.metric), None) for name, q in fixtures.items()]
+    return inputs
+
+
+def test_analysis_fields_match_the_analyze_report():
+    """On every input the report is the serialized analysis; together the
+    inputs reach each source and a radical other than g (build_sl2)."""
+    sources, proper = set(), 0
+    for doc, indices in _analysis_inputs():
+        report, code = cli.cmd_analyze(doc, indices)
+        assert code == 0, doc.name
+        ideal = None if indices is None else cli._candidate_from_indices(doc, indices)
+        result = structure.analyze(doc.quadratic(), ideal)
+        _assert_report_serializes(result, report, doc.algebra)
+        sources.add(result.source)
+        proper += not result.theorem.whole_algebra
+    assert sources == {"given", "nilradical", "derived"}
+    assert proper
+
+
+def test_analysis_over_a_given_non_heisenberg_ideal_stops_at_the_ideal():
+    """A given subspace that is not a Heisenberg ideal is reported as not
+    found, with no recovery and no quotient-metric decision."""
+    q = h1_phi()
+    for indices in ((0,), (0, 1, 2), (1, 2), (3,)):
+        ideal = Subspace.from_vectors(4, [unit_vector(4, i) for i in indices])
+        result = structure.analyze(q, ideal)
+        assert result.source == "given"
+        assert (result.heisenberg, result.recovery, result.quotient_metric) == (None, None, None)
+        assert isinstance(result.verdict, structure.ExtendedHeisenbergVerdict)
+
+
 def test_corpus_outputs_match_benchmark_reference(capsys):
     """Every corpus CLI output has the SHA-256 the benchmark pins."""
     reference = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
@@ -621,6 +738,42 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["check", "/nonexistent/path.json"], capsys)
     assert code == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    code, out, err = run_cli(["check", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read stdin: ")
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    for command, name in (("check", "h1.algebra.json"), ("construct", "h1.construction.json")):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli([command, corpus_path(name), "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
+
+def test_unencodable_report_is_input_error(tmp_path, capsys):
+    """A JSON escape of a lone surrogate decodes, but no UTF-8 report holds it."""
+    doc = json.loads((CORPUS / "h1.algebra.json").read_text())
+    doc["name"] = "h\udcff"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(["check", str(path), "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 # -- robustness: truncated and mutated corpus documents --------------------------

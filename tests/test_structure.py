@@ -155,7 +155,7 @@ def _assert_nilradical_oracle(g, nil):
     if nil.dim:
         assert is_nilpotent(subalgebra_on(g, nil))
     for v in nil.vectors():
-        M = ad(g, v).matrix
+        M = ad(g, v)
         power = Matrix.identity(g.dim)
         for _ in range(g.dim + 1):
             power = power @ M
@@ -282,7 +282,7 @@ def test_recover_rotation_core():
     h = find_heisenberg_ideal(q.algebra, heisenberg_ideal_span(q, 1))
     rec = recover_structure(q, h)
     assert rec.s_basis.dim == 2
-    D = rec.D.matrix
+    D = rec.D
     assert D.trace() == 0 and D.det() == 1  # conjugate to the input rotation
 
 
@@ -872,7 +872,7 @@ def test_full_pipeline_at_max_dimensions():
     sigma = V.omega.inverse() @ Matrix.diagonal([1, 2, 3, 4])
     # an inner derivation of the oscillator is metric-skew
     x = vector_with(4, {0: 1, 1: 2})
-    D = ad(S.algebra, x).matrix
+    D = ad(S.algebra, x)
     q = build_with_heisenberg_ideal(S, D, V, sigma)
     assert q.dim == 10
     ideal = heisenberg_ideal_span(q, 2)
