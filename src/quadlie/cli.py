@@ -248,21 +248,26 @@ def cmd_forms(doc: AlgebraDocument) -> Tuple[dict, int]:
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            # surrogateescape turns an undecodable byte into a lone surrogate
+            text.encode("utf-8")
+            return text
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise DocumentError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     try:
+        # a string with a lone surrogate fails here, before --out is truncated
+        data = text.encode("utf-8")
         if out is None:
             sys.stdout.write(text)
         else:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-    except (OSError, UnicodeEncodeError) as exc:  # a string with a lone surrogate
+            with open(out, "wb") as handle:
+                handle.write(data)
+    except (OSError, UnicodeEncodeError) as exc:
         raise DocumentError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 

@@ -284,11 +284,6 @@ class Matrix:
             tuple(self.column(j) for j in range(self.ncols)), self.nrows
         )
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return Matrix._unchecked(self.rows + other.rows, self.ncols)
-
     def sparse_rows(self) -> list:
         """The rows as fresh dicts {column: entry} of the nonzero entries."""
         return [{j: x for j, x in enumerate(row) if x} for row in self.rows]
@@ -304,9 +299,6 @@ class Matrix:
         is unique, so R does not depend on how it was reached.
         """
         return _reduced_matrix(self.sparse_rows(), self.nrows, self.ncols)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def det(self) -> Fraction:
         """Fraction-free Bareiss elimination on the row-scaled integer matrix.

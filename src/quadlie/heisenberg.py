@@ -142,12 +142,11 @@ def heisenberg(m: int, omega: Optional[Matrix] = None) -> LieAlgebra:
     """
     omega = _symplectic_space(m, omega).omega
     dim = 2 * m + 1
-    structure = {}
-    for i in range(2 * m):
-        for j in range(i + 1, 2 * m):
-            c = omega.entry(i, j)
-            if c != 0:
-                structure[(i, j)] = [(2 * m, c)]
+    structure = {
+        (i, j): [(2 * m, omega.entry(i, j))]
+        for i in range(2 * m)
+        for j in range(i + 1, 2 * m)
+    }
     labels = [f"u{i + 1}" for i in range(2 * m)] + ["hbar"]
     return LieAlgebra(dim, structure, labels)
 
@@ -166,17 +165,17 @@ def extend_heisenberg(
     """
     space = _symplectic_space(m, omega)
     zero_core = QuadraticLieAlgebra(LieAlgebra.abelian(0), BilinearForm(Matrix([], 0)))
-    return build_with_heisenberg_ideal(zero_core, None, space, phi)
+    return build_with_heisenberg_ideal(zero_core, Matrix.zeros(0, 0), space, phi)
 
 
-def _require_skew_derivation(S: QuadraticLieAlgebra, D: Matrix, name: str = "D") -> None:
+def _require_skew_derivation(S: QuadraticLieAlgebra, D: Matrix) -> None:
     if D.shape != (S.dim, S.dim):
-        raise ValueError(f"{name} has the wrong size for the core algebra")
+        raise ValueError("D has the wrong size for the core algebra")
     if not is_derivation(S.algebra, D):
-        raise ValueError(f"{name} is not a derivation of the core algebra")
+        raise ValueError("D is not a derivation of the core algebra")
     skew = D.transpose() @ S.metric.gram + S.metric.gram @ D
     if not skew.is_zero():
-        raise ValueError(f"{name} is not skew-symmetric with respect to the metric")
+        raise ValueError("D is not skew-symmetric with respect to the metric")
 
 
 def double_extension(S: QuadraticLieAlgebra, D: Matrix) -> QuadraticLieAlgebra:
@@ -199,7 +198,7 @@ def double_extension(S: QuadraticLieAlgebra, D: Matrix) -> QuadraticLieAlgebra:
 
 def build_with_heisenberg_ideal(
     S: QuadraticLieAlgebra,
-    D: Optional[Matrix],
+    D: Matrix,
     V: SymplecticSpace,
     sigmaD: Union[SymplecticMap, Matrix],
 ) -> QuadraticLieAlgebra:
@@ -212,12 +211,11 @@ def build_with_heisenberg_ideal(
     ideal of the result.  ``extend_heisenberg`` is the case S = 0 and
     ``double_extension`` the case V = 0.
     """
-    D_mat = Matrix.zeros(S.dim, S.dim) if D is None else D
-    _require_skew_derivation(S, D_mat)
+    _require_skew_derivation(S, D)
     sigma = _as_omega_matrix(sigmaD, V, "sigmaD")
     if sigma.det() == 0:
         raise ValueError("sigmaD must be invertible")
-    return _certified(*_assemble(S, D_mat, V, sigma), "heisenberg-ideal build")
+    return _certified(*_assemble(S, D, V, sigma), "heisenberg-ideal build")
 
 
 def _assemble(
@@ -228,8 +226,10 @@ def _assemble(
     Valid whenever D_mat is a skew derivation of S and sigma an invertible
     element of o(omega); ``build_with_heisenberg_ideal`` checks both and
     certifies the result, while structure recovery certifies its rebuild by
-    the round trip instead.  The brackets on S are S's structure constants,
-    with the B_S(D s_i, s_j) hbar term added.
+    the round trip instead.  The brackets are stated as the construction
+    gives them, [x, y] = [x, y]_S + B_S(D x, y) hbar, [d, x] = D x,
+    [d, u] = sigma u and [u, v] = omega(u, v) hbar, and ``LieAlgebra``
+    puts them in canonical form.
     """
     k = S.dim
     two_m = V.dim
@@ -243,27 +243,14 @@ def _assemble(
     mu = D_mat.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
     for i in range(k):
         for j in range(i + 1, k):
-            terms = list(S.algebra.structure.get((i, j), ()))
-            if mu.entry(i, j) != 0:
-                terms.append((hb, mu.entry(i, j)))
-            if terms:
-                structure[(i, j)] = terms
+            structure[(i, j)] = [*S.algebra.structure.get((i, j), ()), (hb, mu.entry(i, j))]
     for j in range(k):
-        col = D_mat.column(j)
-        terms = [(t, c) for t, c in enumerate(col) if c != 0]
-        if terms:
-            # [s_j, d] = -D(s_j); stored for the ordered pair (j, d_idx)
-            structure[(j, d_idx)] = [(t, -c) for t, c in terms]
+        structure[(d_idx, j)] = list(enumerate(D_mat.column(j)))
     for j in range(two_m):
-        col = sigma.column(j)
-        terms = [(v_idx(i), c) for i, c in enumerate(col) if c != 0]
-        if terms:
-            structure[(d_idx, v_idx(j))] = terms
+        structure[(d_idx, v_idx(j))] = [(v_idx(i), c) for i, c in enumerate(sigma.column(j))]
     for i in range(two_m):
         for j in range(i + 1, two_m):
-            c = V.omega.entry(i, j)
-            if c != 0:
-                structure[(v_idx(i), v_idx(j))] = [(hb, c)]
+            structure[(v_idx(i), v_idx(j))] = [(hb, V.omega.entry(i, j))]
     labels = (
         list(S.algebra.basis_labels)
         + ["d"]

@@ -44,6 +44,11 @@ class LieAlgebra:
     ``structure`` maps (i, j) with i < j to a tuple of (k, c) pairs meaning
     [e_i, e_j] = sum c * e_k.  Brackets [e_j, e_i] are derived by negation
     and diagonal brackets are zero, so antisymmetry holds by construction.
+    The constructor alone puts its input in this canonical form: a key
+    (j, i) with j > i is negated into (i, j), terms with a repeated target
+    are summed, zero coefficients are dropped, a pair whose terms all
+    cancel is absent, and keys and targets are sorted.  A zero diagonal
+    term is accepted; a nonzero one raises ``ValueError``.
     The same constants are also stored as the signed integer table that
     ``_integer_table`` returns, a part of the value derived from
     ``structure``.  Equality compares dimension and structure constants;

@@ -417,9 +417,7 @@ def recover_structure(
                 all(coords[t] == 0 for t in v_slots),
                 "[S, S] has a V-component",
             )
-            terms = [(t, coords[t]) for t in range(k) if coords[t] != 0]
-            if terms:
-                s_structure[(i, j)] = terms
+            s_structure[(i, j)] = list(enumerate(coords[:k]))
 
     D_cols = []
     for j in range(k):

@@ -13,8 +13,9 @@ rref of the system, one Fraction basis vector per free column, reduced
 again as a subspace) that the integer kernel replaced, the Fraction
 skew-derivation solver (D = G^{-1} A in Fractions for each cocycle, then
 a second reduction) that the integer one replaced, the earlier
-stand-alone constructors of h_m(phi) and S(D), an entry-by-entry builder
-of the skew 2-cocycle system, and the per-function bracket loops of
+stand-alone constructors of h_m(phi) and S(D) and an entry-by-entry
+version of the general builder, an entry-by-entry builder of the skew
+2-cocycle system, and the per-function bracket loops of
 ``liealg`` (adjoint maps, ideal, subalgebra and derivation tests,
 subalgebra, quotient and transported structures, centralizers, generated
 ideals, [g, W]) and of the coadjoint double.  The library replaced them
@@ -665,6 +666,62 @@ def double_extension_direct(S: QuadraticLieAlgebra, D: Matrix) -> QuadraticLieAl
             rows[1 + i][1 + j] = gram_s.entry(i, j)
     rows[0][hb] = Fraction(1)
     rows[hb][0] = Fraction(1)
+    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
+
+
+def build_with_heisenberg_ideal_direct(
+    S: QuadraticLieAlgebra,
+    D: Matrix,
+    V: SymplecticSpace,
+    sigmaD: Union[SymplecticMap, Matrix],
+) -> QuadraticLieAlgebra:
+    """S ⊕ QQ d ⊕ V ⊕ QQ hbar on the basis (s_1..s_k, d, u_1..u_2m, hbar),
+    its bracket table written entry by entry from [x, y] = [x, y]_S +
+    B_S(D x, y) hbar, [s_j, d] = -D s_j, [d, u] = sigmaD u and [u, v] =
+    omega(u, v) hbar, and its Gram matrix from B_S, B(d, hbar) = 1 and
+    B(u, v) = omega(sigmaD^{-1} u, v)."""
+    _require_skew_derivation(S, D)
+    sigma = _as_omega_matrix(sigmaD, V, "sigmaD")
+    if sigma.det() == 0:
+        raise ValueError("sigmaD must be invertible")
+    k, two_m = S.dim, V.dim
+    dim = k + two_m + 2
+    d, hb = k, dim - 1
+    structure = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            terms = [(t, c) for t, c in enumerate(S.algebra.bracket_basis(i, j)) if c != 0]
+            mu = S.metric.evaluate(D.column(i), unit_vector(k, j))
+            if mu != 0:
+                terms = terms + [(hb, mu)]
+            if terms:
+                structure[(i, j)] = terms
+    for j in range(k):
+        terms = [(t, -c) for t, c in enumerate(D.column(j)) if c != 0]
+        if terms:
+            structure[(j, d)] = terms
+    for j in range(two_m):
+        terms = [(d + 1 + i, c) for i, c in enumerate(sigma.column(j)) if c != 0]
+        if terms:
+            structure[(d, d + 1 + j)] = terms
+    for i in range(two_m):
+        for j in range(i + 1, two_m):
+            if V.omega.entry(i, j) != 0:
+                structure[(d + 1 + i, d + 1 + j)] = [(hb, V.omega.entry(i, j))]
+    labels = list(S.algebra.basis_labels) + ["d"] + [f"u{i + 1}" for i in range(two_m)] + ["hbar"]
+    algebra = LieAlgebra(dim, structure, labels)
+    ensure(not check_jacobi(algebra), "heisenberg-ideal bracket failed Jacobi")
+
+    sigma_inv = sigma.inverse()
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][j] = S.metric.gram.entry(i, j)
+    for i in range(two_m):
+        for j in range(two_m):
+            rows[d + 1 + i][d + 1 + j] = dot(sigma_inv.column(i), V.omega.column(j))
+    rows[d][hb] = Fraction(1)
+    rows[hb][d] = Fraction(1)
     return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(rows, dim)))
 
 

@@ -755,6 +755,26 @@ def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
     assert err.startswith("error: cannot read stdin: ")
 
 
+def test_undecodable_stdin_bytes_are_input_error():
+    """A raw 0xff in piped stdin is refused, as the same bytes in a file are."""
+    data = (CORPUS / "h1_phi.algebra.json").read_bytes().replace(b'"h1_phi"', b'"h1\xffphi"', 1)
+    assert b"\xff" in data
+    result = subprocess.run(
+        [sys.executable, "-m", "quadlie.cli", "check", "-"], input=data, capture_output=True
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: cannot read stdin: ")
+
+
+def test_lone_surrogate_stdin_is_input_error(monkeypatch, capsys):
+    """Under surrogateescape an undecodable byte reads as a lone surrogate."""
+    text = (CORPUS / "h1_phi.algebra.json").read_text(encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text.replace("h1_phi", "h1\udcffphi", 1)))
+    code, out, err = run_cli(["check", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read stdin: ")
+
+
 def test_unwritable_out_is_input_error(tmp_path, capsys):
     for command, name in (("check", "h1.algebra.json"), ("construct", "h1.construction.json")):
         target = tmp_path / "missing" / "x.json"
@@ -774,6 +794,23 @@ def test_unencodable_report_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(["check", str(path), "--out", str(target)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_unencodable_report_keeps_earlier_out_file(tmp_path, capsys):
+    """The report is encoded before --out is opened, so a failed write
+    leaves the earlier report there byte for byte."""
+    target = tmp_path / "report.json"
+    assert run_cli(["check", corpus_path("h1.algebra.json"), "--out", str(target)], capsys)[0] == 0
+    before = target.read_bytes()
+    assert before
+    doc = json.loads((CORPUS / "h1.algebra.json").read_text())
+    doc["name"] = "n\udcffm"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["check", str(path), "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert target.read_bytes() == before
 
 
 # -- robustness: truncated and mutated corpus documents --------------------------

@@ -53,6 +53,32 @@ def test_bracket_antisymmetry_and_h1():
     assert bracket(g, u2, u1) == vector([0, 0, -1])
 
 
+def test_constructor_puts_structure_in_canonical_form():
+    """The constructor alone orders pairs, negates, drops zeros and merges
+    repeated targets; the builders hand it their brackets as stated."""
+    g = LieAlgebra(
+        4,
+        {
+            (2, 0): [(3, 2), (1, 0)],  # [e3, e1] = 2 e4: stored as (0, 2), negated
+            (0, 1): [(3, 1), (2, Fraction(1, 2)), (3, 2)],  # e4 summed, targets sorted
+            (1, 2): [(3, 1), (0, 0)],
+            (2, 1): [(3, 1)],  # cancels (1, 2) entirely
+            (1, 3): [(0, 0)],  # only zero terms
+            (3, 3): [(0, 0)],  # a zero diagonal term is accepted
+        },
+    )
+    assert g.structure == {
+        (0, 1): ((2, Fraction(1, 2)), (3, Fraction(3))),
+        (0, 2): ((3, Fraction(-2)),),
+    }
+    assert list(g.structure) == sorted(g.structure)
+    assert all(type(c) is Fraction for terms in g.structure.values() for _, c in terms)
+    assert bracket(g, unit_vector(4, 2), unit_vector(4, 0)) == vector([0, 0, 0, 2])
+    assert g == LieAlgebra(4, {(0, 2): {3: -2}, (0, 1): {2: Fraction(1, 2), 3: 3}})
+    with pytest.raises(ValueError, match="nonzero diagonal bracket"):
+        LieAlgebra(2, {(1, 1): [(0, 1)]})
+
+
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
         bracket(heisenberg(1), (1, 0), (0, 1, 0))

@@ -33,6 +33,7 @@ from oracles import (
     coadjoint_double_by_bracket_basis,
     cocycle_rows_dense,
     det_fraction,
+    build_with_heisenberg_ideal_direct,
     double_extension_direct,
     extend_heisenberg_direct,
     ideal_generated_by_brackets,
@@ -287,6 +288,24 @@ def test_double_extension_is_the_builder_with_zero_v(seed):
     D = random_skew_derivation(rng, S)
     rng.random()  # drawn and unused, so that each seed's draws stay fixed
     _assert_same_construction(double_extension(S, D), double_extension_direct(S, D))
+
+
+@pytest.mark.parametrize("seed", CONSTRUCTOR_SEEDS)
+def test_builder_matches_its_entry_by_entry_oracle(seed):
+    """Draws with a nonzero core S, at times moved by a random base change,
+    and a nonzero V: every block of the bracket table and the metric."""
+    rng = random.Random(seed)
+    S, D, V, sigma = random_build_input(rng, 4, 3)
+    while S.dim == 0:
+        S, D, V, sigma = random_build_input(rng, 4, 3)
+    if rng.random() < 0.5:
+        P = random_unimodular(rng, S.dim)  # its rows are the new basis
+        S, D = transport_quadratic(S, P), P.transpose().inverse() @ D @ P.transpose()
+    assert S.dim > 0 and V.dim > 0
+    _assert_same_construction(
+        build_with_heisenberg_ideal(S, D, V, sigma),
+        build_with_heisenberg_ideal_direct(S, D, V, sigma),
+    )
 
 
 # -- the integer elimination core against the Fraction and dense cores --------
