@@ -30,7 +30,7 @@ class DocumentError(ValueError):
     """Malformed interchange document; ``where`` locates the offence."""
 
     def __init__(self, message: str, where: str = ""):
-        self.where = where
+        self.message, self.where = message, where
         super().__init__(f"{where}: {message}" if where else message)
 
 
@@ -188,10 +188,21 @@ def _parse_m_omega(params: dict) -> Tuple[int, Optional[Matrix]]:
     return m, omega
 
 
+def _nested_document(params: dict, key: str) -> AlgebraDocument:
+    """The algebra document in parameter ``key``, its errors located under
+    ``parameters.<key>`` (the document's root ``$`` becomes that prefix)."""
+    _expect(key in params, f"missing parameter {key!r}", "parameters")
+    where = f"parameters.{key}"
+    try:
+        return algebra_document_from_json(params[key])
+    except DocumentError as exc:
+        inner = where if exc.where == "$" else f"{where}.{exc.where}"
+        raise DocumentError(exc.message, inner) from exc
+
+
 def _parse_core(params: dict) -> Tuple[QuadraticLieAlgebra, Matrix]:
     """The quadratic core S and its derivation D."""
-    _expect("S" in params, "missing parameter 'S'", "parameters")
-    inner = algebra_document_from_json(params["S"])
+    inner = _nested_document(params, "S")
     _expect(inner.metric is not None, "core document needs a metric", "parameters.S")
     _expect("D" in params, "missing parameter 'D'", "parameters")
     D = _parse_matrix(params["D"], "parameters.D", inner.algebra.dim, inner.algebra.dim)
@@ -238,9 +249,7 @@ def construct_from_json(data: Any) -> AlgebraDocument:
         q = build_with_heisenberg_ideal(S, D, V, sigma)
         return AlgebraDocument(name, q.algebra, q.metric)
 
-    _expect("g" in params, "missing parameter 'g'", "parameters")
-    inner = algebra_document_from_json(params["g"])
-    q = coadjoint_double(inner.algebra)
+    q = coadjoint_double(_nested_document(params, "g").algebra)
     return AlgebraDocument(name, q.algebra, q.metric)
 
 

@@ -635,32 +635,45 @@ class Subspace:
         return self.coordinates_of(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.vectors())
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return self._all_in(_integer_row(v)[1] for v in other.vectors())
 
     def coordinates_of(self, v: Sequence[Scalar]) -> Optional[Vector]:
-        """Coordinates of ``v`` in the rref basis, or None if outside.
-
-        Because the basis is in rref, the candidate coordinates are the
-        entries of v at the pivot columns; membership is the check that
-        they reconstruct v.  They do so at the pivot columns by
-        construction, so only the entries right of each row's pivot are
-        subtracted, nonzero ones only, and the pivot columns are not
-        compared.
-        """
+        """Coordinates of ``v`` in the rref basis, or None if outside: the
+        entries of v at the pivot columns, once ``_all_in`` has checked on
+        the integers that v lies in the subspace."""
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        coords = tuple(v[c] for c in self.pivots)
-        residual = list(v)
-        for c, p, row in zip(coords, self.pivots, self.basis.rows):
-            residual[p] = 0  # no other basis row is nonzero at column p
-            if c:
-                for j in range(p + 1, len(row)):
-                    if row[j]:
-                        residual[j] -= c * row[j]
-        if any(residual):
+        if not self._all_in((_integer_row(v)[1],)):
             return None
-        return coords
+        return tuple(v[c] for c in self.pivots)
+
+    def _all_in(self, rows: Iterable[Sequence[int]]) -> bool:
+        """Whether every integer row w lies in the subspace, read in its rref
+        basis b_p.
+
+        w lies in it exactly when w = sum_p w_p b_p, w_p its entries at the
+        pivot columns p.  With t the lcm of the basis denominators the check
+        runs on integers: t w - sum_p w_p t b_p must vanish, and it does at
+        the pivot columns, where b_p is 1 and the other basis rows are 0.
+        """
+        t = lcm(*(x.denominator for row in self.basis.rows for x in row))
+        basis = [
+            (p, [(j, x.numerator * (t // x.denominator)) for j, x in enumerate(row) if x])
+            for p, row in zip(self.pivots, self.basis.rows)
+        ]
+        for ints in rows:
+            residual = [t * v for v in ints]
+            for p, terms in basis:
+                c = ints[p]
+                if c:
+                    for j, b in terms:
+                        residual[j] -= c * b
+            if any(residual):
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         return (

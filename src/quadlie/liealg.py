@@ -230,31 +230,6 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     return _pair_brackets(g, (x, y))[0]
 
 
-def _all_in(U: Subspace, rows: Iterable[Sequence[int]]) -> bool:
-    """Whether every integer row w lies in U, read in U's rref basis b_p.
-
-    w lies in U exactly when w = sum_p w_p b_p, w_p its entries at the
-    pivot columns p.  With t the lcm of the basis denominators the check
-    runs on integers: t w - sum_p w_p t b_p must vanish, and it does at
-    the pivot columns, where b_p is 1 and the other basis rows are 0.
-    """
-    t = lcm(*(x.denominator for row in U.basis.rows for x in row))
-    basis = [
-        (p, [(j, x.numerator * (t // x.denominator)) for j, x in enumerate(row) if x])
-        for p, row in zip(U.pivots, U.basis.rows)
-    ]
-    for ints in rows:
-        residual = [t * v for v in ints]
-        for p, terms in basis:
-            c = ints[p]
-            if c:
-                for j, b in terms:
-                    residual[j] -= c * b
-        if any(residual):
-            return False
-    return True
-
-
 def _structure_in(
     g: LieAlgebra, vectors: Sequence[Vector], coordinates: Union[Matrix, Subspace]
 ) -> Optional[Dict[Tuple[int, int], list]]:
@@ -264,12 +239,12 @@ def _structure_in(
     keeps the nonzero coordinates of each under (i, j).  With a matrix M the
     coordinates of the brackets are the rows of brackets @ M.  With a
     subspace U, given in its rref basis, they are the entries at U's pivot
-    columns, once ``_all_in`` has checked on the integers that every
-    bracket lies in U; otherwise None is returned.
+    columns, once ``Subspace._all_in`` has checked on the integers that
+    every bracket lies in U; otherwise None is returned.
     """
     pairs = _integer_pairs(g, vectors)
     if isinstance(coordinates, Subspace):
-        if not _all_in(coordinates, (ints for _, ints in pairs)):
+        if not coordinates._all_in(ints for _, ints in pairs):
             return None
         pivots = coordinates.pivots
         rows = [_fractions([ints[p] for p in pivots], den) for den, ints in pairs]
@@ -413,13 +388,13 @@ def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
     """[g, U] ⊆ U: every column [u, e_j] of ad(u), u in U's basis, lies in U.
 
     The columns stay integers, s d [u, e_j] (``_integer_ad``), since the
-    scale does not change whether they lie in U (``_all_in``).
+    scale does not change whether they lie in U (``Subspace._all_in``).
     """
     if U.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     _, table = _integer_table(g)
-    return _all_in(
-        U, (column for u in U.vectors() for column in _integer_ad(table, _integer_row(u)[1]))
+    return U._all_in(
+        column for u in U.vectors() for column in _integer_ad(table, _integer_row(u)[1])
     )
 
 

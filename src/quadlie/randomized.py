@@ -16,42 +16,43 @@ from .heisenberg import SymplecticMap, SymplecticSpace, double_extension
 from .liealg import LieAlgebra, direct_sum
 from .quadform import BilinearForm, QuadraticLieAlgebra, skew_derivation_space
 
+# the random matrices draw their entries from -3..3
+_BOUND = 3
 
-def random_integer_matrix(rng: random.Random, nrows: int, ncols: int, bound: int = 3) -> Matrix:
+
+def random_integer_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
     return Matrix(
-        [[Fraction(rng.randint(-bound, bound)) for _ in range(ncols)] for _ in range(nrows)],
+        [[Fraction(rng.randint(-_BOUND, _BOUND)) for _ in range(ncols)] for _ in range(nrows)],
         ncols,
     )
 
 
-def random_symmetric_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
+def random_symmetric_matrix(rng: random.Random, n: int) -> Matrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            c = Fraction(rng.randint(-bound, bound))
+            c = Fraction(rng.randint(-_BOUND, _BOUND))
             rows[i][j] = c
             rows[j][i] = c
     return Matrix(rows, n)
 
 
-def random_nondegenerate_symmetric(rng: random.Random, n: int, bound: int = 3) -> Matrix:
+def random_nondegenerate_symmetric(rng: random.Random, n: int) -> Matrix:
     while True:
-        M = random_symmetric_matrix(rng, n, bound)
+        M = random_symmetric_matrix(rng, n)
         if M.det() != 0:
             return M
 
 
-def random_omega_skew(rng: random.Random, V: SymplecticSpace, bound: int = 3) -> SymplecticMap:
+def random_omega_skew(rng: random.Random, V: SymplecticSpace) -> SymplecticMap:
     """A random element of o(omega): omega^{-1} times a symmetric matrix."""
-    A = random_symmetric_matrix(rng, V.dim, bound)
+    A = random_symmetric_matrix(rng, V.dim)
     return SymplecticMap(V, V.omega.inverse() @ A)
 
 
-def random_invertible_omega_skew(
-    rng: random.Random, V: SymplecticSpace, bound: int = 3
-) -> SymplecticMap:
+def random_invertible_omega_skew(rng: random.Random, V: SymplecticSpace) -> SymplecticMap:
     while True:
-        f = random_omega_skew(rng, V, bound)
+        f = random_omega_skew(rng, V)
         if f.is_invertible():
             return f
 

@@ -319,9 +319,9 @@ def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Li
     a_vecs = [
         row for i, row in enumerate(Vperp.vectors()) if i != pivot
     ]
-    # the proof above rests on a in V^perp, where the L-correction is zero
+    # the proof above rests on every a lying in V^perp
     for a in a_vecs:
-        ensure(is_zero_vec(VG.apply(a)), "complement left V^perp after the L-correction")
+        ensure(is_zero_vec(VG.apply(a)), "complement does not lie in V^perp")
     return a_vecs
 
 
@@ -580,9 +580,14 @@ def quotient_metric_from_complement(
 
     Normalizes the complement to S ⊕ QQ d coordinates (d with B(d, hbar) =
     1 and B(d, S) = 0) and evaluates B_a(a + λd, b + μd) = B(a, b) + λμ on
-    quotient representatives.  The output is verified to be an invariant
-    metric on the quotient.  Raises ``ValueError`` when ``h`` was found in
-    another algebra or ``comp`` is not a subalgebra complement.
+    quotient representatives: with C the rref basis of the complement and
+    pi the matrix whose columns are the projections of its rows, the
+    representatives of the quotient basis are the rows of pi^-T C; with
+    lambda their B(., hbar) and S = reps - lambda d^T, the Gram matrix is
+    S G S^T + lambda lambda^T, G the Gram matrix of B.  The output is
+    verified to be an invariant metric on the quotient.  Raises
+    ``ValueError`` when ``h`` was found in another algebra or ``comp`` is
+    not a subalgebra complement.
     """
     g = q.algebra
     n = g.dim
@@ -594,34 +599,13 @@ def quotient_metric_from_complement(
         raise ValueError("subspace is not a complement to the ideal")
     if not is_subalgebra(g, comp):
         raise ValueError("complement is not a subalgebra")
-    return _metric_on_complement(q, h, comp.basis, *quotient(g, h.ideal))
-
-
-def _outer(x: Vector, y: Vector) -> Matrix:
-    """The matrix x y^T, with entries x_i y_j."""
-    return Matrix([[a * b for b in y] for a in x], len(y))
-
-
-def _metric_on_complement(
-    q: QuadraticLieAlgebra,
-    h: HeisenbergIdealData,
-    C: Matrix,
-    q_alg: LieAlgebra,
-    proj: Matrix,
-) -> BilinearForm:
-    """The body of ``quotient_metric_from_complement`` on the rows of C, a
-    basis of a subalgebra complement, with the quotient and its projection.
-
-    With pi the matrix whose columns are the projections of the rows of C,
-    the representatives of the quotient basis are the rows of pi^-T C;
-    with lambda their B(., hbar) and S = reps - lambda d^T, the Gram matrix
-    is S G S^T + lambda lambda^T, G the Gram matrix of B.
-    """
+    q_alg, proj = quotient(g, h.ideal)
+    C = comp.basis
     G = q.metric.gram
     G_hbar = G.apply(h.hbar)
     d, s_rows = _split_off_d(G_hbar, C.rows)
     if s_rows:
-        S0 = Matrix(s_rows, q.dim)
+        S0 = Matrix(s_rows, n)
         S0G = S0 @ G
         correction = solve(S0G @ S0.transpose(), S0G.apply(d))
         ensure(correction is not None, "cannot orthogonalize d against S")
@@ -639,6 +623,11 @@ def _metric_on_complement(
         "constructed quotient form is not an invariant metric",
     )
     return form
+
+
+def _outer(x: Vector, y: Vector) -> Matrix:
+    """The matrix x y^T, with entries x_i y_j."""
+    return Matrix([[a * b for b in y] for a in x], len(y))
 
 
 def _complement_brackets(
@@ -797,10 +786,13 @@ def has_invariant_quotient_metric(
     ``quotient_metric_from_complement`` builds on {a_i + lambda_i hbar},
     and the result is the ``ComplementWitness`` that
     ``complement_from_quotient_metric`` builds from it.  The normalized
-    complement, its brackets and the quotient are computed once for both
-    steps, and the witness metric, invariant by construction, is not
-    checked again.  Otherwise the obstruction is returned.  Raises
-    ``ValueError`` when ``h`` was found in another algebra.
+    complement and its brackets are computed once for both steps, and so
+    is the quotient for the first two witness metrics; the third comes
+    from ``quotient_metric_from_complement``, whose input checks pass, as
+    beta lambda = mu makes {a_i + lambda_i hbar} a subalgebra complement.
+    The witness metric, invariant by construction, is not checked again.
+    Otherwise the obstruction is returned.  Raises ``ValueError`` when
+    ``h`` was found in another algebra.
     """
     _require_own_data(q, h)
     complement = _complement_brackets(q, h)
@@ -822,8 +814,7 @@ def has_invariant_quotient_metric(
         if gram.det() != 0:
             Ba = BilinearForm(gram)
     if Ba is None:
-        comp = Subspace(q.dim, A + _outer(lambdas, h.hbar))
-        Ba = _metric_on_complement(q, h, comp.basis, q_alg, proj)
+        Ba = quotient_metric_from_complement(q, h, Subspace(q.dim, A + _outer(lambdas, h.hbar)))
     return _complement_from_metric(q, h, Ba, proj, complement)
 
 

@@ -36,7 +36,11 @@ the signed table of Fraction structure constants (the bracket by formula,
 the columns of ad x, the Killing form off the table, and the structure
 constants on a span through a bracket and a coordinate callable per pair),
 which the library replaced with integer sums over the table stored on each
-algebra; the tests require the same Fractions.
+algebra; the tests require the same Fractions.  So does the coordinate
+map of ``Subspace`` by a Fraction residual loop, which subtracts each rref
+basis row times v's entry at its pivot, where ``Subspace`` now tests
+membership on integers; the tests require the same coordinates, the same
+membership answers and the same errors.
 """
 
 import random
@@ -773,6 +777,32 @@ def killing_form_fraction(g: LieAlgebra) -> Matrix:
     return Matrix(rows, n)
 
 
+def coordinates_fraction(U: Subspace, v) -> Optional[tuple]:
+    """Coordinates of ``v`` in the rref basis of U, or None if outside.
+
+    Because the basis is in rref, the candidate coordinates are the
+    entries of v at the pivot columns; membership is the check that
+    they reconstruct v.  They do so at the pivot columns by
+    construction, so only the entries right of each row's pivot are
+    subtracted, nonzero ones only, and the pivot columns are not
+    compared.
+    """
+    v = vector(v)
+    if len(v) != U.ambient_dim:
+        raise ValueError("vector length does not match ambient dimension")
+    coords = tuple(v[c] for c in U.pivots)
+    residual = list(v)
+    for c, p, row in zip(coords, U.pivots, U.basis.rows):
+        residual[p] = 0  # no other basis row is nonzero at column p
+        if c:
+            for j in range(p + 1, len(row)):
+                if row[j]:
+                    residual[j] -= c * row[j]
+    if any(residual):
+        return None
+    return coords
+
+
 def structure_in_fraction(
     g: LieAlgebra, vectors, coordinates: Callable
 ) -> Optional[Dict[Tuple[int, int], list]]:
@@ -790,7 +820,7 @@ def structure_in_fraction(
 
 
 def subalgebra_on_fraction(g: LieAlgebra, U: Subspace) -> LieAlgebra:
-    structure = structure_in_fraction(g, U.vectors(), U.coordinates_of)
+    structure = structure_in_fraction(g, U.vectors(), lambda w: coordinates_fraction(U, w))
     if structure is None:
         raise ValueError("subspace is not a subalgebra")
     return LieAlgebra(U.dim, structure, [f"r{t + 1}" for t in range(U.dim)])
@@ -798,7 +828,11 @@ def subalgebra_on_fraction(g: LieAlgebra, U: Subspace) -> LieAlgebra:
 
 def quotient_fraction(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
     """g/I on the non-pivot coordinates, the projection read off I's rref rows."""
-    if not all(I.contains(c) for u in I.vectors() for c in ad_columns_fraction(g, u)):
+    if not all(
+        coordinates_fraction(I, c) is not None
+        for u in I.vectors()
+        for c in ad_columns_fraction(g, u)
+    ):
         raise ValueError("subspace is not an ideal")
     row_at = dict(zip(I.pivots, I.basis.rows))
     complement_cols = [c for c in range(g.dim) if c not in row_at]

@@ -172,6 +172,44 @@ def test_construct_non_jacobi_core_is_input_error(tmp_path, capsys):
     assert err == "error: parameters.S: algebra fails the Jacobi identity\n"
 
 
+@pytest.mark.parametrize(
+    "construction, message",
+    [
+        (
+            {"kind": "double_extension", "parameters": {"S": 5, "D": []}},
+            "parameters.S: expected an object",
+        ),
+        (
+            {
+                "kind": "double_extension",
+                "parameters": {
+                    "S": {"name": "s", "dim": 0, "basis": [], "brackets": "x", "metric": []},
+                    "D": [],
+                },
+            },
+            "parameters.S.brackets: brackets must be a list",
+        ),
+        (
+            {
+                "kind": "coadjoint_double",
+                "parameters": {"g": {"name": "g", "dim": 2, "basis": ["x"], "brackets": []}},
+            },
+            "parameters.g.basis: basis length must equal dim",
+        ),
+    ],
+    ids=["core-not-an-object", "core-brackets-not-a-list", "g-basis-short"],
+)
+def test_nested_document_errors_are_located_under_their_parameter(
+    construction, message, tmp_path, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(construction))
+    code, out, err = run_cli(["construct", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_analyze_h1_phi(capsys):
     code, out, _ = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
     assert code == 0

@@ -32,6 +32,7 @@ from oracles import (
     check_jacobi_dense,
     coadjoint_double_by_bracket_basis,
     cocycle_rows_dense,
+    coordinates_fraction,
     det_fraction,
     build_with_heisenberg_ideal_direct,
     double_extension_direct,
@@ -934,7 +935,7 @@ def _assert_integer_kernels_match_fractions(g, rng):
     for P in (random_unimodular(rng, n), _random_invertible(rng, n), _big_base_change(rng, n)):
         _assert_same_algebra(transport(g, P), transport_fraction(g, P))
     for U in _subspaces(g, rng):
-        expected = structure_in_fraction(g, U.vectors(), U.coordinates_of)
+        expected = structure_in_fraction(g, U.vectors(), lambda w: coordinates_fraction(U, w))
         assert _structure_in(g, U.vectors(), U) == expected
         assert is_subalgebra(g, U) == (expected is not None)
         if expected is not None:
@@ -1017,13 +1018,60 @@ def test_integer_kernels_on_dim_0_and_abelian_algebras():
     _assert_integer_kernels_match_fractions(flat, rng)
 
 
+def _fifths_entry(rng):
+    """0 with probability 0.3, else a rational with |numerator| and denominator at most 5."""
+    return 0 if rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subspace_membership_matches_the_fraction_reference(seed):
+    """coordinates_of, contains and contains_subspace on integers agree with
+    the Fraction residual loop, on seeded subspaces of QQ^n spanned by 0..n
+    random vectors (denominators up to 5), the zero and the full space, n <= 9,
+    for vectors inside (where the coordinates are the combination's
+    coefficients), outside, and off by one non-pivot unit vector; and both
+    raise the same ValueError on a length or ambient mismatch."""
+    rng = random.Random(seed)
+    for n in range(10):
+        spaces = [Subspace.zero(n), Subspace.full(n)]
+        for d in range(n + 1):
+            vectors = [[_fifths_entry(rng) for _ in range(n)] for _ in range(d)]
+            spaces.append(Subspace.from_vectors(n, vectors))
+        for U in spaces:
+            coefficients = [_fifths_entry(rng) for _ in range(U.dim)]
+            inside = [sum((c * x for c, x in zip(coefficients, column)), Fraction(0))
+                      for column in zip(*U.vectors())] if U.dim else [0] * n
+            vectors = [inside, [_fifths_entry(rng) for _ in range(n)], [0] * n]
+            free = [c for c in range(n) if c not in U.pivots]
+            if free:
+                off = rng.choice(free)
+                vectors.append([x + (j == off) for j, x in enumerate(inside)])
+            for v in vectors:
+                expected = coordinates_fraction(U, v)
+                got = U.coordinates_of(v)
+                assert got == expected and U.contains(v) == (expected is not None)
+                assert got is None or all(type(c) is Fraction for c in got)
+            assert U.coordinates_of(inside) == tuple(coefficients)
+            if free:
+                assert U.coordinates_of(vectors[-1]) is None
+            for W in spaces:
+                expected = all(coordinates_fraction(U, w) is not None for w in W.vectors())
+                assert U.contains_subspace(W) == expected
+            assert U.contains_subspace(Subspace.from_vectors(n, [inside]))
+            for call in (U.coordinates_of, U.contains, lambda v: coordinates_fraction(U, v)):
+                with pytest.raises(ValueError, match="vector length does not match ambient"):
+                    call([1] * (n + 1))
+            with pytest.raises(ValueError, match="vector length does not match ambient"):
+                U.contains_subspace(Subspace.full(n + 1))
+
+
 def test_structure_in_rejects_a_non_subalgebra():
     """[e1, e2] = e3 leaves span(e1, e2); its pivot entries (0, 0) alone
     would read as coordinates."""
     g = LieAlgebra(3, {(0, 1): [(2, 1)]})
     U = Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
     assert _structure_in(g, U.vectors(), U) is None
-    assert structure_in_fraction(g, U.vectors(), U.coordinates_of) is None
+    assert structure_in_fraction(g, U.vectors(), lambda w: coordinates_fraction(U, w)) is None
     assert not is_subalgebra(g, U)
     with pytest.raises(ValueError, match="not a subalgebra"):
         subalgebra_on(g, U)
