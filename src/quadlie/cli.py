@@ -31,7 +31,7 @@ from .liealg import (
     derived_series,
     derived_subalgebra,
     is_nilpotent,
-    is_solvable,
+    killing_form,
 )
 from .quadform import check_invariant_metric, invariant_symmetric_forms
 from .structure import (
@@ -74,6 +74,7 @@ def cmd_check(doc: AlgebraDocument) -> Tuple[dict, int]:
     """Jacobi and metric checks plus basic structure flags."""
     g = doc.algebra
     jacobi = check_jacobi(g)
+    derived, K = derived_subalgebra(g), killing_form(g)
     report = {
         "name": doc.name,
         "dim": g.dim,
@@ -82,10 +83,12 @@ def cmd_check(doc: AlgebraDocument) -> Tuple[dict, int]:
             for v in jacobi
         ],
         "center_dim": center(g).dim,
-        "derived_dim": derived_subalgebra(g).dim,
-        # is_solvable needs the Jacobi identity
-        "solvable": derived_series(g)[-1].is_zero() if jacobi else is_solvable(g),
-        "nilpotent": is_nilpotent(g),
+        "derived_dim": derived.dim,
+        # Cartan's criterion needs Jacobi
+        "solvable": derived_series(g)[-1].is_zero() if jacobi else (derived.basis @ K).is_zero(),
+        # nilpotent => K = 0: ad x maps each term of the lower central series
+        # into the next, so ad x ad y is nilpotent; no Jacobi identity needed
+        "nilpotent": K.is_zero() and is_nilpotent(g),
     }
     clean = not jacobi
     if doc.metric is not None:

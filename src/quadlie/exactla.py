@@ -614,6 +614,11 @@ class Subspace:
         return S
 
     @classmethod
+    def _spanned_by(cls, ambient_dim: int, rows: list) -> "Subspace":
+        """The span of sparse rows {column: nonzero int or Fraction}."""
+        return cls._reduced(*_reduced_matrix(rows, 0, ambient_dim))
+
+    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         # the identity is already reduced, with pivots 0..n-1
         return cls._reduced(Matrix.identity(ambient_dim), tuple(range(ambient_dim)))

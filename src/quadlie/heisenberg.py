@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import InternalVerificationError
-from .exactla import Matrix, Subspace, unit_vector
+from .exactla import Matrix, unit_vector
 from .liealg import LieAlgebra, check_jacobi, is_derivation
 from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
@@ -77,6 +77,15 @@ class SymplecticMap:
             raise ValueError("matrix does not lie in o(omega)")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def _unchecked(cls, omega: Matrix, matrix: Matrix) -> "SymplecticMap":
+        """``matrix`` on the space of ``omega``, checked elsewhere."""
+        f, V = object.__new__(cls), object.__new__(SymplecticSpace)
+        object.__setattr__(V, "omega", omega)
+        object.__setattr__(f, "space", V)
+        object.__setattr__(f, "matrix", matrix)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticMap is immutable")
@@ -270,13 +279,6 @@ def _assemble(
     rows[d_idx][hb] = Fraction(1)
     rows[hb][d_idx] = Fraction(1)
     return algebra, Matrix(rows, dim)
-
-
-def heisenberg_ideal_span(q: QuadraticLieAlgebra, m: int) -> Subspace:
-    """The canonical ideal V ⊕ QQ hbar of a build_with_heisenberg_ideal output."""
-    n = q.dim
-    vecs = [unit_vector(n, i) for i in range(n - 1 - 2 * m, n)]
-    return Subspace.from_vectors(n, vecs)
 
 
 def coadjoint_double(g: LieAlgebra) -> QuadraticLieAlgebra:

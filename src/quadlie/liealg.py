@@ -12,11 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import mul
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
     _ZERO,
     Matrix,
+    SparseSystem,
     Subspace,
     Vector,
     _integer_row,
@@ -174,13 +176,8 @@ def _integer_ad(table: tuple, ints: Sequence[int]) -> List[List[int]]:
 
 
 def _ad_columns(g: LieAlgebra, x: Vector) -> List[Vector]:
-    """[x, e_j] for every j: the columns of ad x.
-
-    x is scaled once to integers s x; column j is sum_i s x_i d [e_i, e_j],
-    summed in integers over the signed table (``_integer_table``) and the
-    support of x, so a unit vector costs one product per term of its row.
-    Each nonzero entry becomes one Fraction, divided by s d.
-    """
+    """[x, e_j] for every j: the columns of ad x, those of
+    ``_integer_ad`` on s x with each nonzero entry divided once by s d."""
     d, table = _integer_table(g)
     s, ints = _integer_row(x)
     return [_fractions(column, s * d) for column in _integer_ad(table, ints)]
@@ -236,8 +233,9 @@ def _structure_in(
     """Structure constants of g on the span of ``vectors``.
 
     Brackets every pair i < j in one integer pass (``_integer_pairs``) and
-    keeps the nonzero coordinates of each under (i, j).  With a matrix M the
-    coordinates of the brackets are the rows of brackets @ M.  With a
+    keeps the nonzero coordinates of each under (i, j).  With a matrix M
+    they are [u_i, u_j] @ M, on integers: M is scaled once by the lcm of
+    its denominators.  With a
     subspace U, given in its rref basis, they are the entries at U's pivot
     columns, once ``Subspace._all_in`` has checked on the integers that
     every bracket lies in U; otherwise None is returned.
@@ -247,13 +245,14 @@ def _structure_in(
         if not coordinates._all_in(ints for _, ints in pairs):
             return None
         pivots = coordinates.pivots
-        rows = [_fractions([ints[p] for p in pivots], den) for den, ints in pairs]
+        rows = [(den, [ints[p] for p in pivots]) for den, ints in pairs]
     else:
-        brackets = tuple(_fractions(ints, den) for den, ints in pairs)
-        rows = (Matrix._unchecked(brackets, g.dim) @ coordinates).rows
+        e = lcm(*(x.denominator for row in coordinates.rows for x in row))
+        columns = [[x.numerator * (e // x.denominator) for x in c] for c in zip(*coordinates.rows)]
+        rows = [(den * e, [sum(map(mul, ints, c)) for c in columns]) for den, ints in pairs]
     structure = {}
-    for pair, row in zip(combinations(range(len(vectors)), 2), rows):
-        terms = [(k, c) for k, c in enumerate(row) if c != 0]
+    for pair, (den, ints) in zip(combinations(range(len(vectors)), 2), rows):
+        terms = [(k, Fraction(v, den)) for k, v in enumerate(ints) if v]
         if terms:
             structure[pair] = terms
     return structure
@@ -300,31 +299,27 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
     """span{[u, w] : u in U, w in W}.
 
     When U is the whole algebra this is the span of the columns of ad w,
-    w in W's basis, read off the signed table (``_ad_columns``).  Otherwise,
-    when W equals U only the basis pairs i < j are bracketed, in one pass
-    (``_pair_brackets``): [u, u] = 0 and [u_j, u_i] = -[u_i, u_j] add
-    nothing to the span.
+    w in W's basis (``_integer_ad``).  Otherwise, when W equals U only the
+    basis pairs i < j are bracketed, in one pass (``_integer_pairs``):
+    [u, u] = 0 and [u_j, u_i] = -[u_i, u_j] add nothing to the span.  Both
+    hand integer rows to the elimination core.
     """
     if U.ambient_dim != g.dim or W.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     if U.is_full():
-        vectors = [column for w in W.vectors() for column in _ad_columns(g, w)]
+        _, table = _integer_table(g)
+        rows = [column for w in W.vectors() for column in _integer_ad(table, _integer_row(w)[1])]
     elif W == U:
-        vectors = _pair_brackets(g, U.vectors())
+        rows = [ints for _, ints in _integer_pairs(g, U.vectors())]
     else:
-        vectors = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
-    return Subspace.from_vectors(g.dim, vectors)
+        rows = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
+    return Subspace._spanned_by(g.dim, [{k: v for k, v in enumerate(row) if v} for row in rows])
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    """[g, g] = span of all basis brackets."""
-    vecs = []
-    for terms in g.structure.values():
-        out = [_ZERO] * g.dim
-        for k, c in terms:
-            out[k] = c
-        vecs.append(tuple(out))
-    return Subspace.from_vectors(g.dim, vecs)
+    """[g, g] = span of all basis brackets, the ``_integer_table`` rows."""
+    _, table = _integer_table(g)
+    return Subspace._spanned_by(g.dim, [dict(table[i][j]) for i, j in g.structure])
 
 
 def _series(g: LieAlgebra, step: Callable[[Subspace], Subspace]) -> List[Subspace]:
@@ -367,16 +362,19 @@ def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:
     """{x : [x, u] = 0 for all u in U}.
 
     [u, x] = ad(u) x, so x lies in the kernel of the stacked ad(u) rows;
-    the kernel of -ad(u) that [x, u] suggests is the same subspace.
+    the kernel of -ad(u) that [x, u] suggests is the same subspace.  Its
+    rows are those of ``_integer_ad``.
     """
     if U.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     if U.is_zero():
         return Subspace.full(g.dim)
-    rows = []
+    _, table = _integer_table(g)
+    system = SparseSystem(g.dim)
     for u in U.vectors():
-        rows.extend(zip(*_ad_columns(g, u)))
-    return kernel(Matrix(rows, g.dim))
+        for row in zip(*_integer_ad(table, _integer_row(u)[1])):
+            system.add(enumerate(row))
+    return kernel(system)
 
 
 def is_subalgebra(g: LieAlgebra, U: Subspace) -> bool:
@@ -396,24 +394,6 @@ def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
     return U._all_in(
         column for u in U.vectors() for column in _integer_ad(table, _integer_row(u)[1])
     )
-
-
-def ideal_generated_by(g: LieAlgebra, vectors_in: Iterable[Sequence]) -> Subspace:
-    """Smallest ideal containing the given vectors (closure under ad).
-
-    Each round adds the columns of ad(u) for every basis vector u of the
-    current span, until the span stops growing.
-    """
-    current = Subspace.from_vectors(g.dim, [vector(v) for v in vectors_in])
-    for _ in range(g.dim + 1):
-        new_vecs = list(current.vectors())
-        for u in current.vectors():
-            new_vecs.extend(_ad_columns(g, u))
-        nxt = Subspace.from_vectors(g.dim, new_vecs)
-        if nxt == current:
-            return current
-        current = nxt
-    return current
 
 
 def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
@@ -521,13 +501,3 @@ def transport(g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = 
         basis_labels = [f"b{t + 1}" for t in range(g.dim)]
     # the coordinates of w in the rows of P are (P^T)^-1 w, the row w P^-1
     return LieAlgebra(g.dim, _structure_in(g, P.rows, P_inv), basis_labels)
-
-
-def transport_subspace(U: Subspace, P: Matrix) -> Subspace:
-    """Coordinates of U in the new basis given by the rows of P."""
-    try:
-        Pt_inv = P.transpose().inverse()
-    except ValueError as exc:
-        raise ValueError("base change matrix is singular") from exc
-    vecs = [Pt_inv.apply(v) for v in U.vectors()]
-    return Subspace.from_vectors(U.ambient_dim, vecs)

@@ -20,13 +20,6 @@ from .quadform import BilinearForm, QuadraticLieAlgebra, skew_derivation_space
 _BOUND = 3
 
 
-def random_integer_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
-    return Matrix(
-        [[Fraction(rng.randint(-_BOUND, _BOUND)) for _ in range(ncols)] for _ in range(nrows)],
-        ncols,
-    )
-
-
 def random_symmetric_matrix(rng: random.Random, n: int) -> Matrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

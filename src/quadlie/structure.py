@@ -24,13 +24,14 @@ from .exactla import (
     form_restrict_nondegenerate,
     is_zero_vec,
     kernel,
+    restricted_gram,
     scale_vec,
     solve,
     sub_vec,
     sum_intersect,
     unit_vector,
 )
-from .heisenberg import SymplecticMap, SymplecticSpace, _assemble, in_omega_algebra
+from .heisenberg import SymplecticMap, _assemble, in_omega_algebra
 from .liealg import (
     LieAlgebra,
     _pair_brackets,
@@ -79,7 +80,8 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     contains the floor [g, R] + Z(g), a sum of nilpotent ideals; a kernel
     no larger than the floor is Nil(g).  In round one b runs over the
     generators ad_R(e_s), whose trace rows are the Killing form K_R of R;
-    Z(g) joins the floor only if ker K_R exceeds [g, R].
+    Z(g) joins the floor only if ker K_R exceeds [g, R].  K_R = R K(g) R^T:
+    for x, y in the ideal R, ad x ad y maps g into R.
 
     Otherwise A grows on rref subspaces of the flattened k x k matrices:
     A_r is A_(r-1) plus the generators times the f rows with a new pivot
@@ -93,13 +95,13 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     k = R.dim
     if k == 0:
         return R
-    gR = subalgebra_on(g, R)
-    K = killing_form(gR)
+    K = restricted_gram(killing_form(g), R)
     coords = kernel(K)
     floor = bracket_subspaces(g, Subspace.full(g.dim), R)
     if coords.dim > floor.dim:
         floor = sum_intersect(floor, center(g))[0]
     if coords.dim > floor.dim:
+        gR = subalgebra_on(g, R)
         ads = [ad(gR, unit_vector(k, i)) for i in range(k)]
         # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: B flattened times column t
         traces = Matrix.from_columns([M.transpose().flatten() for M in ads], k * k)
@@ -276,7 +278,8 @@ class RecoveredStructure:
 
     ``base_change`` has rows (s-basis..., d, v-basis..., hbar) in the
     original coordinates; transporting the input through it reproduces
-    ``rebuilt`` exactly, entry for entry.
+    ``rebuilt`` exactly, entry for entry.  ``complement`` is the normalized
+    complement it started from.
     """
 
     s_basis: Subspace
@@ -287,6 +290,7 @@ class RecoveredStructure:
     base_change: Matrix
     core: QuadraticLieAlgebra
     rebuilt: QuadraticLieAlgebra
+    complement: Tuple[Vector, ...]
 
 
 def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> List[Vector]:
@@ -347,9 +351,7 @@ def recover_structure(
     V^perp, pick d with B(d, hbar) = 1 normalized to B(d, d) = 0, slide the
     rest to S = {a - B(a, d) hbar}, and read off D and sigma(D) from the
     action of d.  The complement needs no correction to have V-free
-    brackets: for a in V^perp and v in V, [a, v] has hbar-coefficient
-    B([a, v], z) = B(a, [v, z]) = 0 for z in V^perp with B(z, hbar) = 1
-    (see ``_normalized_complement``).
+    brackets (see ``_normalized_complement``).
 
     Everything is read in one coordinate system, the transport of q to the
     basis (S..., d, V..., hbar): the core structure, D, sigma(D), B_S, the
@@ -449,7 +451,7 @@ def recover_structure(
     ensure(k == 0 or B_S.det() != 0, "metric degenerates on S")
     gram_V = Matrix([G.rows[t][k + 1 : h_slot] for t in v_slots], two_m)
     ensure(
-        gram_V == sigma_mat.inverse().transpose() @ h.omega,
+        sigma_mat.transpose() @ gram_V == h.omega,
         "metric on V does not match omega(sigma^{-1} u, v)",
     )
 
@@ -466,9 +468,9 @@ def recover_structure(
         "recovered D is not skew-symmetric",
     )
 
-    V_space = SymplecticSpace(h.omega)
-    sigma_map = SymplecticMap(V_space, sigma_mat)
-    algebra, gram = _assemble(core, D_mat, V_space, sigma_mat)
+    # h checked omega, the ensures above sigma(D)
+    sigma_map = SymplecticMap._unchecked(h.omega, sigma_mat)
+    algebra, gram = _assemble(core, D_mat, sigma_map.space, sigma_mat)
     rebuilt = QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
     ensure(
         transported == rebuilt,
@@ -483,6 +485,7 @@ def recover_structure(
         base_change=P,
         core=core,
         rebuilt=rebuilt,
+        complement=tuple(a_vecs),
     )
 
 
@@ -631,16 +634,16 @@ def _outer(x: Vector, y: Vector) -> Matrix:
 
 
 def _complement_brackets(
-    q: QuadraticLieAlgebra, h: HeisenbergIdealData
+    q: QuadraticLieAlgebra, h: HeisenbergIdealData, a_vecs: Optional[tuple] = None
 ) -> Tuple[Matrix, Matrix, Matrix, Vector]:
     """(A, E^-1, beta, mu): A the matrix whose rows are the normalized
-    complement a_1, ..., a_k, E^-1 the inverse of the basis E = (a..., v...,
-    hbar), and [a_i, a_j] = sum_l beta_ij^l a_l + mu_ij hbar for the pairs
-    i < j in lexicographic order, beta the matrix with rows beta_ij and mu
-    the vector of the mu_ij.  The brackets are ensured to have no
-    V-component."""
+    complement a_1, ..., a_k (``a_vecs``, else ``_normalized_complement``),
+    E^-1 the inverse of the basis E = (a..., v..., hbar), and [a_i, a_j] =
+    sum_l beta_ij^l a_l + mu_ij hbar for the pairs i < j in lexicographic
+    order, beta the matrix with rows beta_ij and mu the vector of the
+    mu_ij.  The brackets are ensured to have no V-component."""
     n = q.dim
-    a_vecs = _normalized_complement(q, h)
+    a_vecs = list(a_vecs or _normalized_complement(q, h))
     k = len(a_vecs)
     E = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n)
     ensure(E.is_invertible(), "complement plus ideal is not a basis")
@@ -795,7 +798,11 @@ def has_invariant_quotient_metric(
     ``h`` was found in another algebra.
     """
     _require_own_data(q, h)
-    complement = _complement_brackets(q, h)
+    return _quotient_metric_decision(q, h, _complement_brackets(q, h))
+
+
+def _quotient_metric_decision(q: QuadraticLieAlgebra, h: HeisenbergIdealData, complement: tuple):
+    """``has_invariant_quotient_metric`` on a ``_complement_brackets`` output."""
     A, _, beta, mu = complement
     lambdas = solve(beta, mu)
     if lambdas is None:
@@ -879,7 +886,7 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
     clause_line = rad.dim == nil.dim + 1 and rad.contains_subspace(nil)
     verdict = None
     if clause_ideal and clause_nondeg and clause_line:
-        verdict = recognize_extended_heisenberg(restrict_quadratic(q, rad))
+        verdict = recognize_extended_heisenberg(q if rad.is_full() else restrict_quadratic(q, rad))
         ensure(
             isinstance(verdict, ExtendedHeisenbergVerdict),
             "the radical is not an extended Heisenberg algebra",
@@ -929,7 +936,8 @@ def analyze(q: QuadraticLieAlgebra, ideal: Optional[Subspace] = None) -> Analysi
     algebra is recognized and recovered once: when Rad(g) = g the theorem
     check has run the recognizer on the radical in g's own coordinates,
     and its verdict is g's; otherwise the recognizer runs on g.  The
-    recovery is the recognizer's when that is over the same ideal.
+    recovery is the recognizer's when that is over the same ideal, and its
+    complement is the decision's.
     """
     theorem = verify_nilradical_theorem(q)
     verdict = theorem.radical_verdict if theorem.whole_algebra else None
@@ -948,4 +956,5 @@ def analyze(q: QuadraticLieAlgebra, ideal: Optional[Subspace] = None) -> Analysi
         return Analysis(theorem, verdict, source, None, None, None)
     if recovered is None or recovered.heis != h:
         recovered = recover_structure(q, h)
-    return Analysis(theorem, verdict, source, h, recovered, has_invariant_quotient_metric(q, h))
+    decision = _quotient_metric_decision(q, h, _complement_brackets(q, h, recovered.complement))
+    return Analysis(theorem, verdict, source, h, recovered, decision)

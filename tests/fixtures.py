@@ -139,7 +139,7 @@ def assert_center_derived_identities(q, S, D, m):
     derived(g) = (Im D + [S, S]) ⊕ h_m, as exact subspace equalities,
     for a build_with_heisenberg_ideal output in its native coordinates."""
     from quadlie.exactla import Subspace, kernel, sum_intersect, unit_vector
-    from quadlie.heisenberg import heisenberg_ideal_span
+    from oracles import heisenberg_ideal_span
     from quadlie.liealg import center, derived_subalgebra
 
     g = q.algebra

@@ -40,7 +40,15 @@ algebra; the tests require the same Fractions.  So does the coordinate
 map of ``Subspace`` by a Fraction residual loop, which subtracts each rref
 basis row times v's entry at its pivot, where ``Subspace`` now tests
 membership on integers; the tests require the same coordinates, the same
-membership answers and the same errors.
+membership answers and the same errors.  So do the ``liealg`` spans and
+coordinates as they were before they ran on the integer table: [g, g] from
+dense Fraction brackets, [U, W] and the centralizer from the Fraction
+columns of ad, and the structure constants in matrix coordinates as the
+product of the Fraction brackets with the coordinate matrix; the tests
+require the same subspaces and algebras.  Last come the test-only helpers
+that used to be public names of the library: the coordinate Heisenberg
+ideal of a builder output, the ideal generated by vectors, a subspace in
+new coordinates and a random integer matrix.
 """
 
 import random
@@ -51,6 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
 from quadlie.exactla import (
+    _ZERO,
     Matrix,
     Subspace,
     add_vec,
@@ -75,6 +84,9 @@ from quadlie.heisenberg import (
 from quadlie.liealg import (
     JacobiViolation,
     LieAlgebra,
+    _ad_columns,
+    _pair_brackets,
+    _series,
     ad,
     bracket,
     check_jacobi,
@@ -91,6 +103,7 @@ from quadlie.quadform import (
     invariant_symmetric_forms,
     restrict_quadratic,
 )
+from quadlie.randomized import _BOUND
 from quadlie.structure import (
     ComplementWitness,
     RecoveredStructure,
@@ -1261,3 +1274,115 @@ def radical_recovery_by_refind(q: QuadraticLieAlgebra) -> Optional[RecoveredStru
     h_rad = find_heisenberg_ideal(q_rad.algebra, nil_in_rad)
     ensure(h_rad is not None, "the nilradical is not a Heisenberg ideal of the radical")
     return recover_structure(q_rad, h_rad)
+
+
+# -- liealg spans and coordinates before the integer core ----------------------
+
+def derived_subalgebra_fraction(g: LieAlgebra) -> Subspace:
+    """[g, g] = span of all basis brackets."""
+    vecs = []
+    for terms in g.structure.values():
+        out = [_ZERO] * g.dim
+        for k, c in terms:
+            out[k] = c
+        vecs.append(tuple(out))
+    return Subspace.from_vectors(g.dim, vecs)
+
+
+def bracket_subspaces_fraction(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
+    """[U, W] from the Fraction columns of ad w when U = g, else from the
+    Fraction pair brackets when W = U, else from every basis pair."""
+    if U.ambient_dim != g.dim or W.ambient_dim != g.dim:
+        raise ValueError("ambient dimension mismatch")
+    if U.is_full():
+        vectors = [column for w in W.vectors() for column in _ad_columns(g, w)]
+    elif W == U:
+        vectors = _pair_brackets(g, U.vectors())
+    else:
+        vectors = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
+    return Subspace.from_vectors(g.dim, vectors)
+
+
+def lower_central_series_fraction(g: LieAlgebra) -> List[Subspace]:
+    full = Subspace.full(g.dim)
+    return _series(g, lambda U: bracket_subspaces_fraction(g, full, U))
+
+
+def centralizer_fraction(g: LieAlgebra, U: Subspace) -> Subspace:
+    """{x : [x, u] = 0 for all u in U}.
+
+    [u, x] = ad(u) x, so x lies in the kernel of the stacked ad(u) rows;
+    the kernel of -ad(u) that [x, u] suggests is the same subspace.
+    """
+    if U.ambient_dim != g.dim:
+        raise ValueError("ambient dimension mismatch")
+    if U.is_zero():
+        return Subspace.full(g.dim)
+    rows = []
+    for u in U.vectors():
+        rows.extend(zip(*_ad_columns(g, u)))
+    return kernel(Matrix(rows, g.dim))
+
+
+def structure_in_matrix_fraction(g: LieAlgebra, vectors, coordinates: Matrix) -> dict:
+    """The coordinates of the pair brackets as the rows of brackets @ M."""
+    brackets = tuple(_pair_brackets(g, vectors))
+    rows = (Matrix._unchecked(brackets, g.dim) @ coordinates).rows
+    structure = {}
+    for pair, row in zip(combinations(range(len(vectors)), 2), rows):
+        terms = [(k, c) for k, c in enumerate(row) if c != 0]
+        if terms:
+            structure[pair] = terms
+    return structure
+
+
+def transport_matrix_fraction(
+    g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = None
+) -> LieAlgebra:
+    if basis_labels is None:
+        basis_labels = [f"b{t + 1}" for t in range(g.dim)]
+    return LieAlgebra(g.dim, structure_in_matrix_fraction(g, P.rows, P.inverse()), basis_labels)
+
+
+# -- test-only helpers ---------------------------------------------------------
+
+def heisenberg_ideal_span(q: QuadraticLieAlgebra, m: int) -> Subspace:
+    """The canonical ideal V ⊕ QQ hbar of a build_with_heisenberg_ideal output."""
+    n = q.dim
+    vecs = [unit_vector(n, i) for i in range(n - 1 - 2 * m, n)]
+    return Subspace.from_vectors(n, vecs)
+
+
+def ideal_generated_by(g: LieAlgebra, vectors_in) -> Subspace:
+    """Smallest ideal containing the given vectors (closure under ad).
+
+    Each round adds the columns of ad(u) for every basis vector u of the
+    current span, until the span stops growing.
+    """
+    current = Subspace.from_vectors(g.dim, [vector(v) for v in vectors_in])
+    for _ in range(g.dim + 1):
+        new_vecs = list(current.vectors())
+        for u in current.vectors():
+            new_vecs.extend(_ad_columns(g, u))
+        nxt = Subspace.from_vectors(g.dim, new_vecs)
+        if nxt == current:
+            return current
+        current = nxt
+    return current
+
+
+def transport_subspace(U: Subspace, P: Matrix) -> Subspace:
+    """Coordinates of U in the new basis given by the rows of P."""
+    try:
+        Pt_inv = P.transpose().inverse()
+    except ValueError as exc:
+        raise ValueError("base change matrix is singular") from exc
+    vecs = [Pt_inv.apply(v) for v in U.vectors()]
+    return Subspace.from_vectors(U.ambient_dim, vecs)
+
+
+def random_integer_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
+    return Matrix(
+        [[Fraction(rng.randint(-_BOUND, _BOUND)) for _ in range(ncols)] for _ in range(nrows)],
+        ncols,
+    )

@@ -23,6 +23,8 @@ from fixtures import (
     sl2_quadratic,
 )
 
+from oracles import heisenberg_ideal_span, transport_subspace
+
 from quadlie.cli import main as cli_main
 from quadlie.exactla import Matrix, Subspace, unit_vector
 from quadlie.heisenberg import (
@@ -31,7 +33,6 @@ from quadlie.heisenberg import (
     coadjoint_double,
     extend_heisenberg,
     heisenberg,
-    heisenberg_ideal_span,
     standard_symplectic_matrix,
 )
 from quadlie.liealg import (
@@ -44,7 +45,6 @@ from quadlie.liealg import (
     is_subalgebra,
     quotient,
     subalgebra_on,
-    transport_subspace,
 )
 from quadlie.quadform import (
     check_invariant_metric,

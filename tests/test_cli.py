@@ -374,8 +374,16 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     count("check_jacobi", liealg.check_jacobi)
     count("quotient", liealg.quotient)
     count("check_invariant_metric", quadform.check_invariant_metric)
+    # one normalized complement, the recovery's, which the decision reuses;
+    # Rad(g) = g is recognized as g, not as a restricted copy; and the only
+    # algebra on a subspace is the nilradical's, for its nilpotency ensure
+    count("_normalized_complement", structure._normalized_complement)
+    count("restrict_quadratic", quadform.restrict_quadratic)
+    count("subalgebra_on", liealg.subalgebra_on)
     code, _, _ = run_cli(["analyze", corpus_path("h2_phi.algebra.json")], capsys)
     assert code == 0
+    assert (calls.pop("_normalized_complement"), calls.pop("restrict_quadratic")) == (1, 0)
+    assert calls.pop("subalgebra_on") == 1
     assert calls == {
         "nilradical": 1,
         "radical": 1,
@@ -388,6 +396,24 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
         "quotient": 1,
         "check_invariant_metric": 1,
     }
+
+
+def test_check_reads_nilpotency_off_the_killing_form(monkeypatch, capsys):
+    """``check`` on a grid algebra computes one Killing form and one [g, g],
+    for solvability and nilpotency alike: K(g) != 0 proves g is not
+    nilpotent, so no lower central series is computed."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    _, text = workloads.grid_documents(workloads.GRID_ANALYZE, 0)[0]
+    calls, count = _call_counter(monkeypatch)
+    for name in ("killing_form", "derived_subalgebra", "lower_central_series"):
+        count(name, getattr(liealg, name))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run_cli(["check", "-"], capsys)
+    assert code == 0
+    assert json.loads(out)["nilpotent"] is False
+    assert calls == {"killing_form": 1, "derived_subalgebra": 1, "lower_central_series": 0}
 
 
 def test_analyze_recognizes_a_proper_radical_and_the_algebra_apart(monkeypatch, capsys):

@@ -16,6 +16,8 @@ from fixtures import (
     zero_quadratic,
 )
 
+from oracles import heisenberg_ideal_span
+
 from quadlie.exactla import Matrix, Subspace, unit_vector, vector
 from quadlie.heisenberg import (
     SymplecticMap,
@@ -25,7 +27,6 @@ from quadlie.heisenberg import (
     double_extension,
     extend_heisenberg,
     heisenberg,
-    heisenberg_ideal_span,
     in_omega_algebra,
 )
 from quadlie.liealg import (

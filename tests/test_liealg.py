@@ -17,6 +17,8 @@ from fixtures import (
     two_dim_nonabelian,
 )
 
+from oracles import ideal_generated_by
+
 from quadlie.exactla import Matrix, Subspace, unit_vector, vector
 from quadlie.heisenberg import heisenberg
 from quadlie.liealg import (
@@ -30,7 +32,6 @@ from quadlie.liealg import (
     derived_series,
     derived_subalgebra,
     direct_sum,
-    ideal_generated_by,
     is_ideal,
     is_nilpotent,
     is_solvable,

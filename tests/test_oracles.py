@@ -27,16 +27,20 @@ from oracles import (
     alternating_rows_dense,
     bracket_by_formula,
     bracket_subspaces_by_pairs,
+    bracket_subspaces_fraction,
     centralizer_by_brackets,
+    centralizer_fraction,
     check_invariant_metric_dense,
     check_jacobi_dense,
     coadjoint_double_by_bracket_basis,
     cocycle_rows_dense,
     coordinates_fraction,
+    derived_subalgebra_fraction,
     det_fraction,
     build_with_heisenberg_ideal_direct,
     double_extension_direct,
     extend_heisenberg_direct,
+    ideal_generated_by,
     ideal_generated_by_brackets,
     invariance_rows_dense,
     is_derivation_by_brackets,
@@ -45,12 +49,14 @@ from oracles import (
     kernel_by_free_columns,
     killing_form_by_products,
     killing_form_fraction,
+    lower_central_series_fraction,
     matmul_fraction,
     nilradical_four_step,
     nilradical_incremental,
     quotient_by_reduction,
     quotient_fraction,
     radical_recovery_by_refind,
+    random_integer_matrix,
     rref_dense,
     rref_rows_fraction,
     skew_derivation_rows_dense,
@@ -60,8 +66,10 @@ from oracles import (
     subalgebra_on_fraction,
     transport_by_brackets,
     transport_fraction,
+    transport_matrix_fraction,
 )
 
+from quadlie.cli import cmd_check
 from quadlie.documents import AlgebraDocument, dumps_document, loads_document
 from quadlie.heisenberg import (
     SymplecticSpace,
@@ -92,8 +100,8 @@ from quadlie.liealg import (
     centralizer,
     check_jacobi,
     derived_series,
+    derived_subalgebra,
     direct_sum,
-    ideal_generated_by,
     is_derivation,
     is_ideal,
     is_solvable,
@@ -117,7 +125,6 @@ from quadlie.quadform import (
 from quadlie.randomized import (
     random_build_input,
     random_core_algebra,
-    random_integer_matrix,
     random_invertible_omega_skew,
     random_skew_derivation,
     random_symmetric_matrix,
@@ -1184,3 +1191,87 @@ def test_settling_inputs_include_cores_that_are_not_solvable():
         g = build_with_heisenberg_ideal(*random_build_input(rng, 4, 3)).algebra
         solvable.append(is_solvable(g))
     assert not all(solvable) and any(solvable)
+
+
+# -- integer spans and coordinates against their Fraction bodies ----------------
+
+def _seeded_build(seed):
+    """A random builder output (dim 4 to 10), moved by a random unimodular
+    base change for odd seeds."""
+    rng = random.Random(seed)
+    q = build_with_heisenberg_ideal(*random_build_input(rng))
+    return transport_quadratic(q, random_unimodular(rng, q.dim)) if seed % 2 else q
+
+
+def _filiform(n):
+    """The model filiform algebra: [e_1, e_i] = e_(i+1) for 1 < i < n."""
+    return LieAlgebra(n, {(0, i): [(i + 1, 1)] for i in range(1, n - 1)})
+
+
+def _random_table(seed):
+    """A table of dim 2 to 4 (4 twice as often) with seeded constants,
+    integers and fractions; most such tables violate the Jacobi identity."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3, 4, 4))
+    structure = {
+        (i, j): [(k, _random_entry(rng, 0.5)) for k in range(n)]
+        for i, j in combinations(range(n), 2)
+        if rng.random() < 0.8
+    }
+    return LieAlgebra(n, structure)
+
+
+def _assert_spans_match_fractions(g, rng):
+    """center, [g, g], [g, U] and [U, U], the lower central series and
+    transport give the subspaces and algebras of their Fraction bodies; the
+    ``nilpotent`` flag of ``check`` is the lower central series' answer.
+    Returns whether K(g) = 0 and whether g is nilpotent."""
+    n = g.dim
+    full = Subspace.full(n)
+    assert center(g) == centralizer_fraction(g, full)
+    assert derived_subalgebra(g) == derived_subalgebra_fraction(g)
+    series = lower_central_series(g)
+    assert series == lower_central_series_fraction(g)
+    for U in [full] + _subspaces(g, rng):
+        assert bracket_subspaces(g, full, U) == bracket_subspaces_fraction(g, full, U)
+        assert bracket_subspaces(g, U, U) == bracket_subspaces_fraction(g, U, U)
+        assert centralizer(g, U) == centralizer_fraction(g, U)
+    for P in (random_unimodular(rng, n), _random_invertible(rng, n)):
+        labels = [f"t{i}" for i in range(n)]
+        _assert_same_algebra(transport(g, P), transport_matrix_fraction(g, P))
+        _assert_same_algebra(transport(g, P, labels), transport_matrix_fraction(g, P, labels))
+    nilpotent = series[-1].is_zero()
+    assert cmd_check(AlgebraDocument("g", g))[0]["nilpotent"] is nilpotent
+    return killing_form(g).is_zero(), nilpotent
+
+
+@pytest.mark.parametrize("g", _fixture_algebras() + _corpus_algebras())
+def test_integer_spans_match_fraction_bodies(g):
+    _assert_spans_match_fractions(g, random.Random(g.dim))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_spans_match_fraction_bodies_on_seeded_builds(seed):
+    _assert_spans_match_fractions(_seeded_build(seed).algebra, random.Random(seed))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_integer_spans_match_fraction_bodies_on_filiform_algebras(n):
+    assert _assert_spans_match_fractions(_filiform(n), random.Random(n)) == (True, True)
+
+
+def test_integer_spans_match_fraction_bodies_on_random_tables():
+    """200 tables, most of them violating Jacobi, with K = 0 and K != 0
+    both present.  K = 0 does not make g nilpotent: ad e_1 permuting e_2,
+    e_3, e_4 cyclically has eigenvalues the cube roots of 1, whose squares
+    sum to 0, so K = 0 while [g, g] = [g, [g, g]] is not 0."""
+    cyclic = LieAlgebra(4, {(0, 1): [(2, 1)], (0, 2): [(3, 1)], (0, 3): [(1, 1)]})
+    seen = {_assert_spans_match_fractions(cyclic, random.Random(0))}
+    assert seen == {(True, False)}
+    violating = 0
+    for seed in range(200):
+        g = _random_table(seed)
+        violating += bool(check_jacobi(g))
+        seen.add(_assert_spans_match_fractions(g, random.Random(seed)))
+    assert violating > 100
+    assert seen == {(True, True), (True, False), (False, False)}

@@ -22,9 +22,11 @@ from fixtures import (
 )
 from oracles import (
     complement_from_metric_by_evaluation,
+    heisenberg_ideal_span,
     metric_on_complement_by_evaluation,
     obstruction_holds,
     quotient_metric_probe,
+    transport_subspace,
 )
 
 from quadlie import structure
@@ -37,7 +39,6 @@ from quadlie.heisenberg import (
     coadjoint_double,
     extend_heisenberg,
     heisenberg,
-    heisenberg_ideal_span,
     standard_symplectic_matrix,
 )
 from quadlie.liealg import (
@@ -53,7 +54,6 @@ from quadlie.liealg import (
     is_subalgebra,
     quotient,
     subalgebra_on,
-    transport_subspace,
 )
 from quadlie.quadform import (
     BilinearForm,

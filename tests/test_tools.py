@@ -71,6 +71,7 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
         "invariant_symmetric_forms_s",
         "quadratic_constructor_s",
         "nilradical_s",
+        "check_s",
         "analyze_s",
     ):
         assert isinstance(line[key], float) and line[key] >= 0

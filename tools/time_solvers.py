@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the two large exact solvers, constructor validation, the
-nilradical and ``quadlie analyze`` at the scale of the benchmark grid.
+nilradical, ``quadlie check`` and ``quadlie analyze`` at the scale of the
+benchmark grid.
 
 Builds the fixed ``bench.workloads.grid_algebras`` shapes (4, False, m) for
 m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
@@ -8,11 +9,11 @@ m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
 ``quadform.invariant_symmetric_forms``, the validating constructor
 ``QuadraticLieAlgebra(algebra, metric)`` (the Jacobi identity and the
 invariant-metric check), ``structure.nilradical`` (with the radical it
-computes first) and the whole ``quadlie analyze`` command (``cli.main``
-reading the algebra's document from stdin, output discarded) once each on
-every shape.  Each shape is its own one-entry grid, so the dim-10 algebra
-is the first one of the ``grid_forms`` workload.  Standard library only,
-no options:
+computes first) and the whole ``quadlie check`` and ``quadlie analyze``
+commands (``cli.main`` reading the algebra's document from stdin, output
+discarded) once each on every shape.  Each shape is its own one-entry
+grid, so the dim-10 algebra is the first one of the ``grid_forms``
+workload.  Standard library only, no options:
 
     python tools/time_solvers.py
 
@@ -56,8 +57,8 @@ from quadlie.structure import nilradical, radical  # noqa: E402
 SHAPES = tuple((4, False, m) for m in range(2, 8))
 
 
-def time_analyze(q) -> float:
-    """Seconds of one ``quadlie analyze -`` on the document of ``q``.
+def time_command(q, command: str) -> float:
+    """Seconds of one ``quadlie <command> -`` on the document of ``q``.
 
     Raises ``RuntimeError`` when the command does not exit with 0."""
     text = dumps_document(AlgebraDocument("grid", q.algebra, q.metric))
@@ -66,12 +67,12 @@ def time_analyze(q) -> float:
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             start = time.perf_counter()
-            code = cli.main(["analyze", "-"])
+            code = cli.main([command, "-"])
             elapsed = time.perf_counter() - start
     finally:
         sys.stdin = saved_stdin
     if code != 0:
-        raise RuntimeError(f"analyze exited with {code}: {sink.getvalue()}")
+        raise RuntimeError(f"{command} exited with {code}: {sink.getvalue()}")
     return elapsed
 
 
@@ -96,8 +97,8 @@ def closure_rounds(g) -> int:
 
 def time_solvers(shape) -> dict:
     """One timed call of each solver, of the validating constructor, of
-    the nilradical and of ``analyze`` on the grid algebra of ``shape``,
-    and the row counts of the two solver systems."""
+    the nilradical, of ``check`` and of ``analyze`` on the grid algebra of
+    ``shape``, and the row counts of the two solver systems."""
     q = grid_algebras([shape])[0]
     start = time.perf_counter()
     skew = skew_derivation_space(q)
@@ -121,7 +122,8 @@ def time_solvers(shape) -> dict:
         "nilradical_s": round(nil_end - validated, 4),
         "nilradical_dim": nil.dim,
         "nilradical_closure_rounds": closure_rounds(q.algebra),
-        "analyze_s": round(time_analyze(q), 4),
+        "check_s": round(time_command(q, "check"), 4),
+        "analyze_s": round(time_command(q, "analyze"), 4),
     }
 
 
