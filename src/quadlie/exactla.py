@@ -1,20 +1,22 @@
 """Exact linear algebra over the rational numbers.
 
-Vectors are tuples of ``fractions.Fraction``; matrices are immutable dense
-row tuples, the value type of the API.  The kernels run inside on integer
-numerators over one known denominator, and build Fractions only for their
-results.  One fraction-free Gauss-Jordan core (``_echelon``) serves
-``rref``, ``kernel``, ``solve``, ``inverse`` and the subspace operations.
-It scales each row, a dict {column: nonzero rational}, to primitive
-integers, eliminates by integer cross-multiplication and divides each
-updated row by its content (the gcd of its entries), so no Fraction
-arithmetic runs inside the loop (Bareiss, Math. Comp. 22, 1968; Cohen, A
-Course in Computational Algebraic Number Theory, 2.2).  ``rref`` divides
-the finished rows by their pivots once; ``kernel`` reads integer spanning
-vectors off them and builds Fractions only for its rref basis.  The
-product ``@`` scales each left row and right column by the lcm of its
-denominators and takes integer dot products; ``det`` is Bareiss's
-fraction-free elimination on the row-scaled integer matrix.
+Vectors are tuples of ``fractions.Fraction``.  A matrix is an immutable
+value kept as integer rows over one positive common denominator, with
+gcd(den, all entries) = 1, so the form is unique; its rows of Fractions
+are a view built only when they are read.  The products, determinants,
+inverses and eliminations read and write that integer form, and build
+Fractions only for what a caller reads.  One fraction-free Gauss-Jordan
+core (``_echelon``) serves ``rref``, ``kernel``, ``solve``, ``inverse``
+and the subspace operations.  It scales each row, a dict {column:
+nonzero rational}, to primitive integers, eliminates by integer
+cross-multiplication and divides each updated row by its content (the
+gcd of its entries), so no Fraction arithmetic runs inside the loop
+(Bareiss, Math. Comp. 22, 1968; Cohen, A Course in Computational
+Algebraic Number Theory, 2.2).  ``rref`` scales the finished rows to the
+lcm of their pivots, which is the denominator of the reduced form;
+``kernel`` reads integer spanning vectors off them.  ``@`` is the
+integer product over the product of the denominators, and ``det`` is
+Bareiss's elimination on the integer rows, divided by den^n.
 ``SparseSystem`` lets a solver hand a large sparse system of integer or
 rational equations to ``kernel`` without writing out its zeros.  Subspaces
 are kept in reduced row-echelon form so that set equality is literal
@@ -28,6 +30,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -121,17 +124,36 @@ def is_zero_vec(x: Vector) -> bool:
 # matrices
 # ---------------------------------------------------------------------------
 
+def _fractions(ints: Sequence[int], den: int) -> Vector:
+    """The tuple of Fractions v / den, sharing one zero.
+
+    Here and in the other kernels a tuple or a star-argument is built from
+    a list, not from a generator: CPython allocates it at its final
+    length, where from a generator it grows and shrinks a tuple of
+    another length, and every such tuple, once freed, stays in the
+    interpreter's free list of its final length (up to 2,000 per length),
+    which raises the process's peak memory for good.
+    """
+    if den == 1:  # Fraction(v) skips the gcd
+        return tuple([Fraction(v) if v else _ZERO for v in ints])
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
+
+
 class Matrix:
     """Immutable dense matrix of rationals.
 
-    ``rows`` is a tuple of row tuples.  The column count is stored
-    explicitly so that 0-row matrices keep their shape.  The constructor
-    is the boundary for outside input and coerces every entry with
-    ``rat``; the operations below, whose entries are Fractions already,
-    build their results with ``_unchecked``.
+    The value is a tuple of integer rows over one positive common
+    denominator, normalized so that gcd(den, all entries) = 1: that form is
+    unique, so equality and hashing compare it.  ``rows``, the tuple of row
+    tuples of Fractions, is a read-only view of it, built the first time
+    it is read.  The row and column counts are stored explicitly so that
+    0-row and 0-column matrices keep their shape.  The constructor is the
+    boundary for outside input and coerces every entry with ``rat``; the
+    operations below read and write the integer form (``_from_ints``), and
+    build no Fraction unless a Fraction is asked for.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("nrows", "ncols", "_den", "_ints", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None):
         normalized = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -145,23 +167,53 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "rows", normalized)
-        object.__setattr__(self, "ncols", ncols)
+        self._set_fractions(normalized, ncols)
+
+    def _set_fractions(self, rows: tuple, ncols: int) -> None:
+        """Take Fraction ``rows`` as the value: integers over the lcm of
+        their denominators, which is the normalized form, with ``rows`` kept
+        as the view."""
+        den, flat = _integer_row([x for row in rows for x in row])
+        ints = tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(len(rows)))
+        self._set(ints, ncols, den, rows)
+
+    def _set(self, ints: tuple, ncols: int, den: int, rows: Optional[tuple]) -> None:
+        for name, value in (("nrows", len(ints)), ("ncols", ncols), ("_den", den),
+                            ("_ints", ints), ("_rows", rows)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _unchecked(cls, rows: tuple, ncols: int) -> "Matrix":
         """A Matrix on ``rows`` that are already tuples of ``ncols`` Fractions."""
         M = object.__new__(cls)
-        object.__setattr__(M, "rows", rows)
-        object.__setattr__(M, "ncols", ncols)
+        M._set_fractions(rows, ncols)
+        return M
+
+    @classmethod
+    def _from_ints(cls, ints: tuple, ncols: int, den: int = 1) -> "Matrix":
+        """The Matrix ints / den for a tuple of integer row tuples of length
+        ``ncols`` and den > 0, divided by gcd(den, all entries)."""
+        if den != 1:
+            g = gcd(den, *[x for row in ints for x in row])
+            if g != 1:
+                den //= g
+                ints = tuple(tuple(x // g for x in row) for row in ints)
+        M = object.__new__(cls)
+        M._set(ints, ncols, den, None)
         return M
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """The rows as tuples of Fractions, built on first read."""
+        rows = self._rows
+        if rows is None:
+            den = self._den
+            rows = tuple(_fractions(row, den) for row in self._ints)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def shape(self) -> tuple:
@@ -169,11 +221,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._unchecked(tuple(unit_vector(n, i) for i in range(n)), n)
+        return cls._from_ints(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls._unchecked((zero_vector(ncols),) * nrows, ncols)
+        return cls._from_ints(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def diagonal(cls, entries: Iterable[Scalar]) -> "Matrix":
@@ -215,109 +267,107 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.nrows == other.nrows
+            and self._den == other._den
+            and self._ints == other._ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self._den, self._ints))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other over the lcm of the two denominators."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix._unchecked(
-            tuple(add_vec(r, s) for r, s in zip(self.rows, other.rows)), self.ncols
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        return Matrix._from_ints(
+            tuple(
+                tuple(a * x + b * y for x, y in zip(r, s))
+                for r, s in zip(self._ints, other._ints)
+            ),
+            self.ncols,
+            den,
         )
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix._unchecked(
-            tuple(sub_vec(r, s) for r, s in zip(self.rows, other.rows)), self.ncols
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> "Matrix":
         c = rat(c)
-        return Matrix._unchecked(
-            tuple(tuple(c * x for x in row) for row in self.rows), self.ncols
+        p = c.numerator
+        return Matrix._from_ints(
+            tuple(tuple(p * x for x in row) for row in self._ints),
+            self.ncols,
+            self._den * c.denominator,
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Exact product on integer numerators.
-
-        Each left row and each right column is scaled by the lcm of its
-        denominators; entry (i, j) is the integer dot product over the
-        nonzero entries of left row i, divided once by the two scales.
-        """
+        """Exact product of the integer forms: entry (i, j) is the integer
+        dot product of row i and column j, over the product of the two
+        denominators."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        columns = zip(*other.rows) if other.rows else [()] * other.ncols
-        cols = [_integer_row(column) for column in columns]
-        rows = []
-        for row in self.rows:
-            da, ints = _integer_row(row)
-            terms = [(j, a) for j, a in enumerate(ints) if a]
-            out = []
-            for db, col in cols:
-                s = 0
-                for j, a in terms:
-                    s += a * col[j]
-                out.append(Fraction(s, da * db) if s else _ZERO)
-            rows.append(tuple(out))
-        return Matrix._unchecked(tuple(rows), other.ncols)
+        cols = tuple(zip(*other._ints)) if other._ints else ((),) * other.ncols
+        return Matrix._from_ints(
+            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self._ints]),
+            other.ncols,
+            self._den * other._den,
+        )
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
-        """Matrix-vector product with ``v`` as a column vector."""
+        """Matrix-vector product with ``v`` as a column vector: v is scaled
+        to integers once, and each entry is divided once."""
         v = vector(v)
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(dot(row, v) for row in self.rows)
+        s, ints = _integer_row(v)
+        return _fractions([sum(map(mul, row, ints)) for row in self._ints], self._den * s)
 
     def transpose(self) -> "Matrix":
-        return Matrix._unchecked(
-            tuple(self.column(j) for j in range(self.ncols)), self.nrows
-        )
+        ints = tuple(zip(*self._ints)) if self._ints else ((),) * self.ncols
+        return Matrix._from_ints(ints, self.nrows, self._den)
 
     def sparse_rows(self) -> list:
-        """The rows as fresh dicts {column: entry} of the nonzero entries."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+        """The integer rows (den times the rows) as fresh dicts {column:
+        nonzero int}: scaling leaves the row space, the rref and the kernel
+        that an elimination reads off them unchanged."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self._ints]
 
     def rref(self) -> tuple:
         """Reduced row echelon form.
 
         Returns ``(R, pivots)`` where ``pivots`` is the tuple of pivot
         column indices.  Zero rows are kept at the bottom (callers drop them
-        as needed).  The elimination runs on sparse primitive integer rows
-        (``_rref_rows``), dividing each updated row by its content, and
-        converts to Fractions once, at the end; the reduced row-echelon form
-        is unique, so R does not depend on how it was reached.
+        as needed).  The elimination runs on the sparse integer rows
+        (``_echelon``), dividing each updated row by its content; the
+        reduced row-echelon form is unique, so R does not depend on how it
+        was reached.
         """
         return _reduced_matrix(self.sparse_rows(), self.nrows, self.ncols)
 
     def det(self) -> Fraction:
-        """Fraction-free Bareiss elimination on the row-scaled integer matrix.
+        """Fraction-free Bareiss elimination on the integer rows.
 
-        Row i is scaled by the lcm s_i of its denominators.  Each step
-        swaps the first row with a nonzero leading entry a_00 to the top and
-        replaces the rows below by a_ij <- (a_ij a_00 - a_i0 a_0j) / p over
-        j >= 1, p the previous pivot: an exact integer division (Bareiss,
-        Math. Comp. 22, 1968).  The last pivot is the determinant of the
-        scaled matrix, so det = +-(last pivot) / prod(s_i).
+        Each step swaps the first row with a nonzero leading entry a_00 to
+        the top and replaces the rows below by a_ij <- (a_ij a_00 - a_i0
+        a_0j) / p over j >= 1, p the previous pivot: an exact integer
+        division (Bareiss, Math. Comp. 22, 1968).  The last pivot is the
+        determinant of the integer matrix, so det = +-(last pivot) / den^n.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        scale = 1
-        rows = []
-        for row in self.rows:
-            s, ints = _integer_row(row)
-            scale *= s
-            rows.append(ints)
+        rows = list(self._ints)
         sign, previous = 1, 1
         while rows:
             p = next((i for i, row in enumerate(rows) if row[0]), None)
@@ -333,22 +383,25 @@ class Matrix:
                 for row in rows[1:]
             ]
             previous = pv
-        return Fraction(sign * previous, scale)
+        return Fraction(sign * previous, self._den ** self.nrows)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
 
     def inverse(self) -> "Matrix":
+        """One elimination of [M | den I], M the integer rows: where it
+        reduces to [I | X], X is the inverse."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        augmented = Matrix._unchecked(
-            tuple(row + unit_vector(n, i) for i, row in enumerate(self.rows)), 2 * n
-        )
-        reduced, pivots = augmented.rref()
+        n, den = self.nrows, self._den
+        augmented = [
+            {**{j: x for j, x in enumerate(row) if x}, n + i: den}
+            for i, row in enumerate(self._ints)
+        ]
+        reduced, pivots = _reduced_matrix(augmented, n, 2 * n)
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._unchecked(tuple(row[n:] for row in reduced.rows), n)
+        return Matrix._from_ints(tuple(row[n:] for row in reduced._ints), n, reduced._den)
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self == self.transpose()
@@ -357,15 +410,15 @@ class Matrix:
         return self.nrows == self.ncols and self == -self.transpose()
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(row) for row in self.rows)
+        return not any(map(any, self._ints))
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
 
     def flatten(self) -> Vector:
-        return tuple(x for row in self.rows for x in row)
+        return tuple(chain.from_iterable(self.rows))
 
 
 def solve(A: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
@@ -377,15 +430,22 @@ def solve(A: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
     b = vector(b)
     if len(b) != A.nrows:
         raise ValueError("right-hand side length mismatch")
-    augmented = Matrix([row + (bi,) for row, bi in zip(A.rows, b)], A.ncols + 1)
     if A.nrows == 0:
         return zero_vector(A.ncols)
-    reduced, pivots = augmented.rref()
+    # row i of [A | b] times den s, on integers: [s A_i | den (s b)_i]
+    s, ints = _integer_row(b)
+    augmented = []
+    for row, bi in zip(A._ints, ints):
+        equation = {j: s * x for j, x in enumerate(row) if x}
+        if bi:
+            equation[A.ncols] = A._den * bi
+        augmented.append(equation)
+    reduced, pivots = _reduced_matrix(augmented, A.nrows, A.ncols + 1)
     if pivots and pivots[-1] == A.ncols:
         return None
     x = list(zero_vector(A.ncols))
-    for r, c in enumerate(pivots):
-        x[c] = reduced.rows[r][A.ncols]
+    for c, row in zip(pivots, reduced._ints):
+        x[c] = Fraction(row[A.ncols], reduced._den)
     return tuple(x)
 
 
@@ -405,12 +465,12 @@ def kernel(A: Union[Matrix, "SparseSystem"]) -> "Subspace":
     for f in sorted(set(range(A.ncols)).difference(pivots)):
         terms = [(c, row[c], row[f]) for c, row in zip(pivots, done) if f in row]
         L = lcm(*(pv for _, pv, _ in terms))
-        span = [_ZERO] * A.ncols
-        span[f] = Fraction(L)
+        span = [0] * A.ncols
+        span[f] = L
         for c, pv, x in terms:
-            span[c] = Fraction(-x * (L // pv))
+            span[c] = -x * (L // pv)
         spans.append(tuple(span))
-    return Subspace._reduced(*Matrix._unchecked(tuple(spans), A.ncols).rref())
+    return Subspace._reduced(*Matrix._from_ints(tuple(spans), A.ncols).rref())
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +480,7 @@ def kernel(A: Union[Matrix, "SparseSystem"]) -> "Subspace":
 def _integer_row(row: Sequence[Fraction]) -> tuple:
     """(s, ints): s the lcm of the denominators of ``row``, ints the list of
     its entries times s."""
-    s = lcm(*(x.denominator for x in row))
+    s = lcm(*[x.denominator for x in row])
     if s == 1:
         return 1, [x.numerator for x in row]
     return s, [x.numerator * (s // x.denominator) for x in row]
@@ -501,27 +561,25 @@ def _echelon(rows: list, ncols: int) -> tuple:
     return done, tuple(pivots)
 
 
-def _rref_rows(rows: list, ncols: int) -> tuple:
-    """``_echelon`` as Fractions: the nonzero rows of the reduced row
-    echelon form as dicts {column: Fraction}, in pivot order, each divided
-    by its pivot entry once, and the pivot columns."""
-    done, pivots = _echelon(rows, ncols)
-    return [
-        {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, done)
-    ], pivots
-
-
 def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
-    """``rref`` of ``nrows`` sparse rows: (R, pivots), zero rows at the bottom."""
-    reduced, pivots = _rref_rows(rows, ncols)
+    """``rref`` of ``nrows`` sparse rows: (R, pivots), zero rows at the bottom.
+
+    Each row ``_echelon`` returns is primitive and holds its pivot entry
+    p_r, so p_r is the lcm of the denominators of its reduced row, and the
+    rows times L / p_r, L the lcm of the p_r, are R over the denominator L
+    in normalized form; no Fraction is built.
+    """
+    done, pivots = _echelon(rows, ncols)
+    L = lcm(*(row[c] for c, row in zip(pivots, done)))
     dense = []
-    for row in reduced:
-        out = [_ZERO] * ncols
+    for c, row in zip(pivots, done):
+        f = L // row[c]
+        out = [0] * ncols
         for j, x in row.items():
-            out[j] = x
+            out[j] = x * f
         dense.append(tuple(out))
-    dense += [zero_vector(ncols)] * (nrows - len(dense))
-    return Matrix._unchecked(tuple(dense), ncols), pivots
+    dense += [(0,) * ncols] * (nrows - len(dense))
+    return Matrix._from_ints(tuple(dense), ncols, L), pivots
 
 
 class SparseSystem:
@@ -584,9 +642,9 @@ class Subspace:
         if basis.ncols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
         reduced, pivots = basis.rref()
-        rows = reduced.rows[: len(pivots)]
+        rows = reduced._ints[: len(pivots)]
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix._unchecked(rows, ambient_dim))
+        object.__setattr__(self, "basis", Matrix._from_ints(rows, ambient_dim, reduced._den))
         object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
@@ -642,7 +700,7 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return self._all_in(_integer_row(v)[1] for v in other.vectors())
+        return self._all_in(other.basis._ints)
 
     def coordinates_of(self, v: Sequence[Scalar]) -> Optional[Vector]:
         """Coordinates of ``v`` in the rref basis, or None if outside: the
@@ -660,14 +718,15 @@ class Subspace:
         basis b_p.
 
         w lies in it exactly when w = sum_p w_p b_p, w_p its entries at the
-        pivot columns p.  With t the lcm of the basis denominators the check
-        runs on integers: t w - sum_p w_p t b_p must vanish, and it does at
-        the pivot columns, where b_p is 1 and the other basis rows are 0.
+        pivot columns p.  With t the denominator of the basis, whose integer
+        rows are the t b_p, the check runs on integers: t w - sum_p w_p t b_p
+        must vanish, and it does at the pivot columns, where b_p is 1 and the
+        other basis rows are 0.
         """
-        t = lcm(*(x.denominator for row in self.basis.rows for x in row))
+        t = self.basis._den
         basis = [
-            (p, [(j, x.numerator * (t // x.denominator)) for j, x in enumerate(row) if x])
-            for p, row in zip(self.pivots, self.basis.rows)
+            (p, [(j, x) for j, x in enumerate(row) if x])
+            for p, row in zip(self.pivots, self.basis._ints)
         ]
         for ints in rows:
             residual = [t * v for v in ints]
@@ -700,15 +759,16 @@ def sum_intersect(U: Subspace, W: Subspace) -> tuple:
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = U.ambient_dim
-    block_rows = [row + row for row in U.vectors()]
-    block_rows += [row + zero_vector(n) for row in W.vectors()]
-    reduced, pivots = Matrix._unchecked(tuple(block_rows), 2 * n).rref()
+    # the integer basis rows, each a multiple of a rational one
+    block_rows = [row + row for row in U.basis._ints]
+    block_rows += [row + (0,) * n for row in W.basis._ints]
+    reduced, pivots = Matrix._from_ints(tuple(block_rows), 2 * n).rref()
     s = sum(c < n for c in pivots)
-    rows = reduced.rows
+    rows, den = reduced._ints, reduced._den
     return (
-        Subspace._reduced(Matrix._unchecked(tuple(r[:n] for r in rows[:s]), n), pivots[:s]),
+        Subspace._reduced(Matrix._from_ints(tuple(r[:n] for r in rows[:s]), n, den), pivots[:s]),
         Subspace._reduced(
-            Matrix._unchecked(tuple(r[n:] for r in rows[s:len(pivots)]), n),
+            Matrix._from_ints(tuple(r[n:] for r in rows[s:len(pivots)]), n, den),
             tuple(c - n for c in pivots[s:]),
         ),
     )

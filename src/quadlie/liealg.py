@@ -16,11 +16,11 @@ from operator import mul
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
-    _ZERO,
     Matrix,
     SparseSystem,
     Subspace,
     Vector,
+    _fractions,
     _integer_row,
     kernel,
     rat,
@@ -85,7 +85,7 @@ class LieAlgebra:
                 if not 0 <= k < dim:
                     raise ValueError(f"target index out of range: {k}")
                 c = rat(c)
-                if c == 0:
+                if not c:
                     continue
                 if i == j:
                     raise ValueError("nonzero diagonal bracket")
@@ -94,12 +94,10 @@ class LieAlgebra:
                 else:
                     key, coeff = (j, i), -c
                 slot = table.setdefault(key, {})
-                slot[k] = slot.get(k, Fraction(0)) + coeff
+                slot[k] = slot[k] + coeff if k in slot else coeff
         normalized = {}
         for key in sorted(table):
-            entries = tuple(
-                (k, c) for k, c in sorted(table[key].items()) if c != 0
-            )
+            entries = tuple((k, c) for k, c in sorted(table[key].items()) if c)
             if entries:
                 normalized[key] = entries
         d = lcm(*(c.denominator for terms in normalized.values() for _, c in terms))
@@ -153,13 +151,6 @@ def _integer_table(g: LieAlgebra) -> tuple:
 
     Both are stored on g when it is built, so this is a read."""
     return g._integers
-
-
-def _fractions(ints: Sequence[int], den: int) -> Vector:
-    """The tuple of Fractions v / den, sharing one zero."""
-    if den == 1:  # Fraction(v) skips the gcd
-        return tuple(Fraction(v) if v else _ZERO for v in ints)
-    return tuple(Fraction(v, den) if v else _ZERO for v in ints)
 
 
 def _integer_ad(table: tuple, ints: Sequence[int]) -> List[List[int]]:
@@ -234,8 +225,8 @@ def _structure_in(
 
     Brackets every pair i < j in one integer pass (``_integer_pairs``) and
     keeps the nonzero coordinates of each under (i, j).  With a matrix M
-    they are [u_i, u_j] @ M, on integers: M is scaled once by the lcm of
-    its denominators.  With a
+    they are [u_i, u_j] @ M, on integers: M's own integer rows over its
+    denominator.  With a
     subspace U, given in its rref basis, they are the entries at U's pivot
     columns, once ``Subspace._all_in`` has checked on the integers that
     every bracket lies in U; otherwise None is returned.
@@ -247,8 +238,8 @@ def _structure_in(
         pivots = coordinates.pivots
         rows = [(den, [ints[p] for p in pivots]) for den, ints in pairs]
     else:
-        e = lcm(*(x.denominator for row in coordinates.rows for x in row))
-        columns = [[x.numerator * (e // x.denominator) for x in c] for c in zip(*coordinates.rows)]
+        e = coordinates._den
+        columns = list(zip(*coordinates._ints))
         rows = [(den * e, [sum(map(mul, ints, c)) for c in columns]) for den, ints in pairs]
     structure = {}
     for pair, (den, ints) in zip(combinations(range(len(vectors)), 2), rows):
@@ -288,11 +279,14 @@ def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
 
 
 def ad(g: LieAlgebra, x: Sequence) -> Matrix:
-    """The matrix of y -> [x, y]; its columns come from ``_ad_columns``."""
+    """The matrix of y -> [x, y]: the ``_integer_ad`` columns of s x over
+    the denominator s d."""
     x = vector(x)
     if len(x) != g.dim:
         raise ValueError("vector dimension mismatch")
-    return Matrix.from_columns(_ad_columns(g, x), g.dim)
+    d, table = _integer_table(g)
+    s, ints = _integer_row(x)
+    return Matrix._from_ints(tuple(zip(*_integer_ad(table, ints))), g.dim, s * d)
 
 
 def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
@@ -308,7 +302,7 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if U.is_full():
         _, table = _integer_table(g)
-        rows = [column for w in W.vectors() for column in _integer_ad(table, _integer_row(w)[1])]
+        rows = [column for w in W.basis._ints for column in _integer_ad(table, w)]
     elif W == U:
         rows = [ints for _, ints in _integer_pairs(g, U.vectors())]
     else:
@@ -363,7 +357,7 @@ def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:
 
     [u, x] = ad(u) x, so x lies in the kernel of the stacked ad(u) rows;
     the kernel of -ad(u) that [x, u] suggests is the same subspace.  Its
-    rows are those of ``_integer_ad``.
+    rows are those of ``_integer_ad`` on U's integer basis rows.
     """
     if U.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
@@ -371,8 +365,8 @@ def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:
         return Subspace.full(g.dim)
     _, table = _integer_table(g)
     system = SparseSystem(g.dim)
-    for u in U.vectors():
-        for row in zip(*_integer_ad(table, _integer_row(u)[1])):
+    for u in U.basis._ints:
+        for row in zip(*_integer_ad(table, u)):
             system.add(enumerate(row))
     return kernel(system)
 
@@ -385,15 +379,14 @@ def is_subalgebra(g: LieAlgebra, U: Subspace) -> bool:
 def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
     """[g, U] ⊆ U: every column [u, e_j] of ad(u), u in U's basis, lies in U.
 
-    The columns stay integers, s d [u, e_j] (``_integer_ad``), since the
-    scale does not change whether they lie in U (``Subspace._all_in``).
+    The columns stay integers, t d [u, e_j] (``_integer_ad`` on U's
+    integer basis rows t u), since the scale does not change whether they
+    lie in U (``Subspace._all_in``).
     """
     if U.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
     _, table = _integer_table(g)
-    return U._all_in(
-        column for u in U.vectors() for column in _integer_ad(table, _integer_row(u)[1])
-    )
+    return U._all_in(column for u in U.basis._ints for column in _integer_ad(table, u))
 
 
 def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
@@ -407,13 +400,15 @@ def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
     """
     if not is_ideal(g, I):
         raise ValueError("subspace is not an ideal")
-    row_at = dict(zip(I.pivots, I.basis.rows))
+    # on the integer rows t b_p of the basis, the projection times t
+    t = I.basis._den
+    row_at = dict(zip(I.pivots, I.basis._ints))
     complement_cols = [c for c in range(g.dim) if c not in row_at]
-    proj_rows = [
-        [-row_at[j][c] if j in row_at else int(j == c) for j in range(g.dim)]
+    proj_rows = tuple(
+        tuple(-row_at[j][c] if j in row_at else t * (j == c) for j in range(g.dim))
         for c in complement_cols
-    ]
-    proj = Matrix(proj_rows, g.dim)
+    )
+    proj = Matrix._from_ints(proj_rows, g.dim, t)
     units = [unit_vector(g.dim, c) for c in complement_cols]
     labels = [g.basis_labels[c] + "~" for c in complement_cols]
     structure = _structure_in(g, units, proj.transpose())
@@ -452,21 +447,22 @@ def killing_form(g: LieAlgebra) -> Matrix:
     With [e_i, e_l] = sum_k c_il^k e_k, entry (k, l) of ad e_i is c_il^k, so
     K_ij = sum_{k,l} c_il^k c_jk^l: one pass over the nonzero entries of
     ad e_i per pair, and no matrix product.  The sum runs on the integers
-    d c of ``_integer_table``, so it is d^2 K_ij, divided once per entry.
+    d c of ``_integer_table``, so it is d^2 K_ij: the integer rows of K over
+    the denominator d^2.
     """
     n = g.dim
     d, table = _integer_table(g)
     dd = d * d
     # ads[i][(k, l)] = d c_il^k, nonzero entries only
     ads = [{(k, l): c for l, terms in enumerate(row) for k, c in terms} for row in table]
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             adj = ads[j]
-            value = sum(c * adj[(l, k)] for (k, l), c in ads[i].items() if (l, k) in adj)
-            if value:
-                rows[i][j] = rows[j][i] = Fraction(value, dd)
-    return Matrix._unchecked(tuple(map(tuple, rows)), n)
+            rows[i][j] = rows[j][i] = sum(
+                c * adj[(l, k)] for (k, l), c in ads[i].items() if (l, k) in adj
+            )
+    return Matrix._from_ints(tuple(map(tuple, rows)), n, dd)
 
 
 def is_derivation(g: LieAlgebra, M: Matrix) -> bool:

@@ -9,9 +9,7 @@ ideals.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
@@ -19,9 +17,7 @@ from .exactla import (
     SparseSystem,
     Subspace,
     Vector,
-    _integer_row,
     _reduced_matrix,
-    dot,
     form_orthogonal,
     form_restrict_nondegenerate,
     kernel,
@@ -58,13 +54,6 @@ class BilinearForm:
     def dim(self) -> int:
         return self.gram.nrows
 
-    def evaluate(self, x: Sequence, y: Sequence) -> Fraction:
-        """B(x, y) = sum of x_i (G_i . y) over the nonzero x_i."""
-        x, y = vector(x), vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length mismatch")
-        return sum((a * dot(self.gram.rows[i], y) for i, a in enumerate(x) if a), Fraction(0))
-
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0
 
@@ -93,8 +82,9 @@ def check_invariant_metric(
     returned list is empty iff B is an invariant metric for g.  For each
     pair (i, j) the difference B([e_i,e_j], e_k) - B(e_i, [e_j,e_k]) is
     accumulated over all k at once from the signed integer bracket table
-    d c (``_integer_table``) and the nonzero Gram entries times the lcm e
-    of their denominators, B(x, y) = x^T G y.  The integer sums are d e
+    d c (``_integer_table``) and the nonzero entries of the integer rows e G
+    of the Gram matrix, e its denominator, B(x, y) = x^T G y.  The integer
+    sums are d e
     times the differences, so they vanish exactly where the differences
     do; the triples where they are nonzero are reported in lexicographic
     order.  All n^3 triples are checked: the equations of
@@ -106,20 +96,17 @@ def check_invariant_metric(
     if gram.nrows != gram.ncols or gram.nrows != n:
         raise ValueError("gram matrix size does not match algebra dimension")
     violations = []
+    ints = gram._ints
     for i in range(n):
         for j in range(i + 1, n):
-            if gram.entry(i, j) != gram.entry(j, i):
+            if ints[i][j] != ints[j][i]:
                 violations.append(
                     MetricViolation("symmetric", (i, j), "gram[i][j] != gram[j][i]")
                 )
     if gram.det() == 0:
         violations.append(MetricViolation("nondegenerate", (), "det(gram) = 0"))
     _, table = _integer_table(g)
-    e = lcm(*(x.denominator for row in gram.rows for x in row))
-    rows = [
-        {k: x.numerator * (e // x.denominator) for k, x in enumerate(row) if x}
-        for row in gram.rows
-    ]
+    rows = [{k: x for k, x in enumerate(row) if x} for row in ints]
     # into[j]: the (k, p, c) with c the e_p-coefficient of [e_j, e_k]
     into = [[(k, p, c) for k in range(n) for p, c in table[j][k]] for j in range(n)]
     for i in range(n):
@@ -277,9 +264,12 @@ def invariant_symmetric_forms(g: LieAlgebra) -> List[BilinearForm]:
     """
     n = g.dim
     index = _symmetric_index(n)
+    basis = kernel(_invariance_system(g)).basis
     return [
-        BilinearForm(Matrix._unchecked(tuple(tuple(coords[t] for t in row) for row in index), n))
-        for coords in kernel(_invariance_system(g)).vectors()
+        BilinearForm(
+            Matrix._from_ints(tuple(tuple(coords[t] for t in row) for row in index), n, basis._den)
+        )
+        for coords in basis._ints
     ]
 
 
@@ -372,7 +362,7 @@ def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:
     (``_cocycle_system``), instead of on the n^2 entries of D with about
     n^3/2 derivation and n(n+1)/2 skewness equations.  D = G^{-1} A is
     formed only for the kernel basis, on integers: s G^{-1}, s the lcm of
-    its denominators, times each cocycle scaled to integers.  A -> G^{-1} A
+    its denominators, times each integer cocycle row.  A -> G^{-1} A
     is injective, so these D span the space, and they are reduced once:
     the result is the rref basis of that space in the row-major entries
     of D, so the output is deterministic.
@@ -380,14 +370,13 @@ def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:
     n = q.dim
     cocycles = kernel(_cocycle_system(q.algebra))
     # s G^{-1} as integer rows; it is symmetric, so row p is column p
-    _, flat = _integer_row(q.metric.gram.inverse().flatten())
-    ginv = [[(r, x) for r, x in enumerate(flat[p * n : (p + 1) * n]) if x] for p in range(n)]
+    ginv = [[(r, x) for r, x in enumerate(row) if x] for row in q.metric.gram.inverse()._ints]
     pairs = list(combinations(range(n), 2))
     flats = []
-    for coords in cocycles.vectors():
+    for coords in cocycles.basis._ints:
         # a multiple of D = G^{-1} A in row-major order, A_pt = a = -A_tp
         D = [0] * (n * n)
-        for (p, t), a in zip(pairs, _integer_row(coords)[1]):
+        for (p, t), a in zip(pairs, coords):
             if a:
                 for r, x in ginv[p]:
                     D[r * n + t] += x * a
@@ -396,6 +385,6 @@ def skew_derivation_space(q: QuadraticLieAlgebra) -> List[Matrix]:
         flats.append({j: x for j, x in enumerate(D) if x})
     basis, _ = _reduced_matrix(flats, len(flats), n * n)
     return [
-        Matrix._unchecked(tuple(coords[r * n : (r + 1) * n] for r in range(n)), n)
-        for coords in basis.rows
+        Matrix._from_ints(tuple(coords[r * n : (r + 1) * n] for r in range(n)), n, basis._den)
+        for coords in basis._ints
     ]

@@ -67,7 +67,12 @@ def radical(g: LieAlgebra) -> Subspace:
 
     Rad(g) = {x : K(x, [g, g]) = 0} for the Killing form K.
     """
-    return kernel(derived_subalgebra(g).basis @ killing_form(g))
+    return _radical(killing_form(g), derived_subalgebra(g))
+
+
+def _radical(K: Matrix, derived: Subspace) -> Subspace:
+    """``radical`` on the Killing form K of g and on [g, g]."""
+    return kernel(derived.basis @ K)
 
 
 def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
@@ -90,12 +95,15 @@ def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     only those rows add trace rows.  Once no pivot is new, A_r = A.
     Pass R = Rad(g) if it is known.
     """
-    if R is None:
-        R = radical(g)
+    return _nilradical(g, radical(g) if R is None else R, killing_form(g))
+
+
+def _nilradical(g: LieAlgebra, R: Subspace, K_g: Matrix) -> Subspace:
+    """``nilradical`` on R = Rad(g) and the Killing form K_g of g."""
     k = R.dim
     if k == 0:
         return R
-    K = restricted_gram(killing_form(g), R)
+    K = restricted_gram(K_g, R)
     coords = kernel(K)
     floor = bracket_subspaces(g, Subspace.full(g.dim), R)
     if coords.dim > floor.dim:
@@ -532,7 +540,12 @@ def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
     S != 0, in which case [g, g] = h_m forces D = 0 and S abelian, so S is
     a nondegenerate ideal and the algebra splits (Decomposable).
     """
-    h = _heisenberg_data(q.algebra, derived_subalgebra(q.algebra))
+    return _recognize(q, derived_subalgebra(q.algebra))
+
+
+def _recognize(q: QuadraticLieAlgebra, derived: Subspace) -> Verdict:
+    """``recognize_extended_heisenberg`` on the derived subalgebra of q."""
+    h = _heisenberg_data(q.algebra, derived)
     if isinstance(h, str):
         return NotApplicableVerdict(h)
     rec = recover_structure(q, h)
@@ -615,9 +628,9 @@ def quotient_metric_from_complement(
         d = sub_vec(d, S0.transpose().apply(correction))
         ensure(is_zero_vec(S0G.apply(d)), "d orthogonalization failed")
 
-    pi = proj @ C.transpose()
-    ensure(pi.is_invertible(), "complement does not project onto the quotient")
-    reps = pi.inverse().transpose() @ C
+    pi_inv = _inverse_or_none(proj @ C.transpose())
+    ensure(pi_inv is not None, "complement does not project onto the quotient")
+    reps = pi_inv.transpose() @ C
     lambdas = reps.apply(G_hbar)
     S = reps - _outer(lambdas, d)
     form = BilinearForm(S @ G @ S.transpose() + _outer(lambdas, lambdas))
@@ -626,6 +639,14 @@ def quotient_metric_from_complement(
         "constructed quotient form is not an invariant metric",
     )
     return form
+
+
+def _inverse_or_none(M: Matrix) -> Optional[Matrix]:
+    """M^-1, or None when M is singular: one elimination decides both."""
+    try:
+        return M.inverse()
+    except ValueError:
+        return None
 
 
 def _outer(x: Vector, y: Vector) -> Matrix:
@@ -645,9 +666,8 @@ def _complement_brackets(
     n = q.dim
     a_vecs = list(a_vecs or _normalized_complement(q, h))
     k = len(a_vecs)
-    E = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n)
-    ensure(E.is_invertible(), "complement plus ideal is not a basis")
-    E_inv = E.inverse()
+    E_inv = _inverse_or_none(Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n))
+    ensure(E_inv is not None, "complement plus ideal is not a basis")
     pairs = Matrix._unchecked(tuple(_pair_brackets(q.algebra, a_vecs)), n)
     beta, mu = [], []
     # row ij of pairs @ E_inv^T holds the coordinates E_inv [a_i, a_j]
@@ -712,8 +732,8 @@ def _complement_from_metric(
     pi = proj @ A.transpose()  # column i = p(a_i)
     ensure(pi.is_invertible(), "complement does not project onto the quotient")
     G_a = pi.transpose() @ Ba.gram @ pi
-    ensure(G_a.det() != 0, "pulled-back quotient metric is degenerate")
-    G_a_inv = G_a.inverse()
+    G_a_inv = _inverse_or_none(G_a)
+    ensure(G_a_inv is not None, "pulled-back quotient metric is degenerate")
 
     # the hbar-part of the brackets as a skew matrix, and ad as K
     mu_rows = [[Fraction(0)] * qd for _ in range(qd)]
@@ -868,8 +888,18 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
     failure.
     """
     g = q.algebra
-    rad = radical(g)
-    nil = nilradical(g, rad)
+    return _nilradical_theorem(q, killing_form(g), derived_subalgebra(g))
+
+
+def _nilradical_theorem(
+    q: QuadraticLieAlgebra, K: Matrix, derived: Subspace
+) -> NilradicalTheoremReport:
+    """``verify_nilradical_theorem`` on the Killing form K of g and on
+    [g, g], which serve the radical, the nilradical and, when Rad(g) = g,
+    the recognizer."""
+    g = q.algebra
+    rad = _radical(K, derived)
+    nil = _nilradical(g, rad, K)
     h = find_heisenberg_ideal(g, nil)
     if h is None:
         return NilradicalTheoremReport(
@@ -886,7 +916,10 @@ def verify_nilradical_theorem(q: QuadraticLieAlgebra) -> NilradicalTheoremReport
     clause_line = rad.dim == nil.dim + 1 and rad.contains_subspace(nil)
     verdict = None
     if clause_ideal and clause_nondeg and clause_line:
-        verdict = recognize_extended_heisenberg(q if rad.is_full() else restrict_quadratic(q, rad))
+        if rad.is_full():
+            verdict = _recognize(q, derived)
+        else:
+            verdict = recognize_extended_heisenberg(restrict_quadratic(q, rad))
         ensure(
             isinstance(verdict, ExtendedHeisenbergVerdict),
             "the radical is not an extended Heisenberg algebra",
@@ -937,12 +970,14 @@ def analyze(q: QuadraticLieAlgebra, ideal: Optional[Subspace] = None) -> Analysi
     check has run the recognizer on the radical in g's own coordinates,
     and its verdict is g's; otherwise the recognizer runs on g.  The
     recovery is the recognizer's when that is over the same ideal, and its
-    complement is the decision's.
+    complement is the decision's.  K(g) and [g, g] are computed once, for
+    the theorem check and the recognizer alike.
     """
-    theorem = verify_nilradical_theorem(q)
+    derived = derived_subalgebra(q.algebra)
+    theorem = _nilradical_theorem(q, killing_form(q.algebra), derived)
     verdict = theorem.radical_verdict if theorem.whole_algebra else None
     if verdict is None:
-        verdict = recognize_extended_heisenberg(q)
+        verdict = _recognize(q, derived)
     recovered = getattr(verdict, "recovered", None)
     if ideal is not None:
         source, h = "given", find_heisenberg_ideal(q.algebra, ideal)

@@ -25,7 +25,7 @@ values.  The seeded probe for an invariant metric on g/h_m, which the
 exact decision replaced, stays too; the tests require the two to agree
 on existence, and re-check each obstruction from brackets solved anew.
 So do the per-entry quotient-metric routines, which fill each Gram matrix
-one ``BilinearForm.evaluate`` at a time and sum linear combinations vector
+one ``evaluate_form`` at a time and sum linear combinations vector
 by vector, where the library now multiplies whole matrices; the tests
 require the same complements, c and metrics.  So does the earlier radical
 path of the nilradical theorem, which maps the nilradical into radical
@@ -48,13 +48,19 @@ product of the Fraction brackets with the coordinate matrix; the tests
 require the same subspaces and algebras.  Last come the test-only helpers
 that used to be public names of the library: the coordinate Heisenberg
 ideal of a builder output, the ideal generated by vectors, a subspace in
-new coordinates and a random integer matrix.
+new coordinates, a random integer matrix and B(x, y) for a bilinear form.
+So do the ``Matrix`` operations as they ran on rows of Fractions (sum,
+difference, scaling, matrix-vector product, transpose, the inverse by a
+Fraction rref of [A | I], and the product and determinant on rows
+rescaled to integers one at a time), where ``Matrix`` now keeps integer
+rows over one denominator; the tests require the same values.
 """
 
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
@@ -62,6 +68,7 @@ from quadlie.exactla import (
     _ZERO,
     Matrix,
     Subspace,
+    _echelon,
     add_vec,
     dot,
     form_restrict_nondegenerate,
@@ -243,6 +250,112 @@ def det_fraction(A: Matrix) -> Fraction:
     return result
 
 
+def rref_rows_by_echelon(rows: list, ncols: int) -> tuple:
+    """``_echelon`` as Fractions: the nonzero rows of the reduced row
+    echelon form as dicts {column: Fraction}, in pivot order, each divided
+    by its pivot entry once, and the pivot columns."""
+    done, pivots = _echelon(rows, ncols)
+    return [
+        {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, done)
+    ], pivots
+
+
+def _scaled_row(row) -> tuple:
+    """(s, ints): s the lcm of the denominators of ``row``, ints its entries times s."""
+    s = lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
+def matmul_by_scaled_rows(A: Matrix, B: Matrix) -> Matrix:
+    """A @ B with each left row and right column scaled by the lcm of its
+    denominators, integer dot products over the nonzero entries of the
+    left row, and one Fraction per entry."""
+    if A.ncols != B.nrows:
+        raise ValueError("inner dimension mismatch")
+    columns = zip(*B.rows) if B.rows else [()] * B.ncols
+    cols = [_scaled_row(column) for column in columns]
+    rows = []
+    for row in A.rows:
+        da, ints = _scaled_row(row)
+        terms = [(j, a) for j, a in enumerate(ints) if a]
+        rows.append([Fraction(sum(a * col[j] for j, a in terms), da * db) for db, col in cols])
+    return Matrix(rows, B.ncols)
+
+
+def det_by_scaled_rows(A: Matrix) -> Fraction:
+    """Bareiss on the matrix whose row i is scaled by the lcm s_i of its
+    denominators: +-(last pivot) / prod(s_i)."""
+    if A.nrows != A.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    scale, rows = 1, []
+    for row in A.rows:
+        s, ints = _scaled_row(row)
+        scale *= s
+        rows.append(ints)
+    sign, previous = 1, 1
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return Fraction(0)
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        pv, *top = rows[0]
+        rows = [
+            [(a * pv - row[0] * b) // previous for a, b in zip(row[1:], top)]
+            for row in rows[1:]
+        ]
+        previous = pv
+    return Fraction(sign * previous, scale)
+
+
+def inverse_fraction(A: Matrix) -> Matrix:
+    """The right half of the dense Fraction rref of [A | I]."""
+    if A.nrows != A.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = A.nrows
+    augmented = Matrix([row + unit_vector(n, i) for i, row in enumerate(A.rows)], 2 * n)
+    reduced, pivots = rref_dense(augmented)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix([row[n:] for row in reduced.rows], n)
+
+
+def add_fraction(A: Matrix, B: Matrix) -> Matrix:
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch")
+    return Matrix([add_vec(r, s) for r, s in zip(A.rows, B.rows)], A.ncols)
+
+
+def sub_fraction(A: Matrix, B: Matrix) -> Matrix:
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch")
+    return Matrix([sub_vec(r, s) for r, s in zip(A.rows, B.rows)], A.ncols)
+
+
+def scale_fraction(A: Matrix, c) -> Matrix:
+    return Matrix([scale_vec(c, row) for row in A.rows], A.ncols)
+
+
+def apply_fraction(A: Matrix, v) -> tuple:
+    v = vector(v)
+    if len(v) != A.ncols:
+        raise ValueError("vector length mismatch")
+    return tuple(dot(row, v) for row in A.rows)
+
+
+def transpose_fraction(A: Matrix) -> Matrix:
+    return Matrix.from_columns(A.rows, A.ncols)
+
+
+def evaluate_form(B: BilinearForm, x, y) -> Fraction:
+    """B(x, y) = sum of x_i (G_i . y) over the nonzero x_i."""
+    x, y = vector(x), vector(y)
+    if len(x) != B.dim or len(y) != B.dim:
+        raise ValueError("vector length mismatch")
+    return sum((a * dot(B.gram.rows[i], y) for i, a in enumerate(x) if a), Fraction(0))
+
+
 def bracket_by_formula(g: LieAlgebra, x, y) -> tuple:
     """[x, y] with x_i y_j - x_j y_i formed on every table entry."""
     x = vector(x)
@@ -378,7 +491,8 @@ def skew_derivation_space_fraction(q: QuadraticLieAlgebra) -> List[Matrix]:
     its basis vectors, and ``Subspace.from_vectors`` on the flattened D."""
     n = q.dim
     cocycles = kernel_by_free_columns(_cocycle_system(q.algebra))
-    ginv = q.metric.gram.inverse().sparse_rows()  # symmetric: row p is column p
+    # symmetric: row p is column p
+    ginv = [{j: x for j, x in enumerate(row) if x} for row in q.metric.gram.inverse().rows]
     pairs = [(p, s) for p in range(n) for s in range(p + 1, n)]
     flats = []
     for coords in cocycles.vectors():
@@ -708,7 +822,7 @@ def build_with_heisenberg_ideal_direct(
     for i in range(k):
         for j in range(i + 1, k):
             terms = [(t, c) for t, c in enumerate(S.algebra.bracket_basis(i, j)) if c != 0]
-            mu = S.metric.evaluate(D.column(i), unit_vector(k, j))
+            mu = evaluate_form(S.metric, D.column(i), unit_vector(k, j))
             if mu != 0:
                 terms = terms + [(hb, mu)]
             if terms:
@@ -1117,7 +1231,7 @@ def _brackets_by_pairs(q: QuadraticLieAlgebra, h) -> tuple:
 
 
 def _split_off_d_by_evaluation(B: BilinearForm, hbar, rows) -> tuple:
-    eta = [B.evaluate(a, hbar) for a in rows]
+    eta = [evaluate_form(B, a, hbar) for a in rows]
     jd = next((i for i, x in enumerate(eta) if x != 0), None)
     ensure(jd is not None, "B(., hbar) vanishes on the complement")
     d = scale_vec(1 / eta[jd], rows[jd])
@@ -1129,7 +1243,7 @@ def metric_on_complement_by_evaluation(
     q: QuadraticLieAlgebra, h, comp: Subspace
 ) -> BilinearForm:
     """The quotient metric of a subalgebra complement, one
-    ``BilinearForm.evaluate`` per Gram entry and the quotient
+    ``evaluate_form`` per Gram entry and the quotient
     representatives summed row by row."""
     B = q.metric
     n = q.dim
@@ -1138,16 +1252,16 @@ def metric_on_complement_by_evaluation(
     d, s_rows = _split_off_d_by_evaluation(B, h.hbar, comp_rows)
     if s_rows:
         G_S0 = Matrix(
-            [[B.evaluate(a, b) for b in s_rows] for a in s_rows], len(s_rows)
+            [[evaluate_form(B, a, b) for b in s_rows] for a in s_rows], len(s_rows)
         )
-        rhs = tuple(B.evaluate(d, s) for s in s_rows)
+        rhs = tuple(evaluate_form(B, d, s) for s in s_rows)
         correction = solve(G_S0, rhs)
         ensure(correction is not None, "cannot orthogonalize d against S")
         for i, c in enumerate(correction):
             if c != 0:
                 d = sub_vec(d, scale_vec(c, s_rows[i]))
         for s in s_rows:
-            ensure(B.evaluate(d, s) == 0, "d orthogonalization failed")
+            ensure(evaluate_form(B, d, s) == 0, "d orthogonalization failed")
 
     pi_cols = Matrix.from_columns([proj.apply(r) for r in comp_rows], q_alg.dim)
     ensure(pi_cols.is_invertible(), "complement does not project onto the quotient")
@@ -1160,11 +1274,11 @@ def metric_on_complement_by_evaluation(
             if c != 0:
                 rep = add_vec(rep, scale_vec(c, comp_rows[s]))
         reps.append(rep)
-    lambdas = [B.evaluate(rep, h.hbar) for rep in reps]
+    lambdas = [evaluate_form(B, rep, h.hbar) for rep in reps]
     s_parts = [sub_vec(rep, scale_vec(lam, d)) for rep, lam in zip(reps, lambdas)]
     gram_rows = [
         [
-            B.evaluate(s_parts[t], s_parts[u]) + lambdas[t] * lambdas[u]
+            evaluate_form(B, s_parts[t], s_parts[u]) + lambdas[t] * lambdas[u]
             for u in range(q_alg.dim)
         ]
         for t in range(q_alg.dim)
@@ -1176,7 +1290,7 @@ def complement_from_metric_by_evaluation(
     q: QuadraticLieAlgebra, h, Ba: BilinearForm
 ) -> ComplementWitness:
     """The complement witness built from an invariant quotient metric by the
-    musical maps, one ``BilinearForm.evaluate`` per Gram entry, ad(a_s) one
+    musical maps, one ``evaluate_form`` per Gram entry, ad(a_s) one
     matrix per complement vector, and c and the complement rows summed
     vector by vector."""
     g, B = q.algebra, q.metric
@@ -1188,7 +1302,7 @@ def complement_from_metric_by_evaluation(
 
     pi_a = [proj.apply(a) for a in a_vecs]
     G_a = Matrix(
-        [[Ba.evaluate(pi_a[i], pi_a[j]) for j in range(qd)] for i in range(qd)],
+        [[evaluate_form(Ba, pi_a[i], pi_a[j]) for j in range(qd)] for i in range(qd)],
         qd,
     )
     G_a_inv = G_a.inverse()
@@ -1219,11 +1333,11 @@ def complement_from_metric_by_evaluation(
     F = G_a_inv @ mu.transpose()
 
     G_res = Matrix(
-        [[B.evaluate(a_vecs[i], a_vecs[j]) for j in range(qd)] for i in range(qd)],
+        [[evaluate_form(B, a_vecs[i], a_vecs[j]) for j in range(qd)] for i in range(qd)],
         qd,
     )
     phi_on_a = G_a_inv @ G_res
-    eta = [B.evaluate(a, h.hbar) for a in a_vecs]
+    eta = [evaluate_form(B, a, h.hbar) for a in a_vecs]
     for i in range(qd):
         rhs = add_vec(T.apply(phi_on_a.column(i)), scale_vec(eta[i], e_coords))
         ensure(unit_vector(qd, i) == rhs, "decomposition failed")

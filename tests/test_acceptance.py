@@ -23,7 +23,7 @@ from fixtures import (
     sl2_quadratic,
 )
 
-from oracles import heisenberg_ideal_span, transport_subspace
+from oracles import evaluate_form, heisenberg_ideal_span, transport_subspace
 
 from quadlie.cli import main as cli_main
 from quadlie.exactla import Matrix, Subspace, unit_vector
@@ -199,7 +199,7 @@ def test_criterion_5_degeneracy_on_hbar():
         assert forms
         for form in forms:
             for x in range(n):
-                assert form.evaluate(unit_vector(n, n - 1), unit_vector(n, x)) == 0
+                assert evaluate_form(form, unit_vector(n, n - 1), unit_vector(n, x)) == 0
     print("\nACCEPTANCE 5 invariant forms degenerate on hbar (m=1,2): PASS")
 
 

@@ -301,10 +301,11 @@ def test_ideal_with_repeated_index_is_input_error(capsys):
 
 
 def test_internal_verification_failure_has_its_own_exit_code(monkeypatch, capsys):
-    def failing_nilradical(g, R=None):
+    def failing_nilradical(g, R, K_g):
         raise InternalVerificationError("nilradical candidate is not an ideal")
 
-    monkeypatch.setattr(structure, "nilradical", failing_nilradical)
+    # analyze runs the body of ``nilradical`` on the Killing form it shares
+    monkeypatch.setattr(structure, "_nilradical", failing_nilradical)
     code, out, err = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
@@ -315,14 +316,15 @@ def test_missing_heisenberg_data_on_the_radical_is_an_internal_failure(monkeypat
     """The nilradical theorem check runs the recognizer on the radical once
     the first three clauses hold, and the theory forces an extended
     Heisenberg verdict there.  Any other verdict contradicts it, so analyze
-    exits 3 instead of reporting a failed clause."""
+    exits 3 instead of reporting a failed clause.  Rad(g) = g here, so the
+    recognizer runs as its body on the [g, g] that the analysis shares."""
     seen = []
 
-    def not_extended_on_the_radical(q):
+    def not_extended_on_the_radical(q, derived):
         seen.append(q)
         return structure.NotApplicableVerdict("derived subalgebra is zero")
 
-    monkeypatch.setattr(structure, "recognize_extended_heisenberg", not_extended_on_the_radical)
+    monkeypatch.setattr(structure, "_recognize", not_extended_on_the_radical)
     code, out, err = run_cli(["analyze", corpus_path("h1_phi.algebra.json")], capsys)
     assert len(seen) == 1
     assert code == cli.EXIT_INTERNAL == 3
@@ -354,9 +356,11 @@ def _call_counter(monkeypatch):
 
 
 def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
-    """One analyze pass of h2_phi, where Rad(g) = g: one nilradical; one
-    radical (the theorem check's, passed on to the nilradical); one
-    recognizer run and one recovery (the theorem check's on the radical,
+    """One analyze pass of h2_phi, where Rad(g) = g: one Killing form and
+    one [g, g] of g, which the radical, the nilradical and the recognizer
+    share; one nilradical; one radical (the theorem check's, passed on to
+    the nilradical); one recognizer run and one recovery (the theorem
+    check's on the radical,
     which is g in its own coordinates, so the report reuses both); two
     Heisenberg-data searches (the nilradical's on g, the only
     ``find_heisenberg_ideal`` call, and the recognizer's on [g, g]); one Jacobi check and one invariance check (the document's
@@ -364,13 +368,27 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     construction); one normalized complement with its brackets and one
     quotient, shared by the quotient-metric decision and the complement it
     returns.  Recovery certifies its core and rebuild by the round trip and
-    restriction inherits both properties, so neither checks again."""
+    restriction inherits both properties, so neither checks again.  The
+    analysis runs the private bodies of ``nilradical``, ``radical`` and
+    ``recognize_extended_heisenberg``, which take K(g) and [g, g]."""
+    path = corpus_path("h2_phi.algebra.json")
+    g = loads_document(pathlib.Path(path).read_text(encoding="utf-8")).algebra
     calls, count = _call_counter(monkeypatch)
     for name in (
-        "nilradical", "radical", "recognize_extended_heisenberg", "recover_structure",
+        "_nilradical", "_radical", "_recognize", "recover_structure",
         "find_heisenberg_ideal", "_heisenberg_data", "_complement_brackets",
     ):
         count(name, getattr(structure, name))
+    on_g = {}
+    for name in ("killing_form", "derived_subalgebra"):
+        original = getattr(liealg, name)
+
+        def counted(h, *args, name=name, original=original):
+            on_g[name] = on_g.get(name, 0) + (h == g)
+            return original(h, *args)
+
+        for module in (liealg, structure):
+            monkeypatch.setattr(module, name, counted)
     count("check_jacobi", liealg.check_jacobi)
     count("quotient", liealg.quotient)
     count("check_invariant_metric", quadform.check_invariant_metric)
@@ -380,14 +398,15 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     count("_normalized_complement", structure._normalized_complement)
     count("restrict_quadratic", quadform.restrict_quadratic)
     count("subalgebra_on", liealg.subalgebra_on)
-    code, _, _ = run_cli(["analyze", corpus_path("h2_phi.algebra.json")], capsys)
+    code, _, _ = run_cli(["analyze", path], capsys)
     assert code == 0
+    assert on_g == {"killing_form": 1, "derived_subalgebra": 1}
     assert (calls.pop("_normalized_complement"), calls.pop("restrict_quadratic")) == (1, 0)
     assert calls.pop("subalgebra_on") == 1
     assert calls == {
-        "nilradical": 1,
-        "radical": 1,
-        "recognize_extended_heisenberg": 1,
+        "_nilradical": 1,
+        "_radical": 1,
+        "_recognize": 1,
         "recover_structure": 1,
         "find_heisenberg_ideal": 1,
         "_heisenberg_data": 2,
@@ -419,16 +438,18 @@ def test_check_reads_nilpotency_off_the_killing_form(monkeypatch, capsys):
 def test_analyze_recognizes_a_proper_radical_and_the_algebra_apart(monkeypatch, capsys):
     """build_sl2 has Rad(g) != g: the theorem check recognizes and recovers
     the radical, and analyze recognizes g (not applicable: [g, g] = g) and
-    recovers g over its nilradical, so each runs twice, once per algebra."""
+    recovers g over its nilradical, so each runs twice, once per algebra.
+    The recognizer is counted as its body, which the radical reaches
+    through ``recognize_extended_heisenberg`` and g directly."""
     calls, count = _call_counter(monkeypatch)
-    for name in ("recognize_extended_heisenberg", "recover_structure"):
+    for name in ("_recognize", "recover_structure"):
         count(name, getattr(structure, name))
     code, out, _ = run_cli(["analyze", corpus_path("build_sl2.algebra.json")], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["nilradical_theorem"]["whole_algebra"] is False
     assert report["recognizer"]["verdict"] == "not_applicable"
-    assert calls == {"recognize_extended_heisenberg": 2, "recover_structure": 2}
+    assert calls == {"_recognize": 2, "recover_structure": 2}
 
 
 def test_analyze_reuses_the_recognizer_data_for_the_derived_fallback(monkeypatch, capsys):

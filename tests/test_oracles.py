@@ -16,7 +16,7 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -24,6 +24,8 @@ import fixtures
 from oracles import (
     ad_by_brackets,
     ad_fraction,
+    add_fraction,
+    apply_fraction,
     alternating_rows_dense,
     bracket_by_formula,
     bracket_subspaces_by_pairs,
@@ -36,12 +38,14 @@ from oracles import (
     cocycle_rows_dense,
     coordinates_fraction,
     derived_subalgebra_fraction,
+    det_by_scaled_rows,
     det_fraction,
     build_with_heisenberg_ideal_direct,
     double_extension_direct,
     extend_heisenberg_direct,
     ideal_generated_by,
     ideal_generated_by_brackets,
+    inverse_fraction,
     invariance_rows_dense,
     is_derivation_by_brackets,
     is_ideal_by_brackets,
@@ -50,6 +54,7 @@ from oracles import (
     killing_form_by_products,
     killing_form_fraction,
     lower_central_series_fraction,
+    matmul_by_scaled_rows,
     matmul_fraction,
     nilradical_four_step,
     nilradical_incremental,
@@ -58,15 +63,19 @@ from oracles import (
     radical_recovery_by_refind,
     random_integer_matrix,
     rref_dense,
+    rref_rows_by_echelon,
     rref_rows_fraction,
+    scale_fraction,
     skew_derivation_rows_dense,
     skew_derivation_space_fraction,
     structure_in_fraction,
+    sub_fraction,
     subalgebra_on_by_brackets,
     subalgebra_on_fraction,
     transport_by_brackets,
     transport_fraction,
     transport_matrix_fraction,
+    transpose_fraction,
 )
 
 from quadlie.cli import cmd_check
@@ -83,7 +92,6 @@ from quadlie.exactla import (
     Matrix,
     SparseSystem,
     Subspace,
-    _rref_rows,
     form_restrict_nondegenerate,
     kernel,
     unit_vector,
@@ -318,11 +326,18 @@ def test_builder_matches_its_entry_by_entry_oracle(seed):
 
 # -- the integer elimination core against the Fraction and dense cores --------
 
+def _fraction_rows(A):
+    """The rows of A as fresh dicts {column: nonzero Fraction}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A.rows]
+
+
 def _assert_core_matches_fraction_core(A):
-    """``_rref_rows`` returns the rows of the Fraction core: nonzero Fraction
-    entries only, and every pivot entry exactly Fraction(1)."""
-    reduced, pivots = _rref_rows(A.sparse_rows(), A.ncols)
-    assert (reduced, pivots) == rref_rows_fraction(A.sparse_rows(), A.ncols)
+    """``_echelon``, divided by its pivots, returns the rows of the Fraction
+    core: nonzero Fraction entries only, and every pivot entry exactly
+    Fraction(1); on the integer rows of ``sparse_rows`` it returns the same."""
+    reduced, pivots = rref_rows_by_echelon(_fraction_rows(A), A.ncols)
+    assert (reduced, pivots) == rref_rows_fraction(_fraction_rows(A), A.ncols)
+    assert rref_rows_by_echelon(A.sparse_rows(), A.ncols) == (reduced, pivots)
     assert all(type(x) is Fraction and x for row in reduced for x in row.values())
     assert all(type(row[c]) is Fraction and row[c] == 1 for row, c in zip(reduced, pivots))
 
@@ -707,6 +722,95 @@ def test_product_and_det_match_fraction_oracles_on_gram_matrices(q):
     _assert_product_and_det_match_oracles(G, G)
     _assert_product_and_det_match_oracles(P, G)
     _assert_product_and_det_match_oracles(G, P.transpose())
+
+
+# -- the integer Matrix against its Fraction bodies ------------------------------
+
+def _assert_value(M, expected):
+    """M equals ``expected``, a Matrix built from Fractions, with the same
+    hash and shape; its integer form is normalized and its view is Fractions."""
+    assert M == expected and hash(M) == hash(expected)
+    assert M.shape == expected.shape and M.rows == expected.rows
+    assert M._den > 0 and gcd(M._den, *(x for row in M._ints for x in row)) == 1
+    assert all(type(x) is Fraction for row in M.rows for x in row)
+    rebuilt = Matrix(M.rows, M.ncols)
+    assert rebuilt == M and hash(rebuilt) == hash(M)
+
+
+def _square(rng, n, singular):
+    """A random n x n matrix; when ``singular``, one row combines the others."""
+    M = _rational_matrix(rng, n, n)
+    if not (singular and n):
+        return M
+    rows = [list(row) for row in M.rows]
+    r = rng.randrange(n)
+    c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    rows[r] = [sum(x * row[j] for x, row in zip(c, rows) if row is not rows[r]) for j in range(n)]
+    return Matrix(rows, n)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_integer_matrix_matches_its_fraction_bodies(seed):
+    """Shapes 0x0, 0xn, nx0 and nxn, square ones singular in every other
+    seed: ``+``, ``-``, ``scale``, ``apply``, ``transpose``, ``@``, ``rref``,
+    ``det`` and ``inverse`` equal the Fraction bodies, values and hashes."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    for r, c in ((0, 0), (0, n), (n, 0), (n, n)):
+        A = _square(rng, n, seed % 2) if r == c == n else _rational_matrix(rng, r, c)
+        B = _rational_matrix(rng, r, c)
+        _assert_value(A + B, add_fraction(A, B))
+        _assert_value(A - B, sub_fraction(A, B))
+        _assert_value(A - A, Matrix.zeros(r, c))
+        for k in (0, -1, Fraction(rng.randint(-50, 50), rng.randint(1, 50))):
+            _assert_value(A.scale(k), scale_fraction(A, k))
+        _assert_value(-A, scale_fraction(A, -1))
+        _assert_value(A.transpose(), transpose_fraction(A))
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(c)]
+        assert A.apply(v) == apply_fraction(A, v)
+        assert all(type(x) is Fraction for x in A.apply(v))
+        for p in (0, rng.randint(1, 5)):
+            C = _rational_matrix(rng, c, p)
+            _assert_value(A @ C, matmul_fraction(A, C))
+            _assert_value(A @ C, matmul_by_scaled_rows(A, C))
+        R, pivots = A.rref()
+        R_dense, pivots_dense = rref_dense(A)
+        _assert_value(R, R_dense)
+        assert pivots == pivots_dense
+        if r != c:
+            continue
+        assert A.det() == det_fraction(A) == det_by_scaled_rows(A)
+        if A.det() == 0:
+            for inverse in (Matrix.inverse, inverse_fraction):
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(A)
+        else:
+            _assert_value(A.inverse(), inverse_fraction(A))
+            _assert_value(A @ A.inverse(), Matrix.identity(r))
+
+
+def test_integer_matrix_values_from_kernels_equal_constructed_ones():
+    """The same value reached through the constructor and through the
+    integer kernels is one Matrix: equal, with one hash, in a set and as a
+    dict key, whichever denominators the kernels multiplied."""
+    half = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], 2)
+    two = Matrix([[2, 0], [0, 2]], 2)
+    kernels = [
+        half @ two,
+        two.inverse().inverse().scale(Fraction(1, 2)),
+        (half + half) - Matrix.zeros(2, 2),
+        half.scale(2),
+        Subspace.full(2).basis,
+        Matrix.identity(2).transpose(),
+        two.inverse() @ two,
+    ]
+    identity = Matrix([[1, 0], [0, 1]], 2)
+    assert all(M == identity and hash(M) == hash(identity) for M in kernels)
+    assert len(set(kernels + [identity])) == 1
+    assert {identity: "I"}[half @ two] == "I"
+    assert Matrix.zeros(0, 3) != Matrix.zeros(3, 0)
+    assert Matrix.zeros(0, 3).transpose().shape == (3, 0)
+    assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0)
 
 
 # -- restriction against the validating constructor -----------------------------
