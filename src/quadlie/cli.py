@@ -51,7 +51,7 @@ EXIT_INTERNAL = 3
 
 
 def _subspace_to_json(S: Subspace) -> dict:
-    return {"dim": S.dim, "basis": [vector_to_json(v) for v in S.vectors()]}
+    return {"dim": S.dim, "basis": matrix_to_json(S.basis)}
 
 
 def _heisenberg_to_json(h: HeisenbergIdealData) -> dict:
@@ -191,7 +191,7 @@ def cmd_analyze(
             }
             report["complement"] = {
                 "exists": True,
-                "basis": [vector_to_json(v) for v in witness.complement.vectors()],
+                "basis": matrix_to_json(witness.complement.basis),
                 "c": vector_to_json(witness.c),
             }
 

@@ -1,9 +1,11 @@
 """JSON interchange documents for algebras and constructions.
 
-Rationals travel as canonical strings ("p" or "p/q" with q > 0 and
-gcd(|p|, q) = 1) so that no float contamination is possible.  Serialization
-is byte-deterministic: fixed key order via sorted keys, two-space indent,
-and a trailing newline.
+Rationals travel as canonical strings ("p" or "p/q" with q > 1 and
+gcd(|p|, q) = 1) so that no float contamination is possible.  Each literal
+is parsed straight to its integer pair, and the pairs become the integer
+table of the ``LieAlgebra`` and the integer rows of each ``Matrix``;
+matrices and bracket tables print from those integers.  Serialization is
+byte-deterministic: sorted keys, two-space indent and a trailing newline.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring
+from math import gcd, lcm
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .exactla import Matrix, format_rational, parse_rational
+from .exactla import Matrix, _parse_literal, format_rational
 from .heisenberg import (
     SymplecticSpace,
     build_with_heisenberg_ideal,
@@ -22,7 +26,7 @@ from .heisenberg import (
     extend_heisenberg,
     heisenberg,
 )
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, _integer_table
 from .quadform import BilinearForm, QuadraticLieAlgebra
 
 
@@ -48,9 +52,10 @@ class AlgebraDocument:
         return QuadraticLieAlgebra(self.algebra, self.metric)
 
 
-def _expect(condition: bool, message: str, where: str) -> None:
+def _expect(condition: bool, message: str, where: str, *args: int) -> None:
+    """Raise at the location ``where.format(*args)``, built only then."""
     if not condition:
-        raise DocumentError(message, where)
+        raise DocumentError(message, where.format(*args))
 
 
 def _is_int(value: Any) -> bool:
@@ -58,27 +63,30 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_rational_at(value: Any, where: str, *index: int) -> Fraction:
+def _parse_rational_at(value: Any, where: str, *args: int) -> Tuple[int, int]:
+    """(p, q) of the literal ``value``, else an error at ``where.format(*args)``."""
     try:
         if isinstance(value, str):
-            return parse_rational(value)
+            return _parse_literal(value)
         message = f"expected a rational string, got {value!r}"
     except ValueError as exc:
         message = str(exc)
-    raise DocumentError(message, where + "".join(f"[{i}]" for i in index))
+    raise DocumentError(message, where.format(*args))
 
 
 def _parse_matrix(value: Any, where: str, nrows: Optional[int] = None,
                   ncols: Optional[int] = None) -> Matrix:
     _expect(isinstance(value, list), "expected a matrix (list of rows)", where)
+    entry = where + "[{}][{}]"
     rows = []
     for r, row in enumerate(value):
-        if not isinstance(row, list):
-            raise DocumentError("expected a row (list)", f"{where}[{r}]")
-        rows.append([_parse_rational_at(x, where, r, c) for c, x in enumerate(row)])
+        _expect(isinstance(row, list), "expected a row (list)", where + "[{}]", r)
+        rows.append([_parse_rational_at(x, entry, r, c) for c, x in enumerate(row)])
     widths = {len(row) for row in rows}
     _expect(len(widths) <= 1, "ragged matrix rows", where)
-    matrix = Matrix(rows, ncols if not rows else None)
+    den = lcm(*[q for row in rows for _, q in row])
+    ints = tuple([tuple([p * (den // q) for p, q in row]) for row in rows])
+    matrix = Matrix._from_ints(ints, widths.pop() if widths else (ncols or 0), den)
     if nrows is not None:
         _expect(matrix.nrows == nrows, f"expected {nrows} rows", where)
     if ncols is not None:
@@ -86,8 +94,19 @@ def _parse_matrix(value: Any, where: str, nrows: Optional[int] = None,
     return matrix
 
 
+def _format_ints(ints: Sequence[int], den: int) -> List[str]:
+    """The canonical literals of v / den, den > 0."""
+    if den == 1:
+        return [str(v) for v in ints]
+    out = []
+    for v in ints:
+        g = gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
+
+
 def matrix_to_json(M: Matrix) -> List[List[str]]:
-    return [[format_rational(x) for x in row] for row in M.rows]
+    return [_format_ints(row, M._den) for row in M._ints]
 
 
 def vector_to_json(v: Sequence[Fraction]) -> List[str]:
@@ -98,7 +117,8 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
     """Parse and validate an AlgebraDocument from decoded JSON."""
     _expect(isinstance(data, dict), "expected an object", "$")
     for field in ("name", "dim", "basis", "brackets"):
-        _expect(field in data, f"missing field {field!r}", "$")
+        if field not in data:
+            raise DocumentError(f"missing field {field!r}", "$")
     name = data["name"]
     _expect(isinstance(name, str), "name must be a string", "name")
     dim = data["dim"]
@@ -113,32 +133,29 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
     brackets = data["brackets"]
     _expect(isinstance(brackets, list), "brackets must be a list", "brackets")
     structure = {}
+    at, term_at, c_at = "brackets[{}]", "brackets[{}].terms[{}]", "brackets[{}].terms[{}].c"
     for t, entry in enumerate(brackets):
-        where = f"brackets[{t}]"
-        _expect(isinstance(entry, dict), "expected an object", where)
+        _expect(isinstance(entry, dict), "expected an object", at, t)
         for field in ("i", "j", "terms"):
-            _expect(field in entry, f"missing field {field!r}", where)
-        i, j = entry["i"], entry["j"]
-        _expect(
-            _is_int(i) and _is_int(j), "indices must be integers", where
-        )
-        _expect(0 <= i < dim and 0 <= j < dim, "index out of range", where)
-        _expect(i < j, "brackets require i < j", where)
-        _expect((i, j) not in structure, "duplicate bracket pair", where)
-        terms = []
-        _expect(isinstance(entry["terms"], list), "terms must be a list", where)
-        for u, term in enumerate(entry["terms"]):
-            tw = f"{where}.terms[{u}]"
-            _expect(isinstance(term, dict), "expected an object", tw)
-            _expect("k" in term and "c" in term, "term needs fields k and c", tw)
+            if field not in entry:
+                raise DocumentError(f"missing field {field!r}", at.format(t))
+        i, j, terms = entry["i"], entry["j"], entry["terms"]
+        _expect(_is_int(i) and _is_int(j), "indices must be integers", at, t)
+        _expect(0 <= i < dim and 0 <= j < dim, "index out of range", at, t)
+        _expect(i < j, "brackets require i < j", at, t)
+        _expect((i, j) not in structure, "duplicate bracket pair", at, t)
+        _expect(isinstance(terms, list), "terms must be a list", at, t)
+        pairs = []
+        for u, term in enumerate(terms):
+            _expect(isinstance(term, dict), "expected an object", term_at, t, u)
+            _expect("k" in term and "c" in term, "term needs fields k and c", term_at, t, u)
             k = term["k"]
-            _expect(_is_int(k) and 0 <= k < dim, "k out of range", tw)
-            terms.append((k, _parse_rational_at(term["c"], f"{tw}.c")))
-        structure[(i, j)] = terms
-    try:
-        algebra = LieAlgebra(dim, structure, basis)
-    except ValueError as exc:
-        raise DocumentError(str(exc), "brackets") from exc
+            _expect(_is_int(k) and 0 <= k < dim, "k out of range", term_at, t, u)
+            pairs.append((k, *_parse_rational_at(term["c"], c_at, t, u)))
+        structure[(i, j)] = pairs
+    den = lcm(*[q for pairs in structure.values() for _, _, q in pairs])
+    ints = {key: [(k, p * (den // q)) for k, p, q in pairs] for key, pairs in structure.items()}
+    algebra = LieAlgebra._from_ints(dim, den, ints, basis)
     metric = None
     if data.get("metric") is not None:
         gram = _parse_matrix(data["metric"], "metric", nrows=dim, ncols=dim)
@@ -148,15 +165,15 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
 
 
 def algebra_document_to_json(doc: AlgebraDocument) -> dict:
+    """The document of an algebra, its brackets printed from the integer table."""
+    d, table = _integer_table(doc.algebra)
     brackets = []
-    for (i, j), terms in sorted(doc.algebra.structure.items()):
-        brackets.append(
-            {
-                "i": i,
-                "j": j,
-                "terms": [{"k": k, "c": format_rational(c)} for k, c in terms],
-            }
-        )
+    for i, row in enumerate(table):
+        for j in range(i + 1, doc.algebra.dim):
+            if row[j]:
+                targets, ints = zip(*row[j])
+                terms = [{"k": k, "c": c} for k, c in zip(targets, _format_ints(ints, d))]
+                brackets.append({"i": i, "j": j, "terms": terms})
     data = {
         "name": doc.name,
         "dim": doc.algebra.dim,
@@ -254,8 +271,63 @@ def construct_from_json(data: Any) -> AlgebraDocument:
 
 
 def dumps_canonical(data: Any) -> str:
-    """Canonical JSON bytes: sorted keys, two-space indent, one newline."""
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Canonical JSON text: the bytes of ``json.dumps(data, indent=2,
+    sort_keys=True, ensure_ascii=False)`` and a newline, for dicts with
+    string keys, lists, tuples, strings, ints, bools and None; any other
+    type raises ``TypeError``.  Unlike the encoder, it leaves no reference
+    cycle behind."""
+    chunks: List[str] = []
+    _write(data, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break followed by the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out(encode_basestring(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        if isinstance(value[0], str):
+            # a row of literals or a list of labels, in one join
+            try:
+                out("[" + inner + ("," + inner).join(map(encode_basestring, value)) + newline + "]")
+                return
+            except TypeError:  # a later item is no string
+                pass
+        separator = "[" + inner
+        for item in value:
+            out(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(separator + encode_basestring(key) + ": ")
+            _write(value[key], inner, out)
+            separator = "," + inner
+        out(newline + "}")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def loads_document(text: str) -> AlgebraDocument:

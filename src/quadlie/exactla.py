@@ -37,7 +37,9 @@ Rational = Fraction
 Scalar = Union[int, Fraction, str]
 Vector = tuple
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+# sign, numerator digits, denominator digits; a trailing newline is read
+# so that it is reported as a literal out of canonical form
+_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([1-9][0-9]*))?(\n?)")
 
 
 def rat(x: Scalar) -> Fraction:
@@ -53,13 +55,25 @@ def rat(x: Scalar) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the interchange form ``p`` or ``p/q`` (q > 0, gcd(|p|, q) = 1)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    return Fraction(*_parse_literal(text))
+
+
+def _parse_literal(text: str) -> tuple:
+    """(p, q) of the interchange form ``p`` (q = 1) or ``p/q``; raises
+    ``ValueError`` on no literal, a part past the int-string limit, or a
+    literal out of canonical form (a leading zero, ``-0``, q = 1, a common
+    factor or a trailing newline)."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    p, _, q = text.partition("/")
-    value = Fraction(int(p), int(q)) if q else Fraction(int(p))
-    if format_rational(value) != text:
+    sign, digits, den, newline = match.groups()
+    p = -int(digits) if sign else int(digits)
+    q = int(den) if den else 1
+    if newline or (digits[0] == "0" and (sign or len(digits) > 1)) or (
+        den and (q == 1 or gcd(p, q) != 1)
+    ):
         raise ValueError(f"rational literal not in canonical form: {text!r}")
-    return value
+    return p, q
 
 
 def format_rational(value: Fraction) -> str:

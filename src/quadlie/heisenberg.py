@@ -10,11 +10,12 @@ coadjoint-double example generator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple, Union
 
 from .errors import InternalVerificationError
 from .exactla import Matrix, unit_vector
-from .liealg import LieAlgebra, check_jacobi, is_derivation
+from .liealg import LieAlgebra, _integer_table, check_jacobi, is_derivation
 from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
 
@@ -237,48 +238,56 @@ def _assemble(
     certifies the result, while structure recovery certifies its rebuild by
     the round trip instead.  The brackets are stated as the construction
     gives them, [x, y] = [x, y]_S + B_S(D x, y) hbar, [d, x] = D x,
-    [d, u] = sigma u and [u, v] = omega(u, v) hbar, and ``LieAlgebra``
-    puts them in canonical form.
+    [d, u] = sigma u and [u, v] = omega(u, v) hbar, as integers over one
+    denominator, and ``LieAlgebra._from_ints`` puts them in canonical form.
     """
     k = S.dim
     two_m = V.dim
     dim = k + 1 + two_m + 1
     d_idx = k
     hb = dim - 1
-    v_idx = lambda i: k + 1 + i
+    v0 = k + 1  # the index of u_1
 
-    gram_s = S.metric.gram
-    structure = {}
-    mu = D_mat.transpose() @ gram_s  # mu[i][j] = B_S(D s_i, s_j)
+    ds, table = _integer_table(S.algebra)
+    mu = D_mat.transpose() @ S.metric.gram  # mu[i][j] = B_S(D s_i, s_j)
+    den = lcm(ds, mu._den, D_mat._den, sigma._den, V.omega._den)
+    mu, D, sg, om = (_ints_over(M, den) for M in (mu, D_mat, sigma, V.omega))
+    f = den // ds
+    brackets = {}
     for i in range(k):
         for j in range(i + 1, k):
-            structure[(i, j)] = [*S.algebra.structure.get((i, j), ()), (hb, mu.entry(i, j))]
+            brackets[(i, j)] = [*[(t, f * v) for t, v in table[i][j]], (hb, mu[i][j])]
     for j in range(k):
-        structure[(d_idx, j)] = list(enumerate(D_mat.column(j)))
+        brackets[(d_idx, j)] = [(i, D[i][j]) for i in range(k)]
     for j in range(two_m):
-        structure[(d_idx, v_idx(j))] = [(v_idx(i), c) for i, c in enumerate(sigma.column(j))]
+        brackets[(d_idx, v0 + j)] = [(v0 + i, sg[i][j]) for i in range(two_m)]
     for i in range(two_m):
         for j in range(i + 1, two_m):
-            structure[(v_idx(i), v_idx(j))] = [(hb, V.omega.entry(i, j))]
+            brackets[(v0 + i, v0 + j)] = [(hb, om[i][j])]
     labels = (
         list(S.algebra.basis_labels)
         + ["d"]
         + [f"u{i + 1}" for i in range(two_m)]
         + ["hbar"]
     )
-    algebra = LieAlgebra(dim, structure, labels)
+    algebra = LieAlgebra._from_ints(dim, den, brackets, labels)
 
+    gram_s = S.metric.gram
     gram_v = sigma.inverse().transpose() @ V.omega
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(k):
-        for j in range(k):
-            rows[i][j] = gram_s.entry(i, j)
-    for i in range(two_m):
-        for j in range(two_m):
-            rows[v_idx(i)][v_idx(j)] = gram_v.entry(i, j)
-    rows[d_idx][hb] = Fraction(1)
-    rows[hb][d_idx] = Fraction(1)
-    return algebra, Matrix(rows, dim)
+    e = lcm(gram_s._den, gram_v._den)
+    rows = [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(_ints_over(gram_s, e)):
+        rows[i][:k] = row
+    for i, row in enumerate(_ints_over(gram_v, e)):
+        rows[v0 + i][v0:hb] = row
+    rows[d_idx][hb] = rows[hb][d_idx] = e
+    return algebra, Matrix._from_ints(tuple([tuple(row) for row in rows]), dim, e)
+
+
+def _ints_over(M: Matrix, den: int) -> list:
+    """The integer rows of M over ``den``, a multiple of its denominator."""
+    f = den // M._den
+    return [[f * x for x in row] for row in M._ints]
 
 
 def coadjoint_double(g: LieAlgebra) -> QuadraticLieAlgebra:

@@ -1,21 +1,24 @@
 """Lie algebras presented by structure constants over QQ.
 
-The bracket is stored sparsely for index pairs i < j only; antisymmetry is
-structural.  Next to it each algebra keeps the signed table of its structure
-constants as integers over one common denominator, and the bracket kernels
-sum integers over that table, building Fractions only for their results.
-All operations are pure and return new values.
+An algebra's value is the signed table of its structure constants as
+integers over one common denominator, normalized so that the form is
+unique; the bracket kernels sum integers over that table and build
+Fractions only for their results, and the Fraction structure constants
+are a view built when they are read.  Antisymmetry is structural.  All
+operations are pure and return new values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
+    _ZERO,
     Matrix,
     SparseSystem,
     Subspace,
@@ -25,9 +28,7 @@ from .exactla import (
     kernel,
     rat,
     sub_vec,
-    unit_vector,
     vector,
-    zero_vector,
 )
 
 StructureInput = Mapping
@@ -40,24 +41,29 @@ class JacobiViolation(NamedTuple):
     residual: Vector
 
 
-class LieAlgebra:
-    """A Lie algebra of dimension ``dim`` with sparse structure constants.
+def _checked_labels(dim: int, basis_labels: Sequence) -> List[str]:
+    """The labels as strings; ``ValueError`` unless there are ``dim``."""
+    labels = [str(s) for s in basis_labels]
+    if len(labels) != dim:
+        raise ValueError("label count does not match dimension")
+    return labels
 
-    ``structure`` maps (i, j) with i < j to a tuple of (k, c) pairs meaning
-    [e_i, e_j] = sum c * e_k.  Brackets [e_j, e_i] are derived by negation
-    and diagonal brackets are zero, so antisymmetry holds by construction.
-    The constructor alone puts its input in this canonical form: a key
-    (j, i) with j > i is negated into (i, j), terms with a repeated target
-    are summed, zero coefficients are dropped, a pair whose terms all
-    cancel is absent, and keys and targets are sorted.  A zero diagonal
-    term is accepted; a nonzero one raises ``ValueError``.
-    The same constants are also stored as the signed integer table that
-    ``_integer_table`` returns, a part of the value derived from
-    ``structure``.  Equality compares dimension and structure constants;
-    basis labels are cosmetic.
+
+class LieAlgebra:
+    """A Lie algebra of dimension ``dim`` by its structure constants.
+
+    The value is (d, table), read by ``_integer_table``: table[i][j], for
+    both orders of i != j, holds the (k, v), v a nonzero int, sorted by k,
+    with [e_i, e_j] = sum v / d e_k, and gcd(d, all v) = 1, so the form is
+    unique and equality compares it.  The constructor, the boundary for
+    outside input, coerces each coefficient with ``rat``, accepts a zero
+    diagonal term, raises ``ValueError`` on a nonzero one or an index out
+    of range, and hands the terms to ``_from_ints``.  ``structure``, the
+    read-only view {(i, j): ((k, c), ...)}, i < j, c a nonzero Fraction,
+    is built on first read.  Basis labels are cosmetic.
     """
 
-    __slots__ = ("dim", "basis_labels", "structure", "_integers")
+    __slots__ = ("dim", "basis_labels", "_integers", "_structure")
 
     def __init__(
         self,
@@ -68,74 +74,100 @@ class LieAlgebra:
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         if basis_labels is None:
-            basis_labels = tuple(f"e{i + 1}" for i in range(dim))
+            basis_labels = [f"e{i + 1}" for i in range(dim)]
         else:
-            basis_labels = tuple(str(s) for s in basis_labels)
-            if len(basis_labels) != dim:
-                raise ValueError("label count does not match dimension")
-        table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for (i, j), terms in structure.items():
+            basis_labels = _checked_labels(dim, basis_labels)
+        terms = []
+        for (i, j), entries in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
-            if isinstance(terms, Mapping):
-                pairs = terms.items()
-            else:
-                pairs = terms
-            for k, c in pairs:
+            for k, c in entries.items() if isinstance(entries, Mapping) else entries:
                 if not 0 <= k < dim:
                     raise ValueError(f"target index out of range: {k}")
                 c = rat(c)
-                if not c:
-                    continue
-                if i == j:
-                    raise ValueError("nonzero diagonal bracket")
-                if i < j:
-                    key, coeff = (i, j), c
-                else:
-                    key, coeff = (j, i), -c
-                slot = table.setdefault(key, {})
-                slot[k] = slot[k] + coeff if k in slot else coeff
-        normalized = {}
-        for key in sorted(table):
-            entries = tuple((k, c) for k, c in sorted(table[key].items()) if c)
+                if c:
+                    if i == j:
+                        raise ValueError("nonzero diagonal bracket")
+                    terms.append((i, j, k, c))
+        d = lcm(*[c.denominator for *_, c in terms])
+        brackets: Dict[Tuple[int, int], list] = {}
+        for i, j, k, c in terms:
+            brackets.setdefault((i, j), []).append((k, c.numerator * (d // c.denominator)))
+        self._set(dim, d, brackets, basis_labels)
+
+    @classmethod
+    def _from_ints(
+        cls, dim: int, d: int, brackets: Mapping, basis_labels: Sequence[str]
+    ) -> "LieAlgebra":
+        """The algebra with [e_i, e_j] = sum v / d e_k over the integer
+        (k, v) of brackets[(i, j)], i != j, d > 0: a key (j, i), j > i, is
+        negated into (i, j), repeated targets are summed, zeros dropped."""
+        g = object.__new__(cls)
+        g._set(dim, d, brackets, basis_labels)
+        return g
+
+    def _set(self, dim: int, den: int, brackets: Mapping, basis_labels: Sequence[str]) -> None:
+        slots: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for (i, j), terms in brackets.items():
+            sign = 1 if i < j else -1
+            slot = slots.setdefault((i, j) if i < j else (j, i), {})
+            for k, v in terms:
+                slot[k] = slot.get(k, 0) + sign * v
+        upper, g = [], den
+        for key, slot in slots.items():
+            entries = [(k, v) for k, v in sorted(slot.items()) if v]
             if entries:
-                normalized[key] = entries
-        d = lcm(*(c.denominator for terms in normalized.values() for _, c in terms))
+                upper.append((key, entries))
+                g = gcd(g, *[v for _, v in entries])
         rows = [[()] * dim for _ in range(dim)]
-        for (i, j), terms in normalized.items():
-            scaled = tuple((k, c.numerator * (d // c.denominator)) for k, c in terms)
-            rows[i][j] = scaled
-            rows[j][i] = tuple((k, -c) for k, c in scaled)
+        for (i, j), entries in upper:
+            if g != 1:
+                entries = [(k, v // g) for k, v in entries]
+            rows[i][j] = tuple(entries)
+            rows[j][i] = tuple([(k, -v) for k, v in entries])
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis_labels", basis_labels)
-        object.__setattr__(self, "structure", normalized)
-        object.__setattr__(self, "_integers", (d, tuple(map(tuple, rows))))
+        object.__setattr__(self, "basis_labels", tuple(basis_labels))
+        object.__setattr__(self, "_integers", (den // g, tuple([tuple(row) for row in rows])))
+        object.__setattr__(self, "_structure", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
+
+    @property
+    def structure(self) -> Mapping:
+        """The Fraction structure constants {(i, j): ((k, c), ...)}, i < j,
+        built on first read."""
+        structure = self._structure
+        if structure is None:
+            d, table = self._integers
+            structure = MappingProxyType({
+                (i, j): tuple([(k, Fraction(v, d)) for k, v in row[j]])
+                for i, row in enumerate(table)
+                for j in range(i + 1, self.dim)
+                if row[j]
+            })
+            object.__setattr__(self, "_structure", structure)
+        return structure
 
     @classmethod
     def abelian(cls, dim: int, basis_labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
         return cls(dim, {}, basis_labels)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coordinate vector."""
+        """[e_i, e_j] as a coordinate vector, read off the integer table."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise ValueError("basis index out of range")
-        if i == j:
-            return zero_vector(self.dim)
-        sign = 1 if i < j else -1
-        terms = self.structure.get((min(i, j), max(i, j)), ())
-        out = [Fraction(0)] * self.dim
-        for k, c in terms:
-            out[k] = sign * c
+        d, table = self._integers
+        out = [_ZERO] * self.dim
+        for k, v in table[i][j]:
+            out[k] = Fraction(v, d)
         return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LieAlgebra)
             and self.dim == other.dim
-            and self.structure == other.structure
+            and self._integers == other._integers
         )
 
     def __hash__(self) -> int:
@@ -146,10 +178,9 @@ class LieAlgebra:
 
 
 def _integer_table(g: LieAlgebra) -> tuple:
-    """(d, table): d the lcm of the structure-constant denominators, and
-    table[i][j] the nonzero (k, d c) with [e_i, e_j] = sum c e_k, as ints.
-
-    Both are stored on g when it is built, so this is a read."""
+    """(d, table): the value of g (see ``LieAlgebra``), d the lcm of the
+    structure-constant denominators and table[i][j] the nonzero (k, d c)
+    with [e_i, e_j] = sum c e_k, as ints."""
     return g._integers
 
 
@@ -174,41 +205,43 @@ def _ad_columns(g: LieAlgebra, x: Vector) -> List[Vector]:
     return [_fractions(column, s * d) for column in _integer_ad(table, ints)]
 
 
-def _integer_pairs(g: LieAlgebra, vectors: Sequence[Vector]) -> List[Tuple[int, List[int]]]:
-    """(den, ints) with [u_i, u_j] = ints / den, for the pairs i < j in
-    lexicographic order, in one integer pass.
+def _pair_sums(table: tuple, rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """sum_ab x_a y_b table[a][b] for the pairs x, y = rows[i], rows[j],
+    i < j, in lexicographic order: d [x, y] for integer rows, in one pass.
 
-    Each u_i is scaled once to integers s_i u_i; the nonzero entries of the
-    columns of its integer ad (``_integer_ad``) are summed against the
-    integer s_j u_j, j > i, and den = s_i s_j d.
+    The nonzero entries of the columns of the integer ad of each row
+    (``_integer_ad``) are summed against every later row.
     """
-    vectors = [vector(u) for u in vectors]
-    if any(len(u) != g.dim for u in vectors):
-        raise ValueError("vector dimension mismatch")
-    d, table = _integer_table(g)
-    scaled = [_integer_row(u) for u in vectors]
+    n = len(table)
     out = []
-    for i, (si, xs) in enumerate(scaled):
-        later = scaled[i + 1:]
+    for i, xs in enumerate(rows):
+        later = rows[i + 1:]
         if not later:
             break
         columns = [
             [(k, v) for k, v in enumerate(column) if v] for column in _integer_ad(table, xs)
         ]
-        for sj, ys in later:
-            acc = [0] * g.dim
+        for ys in later:
+            acc = [0] * n
             for yb, column in zip(ys, columns):
                 if yb:
                     for k, v in column:
                         acc[k] += yb * v
-            out.append((si * sj * d, acc))
+            out.append(acc)
     return out
 
 
 def _pair_brackets(g: LieAlgebra, vectors: Sequence[Vector]) -> List[Vector]:
-    """[u_i, u_j] for the pairs i < j in lexicographic order
-    (``_integer_pairs``), one Fraction per nonzero entry."""
-    return [_fractions(ints, den) for den, ints in _integer_pairs(g, vectors)]
+    """[u_i, u_j] for the pairs i < j in lexicographic order: each u_i is
+    scaled once to integers s_i u_i, the pairs are summed in one pass
+    (``_pair_sums``), and each nonzero entry is divided once by s_i s_j d."""
+    vectors = [vector(u) for u in vectors]
+    if any(len(u) != g.dim for u in vectors):
+        raise ValueError("vector dimension mismatch")
+    d, table = _integer_table(g)
+    scales, rows = zip(*[_integer_row(u) for u in vectors]) if vectors else ((), ())
+    dens = [si * sj * d for si, sj in combinations(scales, 2)]
+    return [_fractions(ints, den) for den, ints in zip(dens, _pair_sums(table, rows))]
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
@@ -219,34 +252,39 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
 
 
 def _structure_in(
-    g: LieAlgebra, vectors: Sequence[Vector], coordinates: Union[Matrix, Subspace]
-) -> Optional[Dict[Tuple[int, int], list]]:
-    """Structure constants of g on the span of ``vectors``.
+    g: LieAlgebra, vectors: Matrix, coordinates: Union[Matrix, Subspace]
+) -> Optional[Tuple[int, Dict[Tuple[int, int], list]]]:
+    """Structure constants of g on the span of the rows u_i of ``vectors``,
+    as (den, brackets): [u_i, u_j] = sum v / den u_k over the nonzero int
+    (k, v) of brackets[(i, j)], i < j.
 
-    Brackets every pair i < j in one integer pass (``_integer_pairs``) and
-    keeps the nonzero coordinates of each under (i, j).  With a matrix M
-    they are [u_i, u_j] @ M, on integers: M's own integer rows over its
-    denominator.  With a
-    subspace U, given in its rref basis, they are the entries at U's pivot
-    columns, once ``Subspace._all_in`` has checked on the integers that
-    every bracket lies in U; otherwise None is returned.
+    One pass over the pairs of the integer rows (``_pair_sums``) gives
+    s^2 d [u_i, u_j], s the denominator of ``vectors``.  With a matrix M
+    the coordinates are [u_i, u_j] @ M on M's integer rows, so den = s^2 d
+    e, e M's denominator.  With a subspace U whose rref basis is
+    ``vectors`` they are the entries at U's pivot columns, and den = s^2 d,
+    once ``Subspace._all_in`` has checked that every bracket lies in U;
+    otherwise None is returned.
     """
-    pairs = _integer_pairs(g, vectors)
+    d, table = _integer_table(g)
+    s = vectors._den
+    sums = _pair_sums(table, vectors._ints)
     if isinstance(coordinates, Subspace):
-        if not coordinates._all_in(ints for _, ints in pairs):
+        if not coordinates._all_in(sums):
             return None
         pivots = coordinates.pivots
-        rows = [(den, [ints[p] for p in pivots]) for den, ints in pairs]
+        rows = [[ints[p] for p in pivots] for ints in sums]
+        den = s * s * d
     else:
-        e = coordinates._den
         columns = list(zip(*coordinates._ints))
-        rows = [(den * e, [sum(map(mul, ints, c)) for c in columns]) for den, ints in pairs]
-    structure = {}
-    for pair, (den, ints) in zip(combinations(range(len(vectors)), 2), rows):
-        terms = [(k, Fraction(v, den)) for k, v in enumerate(ints) if v]
+        rows = [[sum(map(mul, ints, c)) for c in columns] for ints in sums]
+        den = s * s * d * coordinates._den
+    brackets = {}
+    for pair, ints in zip(combinations(range(vectors.nrows), 2), rows):
+        terms = [(k, v) for k, v in enumerate(ints) if v]
         if terms:
-            structure[pair] = terms
-    return structure
+            brackets[pair] = terms
+    return den, brackets
 
 
 def check_jacobi(g: LieAlgebra) -> List[JacobiViolation]:
@@ -294,7 +332,7 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
 
     When U is the whole algebra this is the span of the columns of ad w,
     w in W's basis (``_integer_ad``).  Otherwise, when W equals U only the
-    basis pairs i < j are bracketed, in one pass (``_integer_pairs``):
+    basis pairs i < j are bracketed, in one pass (``_pair_sums``):
     [u, u] = 0 and [u_j, u_i] = -[u_i, u_j] add nothing to the span.  Both
     hand integer rows to the elimination core.
     """
@@ -304,7 +342,7 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
         _, table = _integer_table(g)
         rows = [column for w in W.basis._ints for column in _integer_ad(table, w)]
     elif W == U:
-        rows = [ints for _, ints in _integer_pairs(g, U.vectors())]
+        rows = _pair_sums(_integer_table(g)[1], U.basis._ints)
     else:
         rows = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
     return Subspace._spanned_by(g.dim, [{k: v for k, v in enumerate(row) if v} for row in rows])
@@ -313,7 +351,9 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """[g, g] = span of all basis brackets, the ``_integer_table`` rows."""
     _, table = _integer_table(g)
-    return Subspace._spanned_by(g.dim, [dict(table[i][j]) for i, j in g.structure])
+    return Subspace._spanned_by(
+        g.dim, [dict(terms) for i, row in enumerate(table) for terms in row[i + 1:] if terms]
+    )
 
 
 def _series(g: LieAlgebra, step: Callable[[Subspace], Subspace]) -> List[Subspace]:
@@ -373,7 +413,7 @@ def centralizer(g: LieAlgebra, U: Subspace) -> Subspace:
 
 def is_subalgebra(g: LieAlgebra, U: Subspace) -> bool:
     """[U, U] ⊆ U: every pair of basis vectors brackets into U."""
-    return _structure_in(g, U.vectors(), U) is not None
+    return _structure_in(g, U.basis, U) is not None
 
 
 def is_ideal(g: LieAlgebra, U: Subspace) -> bool:
@@ -409,10 +449,10 @@ def quotient(g: LieAlgebra, I: Subspace) -> Tuple[LieAlgebra, Matrix]:
         for c in complement_cols
     )
     proj = Matrix._from_ints(proj_rows, g.dim, t)
-    units = [unit_vector(g.dim, c) for c in complement_cols]
+    units = tuple([tuple([int(j == c) for j in range(g.dim)]) for c in complement_cols])
     labels = [g.basis_labels[c] + "~" for c in complement_cols]
-    structure = _structure_in(g, units, proj.transpose())
-    return LieAlgebra(len(complement_cols), structure, labels), proj
+    den, brackets = _structure_in(g, Matrix._from_ints(units, g.dim), proj.transpose())
+    return LieAlgebra._from_ints(len(complement_cols), den, brackets, labels), proj
 
 
 def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:
@@ -421,11 +461,10 @@ def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:
     One pass brackets each basis pair once; a bracket outside U raises
     ``ValueError``.
     """
-    structure = _structure_in(g, U.vectors(), U)
+    structure = _structure_in(g, U.basis, U)
     if structure is None:
         raise ValueError("subspace is not a subalgebra")
-    labels = [f"r{t + 1}" for t in range(U.dim)]
-    return LieAlgebra(U.dim, structure, labels)
+    return LieAlgebra._from_ints(U.dim, *structure, [f"r{t + 1}" for t in range(U.dim)])
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
@@ -495,5 +534,7 @@ def transport(g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = 
         raise ValueError("base change matrix is singular") from exc
     if basis_labels is None:
         basis_labels = [f"b{t + 1}" for t in range(g.dim)]
+    else:
+        basis_labels = _checked_labels(g.dim, basis_labels)
     # the coordinates of w in the rows of P are (P^T)^-1 w, the row w P^-1
-    return LieAlgebra(g.dim, _structure_in(g, P.rows, P_inv), basis_labels)
+    return LieAlgebra._from_ints(g.dim, *_structure_in(g, P, P_inv), basis_labels)

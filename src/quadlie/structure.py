@@ -34,6 +34,7 @@ from .exactla import (
 from .heisenberg import SymplecticMap, _assemble, in_omega_algebra
 from .liealg import (
     LieAlgebra,
+    _integer_table,
     _pair_brackets,
     ad,
     bracket_subspaces,
@@ -407,57 +408,66 @@ def recover_structure(
         transported = transport_quadratic(q, P)
     except ValueError as exc:
         raise InternalVerificationError("recovered basis is not a basis") from exc
-    T, G = transported.algebra, transported.metric.gram
+    dT, table = _integer_table(transported.algebra)
+    G = transported.metric.gram._ints
 
     d_slot = k
     v_slots = range(k + 1, k + 1 + two_m)
     h_slot = n - 1
 
+    def coords(i: int, j: int) -> List[int]:
+        """dT [f_i, f_j], f the new basis, as a dense integer row."""
+        out = [0] * n
+        for t, v in table[i][j]:
+            out[t] = v
+        return out
+
     for i in range(k):
-        ensure(G.entry(i, d_slot) == 0, "B(S, d) != 0")
-        ensure(G.entry(i, h_slot) == 0, "B(S, hbar) != 0")
-        ensure(all(G.entry(i, t) == 0 for t in v_slots), "B(S, V) != 0")
+        ensure(G[i][d_slot] == 0, "B(S, d) != 0")
+        ensure(G[i][h_slot] == 0, "B(S, hbar) != 0")
+        ensure(all(G[i][t] == 0 for t in v_slots), "B(S, V) != 0")
 
     s_structure = {}
     for i in range(k):
         for j in range(i + 1, k):
-            coords = T.bracket_basis(i, j)
-            ensure(coords[d_slot] == 0, "[S, S] has a d-component")
+            c = coords(i, j)
+            ensure(c[d_slot] == 0, "[S, S] has a d-component")
             ensure(
-                all(coords[t] == 0 for t in v_slots),
+                all(c[t] == 0 for t in v_slots),
                 "[S, S] has a V-component",
             )
-            s_structure[(i, j)] = list(enumerate(coords[:k]))
+            s_structure[(i, j)] = list(enumerate(c[:k]))
 
     D_cols = []
     for j in range(k):
-        coords = T.bracket_basis(d_slot, j)
-        ensure(coords[d_slot] == 0, "[d, S] has a d-component")
-        ensure(all(coords[t] == 0 for t in v_slots), "[d, S] has a V-component")
-        ensure(coords[h_slot] == 0, "[d, S] has an hbar-component")
-        D_cols.append(coords[:k])
-    D_mat = Matrix.from_columns(D_cols, k)
+        c = coords(d_slot, j)
+        ensure(c[d_slot] == 0, "[d, S] has a d-component")
+        ensure(all(c[t] == 0 for t in v_slots), "[d, S] has a V-component")
+        ensure(c[h_slot] == 0, "[d, S] has an hbar-component")
+        D_cols.append(c[:k])
+    D_mat = Matrix._from_ints(tuple(zip(*D_cols)), k, dT)
 
     sigma_cols = []
     for j in v_slots:
-        coords = T.bracket_basis(d_slot, j)
+        c = coords(d_slot, j)
         ensure(
-            all(coords[t] == 0 for t in range(k)) and coords[d_slot] == 0,
+            all(c[t] == 0 for t in range(k)) and c[d_slot] == 0,
             "[d, V] left V",
         )
-        ensure(coords[h_slot] == 0, "[d, V] has an hbar-component")
-        sigma_cols.append(tuple(coords[t] for t in v_slots))
-    sigma_mat = Matrix.from_columns(sigma_cols, two_m)
+        ensure(c[h_slot] == 0, "[d, V] has an hbar-component")
+        sigma_cols.append(c[k + 1:h_slot])
+    sigma_mat = Matrix._from_ints(tuple(zip(*sigma_cols)), two_m, dT)
     ensure(sigma_mat.det() != 0, "sigma(D) is singular")
     ensure(in_omega_algebra(sigma_mat, h.omega), "sigma(D) is not in o(omega)")
 
     for i in range(k):
         for j in v_slots:
-            ensure(is_zero_vec(T.bracket_basis(i, j)), "[S, V] != 0")
+            ensure(not table[i][j], "[S, V] != 0")
 
-    B_S = Matrix([G.rows[i][:k] for i in range(k)], k)
+    e = transported.metric.gram._den
+    B_S = Matrix._from_ints(tuple([row[:k] for row in G[:k]]), k, e)
     ensure(k == 0 or B_S.det() != 0, "metric degenerates on S")
-    gram_V = Matrix([G.rows[t][k + 1 : h_slot] for t in v_slots], two_m)
+    gram_V = Matrix._from_ints(tuple([G[t][k + 1:h_slot] for t in v_slots]), two_m, e)
     ensure(
         sigma_mat.transpose() @ gram_V == h.omega,
         "metric on V does not match omega(sigma^{-1} u, v)",
@@ -468,7 +478,7 @@ def recover_structure(
     # below holds.  hbar is central and B(hbar, S) = 0, so the S-components
     # of the rebuild's Jacobi identity and invariance on S are the core's,
     # and the core's nondegeneracy is the B_S ensure above.
-    s_algebra = LieAlgebra(k, s_structure, [f"s{t + 1}" for t in range(k)])
+    s_algebra = LieAlgebra._from_ints(k, dT, s_structure, [f"s{t + 1}" for t in range(k)])
     core = QuadraticLieAlgebra._unchecked(s_algebra, BilinearForm(B_S))
     ensure(is_derivation(s_algebra, D_mat), "recovered D is not a derivation")
     ensure(
@@ -543,9 +553,13 @@ def recognize_extended_heisenberg(q: QuadraticLieAlgebra) -> Verdict:
     return _recognize(q, derived_subalgebra(q.algebra))
 
 
-def _recognize(q: QuadraticLieAlgebra, derived: Subspace) -> Verdict:
-    """``recognize_extended_heisenberg`` on the derived subalgebra of q."""
-    h = _heisenberg_data(q.algebra, derived)
+def _recognize(
+    q: QuadraticLieAlgebra, derived: Subspace, h: Optional[HeisenbergIdealData] = None
+) -> Verdict:
+    """``recognize_extended_heisenberg`` on the derived subalgebra of q;
+    ``h``, when given, is the Heisenberg data already found on it."""
+    if h is None:
+        h = _heisenberg_data(q.algebra, derived)
     if isinstance(h, str):
         return NotApplicableVerdict(h)
     rec = recover_structure(q, h)
@@ -896,7 +910,8 @@ def _nilradical_theorem(
 ) -> NilradicalTheoremReport:
     """``verify_nilradical_theorem`` on the Killing form K of g and on
     [g, g], which serve the radical, the nilradical and, when Rad(g) = g,
-    the recognizer."""
+    the recognizer; that one also reuses the Heisenberg data of Nil(g) when
+    [g, g] = Nil(g)."""
     g = q.algebra
     rad = _radical(K, derived)
     nil = _nilradical(g, rad, K)
@@ -917,7 +932,8 @@ def _nilradical_theorem(
     verdict = None
     if clause_ideal and clause_nondeg and clause_line:
         if rad.is_full():
-            verdict = _recognize(q, derived)
+            # the data of Nil(g) is that of [g, g] when the two are equal
+            verdict = _recognize(q, derived, h if derived == nil else None)
         else:
             verdict = recognize_extended_heisenberg(restrict_quadratic(q, rad))
         ensure(

@@ -53,10 +53,18 @@ So do the ``Matrix`` operations as they ran on rows of Fractions (sum,
 difference, scaling, matrix-vector product, transpose, the inverse by a
 Fraction rref of [A | I], and the product and determinant on rows
 rescaled to integers one at a time), where ``Matrix`` now keeps integer
-rows over one denominator; the tests require the same values.
+rows over one denominator; the tests require the same values.  Last, the
+interchange boundary as it ran on Fractions: the literal parse by a
+``match`` of the pattern, a Fraction and a check that the Fraction
+formats back to the text, and the canonical dump by ``json.dumps``, where
+``documents`` now parses each literal straight to its integer pair and
+writes the text with its own small writer; the tests require the same
+values, the same errors and the same bytes.
 """
 
+import json
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -72,6 +80,7 @@ from quadlie.exactla import (
     add_vec,
     dot,
     form_restrict_nondegenerate,
+    format_rational,
     kernel,
     scale_vec,
     solve,
@@ -1500,3 +1509,22 @@ def random_integer_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
         [[Fraction(rng.randint(-_BOUND, _BOUND)) for _ in range(ncols)] for _ in range(nrows)],
         ncols,
     )
+
+
+# -- the interchange boundary on Fractions and the json encoder -----------------
+
+def parse_rational_fraction(text) -> Fraction:
+    """The literal ``p`` or ``p/q`` read by a ``match`` of the pattern and a
+    Fraction, canonical when the Fraction formats back to ``text``."""
+    if not isinstance(text, str) or not re.match(r"^-?[0-9]+(/[1-9][0-9]*)?$", text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    p, _, q = text.partition("/")
+    value = Fraction(int(p), int(q)) if q else Fraction(int(p))
+    if format_rational(value) != text:
+        raise ValueError(f"rational literal not in canonical form: {text!r}")
+    return value
+
+
+def dumps_by_encoder(data) -> str:
+    """Canonical JSON text by the standard library's encoder."""
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

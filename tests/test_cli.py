@@ -320,7 +320,7 @@ def test_missing_heisenberg_data_on_the_radical_is_an_internal_failure(monkeypat
     recognizer runs as its body on the [g, g] that the analysis shares."""
     seen = []
 
-    def not_extended_on_the_radical(q, derived):
+    def not_extended_on_the_radical(q, derived, h=None):
         seen.append(q)
         return structure.NotApplicableVerdict("derived subalgebra is zero")
 
@@ -361,9 +361,10 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     share; one nilradical; one radical (the theorem check's, passed on to
     the nilradical); one recognizer run and one recovery (the theorem
     check's on the radical,
-    which is g in its own coordinates, so the report reuses both); two
-    Heisenberg-data searches (the nilradical's on g, the only
-    ``find_heisenberg_ideal`` call, and the recognizer's on [g, g]); one Jacobi check and one invariance check (the document's
+    which is g in its own coordinates, so the report reuses both); one
+    Heisenberg-data search (the nilradical's on g, the only
+    ``find_heisenberg_ideal`` call, whose data the recognizer takes, as
+    [g, g] = Nil(g)); one Jacobi check and one invariance check (the document's
     metric: the quotient metric that the decision picks is invariant by
     construction); one normalized complement with its brackets and one
     quotient, shared by the quotient-metric decision and the complement it
@@ -409,7 +410,7 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
         "_recognize": 1,
         "recover_structure": 1,
         "find_heisenberg_ideal": 1,
-        "_heisenberg_data": 2,
+        "_heisenberg_data": 1,
         "_complement_brackets": 1,
         "check_jacobi": 1,
         "quotient": 1,

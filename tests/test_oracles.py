@@ -1026,6 +1026,15 @@ def _big_base_change(rng, n):
             return P
 
 
+def _fraction_structure(result):
+    """``_structure_in``'s (den, brackets) as the oracle's dict of Fraction
+    terms, or None."""
+    if result is None:
+        return None
+    den, brackets = result
+    return {pair: [(k, Fraction(v, den)) for k, v in terms] for pair, terms in brackets.items()}
+
+
 def _assert_integer_kernels_match_fractions(g, rng):
     """bracket, ad, killing_form, transport, subalgebra_on (with
     is_subalgebra and ``_structure_in``) and quotient give the values of
@@ -1047,7 +1056,7 @@ def _assert_integer_kernels_match_fractions(g, rng):
         _assert_same_algebra(transport(g, P), transport_fraction(g, P))
     for U in _subspaces(g, rng):
         expected = structure_in_fraction(g, U.vectors(), lambda w: coordinates_fraction(U, w))
-        assert _structure_in(g, U.vectors(), U) == expected
+        assert _fraction_structure(_structure_in(g, U.basis, U)) == expected
         assert is_subalgebra(g, U) == (expected is not None)
         if expected is not None:
             _assert_same_algebra(subalgebra_on(g, U), subalgebra_on_fraction(g, U))
@@ -1181,7 +1190,7 @@ def test_structure_in_rejects_a_non_subalgebra():
     would read as coordinates."""
     g = LieAlgebra(3, {(0, 1): [(2, 1)]})
     U = Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
-    assert _structure_in(g, U.vectors(), U) is None
+    assert _structure_in(g, U.basis, U) is None
     assert structure_in_fraction(g, U.vectors(), lambda w: coordinates_fraction(U, w)) is None
     assert not is_subalgebra(g, U)
     with pytest.raises(ValueError, match="not a subalgebra"):
@@ -1202,6 +1211,57 @@ def test_integer_table_leaves_equality_and_hash_alone(g):
     assert _integer_table(other) == _integer_table(g)
     with pytest.raises(AttributeError):
         g._integers = None
+
+
+def _random_constants(rng, n):
+    """Structure constants on random pairs, either order, with repeated
+    targets, zero terms and mixed denominators (``_random_entry``)."""
+    structure = {}
+    for _ in range(rng.randint(0, n * n)):
+        i, j = rng.sample(range(n), 2)
+        structure.setdefault((i, j), []).extend(
+            (rng.randrange(n), _random_entry(rng, 0.8)) for _ in range(rng.randint(1, 3))
+        )
+    return structure
+
+
+def _integer_terms(structure, den):
+    """The terms of ``structure`` as ints over ``den``, a common denominator."""
+    return {
+        key: [(k, int(Fraction(c) * den)) for k, c in terms] for key, terms in structure.items()
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_constructor_agrees_with_the_public_one(seed):
+    """On seeded tables with mixed denominators, ``LieAlgebra._from_ints``
+    over a common denominator times a random factor gives the public
+    constructor's structure, equality, hash and integer table; the same
+    algebra over any other common denominator is the same value."""
+    rng = random.Random(seed)
+    for n in range(2, 8):
+        structure = _random_constants(rng, n)
+        public = LieAlgebra(n, structure)
+        d = lcm(*(Fraction(c).denominator for terms in structure.values() for _, c in terms))
+        labels = [f"e{i + 1}" for i in range(n)]
+        for den in (d, d * rng.randint(2, 50), d * 10**15):
+            built = LieAlgebra._from_ints(n, den, _integer_terms(structure, den), labels)
+            assert built.structure == public.structure
+            assert built == public and hash(built) == hash(public)
+            assert _integer_table(built) == _integer_table(public)
+        d_g, table = _integer_table(public)
+        assert d_g > 0 and gcd(d_g, *(v for row in table for terms in row for _, v in terms)) == 1
+
+
+def test_structure_is_a_read_only_view():
+    g = fixtures.sl2()
+    view = g.structure
+    assert g.structure is view and all(type(c) is Fraction for t in view.values() for _, c in t)
+    with pytest.raises(AttributeError):
+        g.structure = {}
+    with pytest.raises(TypeError):
+        view[(0, 1)] = ()
+    assert g.structure == view
 
 
 def _filiform(n):

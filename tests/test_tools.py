@@ -73,6 +73,8 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
         "nilradical_s",
         "check_s",
         "analyze_s",
+        "loads_s",
+        "dumps_s",
     ):
         assert isinstance(line[key], float) and line[key] >= 0
     assert json.loads(json.dumps(line)) == line

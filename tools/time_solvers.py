@@ -11,14 +11,17 @@ m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
 invariant-metric check), ``structure.nilradical`` (with the radical it
 computes first) and the whole ``quadlie check`` and ``quadlie analyze``
 commands (``cli.main`` reading the algebra's document from stdin, output
-discarded) once each on every shape.  Each shape is its own one-entry
+discarded) once each on every shape, and the interchange boundary:
+``documents.loads_document`` on the shape's document and
+``documents.dumps_canonical`` on its ``analyze`` report.  Each shape is its own one-entry
 grid, so the dim-10 algebra is the first one of the ``grid_forms``
 workload.  Standard library only, no options:
 
     python tools/time_solvers.py
 
 Prints one JSON line per shape: the shape, the dimension, the seconds of
-each call (``time.perf_counter``, one call, set-up excluded), the
+each call (``time.perf_counter``, one call, set-up excluded; ``loads_s``
+and ``dumps_s`` for the boundary), the
 dimension of each solution space and that of the nilradical, the
 number of equations of each solver's system (``invariance_rows``,
 ``cocycle_rows``: the nonzero rows passed to ``kernel``), and the
@@ -43,7 +46,12 @@ for path in (ROOT, ROOT / "src"):
 
 from bench.workloads import grid_algebras  # noqa: E402
 from quadlie import cli  # noqa: E402
-from quadlie.documents import AlgebraDocument, dumps_document  # noqa: E402
+from quadlie.documents import (  # noqa: E402
+    AlgebraDocument,
+    dumps_canonical,
+    dumps_document,
+    loads_document,
+)
 from quadlie.quadform import (  # noqa: E402
     QuadraticLieAlgebra,
     _cocycle_system,
@@ -95,10 +103,24 @@ def closure_rounds(g) -> int:
     return widths.count(R.dim ** 2)
 
 
+def time_boundary(q) -> tuple:
+    """Seconds of one ``loads_document`` of the document of ``q`` and of
+    one ``dumps_canonical`` of its ``analyze`` report."""
+    text = dumps_document(AlgebraDocument("grid", q.algebra, q.metric))
+    start = time.perf_counter()
+    doc = loads_document(text)
+    loaded = time.perf_counter()
+    report, _ = cli.cmd_analyze(doc)
+    start_dump = time.perf_counter()
+    dumps_canonical(report)
+    return loaded - start, time.perf_counter() - start_dump
+
+
 def time_solvers(shape) -> dict:
     """One timed call of each solver, of the validating constructor, of
     the nilradical, of ``check`` and of ``analyze`` on the grid algebra of
-    ``shape``, and the row counts of the two solver systems."""
+    ``shape``, of the document's parse and of the report's dump, and the
+    row counts of the two solver systems."""
     q = grid_algebras([shape])[0]
     start = time.perf_counter()
     skew = skew_derivation_space(q)
@@ -109,6 +131,7 @@ def time_solvers(shape) -> dict:
     validated = time.perf_counter()
     nil = nilradical(q.algebra)
     nil_end = time.perf_counter()
+    loads_s, dumps_s = time_boundary(q)
     return {
         "shape": list(shape),
         "dim": q.dim,
@@ -124,6 +147,8 @@ def time_solvers(shape) -> dict:
         "nilradical_closure_rounds": closure_rounds(q.algebra),
         "check_s": round(time_command(q, "check"), 4),
         "analyze_s": round(time_command(q, "analyze"), 4),
+        "loads_s": round(loads_s, 5),
+        "dumps_s": round(dumps_s, 5),
     }
 
 
