@@ -148,17 +148,18 @@ def heisenberg(m: int, omega: Optional[Matrix] = None) -> LieAlgebra:
     """The Heisenberg algebra h_m on u_1..u_{2m}, hbar.
 
     [u_i, u_j] = omega_{ij} hbar with hbar central; omega defaults to the
-    standard block form.
+    standard block form.  The brackets are omega's integer rows over its
+    denominator.
     """
     omega = _symplectic_space(m, omega).omega
-    dim = 2 * m + 1
+    two_m = 2 * m
     structure = {
-        (i, j): [(2 * m, omega.entry(i, j))]
-        for i in range(2 * m)
-        for j in range(i + 1, 2 * m)
+        (i, j): [(two_m, omega._ints[i][j])]
+        for i in range(two_m)
+        for j in range(i + 1, two_m)
     }
-    labels = [f"u{i + 1}" for i in range(2 * m)] + ["hbar"]
-    return LieAlgebra(dim, structure, labels)
+    labels = [f"u{i + 1}" for i in range(two_m)] + ["hbar"]
+    return LieAlgebra._from_ints(two_m + 1, omega._den, structure, labels)
 
 
 def extend_heisenberg(

@@ -4,8 +4,12 @@ An algebra's value is the signed table of its structure constants as
 integers over one common denominator, normalized so that the form is
 unique; the bracket kernels sum integers over that table and build
 Fractions only for their results, and the Fraction structure constants
-are a view built when they are read.  Antisymmetry is structural.  All
-operations are pure and return new values.
+are a view built when they are read.  Two kernels carry every bracket of
+vectors: ``_integer_ad`` sums the columns of ad x and ``_pair_sums`` the
+brackets of all pairs of rows; ``bracket``, ``ad``, the spans,
+``is_derivation`` and ``_structure_in`` (with it ``transport``,
+``quotient`` and ``subalgebra_on``) read them.  Antisymmetry is
+structural.  All operations are pure and return new values.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .exactla import (
     _integer_row,
     kernel,
     rat,
-    sub_vec,
     vector,
 )
 
@@ -197,14 +200,6 @@ def _integer_ad(table: tuple, ints: Sequence[int]) -> List[List[int]]:
     return columns
 
 
-def _ad_columns(g: LieAlgebra, x: Vector) -> List[Vector]:
-    """[x, e_j] for every j: the columns of ad x, those of
-    ``_integer_ad`` on s x with each nonzero entry divided once by s d."""
-    d, table = _integer_table(g)
-    s, ints = _integer_row(x)
-    return [_fractions(column, s * d) for column in _integer_ad(table, ints)]
-
-
 def _pair_sums(table: tuple, rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """sum_ab x_a y_b table[a][b] for the pairs x, y = rows[i], rows[j],
     i < j, in lexicographic order: d [x, y] for integer rows, in one pass.
@@ -231,24 +226,17 @@ def _pair_sums(table: tuple, rows: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
-def _pair_brackets(g: LieAlgebra, vectors: Sequence[Vector]) -> List[Vector]:
-    """[u_i, u_j] for the pairs i < j in lexicographic order: each u_i is
-    scaled once to integers s_i u_i, the pairs are summed in one pass
-    (``_pair_sums``), and each nonzero entry is divided once by s_i s_j d."""
-    vectors = [vector(u) for u in vectors]
-    if any(len(u) != g.dim for u in vectors):
-        raise ValueError("vector dimension mismatch")
-    d, table = _integer_table(g)
-    scales, rows = zip(*[_integer_row(u) for u in vectors]) if vectors else ((), ())
-    dens = [si * sj * d for si, sj in combinations(scales, 2)]
-    return [_fractions(ints, den) for den, ints in zip(dens, _pair_sums(table, rows))]
-
-
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the structure constants to arbitrary vectors:
-    the one pair of ``_pair_brackets``, so x and y are each scaled to
-    integers once and each nonzero entry is divided once."""
-    return _pair_brackets(g, (x, y))[0]
+    x and y are each scaled once to integers s x and t y, summed over the
+    table in one pass (``_pair_sums``), and each nonzero entry is divided
+    once by s t d."""
+    x, y = vector(x), vector(y)
+    if len(x) != g.dim or len(y) != g.dim:
+        raise ValueError("vector dimension mismatch")
+    d, table = _integer_table(g)
+    (s, xs), (t, ys) = _integer_row(x), _integer_row(y)
+    return _fractions(_pair_sums(table, (xs, ys))[0], s * t * d)
 
 
 def _structure_in(
@@ -330,21 +318,20 @@ def ad(g: LieAlgebra, x: Sequence) -> Matrix:
 def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
     """span{[u, w] : u in U, w in W}.
 
-    When U is the whole algebra this is the span of the columns of ad w,
-    w in W's basis (``_integer_ad``).  Otherwise, when W equals U only the
-    basis pairs i < j are bracketed, in one pass (``_pair_sums``):
-    [u, u] = 0 and [u_j, u_i] = -[u_i, u_j] add nothing to the span.  Both
-    hand integer rows to the elimination core.
+    The columns of ad w, w in W's basis (``_integer_ad``), span [g, w];
+    when U is the whole algebra they are the rows as they are, otherwise
+    the rows of U's basis times ad(w)^T are the [w, u].  Both hand integer
+    rows to the elimination core.
     """
     if U.ambient_dim != g.dim or W.ambient_dim != g.dim:
         raise ValueError("ambient dimension mismatch")
-    if U.is_full():
-        _, table = _integer_table(g)
-        rows = [column for w in W.basis._ints for column in _integer_ad(table, w)]
-    elif W == U:
-        rows = _pair_sums(_integer_table(g)[1], U.basis._ints)
-    else:
-        rows = [bracket(g, u, w) for u in U.vectors() for w in W.vectors()]
+    _, table = _integer_table(g)
+    rows = []
+    for w in W.basis._ints:
+        columns = _integer_ad(table, w)
+        if not U.is_full():
+            columns = (U.basis @ Matrix._from_ints(columns, g.dim))._ints
+        rows.extend(columns)
     return Subspace._spanned_by(g.dim, [{k: v for k, v in enumerate(row) if v} for row in rows])
 
 
@@ -507,16 +494,25 @@ def killing_form(g: LieAlgebra) -> Matrix:
 def is_derivation(g: LieAlgebra, M: Matrix) -> bool:
     """Whether M([x,y]) = [Mx, y] + [x, My] holds on all basis pairs.
 
-    With images[i] the columns of ad(M e_i), the right side on (e_i, e_j)
-    is [M e_i, e_j] - [M e_j, e_i] = images[i][j] - images[j][i].
+    On x = e_i this is M ad(e_i) - ad(e_i) M = ad(M e_i), whose column j
+    is M [e_i, e_j] = [M e_i, e_j] - [M e_j, e_i]; antisymmetry leaves the
+    pairs i < j.  It is checked on integers times e d, e the denominator
+    of M: the integer columns of M, and the ``_integer_ad`` columns of
+    ad(M e_i) on them.
     """
     if M.shape != (g.dim, g.dim):
         raise ValueError("matrix shape does not match algebra dimension")
-    images = [_ad_columns(g, M.column(i)) for i in range(g.dim)]
-    return all(
-        M.apply(g.bracket_basis(i, j)) == sub_vec(images[i][j], images[j][i])
-        for i, j in combinations(range(g.dim), 2)
-    )
+    _, table = _integer_table(g)
+    columns = list(zip(*M._ints))
+    images = [_integer_ad(table, column) for column in columns]
+    for i, j in combinations(range(g.dim), 2):
+        residual = [a - b for a, b in zip(images[i][j], images[j][i])]
+        for k, v in table[i][j]:
+            for r, x in enumerate(columns[k]):
+                residual[r] -= v * x
+        if any(residual):
+            return False
+    return True
 
 
 def transport(g: LieAlgebra, P: Matrix, basis_labels: Optional[Sequence[str]] = None) -> LieAlgebra:

@@ -1,10 +1,12 @@
 """Structure analysis of quadratic Lie algebras with Heisenberg ideals.
 
 Contains the solvable radical and nilradical, validation of Heisenberg
-ideals, the inverse structure-recovery algorithm (with a base-change
-certificate and an exact rebuild check), the extended-Heisenberg
-recognizer, the complement-subalgebra machinery for quotient metrics with
-the exact decision whether one exists, the nilradical-theorem verifier, and
+ideals (one equality with the builder's h_m(omega) after transport, every
+bracket from the integer kernels of ``liealg``), the inverse
+structure-recovery algorithm (with a base-change certificate and an exact
+rebuild check), the extended-Heisenberg recognizer, the
+complement-subalgebra machinery for quotient metrics with the exact
+decision whether one exists, the nilradical-theorem verifier, and
 ``analyze``, which joins them into one analysis.
 """
 
@@ -20,6 +22,7 @@ from .exactla import (
     Matrix,
     Subspace,
     Vector,
+    _fractions,
     dot,
     form_restrict_nondegenerate,
     is_zero_vec,
@@ -31,11 +34,11 @@ from .exactla import (
     sum_intersect,
     unit_vector,
 )
-from .heisenberg import SymplecticMap, _assemble, in_omega_algebra
+from .heisenberg import SymplecticMap, _assemble, heisenberg, in_omega_algebra
 from .liealg import (
     LieAlgebra,
     _integer_table,
-    _pair_brackets,
+    _structure_in,
     ad,
     bracket_subspaces,
     center,
@@ -47,6 +50,7 @@ from .liealg import (
     killing_form,
     quotient,
     subalgebra_on,
+    transport,
 )
 from .quadform import (
     BilinearForm,
@@ -159,9 +163,13 @@ class HeisenbergIdealData:
     the induced symplectic form: [v_i, v_j] = omega[i][j] hbar.
     Construction checks all of this on ``algebra`` and raises
     ``ValueError`` otherwise, so the functions that take an instance only
-    check that it belongs to their algebra.  Centrality and omega are read
-    off one integer pass over the brackets of the pairs of v_1, ..., v_2m,
-    hbar (``liealg._pair_brackets``).
+    check that it belongs to their algebra.  Past the sizes and
+    ``is_ideal`` the check is one equality: the ideal, transported to the
+    basis (v_1, ..., v_2m, hbar), is ``heisenberg(m, omega)``, which
+    validates omega.  The base change C holds the coordinates of v_1, ...,
+    v_2m, hbar in the ideal's rref basis, so it is invertible exactly when
+    they are a basis of the ideal, and equality of the integer tables says
+    [v_i, v_j] = omega_ij hbar for i < j and [v_i, hbar] = 0.
     """
 
     algebra: LieAlgebra
@@ -179,27 +187,14 @@ class HeisenbergIdealData:
             raise ValueError("Heisenberg ideal must have odd dimension >= 3")
         if len(self.v_basis) != dim - 1:
             raise ValueError("v_basis size does not match the ideal dimension")
-        if self.omega.shape != (dim - 1, dim - 1):
-            raise ValueError("omega size does not match v_basis")
-        if not self.omega.is_skew_symmetric() or self.omega.det() == 0:
-            raise ValueError("omega must be skew-symmetric and nondegenerate")
-        if is_zero_vec(self.hbar) or not self.ideal.contains(self.hbar):
-            raise ValueError("hbar must be a nonzero element of the ideal")
-        span = Subspace.from_vectors(g.dim, list(self.v_basis) + [self.hbar])
-        if span != self.ideal:
-            raise ValueError("v_basis and hbar do not span the ideal")
         if not is_ideal(g, self.ideal):
             raise ValueError("the subspace is not an ideal")
-        # one pass over the pairs of v_1, ..., v_2m, hbar, which span the
-        # ideal: hbar is central in it exactly when every [v_i, hbar] is 0
-        brackets = dict(
-            zip(combinations(range(dim), 2), _pair_brackets(g, tuple(self.v_basis) + (self.hbar,)))
-        )
-        if not all(is_zero_vec(brackets[(i, dim - 1)]) for i in range(dim - 1)):
-            raise ValueError("hbar is not central in the ideal")
-        for i, j in combinations(range(dim - 1), 2):
-            if brackets[(i, j)] != scale_vec(self.omega.entry(i, j), self.hbar):
-                raise ValueError("brackets do not match omega")
+        C = [self.ideal.coordinates_of(v) for v in (*self.v_basis, self.hbar)]
+        if None in C or Matrix(C, dim).det() == 0:
+            raise ValueError("v_basis and hbar do not span the ideal")
+        inside = transport(subalgebra_on(g, self.ideal), Matrix(C, dim))
+        if inside != heisenberg(self.m, self.omega):
+            raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
 
     @property
     def m(self) -> int:
@@ -211,46 +206,42 @@ def _heisenberg_data(
 ) -> Union[HeisenbergIdealData, str]:
     """The Heisenberg-ideal data on ``candidate``, or why there is none.
 
-    Reads hbar (the rref generator of the candidate's derived space), the
-    other candidate rows as ``v_basis`` and omega off hbar's pivot entry,
-    all from one bracket of each pair of candidate rows, and leaves every
-    other condition to the ``HeisenbergIdealData`` constructor.  The
-    reasons name the derived subalgebra, the only candidate whose reason
-    is ever reported; as [g, g] is an ideal, none of them is about
-    ideal-ness.
+    Reads everything off the algebra on the candidate, in its rref basis
+    b_1, ..., b_n: the rref generator c of its derived line is 1 at its
+    first pivot p, hbar = sum_i c_i b_i, ``v_basis`` is the b_i, i != p,
+    and omega_ij is the p-coefficient of [v_i, v_j].  As the b_i with
+    i > p are 0 at the pivot column of b_p, hbar is 1 there and 0 before,
+    so it is the rref generator of the derived line in g's coordinates.
+    Every other condition is left to the ``HeisenbergIdealData``
+    constructor.  The reasons name the derived subalgebra, the only
+    candidate whose reason is ever reported; as [g, g] is an ideal, none
+    of them is about ideal-ness.
     """
     dim = candidate.dim
     if dim == 0:
         return "derived subalgebra is zero"
     if dim % 2 == 0 or dim < 3:
         return f"derived subalgebra has dimension {dim}, not 2m+1 with m >= 1"
-    rows = candidate.vectors()
-    brackets = dict(zip(combinations(range(dim), 2), _pair_brackets(g, rows)))
-    derived = Subspace.from_vectors(g.dim, brackets.values())
+    failed = "candidate fails the Heisenberg bracket relations"
+    try:
+        inside = subalgebra_on(g, candidate)
+    except ValueError:
+        return failed
+    derived = derived_subalgebra(inside)
     if derived.dim != 1:
         return (
             "derived subalgebra of the candidate has dimension "
             f"{derived.dim}, expected 1"
         )
-    failed = "candidate fails the Heisenberg bracket relations"
-    hbar = derived.vectors()[0]
-    coords = candidate.coordinates_of(hbar)
-    if coords is None:
-        return failed
-    skip = next(i for i, c in enumerate(coords) if c != 0)
-    kept = [i for i in range(dim) if i != skip]
-    v_basis = tuple(rows[i] for i in kept)
-    # hbar is an rref row: its first nonzero entry is 1, so a multiple c hbar
-    # shows c there; the constructor checks the whole bracket
-    pivot = next(i for i, x in enumerate(hbar) if x != 0)
-    two_m = dim - 1
-    omega_rows = [[Fraction(0)] * two_m for _ in range(two_m)]
-    for i, j in combinations(range(two_m), 2):
-        c = brackets[(kept[i], kept[j])][pivot]
-        omega_rows[i][j] = c
-        omega_rows[j][i] = -c
+    p = derived.pivots[0]
+    hbar = (derived.basis @ candidate.basis).rows[0]
+    kept = [i for i in range(dim) if i != p]
+    v_basis = tuple(candidate.vectors()[i] for i in kept)
+    d, table = _integer_table(inside)
+    rows = tuple([tuple([dict(table[i][j]).get(p, 0) for j in kept]) for i in kept])
+    omega = Matrix._from_ints(rows, dim - 1, d)
     try:
-        return HeisenbergIdealData(g, candidate, hbar, v_basis, Matrix(omega_rows, two_m))
+        return HeisenbergIdealData(g, candidate, hbar, v_basis, omega)
     except ValueError:
         return failed
 
@@ -682,16 +673,19 @@ def _complement_brackets(
     k = len(a_vecs)
     E_inv = _inverse_or_none(Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n))
     ensure(E_inv is not None, "complement plus ideal is not a basis")
-    pairs = Matrix._unchecked(tuple(_pair_brackets(q.algebra, a_vecs)), n)
+    A = Matrix(a_vecs, n)
+    # [a_i, a_j] = sum v / den (a..., v..., hbar)_t over the (t, v) of
+    # brackets[(i, j)]: the coordinates E^-1 [a_i, a_j] of ``transport``
+    den, brackets = _structure_in(q.algebra, A, E_inv.transpose())
     beta, mu = [], []
-    # row ij of pairs @ E_inv^T holds the coordinates E_inv [a_i, a_j]
-    for coords in (pairs @ E_inv.transpose()).rows:
-        ensure(
-            is_zero_vec(coords[k:n - 1]), "[a, b] has a V-component on the normalized complement"
-        )
-        beta.append(coords[:k])
+    for pair in combinations(range(k), 2):
+        coords = [0] * n
+        for t, v in brackets.get(pair, ()):
+            coords[t] = v
+        ensure(not any(coords[k:n - 1]), "[a, b] has a V-component on the normalized complement")
+        beta.append(tuple(coords[:k]))
         mu.append(coords[n - 1])
-    return Matrix(a_vecs, n), E_inv, Matrix(beta, k), tuple(mu)
+    return A, E_inv, Matrix._from_ints(tuple(beta), k, den), _fractions(mu, den)
 
 
 def complement_from_quotient_metric(
@@ -871,15 +865,23 @@ class NilradicalTheoremReport:
     ``radical_verdict`` is the recognizer's verdict on Rad(g) with the
     restricted metric, in the rref coordinates of the radical; it is set
     exactly when every clause holds.  When Rad(g) = g those coordinates
-    are g's own, so it is the recognizer's verdict on g."""
+    are g's own, so it is the recognizer's verdict on g.  The report is
+    ``applicable`` when Nil(g) validated as a Heisenberg ideal, and
+    ``whole_algebra`` when, besides, Rad(g) = g."""
 
     nilradical: Subspace
     radical: Subspace
     heisenberg: Optional[HeisenbergIdealData]
-    applicable: bool
     clauses: tuple  # of (name, bool) pairs
     radical_verdict: Optional[ExtendedHeisenbergVerdict]
-    whole_algebra: bool
+
+    @property
+    def applicable(self) -> bool:
+        return self.heisenberg is not None
+
+    @property
+    def whole_algebra(self) -> bool:
+        return self.applicable and self.radical.is_full()
 
     @property
     def passed(self) -> bool:
@@ -916,45 +918,28 @@ def _nilradical_theorem(
     rad = _radical(K, derived)
     nil = _nilradical(g, rad, K)
     h = find_heisenberg_ideal(g, nil)
-    if h is None:
-        return NilradicalTheoremReport(
-            nilradical=nil,
-            radical=rad,
-            heisenberg=None,
-            applicable=False,
-            clauses=(),
-            radical_verdict=None,
-            whole_algebra=False,
+    clauses, verdict = (), None
+    if h is not None:
+        clause_ideal = is_ideal(g, rad)
+        clause_nondeg = form_restrict_nondegenerate(q.metric.gram, rad)
+        clause_line = rad.dim == nil.dim + 1 and rad.contains_subspace(nil)
+        if clause_ideal and clause_nondeg and clause_line:
+            if rad.is_full():
+                # the data of Nil(g) is that of [g, g] when the two are equal
+                verdict = _recognize(q, derived, h if derived == nil else None)
+            else:
+                verdict = recognize_extended_heisenberg(restrict_quadratic(q, rad))
+            ensure(
+                isinstance(verdict, ExtendedHeisenbergVerdict),
+                "the radical is not an extended Heisenberg algebra",
+            )
+        clauses = (
+            ("radical_is_ideal", clause_ideal),
+            ("radical_nondegenerate", clause_nondeg),
+            ("radical_extends_nilradical_by_line", clause_line),
+            ("radical_is_extended_heisenberg", verdict is not None),
         )
-    clause_ideal = is_ideal(g, rad)
-    clause_nondeg = form_restrict_nondegenerate(q.metric.gram, rad)
-    clause_line = rad.dim == nil.dim + 1 and rad.contains_subspace(nil)
-    verdict = None
-    if clause_ideal and clause_nondeg and clause_line:
-        if rad.is_full():
-            # the data of Nil(g) is that of [g, g] when the two are equal
-            verdict = _recognize(q, derived, h if derived == nil else None)
-        else:
-            verdict = recognize_extended_heisenberg(restrict_quadratic(q, rad))
-        ensure(
-            isinstance(verdict, ExtendedHeisenbergVerdict),
-            "the radical is not an extended Heisenberg algebra",
-        )
-    clauses = (
-        ("radical_is_ideal", clause_ideal),
-        ("radical_nondegenerate", clause_nondeg),
-        ("radical_extends_nilradical_by_line", clause_line),
-        ("radical_is_extended_heisenberg", verdict is not None),
-    )
-    return NilradicalTheoremReport(
-        nilradical=nil,
-        radical=rad,
-        heisenberg=h,
-        applicable=True,
-        clauses=clauses,
-        radical_verdict=verdict,
-        whole_algebra=rad.dim == g.dim,
-    )
+    return NilradicalTheoremReport(nil, rad, h, clauses, verdict)
 
 
 # ---------------------------------------------------------------------------

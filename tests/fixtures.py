@@ -16,6 +16,17 @@ from quadlie.quadform import BilinearForm, QuadraticLieAlgebra
 DIAG_1_M1 = Matrix([[1, 0], [0, -1]], 2)
 ROTATION = Matrix([[0, 1], [-1, 0]], 2)
 
+# Coordinate Heisenberg ideals of the corpus documents that the benchmark
+# round-trips; the labels and digests come from bench/reference.json.
+ROUNDTRIP_IDEALS = {
+    "h1_phi": "1,2,3",
+    "h2_phi": "1,2,3,4,5",
+    "build_abelian_line": "2,3,4",
+    "build_rotation_core": "3,4,5",
+    "build_sl2": "4,5,6",
+    "oscillator": "1,2,3",
+}
+
 
 def sl2():
     """sl2 with basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""

@@ -59,7 +59,15 @@ interchange boundary as it ran on Fractions: the literal parse by a
 formats back to the text, and the canonical dump by ``json.dumps``, where
 ``documents`` now parses each literal straight to its integer pair and
 writes the text with its own small writer; the tests require the same
-values, the same errors and the same bytes.
+values, the same errors and the same bytes.  So do the Heisenberg-ideal
+checks as they ran one condition at a time (sizes, omega, hbar, the span,
+the ideal condition, then the brackets of the pairs of v_1, ..., v_2m,
+hbar) and the search that read hbar and omega off the ambient pair
+brackets, where the constructor now compares the transported ideal with
+``heisenberg(m, omega)`` and the search reads the algebra on the
+candidate; the tests require the same data, the same reasons and the
+same answers.  The columns of ad x and the pair brackets that the oracles
+use are built from the public ``bracket``.
 """
 
 import json
@@ -100,8 +108,6 @@ from quadlie.heisenberg import (
 from quadlie.liealg import (
     JacobiViolation,
     LieAlgebra,
-    _ad_columns,
-    _pair_brackets,
     _series,
     ad,
     bracket,
@@ -1401,6 +1407,16 @@ def radical_recovery_by_refind(q: QuadraticLieAlgebra) -> Optional[RecoveredStru
 
 # -- liealg spans and coordinates before the integer core ----------------------
 
+def _ad_columns(g: LieAlgebra, x) -> List[tuple]:
+    """[x, e_j] for every j: the columns of ad x, by the public ``bracket``."""
+    return [bracket(g, x, e) for e in Matrix.identity(g.dim).rows]
+
+
+def _pair_brackets(g: LieAlgebra, vectors) -> List[tuple]:
+    """[u_i, u_j] for the pairs i < j in lexicographic order, by ``bracket``."""
+    return [bracket(g, u, w) for u, w in combinations(vectors, 2)]
+
+
 def derived_subalgebra_fraction(g: LieAlgebra) -> Subspace:
     """[g, g] = span of all basis brackets."""
     vecs = []
@@ -1465,6 +1481,78 @@ def transport_matrix_fraction(
     if basis_labels is None:
         basis_labels = [f"b{t + 1}" for t in range(g.dim)]
     return LieAlgebra(g.dim, structure_in_matrix_fraction(g, P.rows, P.inverse()), basis_labels)
+
+
+# -- the Heisenberg-ideal checks one condition at a time -------------------------
+
+def heisenberg_data_checks_by_pairs(g: LieAlgebra, ideal: Subspace, hbar, v_basis, omega) -> None:
+    """The ``HeisenbergIdealData`` checks as separate conditions: sizes,
+    omega skew and nondegenerate, hbar a nonzero element of the ideal,
+    v_basis and hbar spanning it, the ideal condition, and then, from the
+    brackets of the pairs of v_1, ..., v_2m, hbar, hbar central in the
+    ideal and [v_i, v_j] = omega_ij hbar.  Raises ``ValueError`` at the
+    first that fails."""
+    if ideal.ambient_dim != g.dim:
+        raise ValueError("ideal ambient dimension mismatch")
+    dim = ideal.dim
+    if dim < 3 or dim % 2 == 0:
+        raise ValueError("Heisenberg ideal must have odd dimension >= 3")
+    if len(v_basis) != dim - 1:
+        raise ValueError("v_basis size does not match the ideal dimension")
+    if omega.shape != (dim - 1, dim - 1):
+        raise ValueError("omega size does not match v_basis")
+    if not omega.is_skew_symmetric() or omega.det() == 0:
+        raise ValueError("omega must be skew-symmetric and nondegenerate")
+    if all(x == 0 for x in hbar) or not ideal.contains(hbar):
+        raise ValueError("hbar must be a nonzero element of the ideal")
+    if Subspace.from_vectors(g.dim, list(v_basis) + [hbar]) != ideal:
+        raise ValueError("v_basis and hbar do not span the ideal")
+    if not is_ideal_by_brackets(g, ideal):
+        raise ValueError("the subspace is not an ideal")
+    brackets = dict(zip(combinations(range(dim), 2), _pair_brackets(g, tuple(v_basis) + (hbar,))))
+    if any(any(brackets[(i, dim - 1)]) for i in range(dim - 1)):
+        raise ValueError("hbar is not central in the ideal")
+    for i, j in combinations(range(dim - 1), 2):
+        if brackets[(i, j)] != scale_vec(omega.entry(i, j), hbar):
+            raise ValueError("brackets do not match omega")
+
+
+def heisenberg_data_by_pairs(g: LieAlgebra, candidate: Subspace) -> Union[tuple, str]:
+    """(hbar, v_basis, omega) on ``candidate``, or why there is none, read
+    off the ambient brackets of the pairs of candidate rows: hbar is the
+    rref generator of their span, v_basis the candidate rows but the one
+    at the first nonzero coordinate of hbar, and omega the entries of the
+    brackets at hbar's pivot; ``heisenberg_data_checks_by_pairs`` checks
+    the rest."""
+    dim = candidate.dim
+    if dim == 0:
+        return "derived subalgebra is zero"
+    if dim % 2 == 0 or dim < 3:
+        return f"derived subalgebra has dimension {dim}, not 2m+1 with m >= 1"
+    rows = candidate.vectors()
+    brackets = dict(zip(combinations(range(dim), 2), _pair_brackets(g, rows)))
+    derived = Subspace.from_vectors(g.dim, brackets.values())
+    if derived.dim != 1:
+        return f"derived subalgebra of the candidate has dimension {derived.dim}, expected 1"
+    failed = "candidate fails the Heisenberg bracket relations"
+    hbar = derived.vectors()[0]
+    coords = candidate.coordinates_of(hbar)
+    if coords is None:
+        return failed
+    skip = next(i for i, c in enumerate(coords) if c != 0)
+    kept = [i for i in range(dim) if i != skip]
+    pivot = next(i for i, x in enumerate(hbar) if x != 0)
+    omega = Matrix(
+        [[brackets[(a, b)][pivot] if a < b else -brackets[(b, a)][pivot] if a > b else 0
+          for b in kept] for a in kept],
+        dim - 1,
+    )
+    v_basis = tuple(rows[i] for i in kept)
+    try:
+        heisenberg_data_checks_by_pairs(g, candidate, hbar, v_basis, omega)
+    except ValueError:
+        return failed
+    return hbar, v_basis, omega
 
 
 # -- test-only helpers ---------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -13,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from fixtures import (
+    DIAG_1_M1,
+    ROUNDTRIP_IDEALS,
     abelian_line_quadratic,
     abelian_plane_quadratic,
     build_abelian_line_fixture,
@@ -20,16 +23,23 @@ from fixtures import (
     build_sl2_fixture,
     h1_phi,
     oscillator,
+    sl2,
     sl2_quadratic,
     zero_quadratic,
 )
 from oracles import obstruction_holds
 from quadlie import cli, liealg, quadform, structure
 from quadlie.cli import main
-from quadlie.documents import AlgebraDocument, loads_document, matrix_to_json, vector_to_json
+from quadlie.documents import (
+    AlgebraDocument,
+    dumps_document,
+    loads_document,
+    matrix_to_json,
+    vector_to_json,
+)
 from quadlie.errors import InternalVerificationError
-from quadlie.exactla import Subspace, unit_vector
-from quadlie.heisenberg import build_with_heisenberg_ideal
+from quadlie.exactla import Matrix, Subspace, unit_vector
+from quadlie.heisenberg import build_with_heisenberg_ideal, extend_heisenberg
 from quadlie.quadform import transport_quadratic
 from quadlie.randomized import random_build_input, random_unimodular
 
@@ -116,6 +126,56 @@ def test_construct_determinism(capsys):
     code2, out2, _ = run_cli(["construct", path], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_construct_with_an_explicit_omega(tmp_path, capsys):
+    """An ``extend_heisenberg`` document that gives omega builds h_1(phi)
+    over that omega: [u1, u2] = 2 hbar, and B(u, v) = omega(phi^-1 u, v)."""
+    omega = [["0", "2"], ["-2", "0"]]
+    path = tmp_path / "h1_omega.json"
+    path.write_text(json.dumps({
+        "kind": "extend_heisenberg",
+        "name": "h1_omega",
+        "parameters": {"m": 1, "omega": omega, "phi": [["1", "0"], ["0", "-1"]]},
+    }))
+    code, out, err = run_cli(["construct", str(path)], capsys)
+    assert (code, err) == (0, "")
+    q = extend_heisenberg(1, Matrix(omega, 2), DIAG_1_M1)
+    assert out == dumps_document(AlgebraDocument("h1_omega", q.algebra, q.metric))
+    doc = loads_document(out)
+    assert liealg.bracket(doc.algebra, unit_vector(4, 1), unit_vector(4, 2)) == (0, 0, 0, 2)
+    assert doc.metric.gram.entry(1, 2) == doc.metric.gram.entry(2, 1) == 2
+
+
+def _sl2_document(tmp_path, metric):
+    doc = json.loads(dumps_document(AlgebraDocument("sl2", sl2())))
+    doc["metric"] = metric
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_analyze_reports_a_metric_that_is_not_invariant(tmp_path, capsys):
+    """sl2 with the identity Gram matrix: analyze exits 1 with the
+    violation report, whose metric violations are those of ``check``."""
+    path = _sl2_document(tmp_path, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    code, out, err = run_cli(["analyze", path], capsys)
+    assert (code, err) == (cli.EXIT_VIOLATION, "") == (1, "")
+    report = json.loads(out)
+    assert set(report) == {"name", "dim", "jacobi_violations", "metric_violations"}
+    assert (report["name"], report["dim"], report["jacobi_violations"]) == ("sl2", 3, 0)
+    assert {v["kind"] for v in report["metric_violations"]} == {"invariance"}
+    code, out, _ = run_cli(["check", path], capsys)
+    assert code == 1
+    assert json.loads(out)["metric_violations"] == report["metric_violations"]
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_a_metric_that_is_not_symmetric_is_a_document_error(tmp_path, capsys, command):
+    path = _sl2_document(tmp_path, [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    code, out, err = run_cli([command, path], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: metric: metric must be symmetric\n"
 
 
 def test_construct_precondition_error(tmp_path, capsys):
@@ -394,8 +454,10 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     count("quotient", liealg.quotient)
     count("check_invariant_metric", quadform.check_invariant_metric)
     # one normalized complement, the recovery's, which the decision reuses;
-    # Rad(g) = g is recognized as g, not as a restricted copy; and the only
-    # algebra on a subspace is the nilradical's, for its nilpotency ensure
+    # Rad(g) = g is recognized as g, not as a restricted copy; and the
+    # algebras on a subspace are the nilradical's, for its nilpotency
+    # ensure, and the Heisenberg ideal's, once for the search and once for
+    # the certificate of its data
     count("_normalized_complement", structure._normalized_complement)
     count("restrict_quadratic", quadform.restrict_quadratic)
     count("subalgebra_on", liealg.subalgebra_on)
@@ -403,7 +465,7 @@ def test_analyze_computes_each_invariant_once(monkeypatch, capsys):
     assert code == 0
     assert on_g == {"killing_form": 1, "derived_subalgebra": 1}
     assert (calls.pop("_normalized_complement"), calls.pop("restrict_quadratic")) == (1, 0)
-    assert calls.pop("subalgebra_on") == 1
+    assert calls.pop("subalgebra_on") == 3
     assert calls == {
         "_nilradical": 1,
         "_radical": 1,
@@ -465,18 +527,6 @@ def test_analyze_reuses_the_recognizer_data_for_the_derived_fallback(monkeypatch
     assert code == 0
     assert json.loads(out)["heisenberg_ideal"]["source"] == "derived"
     assert calls == {"_heisenberg_data": 2, "recover_structure": 1}
-
-
-# Coordinate Heisenberg ideals of the corpus documents that the benchmark
-# round-trips; the labels and digests come from bench/reference.json.
-ROUNDTRIP_IDEALS = {
-    "h1_phi": "1,2,3",
-    "h2_phi": "1,2,3,4,5",
-    "build_abelian_line": "2,3,4",
-    "build_rotation_core": "3,4,5",
-    "build_sl2": "4,5,6",
-    "oscillator": "1,2,3",
-}
 
 
 VERDICT_NAMES = {
@@ -758,6 +808,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dim"] == 3
 
 
+def _run_module(args, **kwargs):
+    """``python -m quadlie.cli`` in a child process that imports this
+    checkout's ``src`` first, whether or not the package is installed."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "quadlie.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
 def test_console_script_runs(capsys):
     """Under ``python -m`` the module runs as ``__main__``, with its own
     parser slot; its output is main()'s, byte for byte."""
@@ -765,9 +827,7 @@ def test_console_script_runs(capsys):
         (["check", corpus_path("h1.algebra.json")], 3),
         (["analyze", corpus_path("h1_phi.algebra.json")], 4),
     ):
-        result = subprocess.run(
-            [sys.executable, "-m", "quadlie.cli"] + args, capture_output=True
-        )
+        result = _run_module(args)
         code, out, _ = run_cli(args, capsys)
         assert result.returncode == code == 0
         assert result.stdout == out.encode("utf-8")
@@ -845,9 +905,7 @@ def test_undecodable_stdin_bytes_are_input_error():
     """A raw 0xff in piped stdin is refused, as the same bytes in a file are."""
     data = (CORPUS / "h1_phi.algebra.json").read_bytes().replace(b'"h1_phi"', b'"h1\xffphi"', 1)
     assert b"\xff" in data
-    result = subprocess.run(
-        [sys.executable, "-m", "quadlie.cli", "check", "-"], input=data, capture_output=True
-    )
+    result = _run_module(["check", "-"], input=data)
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr.startswith(b"error: cannot read stdin: ")
 

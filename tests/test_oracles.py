@@ -43,6 +43,9 @@ from oracles import (
     build_with_heisenberg_ideal_direct,
     double_extension_direct,
     extend_heisenberg_direct,
+    heisenberg_data_by_pairs,
+    heisenberg_data_checks_by_pairs,
+    heisenberg_ideal_span,
     ideal_generated_by,
     ideal_generated_by_brackets,
     inverse_fraction,
@@ -75,6 +78,7 @@ from oracles import (
     transport_by_brackets,
     transport_fraction,
     transport_matrix_fraction,
+    transport_subspace,
     transpose_fraction,
 )
 
@@ -138,7 +142,14 @@ from quadlie.randomized import (
     random_symmetric_matrix,
     random_unimodular,
 )
-from quadlie.structure import nilradical, radical, verify_nilradical_theorem
+from quadlie.structure import (
+    HeisenbergIdealData,
+    _heisenberg_data,
+    find_heisenberg_ideal,
+    nilradical,
+    radical,
+    verify_nilradical_theorem,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "quadlie" / "corpus"
@@ -1439,3 +1450,155 @@ def test_integer_spans_match_fraction_bodies_on_random_tables():
         seen.add(_assert_spans_match_fractions(g, random.Random(seed)))
     assert violating > 100
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+# -- the Heisenberg-ideal certificate against the checks one at a time ---------
+
+def _heisenberg_candidates():
+    """(name, g, candidates): Nil(g) and [g, g] of every fixture and corpus
+    algebra, the coordinate Heisenberg ideals of the builder fixtures and of
+    the corpus documents, and 60 seeded builds moved by a unimodular base
+    change, with their coordinate ideal moved along."""
+    out = []
+    # builder outputs with m = 1, in the builder's coordinates
+    builds = {"h1_phi", "build_sl2_fixture", "build_abelian_line_fixture",
+              "build_rotation_core_fixture"}
+    for name, value in _fixture_values():
+        g = value.algebra if isinstance(value, QuadraticLieAlgebra) else value
+        if isinstance(g, LieAlgebra):
+            candidates = [nilradical(g), derived_subalgebra(g)]
+            if name in builds:
+                candidates.append(heisenberg_ideal_span(value, 1))
+            out.append((name, g, candidates))
+    for name, doc in _corpus_documents():
+        g = doc.algebra
+        candidates = [nilradical(g), derived_subalgebra(g)]
+        indices = fixtures.ROUNDTRIP_IDEALS.get(name.split(".")[0])
+        if indices:
+            units = [unit_vector(g.dim, int(i)) for i in indices.split(",")]
+            candidates.append(Subspace.from_vectors(g.dim, units))
+        out.append((name, g, candidates))
+    for seed in range(60):
+        rng = random.Random(seed)
+        S, D, V, sigma = random_build_input(rng)
+        q = build_with_heisenberg_ideal(S, D, V, sigma)
+        P = random_unimodular(rng, q.dim)
+        g = transport_quadratic(q, P).algebra
+        ideal = transport_subspace(heisenberg_ideal_span(q, V.dim // 2), P)
+        out.append((f"seed{seed}", g, [ideal, nilradical(g), derived_subalgebra(g)]))
+    return out
+
+
+HEISENBERG_CANDIDATES = _heisenberg_candidates()
+
+
+def _accepts(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+def _random_in(rng, U: Subspace):
+    """A nonzero seeded integer combination of U's basis rows."""
+    while True:
+        coeffs = [rng.randint(-2, 2) for _ in range(U.dim)]
+        if any(coeffs):
+            return tuple(sum(c * row[j] for c, row in zip(coeffs, U.vectors()))
+                         for j in range(U.ambient_dim))
+
+
+def _mutations(g, h, rng):
+    """(kind, ideal, hbar, v_basis, omega): seeded single-field changes of
+    valid Heisenberg-ideal data."""
+    ideal, hbar, vs, omega = h.ideal, h.hbar, list(h.v_basis), h.omega
+    n, two_m = g.dim, len(vs)
+    i, j = sorted(rng.sample(range(two_m), 2))
+    c = rng.choice((-2, -1, 1, 2))
+    others = Subspace.from_vectors(n, vs[:i] + vs[i + 1:] + [hbar])
+    outside = []
+    while not ideal.is_full() and not outside:
+        w = _random_in(rng, Subspace.full(n))
+        outside = [] if ideal.contains(w) else [("v outside", w)]
+    other = hbar
+    while other == hbar:
+        other = _random_in(rng, ideal)
+    out = [
+        ("hbar", ideal, other, vs, omega),
+        ("hbar doubled", ideal, tuple(2 * x for x in hbar), vs, omega),
+    ]
+    for kind, v in [
+        ("v dependent", _random_in(rng, others)),
+        ("v shifted by hbar", tuple(a + c * b for a, b in zip(vs[i], hbar))),
+        ("v doubled", tuple(2 * x for x in vs[i])),
+    ] + outside:
+        out.append((kind, ideal, hbar, vs[:i] + [v] + vs[i + 1:], omega))
+    rows = [list(row) for row in omega.rows]
+    rows[i][j] += c
+    rows[j][i] -= c
+    out.append(("omega pair", ideal, hbar, vs, Matrix(rows, two_m)))
+    singular = [
+        [0 if i in (a, b) else x for b, x in enumerate(row)] for a, row in enumerate(omega.rows)
+    ]
+    out.append(("omega singular", ideal, hbar, vs, Matrix(singular, two_m)))
+    for _ in range(20 if outside else 0):
+        w = _random_in(rng, Subspace.full(n))
+        moved = Subspace.from_vectors(n, vs[:i] + [w] + vs[i + 1:] + [hbar])
+        if not is_ideal(g, moved):
+            out.append(("not an ideal", moved, hbar, vs, omega))
+            break
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,g,candidates", HEISENBERG_CANDIDATES, ids=[c[0] for c in HEISENBERG_CANDIDATES]
+)
+def test_heisenberg_search_matches_the_pairwise_search(name, g, candidates):
+    """On every ideal candidate ``_heisenberg_data`` returns the data or
+    the reason that the search off the ambient pair brackets returns."""
+    for candidate in candidates:
+        assert is_ideal(g, candidate)
+        found, expected = _heisenberg_data(g, candidate), heisenberg_data_by_pairs(g, candidate)
+        if isinstance(expected, str):
+            assert found == expected
+        else:
+            assert isinstance(found, HeisenbergIdealData)
+            assert (found.hbar, found.v_basis, found.omega) == expected
+            assert (found.algebra, found.ideal) == (g, candidate)
+
+
+def test_heisenberg_certificate_accepts_exactly_what_the_pairwise_checks_accept():
+    """The constructor's one equality with h_m(omega) accepts exactly the
+    data that the separate checks accept: every valid datum found among
+    the candidates and seeded single-field mutations of each.  Valid data
+    and data with one v shifted by a multiple of hbar are accepted, every
+    other kind of mutation is rejected, and a candidate that is not a
+    subalgebra finds no data either way."""
+    outcomes = {}
+    found = 0
+    for index, (name, g, candidates) in enumerate(HEISENBERG_CANDIDATES):
+        rng = random.Random(index)
+        for candidate in candidates:
+            h = find_heisenberg_ideal(g, candidate)
+            if h is None:
+                continue
+            found += 1
+            valid = ("valid", h.ideal, h.hbar, list(h.v_basis), h.omega)
+            for kind, ideal, hbar, vs, omega in [valid] + _mutations(g, h, rng):
+                args = (g, ideal, hbar, tuple(vs), omega)
+                accepted = _accepts(lambda: HeisenbergIdealData(*args))
+                assert accepted == _accepts(lambda: heisenberg_data_checks_by_pairs(*args)), (
+                    name, kind
+                )
+                outcomes.setdefault(kind, set()).add(accepted)
+                if kind == "not an ideal" and not is_subalgebra(g, ideal):
+                    assert find_heisenberg_ideal(g, ideal) is None
+                    assert isinstance(heisenberg_data_by_pairs(g, ideal), str)
+    assert found > 60
+    assert outcomes.pop("valid") == outcomes.pop("v shifted by hbar") == {True}
+    assert outcomes == dict.fromkeys(
+        ("hbar", "hbar doubled", "v dependent", "v doubled", "v outside", "omega pair",
+         "omega singular", "not an ideal"),
+        {False},
+    )
