@@ -11,11 +11,10 @@ byte-deterministic: sorted keys, two-space indent and a trailing newline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 from math import gcd, lcm
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactla import Matrix, _parse_literal, format_rational
 from .heisenberg import (
@@ -38,8 +37,7 @@ class DocumentError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(NamedTuple):
     """An algebra (and optional metric) in interchange form."""
 
     name: str
@@ -159,8 +157,10 @@ def algebra_document_from_json(data: Any) -> AlgebraDocument:
     metric = None
     if data.get("metric") is not None:
         gram = _parse_matrix(data["metric"], "metric", nrows=dim, ncols=dim)
-        _expect(gram.is_symmetric(), "metric must be symmetric", "metric")
-        metric = BilinearForm(gram)
+        try:
+            metric = BilinearForm(gram)
+        except ValueError:  # gram is dim x dim: it failed the symmetry check
+            raise DocumentError("metric must be symmetric", "metric") from None
     return AlgebraDocument(name, algebra, metric)
 
 

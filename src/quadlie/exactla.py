@@ -717,15 +717,24 @@ class Subspace:
         return self._all_in(other.basis._ints)
 
     def coordinates_of(self, v: Sequence[Scalar]) -> Optional[Vector]:
-        """Coordinates of ``v`` in the rref basis, or None if outside: the
-        entries of v at the pivot columns, once ``_all_in`` has checked on
-        the integers that v lies in the subspace."""
-        v = vector(v)
-        if len(v) != self.ambient_dim:
+        """Coordinates of ``v`` in the rref basis, or None if outside."""
+        C = self.coordinate_rows((v,))
+        return None if C is None else C.rows[0]
+
+    def coordinate_rows(self, vectors: Iterable[Sequence[Scalar]]) -> Optional[Matrix]:
+        """The coordinates of each of ``vectors`` in the rref basis, as the
+        rows of a Matrix, or None if one lies outside: their entries at the
+        pivot columns, once one ``_all_in`` has checked on the integers
+        that all of them lie in the subspace."""
+        rows = tuple([vector(v) for v in vectors])
+        if any(len(v) != self.ambient_dim for v in rows):
             raise ValueError("vector length does not match ambient dimension")
-        if not self._all_in((_integer_row(v)[1],)):
+        M = Matrix._unchecked(rows, self.ambient_dim)
+        if not self._all_in(M._ints):
             return None
-        return tuple(v[c] for c in self.pivots)
+        return Matrix._from_ints(
+            tuple([tuple([row[p] for p in self.pivots]) for row in M._ints]), self.dim, M._den
+        )
 
     def _all_in(self, rows: Iterable[Sequence[int]]) -> bool:
         """Whether every integer row w lies in the subspace, read in its rref

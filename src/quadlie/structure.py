@@ -12,10 +12,9 @@ decision whether one exists, the nilradical-theorem verifier, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
 from .exactla import (
@@ -154,7 +153,6 @@ def _nilradical(g: LieAlgebra, R: Subspace, K_g: Matrix) -> Subspace:
 # Heisenberg ideal detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HeisenbergIdealData:
     """An embedded ideal isomorphic to h_m, with the algebra it lies in.
 
@@ -163,42 +161,60 @@ class HeisenbergIdealData:
     the induced symplectic form: [v_i, v_j] = omega[i][j] hbar.
     Construction checks all of this on ``algebra`` and raises
     ``ValueError`` otherwise, so the functions that take an instance only
-    check that it belongs to their algebra.  Past the sizes and
+    check that it belongs to their algebra; the instance is immutable, and
+    copies are built through the same checks.  Past the sizes and
     ``is_ideal`` the check is one equality: the ideal, transported to the
     basis (v_1, ..., v_2m, hbar), is ``heisenberg(m, omega)``, which
     validates omega.  The base change C holds the coordinates of v_1, ...,
-    v_2m, hbar in the ideal's rref basis, so it is invertible exactly when
-    they are a basis of the ideal, and equality of the integer tables says
-    [v_i, v_j] = omega_ij hbar for i < j and [v_i, hbar] = 0.
+    v_2m, hbar in the ideal's rref basis, read in one pass, so it is
+    invertible exactly when they are a basis of the ideal, and equality of
+    the integer tables says [v_i, v_j] = omega_ij hbar for i < j and
+    [v_i, hbar] = 0.
     """
 
-    algebra: LieAlgebra
-    ideal: Subspace
-    hbar: Vector
-    v_basis: tuple
-    omega: Matrix
+    __slots__ = ("algebra", "ideal", "hbar", "v_basis", "omega")
 
-    def __post_init__(self):
-        g = self.algebra
-        if self.ideal.ambient_dim != g.dim:
+    def __init__(
+        self, algebra: LieAlgebra, ideal: Subspace, hbar: Vector, v_basis: tuple, omega: Matrix
+    ):
+        if ideal.ambient_dim != algebra.dim:
             raise ValueError("ideal ambient dimension mismatch")
-        dim = self.ideal.dim
+        dim = ideal.dim
         if dim < 3 or dim % 2 == 0:
             raise ValueError("Heisenberg ideal must have odd dimension >= 3")
-        if len(self.v_basis) != dim - 1:
+        if len(v_basis) != dim - 1:
             raise ValueError("v_basis size does not match the ideal dimension")
-        if not is_ideal(g, self.ideal):
+        if not is_ideal(algebra, ideal):
             raise ValueError("the subspace is not an ideal")
-        C = [self.ideal.coordinates_of(v) for v in (*self.v_basis, self.hbar)]
-        if None in C or Matrix(C, dim).det() == 0:
+        C = ideal.coordinate_rows((*v_basis, hbar))
+        if C is None or C.det() == 0:
             raise ValueError("v_basis and hbar do not span the ideal")
-        inside = transport(subalgebra_on(g, self.ideal), Matrix(C, dim))
-        if inside != heisenberg(self.m, self.omega):
+        if transport(subalgebra_on(algebra, ideal), C) != heisenberg((dim - 1) // 2, omega):
             raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
+        for name, value in zip(self.__slots__, (algebra, ideal, hbar, v_basis, omega)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HeisenbergIdealData is immutable")
+
+    def __reduce__(self):
+        return HeisenbergIdealData, self._values()
+
+    def _values(self) -> tuple:
+        return (self.algebra, self.ideal, self.hbar, self.v_basis, self.omega)
 
     @property
     def m(self) -> int:
         return (self.ideal.dim - 1) // 2
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HeisenbergIdealData) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"HeisenbergIdealData(m={self.m} in dim {self.algebra.dim})"
 
 
 def _heisenberg_data(
@@ -272,8 +288,7 @@ def _require_own_data(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> None:
 # structure recovery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecoveredStructure:
+class RecoveredStructure(NamedTuple):
     """Output of structure recovery: the data that rebuilds the algebra.
 
     ``base_change`` has rows (s-basis..., d, v-basis..., hbar) in the
@@ -502,8 +517,7 @@ def recover_structure(
 # extended-Heisenberg recognizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtendedHeisenbergVerdict:
+class ExtendedHeisenbergVerdict(NamedTuple):
     """The algebra is h_m(phi); transporting by the certificate equals it.
 
     The certificate is ``recovered.base_change``, and the extend_heisenberg
@@ -513,8 +527,7 @@ class ExtendedHeisenbergVerdict:
     recovered: RecoveredStructure
 
 
-@dataclass(frozen=True)
-class DecomposableVerdict:
+class DecomposableVerdict(NamedTuple):
     """A nondegenerate ideal splits the algebra orthogonally."""
 
     ideal: Subspace
@@ -522,8 +535,7 @@ class DecomposableVerdict:
     recovered: RecoveredStructure
 
 
-@dataclass(frozen=True)
-class NotApplicableVerdict:
+class NotApplicableVerdict(NamedTuple):
     """The derived subalgebra is not a Heisenberg ideal."""
 
     reason: str
@@ -569,8 +581,7 @@ def _recognize(
 # quotient metrics and complement subalgebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplementWitness:
+class ComplementWitness(NamedTuple):
     """A subalgebra complement to the Heisenberg ideal, with the invariant
     quotient metric it was built from and the c with F = ad(c)."""
 
@@ -579,8 +590,7 @@ class ComplementWitness:
     c: Vector
 
 
-@dataclass(frozen=True)
-class QuotientMetricObstruction:
+class QuotientMetricObstruction(NamedTuple):
     """Proof that g/h_m admits no invariant metric.
 
     On the normalized complement a_1, ..., a_k write [a_i, a_j] =
@@ -857,8 +867,7 @@ def _quotient_metric_decision(q: QuadraticLieAlgebra, h: HeisenbergIdealData, co
 # nilradical theorem verifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilradicalTheoremReport:
+class NilradicalTheoremReport(NamedTuple):
     """Clause-by-clause verification that Rad(g) is a nondegenerate ideal
     isomorphic to an extended Heisenberg algebra when Nil(g) = h_m.
 
@@ -946,8 +955,7 @@ def _nilradical_theorem(
 # the analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything ``analyze`` finds about one quadratic algebra.
 
     ``source`` says where the Heisenberg ideal was looked for: "given",

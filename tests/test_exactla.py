@@ -267,6 +267,12 @@ def test_coordinates_of():
     U = Subspace.from_vectors(3, [vector([1, 0, 1]), vector([0, 1, 1])])
     assert U.coordinates_of(vector([2, 3, 5])) == (Fraction(2), Fraction(3))
     assert U.coordinates_of(vector([0, 0, 1])) is None
+    # all rows at once: one membership check, then the pivot entries
+    assert U.coordinate_rows([(2, 3, 5), (1, 0, 1)]) == Matrix([[2, 3], [1, 0]], 2)
+    assert U.coordinate_rows([(2, 3, 5), (0, 0, 1)]) is None
+    assert U.coordinate_rows([]) == Matrix([], 2)
+    with pytest.raises(ValueError, match="vector length"):
+        U.coordinate_rows([(1, 0, 1), (1, 0)])
 
 
 def test_products_return_fractions_even_when_every_term_is_skipped():

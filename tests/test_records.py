@@ -1,0 +1,179 @@
+"""The result records and the modules that importing the CLI loads."""
+
+import copy
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from fixtures import (
+    build_abelian_line_fixture,
+    build_rotation_core_fixture,
+    h1_phi,
+    sl2_quadratic,
+)
+from oracles import heisenberg_ideal_span
+from quadlie import structure
+from quadlie.documents import AlgebraDocument, loads_document
+from quadlie.exactla import Subspace, unit_vector
+from quadlie.liealg import derived_subalgebra
+from quadlie.structure import (
+    Analysis,
+    ComplementWitness,
+    DecomposableVerdict,
+    ExtendedHeisenbergVerdict,
+    HeisenbergIdealData,
+    NilradicalTheoremReport,
+    NotApplicableVerdict,
+    QuotientMetricObstruction,
+    RecoveredStructure,
+    analyze,
+    find_heisenberg_ideal,
+    has_invariant_quotient_metric,
+    recognize_extended_heisenberg,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+RECORDS = {
+    RecoveredStructure: (
+        "s_basis", "D", "d", "sigmaD", "heis", "base_change", "core", "rebuilt", "complement",
+    ),
+    ExtendedHeisenbergVerdict: ("recovered",),
+    DecomposableVerdict: ("ideal", "factors", "recovered"),
+    NotApplicableVerdict: ("reason",),
+    ComplementWitness: ("complement", "quotient_metric", "c"),
+    QuotientMetricObstruction: ("complement", "y"),
+    NilradicalTheoremReport: ("nilradical", "radical", "heisenberg", "clauses", "radical_verdict"),
+    Analysis: ("theorem", "verdict", "source", "heisenberg", "recovery", "quotient_metric"),
+    AlgebraDocument: ("name", "algebra", "metric"),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_fields_construction_equality_and_immutability(cls):
+    """Field names and order, positional and keyword construction, no
+    default but ``AlgebraDocument``'s metric, equality and hash by value,
+    no assignment, and a repr that starts with the class name."""
+    fields = RECORDS[cls]
+    values = [f"value {i}" for i in range(len(fields))]
+    record = cls(*values)
+    assert cls(**dict(zip(fields, values))) == record
+    assert [getattr(record, name) for name in fields] == values
+    assert hash(cls(*values)) == hash(record)
+    assert cls(*values[:-1], "other") != record
+    if cls is AlgebraDocument:
+        assert cls("name", "algebra").metric is None
+    else:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], "changed")
+    with pytest.raises(AttributeError):
+        record.extra = "changed"
+    assert getattr(record, fields[0]) == "value 0"
+    assert repr(record).startswith(cls.__name__ + "(")
+
+
+def test_records_from_the_analysis_compare_by_value():
+    """Two analyses of the same algebra give equal records of every kind,
+    and the properties read the fields."""
+    q = h1_phi()
+    first, second = analyze(q), analyze(q)
+    assert first == second
+    assert first.source == "nilradical"
+    assert isinstance(first.verdict, ExtendedHeisenbergVerdict)
+    assert isinstance(first.quotient_metric, ComplementWitness)
+    assert first.heisenberg == second.heisenberg and first.heisenberg.m == 1
+    theorem = first.theorem
+    assert theorem.applicable and theorem.whole_algebra and theorem.passed
+    assert theorem.radical_verdict == first.verdict
+    assert first.recovery == second.recovery
+    assert isinstance(recognize_extended_heisenberg(build_abelian_line_fixture()),
+                      DecomposableVerdict)
+    not_applicable = analyze(sl2_quadratic())
+    assert not_applicable.verdict == NotApplicableVerdict(
+        "derived subalgebra of the candidate has dimension 3, expected 1"
+    )
+    assert not not_applicable.theorem.applicable and not not_applicable.theorem.passed
+    assert not not_applicable.theorem.whole_algebra
+    q3 = build_rotation_core_fixture()
+    h3 = find_heisenberg_ideal(q3.algebra, heisenberg_ideal_span(q3, 1))
+    found = has_invariant_quotient_metric(q3, h3)
+    assert found == QuotientMetricObstruction(*found) != ComplementWitness(None, None, None)
+
+
+def test_document_records_from_the_corpus():
+    """Documents parsed twice are equal with equal hashes; the metric is
+    the one optional field."""
+    for name in ("h1", "h1_phi"):
+        with open(os.path.join(ROOT, "src", "quadlie", "corpus", f"{name}.algebra.json")) as handle:
+            text = handle.read()
+        doc = loads_document(text)
+        assert doc == AlgebraDocument(doc.name, doc.algebra, doc.metric) == loads_document(text)
+        assert hash(doc) == hash(loads_document(text))
+        if doc.metric is None:
+            assert doc == AlgebraDocument(doc.name, doc.algebra)
+        else:
+            assert doc.quadratic().algebra == doc.algebra
+
+
+def _heisenberg_data():
+    g = h1_phi().algebra
+    return find_heisenberg_ideal(g, derived_subalgebra(g))
+
+
+def test_heisenberg_data_construction_equality_and_immutability():
+    h = _heisenberg_data()
+    values = (h.algebra, h.ideal, h.hbar, h.v_basis, h.omega)
+    by_keyword = HeisenbergIdealData(
+        algebra=h.algebra, ideal=h.ideal, hbar=h.hbar, v_basis=h.v_basis, omega=h.omega
+    )
+    assert HeisenbergIdealData(*values) == by_keyword == h
+    assert hash(by_keyword) == hash(h)
+    assert h.m == 1
+    scaled = HeisenbergIdealData(
+        h.algebra, h.ideal, tuple(2 * x for x in h.hbar), h.v_basis, h.omega.scale(Fraction(1, 2))
+    )
+    assert scaled != h and h != values
+    for name in ("algebra", "ideal", "hbar", "v_basis", "omega", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
+    assert not hasattr(h, "__dict__")
+    assert repr(h).startswith("HeisenbergIdealData(")
+
+
+def test_heisenberg_data_has_no_path_around_its_checks(monkeypatch):
+    """No ``_replace`` or ``_make``, and a copy is built by the checking
+    constructor, which still refuses invalid data."""
+    h = _heisenberg_data()
+    assert not hasattr(h, "_replace") and not hasattr(h, "_make")
+    checked = []
+    is_ideal = structure.is_ideal
+    monkeypatch.setattr(structure, "is_ideal", lambda g, U: checked.append(U) or is_ideal(g, U))
+    assert copy.copy(h) == h and checked == [h.ideal]
+    with pytest.raises(ValueError, match="do not span the ideal"):
+        HeisenbergIdealData(h.algebra, h.ideal, unit_vector(4, 1), h.v_basis, h.omega)
+    with pytest.raises(ValueError, match="not h_m"):
+        HeisenbergIdealData(h.algebra, h.ideal, h.hbar, h.v_basis, h.omega.scale(2))
+    with pytest.raises(ValueError, match="vector length"):
+        HeisenbergIdealData(h.algebra, h.ideal, h.hbar + (0,), h.v_basis, h.omega)
+    with pytest.raises(ValueError, match="not an ideal"):
+        first_three = Subspace.from_vectors(4, [unit_vector(4, i) for i in range(3)])
+        HeisenbergIdealData(h.algebra, first_three, h.hbar, h.v_basis, h.omega)
+
+
+def test_importing_the_cli_loads_every_traced_layer_and_no_dataclasses():
+    """A fresh interpreter without ``site``: the CLI and the randomized
+    builders import neither ``dataclasses`` nor ``inspect``, and every
+    layer the benchmark's tracer wraps is loaded by ``import quadlie.cli``."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import quadlie.cli, quadlie.randomized; "
+            "print(' '.join(sorted(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, os.path.join(ROOT, "src")],
+                            capture_output=True, text=True, check=True)
+    loaded = set(result.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    layers = ("exactla", "liealg", "quadform", "heisenberg", "structure", "documents", "cli")
+    assert {f"quadlie.{layer}" for layer in layers} <= loaded

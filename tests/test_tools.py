@@ -80,6 +80,21 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
     assert json.loads(json.dumps(line)) == line
 
 
+def test_time_solvers_prints_the_import_time_first(monkeypatch, capsys):
+    """The first line is the median import time of every layer in fresh
+    interpreters, the figure ``bench/run.py`` adds to ``setup_s``."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import time_solvers
+
+    monkeypatch.setattr(time_solvers, "SHAPES", ())
+    assert time_solvers.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert list(line) == ["import_s"]
+    assert isinstance(line["import_s"], float) and 0 < line["import_s"] < 10
+
+
 def test_time_solvers_counts_the_closure_rounds(monkeypatch):
     """sl2 beside the dim-6 filiform algebra: its radical is nilpotent, so
     K_R = 0 and the closure runs until no pivot is new, one span per round;

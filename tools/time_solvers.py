@@ -19,9 +19,12 @@ workload.  Standard library only, no options:
 
     python tools/time_solvers.py
 
-Prints one JSON line per shape: the shape, the dimension, the seconds of
-each call (``time.perf_counter``, one call, set-up excluded; ``loads_s``
-and ``dumps_s`` for the boundary), the
+Prints first one JSON line ``{"import_s": ...}``: the median seconds of
+``import quadlie.cli, quadlie.randomized`` over 5 fresh interpreters,
+measured by ``bench/run.py``'s own ``import_times``, the import part of
+its ``setup_s``.  Then one JSON line per shape: the shape, the
+dimension, the seconds of each call (``time.perf_counter``, one call,
+set-up excluded; ``loads_s`` and ``dumps_s`` for the boundary), the
 dimension of each solution space and that of the nilradical, the
 number of equations of each solver's system (``invariance_rows``,
 ``cocycle_rows``: the nonzero rows passed to ``kernel``), and the
@@ -36,6 +39,7 @@ import contextlib
 import io
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -44,6 +48,7 @@ for path in (ROOT, ROOT / "src"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from bench.run import import_times  # noqa: E402
 from bench.workloads import grid_algebras  # noqa: E402
 from quadlie import cli  # noqa: E402
 from quadlie.documents import (  # noqa: E402
@@ -153,6 +158,7 @@ def time_solvers(shape) -> dict:
 
 
 def main() -> int:
+    print(json.dumps({"import_s": round(statistics.median(import_times()), 4)}), flush=True)
     for shape in SHAPES:
         print(json.dumps(time_solvers(shape)), flush=True)
     return 0
