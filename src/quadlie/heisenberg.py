@@ -62,6 +62,9 @@ class SymplecticSpace:
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticSpace) and self.omega == other.omega
 
+    def __hash__(self) -> int:
+        return hash(self.omega)
+
     def __repr__(self) -> str:
         return f"SymplecticSpace(dim={self.dim})"
 
@@ -100,6 +103,9 @@ class SymplecticMap:
             and self.space == other.space
             and self.matrix == other.matrix
         )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.matrix))
 
     def __repr__(self) -> str:
         return f"SymplecticMap(dim={self.space.dim})"

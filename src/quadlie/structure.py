@@ -13,14 +13,16 @@ decision whether one exists, the nilradical-theorem verifier, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
 from .exactla import (
     Matrix,
+    SparseSystem,
     Subspace,
     Vector,
+    _echelon,
     _fractions,
     dot,
     form_restrict_nondegenerate,
@@ -31,7 +33,6 @@ from .exactla import (
     solve,
     sub_vec,
     sum_intersect,
-    unit_vector,
 )
 from .heisenberg import SymplecticMap, _assemble, heisenberg, in_omega_algebra
 from .liealg import (
@@ -82,22 +83,24 @@ def _radical(K: Matrix, derived: Subspace) -> Subspace:
 def nilradical(g: LieAlgebra, R: Optional[Subspace] = None) -> Subspace:
     """Maximal nilpotent ideal, as one linear system over the radical.
 
-    With R = Rad(g) of dimension k and A the associative algebra generated
-    by the ad_R(x), x in R, Nil(g) = {x in R : trace(ad_R(x) b) = 0 for b
-    in a spanning set of A} in characteristic zero (de Graaf, Lie Algebras:
-    Theory and Algorithms, 2000).  Any such kernel contains Nil(g), which
-    contains the floor [g, R] + Z(g), a sum of nilpotent ideals; a kernel
-    no larger than the floor is Nil(g).  In round one b runs over the
-    generators ad_R(e_s), whose trace rows are the Killing form K_R of R;
-    Z(g) joins the floor only if ker K_R exceeds [g, R].  K_R = R K(g) R^T:
-    for x, y in the ideal R, ad x ad y maps g into R.
+    With R = Rad(g) and A the associative algebra generated by the ad_R(x),
+    x in R, Nil(g) = {x in R : trace(ad_R(x) b) = 0 for b in A} in
+    characteristic zero (de Graaf, Lie Algebras: Theory and Algorithms,
+    2000).  A kernel of some of these rows contains Nil(g), hence the floor
+    [g, R] + Z(g), and is Nil(g) if no larger than the floor or nilpotent
+    and an ideal.  For b = ad_R(e_t) the rows are the Killing form K_R =
+    R K(g) R^T of the ideal R; R is tested first if K_R = 0, and Z(g) joins
+    the floor only if ker K_R exceeds [g, R].
 
-    Otherwise A grows on rref subspaces of the flattened k x k matrices:
-    A_r is A_(r-1) plus the generators times the f rows with a new pivot
-    in A_(r-1), formed in one product (the generators stacked, k^2 x k,
-    times those rows side by side, k x k f), and as the pivots are nested
-    only those rows add trace rows.  Once no pivot is new, A_r = A.
-    Pass R = Rad(g) if it is known.
+    Otherwise only the ad_R(e_c) generate words, e_c the unit vectors of R
+    at the non-pivot columns of the floor in R's coordinates: for n in the
+    floor, in Nil(R), ad_R(n) is strictly triangular in a Lie flag of the
+    solvable R, so a word holding one lies in a nilpotent ideal of A,
+    inside Rad A, where trace(ad_R(x) b) = 0.  A grows on integer rows:
+    A_r is A_(r-1) plus the generators times the rows with a new pivot in
+    A_(r-1), which alone add trace rows, as the pivots are nested.  A
+    kernel a round leaves unchanged is tested; once no pivot is new, A_r =
+    A.  Pass R = Rad(g) if known.
     """
     return _nilradical(g, radical(g) if R is None else R, killing_form(g))
 
@@ -109,37 +112,39 @@ def _nilradical(g: LieAlgebra, R: Subspace, K_g: Matrix) -> Subspace:
         return R
     K = restricted_gram(K_g, R)
     coords = kernel(K)
-    floor = bracket_subspaces(g, Subspace.full(g.dim), R)
+    floor, gR = bracket_subspaces(g, Subspace.full(g.dim), R), None
+    if coords.dim == k > floor.dim:
+        gR = subalgebra_on(g, R)
+        if is_ideal(g, R) and is_nilpotent(gR):
+            return R
     if coords.dim > floor.dim:
         floor = sum_intersect(floor, center(g))[0]
     if coords.dim > floor.dim:
-        gR = subalgebra_on(g, R)
-        ads = [ad(gR, unit_vector(k, i)) for i in range(k)]
-        # trace(ad_t B) = sum_ij (ad_t)_ji B_ij: B flattened times column t
-        traces = Matrix.from_columns([M.transpose().flatten() for M in ads], k * k)
-        stacked = Matrix._unchecked(tuple(chain.from_iterable(M.rows for M in ads)), k)
-        A = Subspace.from_vectors(k * k, [M.flatten() for M in ads])
-        fresh, trace_rows = A.vectors(), K.rows
-    while coords.dim > floor.dim:
-        # row i of W_f, for every fresh row W_f, side by side
-        side = tuple(
-            tuple(chain.from_iterable(row[i * k:(i + 1) * k] for row in fresh)) for i in range(k)
-        )
-        # block (t, f) of the product is ad_t W_f
-        blocks = (stacked @ Matrix._unchecked(side, k * len(fresh))).rows
-        words = [
-            tuple(chain.from_iterable(row[f * k:(f + 1) * k] for row in blocks[t * k:(t + 1) * k]))
-            for f in range(len(fresh))
-            for t in range(k)
-        ]
-        grown = Subspace.from_vectors(k * k, A.vectors() + tuple(words))
-        old = set(A.pivots)
-        fresh = tuple(row for row, p in zip(grown.vectors(), grown.pivots) if p not in old)
-        if not fresh:
-            break
-        A = grown
-        trace_rows += (Matrix._unchecked(fresh, k * k) @ traces).rows
-        coords = kernel(Matrix._unchecked(trace_rows, k))
+        _, table = _integer_table(gR or subalgebra_on(g, R))
+        at = [{t: row[p] for t, p in enumerate(R.pivots) if row[p]} for row in floor.basis._ints]
+        skip = _echelon(at, k)[1]
+        gens = [row for c, row in enumerate(table) if c not in skip]
+        # entry (i, l) of d ad_R(e_c) is the e_i-part of d [e_c, e_l]
+        flat = [{i * k + l: c for l, terms in enumerate(row) for i, c in terms} for row in gens]
+        A, pivots = _echelon(flat, k * k)
+        fresh, trace_rows, before = A, list(K._ints), k
+    while coords.dim > floor.dim and fresh:
+        if coords.dim == before < k:
+            nil = Subspace(g.dim, coords.basis @ R.basis)
+            if is_ideal(g, nil) and is_nilpotent(subalgebra_on(g, nil)):
+                return nil
+        words = SparseSystem(k * k)
+        for row in gens:
+            for W in fresh:
+                words.add((i * k + lj % k, c * w) for lj, w in W.items() for i, c in row[lj // k])
+        A, grown = _echelon(A + words.rows, k * k)
+        fresh = [row for row, p in zip(A, grown) if p not in pivots]
+        # trace(ad_t W) = sum_il (ad_t)_il W_li
+        trace_rows += [tuple([
+            sum(c * W.get(l * k + i, 0) for l, terms in enumerate(row) for i, c in terms)
+            for row in table
+        ]) for W in fresh]
+        before, coords, pivots = coords.dim, kernel(Matrix._from_ints(tuple(trace_rows), k)), grown
     nil = floor if coords.dim <= floor.dim else Subspace(g.dim, coords.basis @ R.basis)
     ensure(is_ideal(g, nil), "nilradical candidate is not an ideal")
     ensure(
@@ -245,10 +250,7 @@ def _heisenberg_data(
         return failed
     derived = derived_subalgebra(inside)
     if derived.dim != 1:
-        return (
-            "derived subalgebra of the candidate has dimension "
-            f"{derived.dim}, expected 1"
-        )
+        return f"derived subalgebra of the candidate has dimension {derived.dim}, expected 1"
     p = derived.pivots[0]
     hbar = (derived.basis @ candidate.basis).rows[0]
     kept = [i for i in range(dim) if i != p]
@@ -335,9 +337,7 @@ def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Li
     ensure(gamma is not None, "hbar does not lie in V^perp")
     pivot = next((i for i, c in enumerate(gamma) if c != 0), None)
     ensure(pivot is not None, "hbar vanished in V^perp coordinates")
-    a_vecs = [
-        row for i, row in enumerate(Vperp.vectors()) if i != pivot
-    ]
+    a_vecs = [row for i, row in enumerate(Vperp.vectors()) if i != pivot]
     # the proof above rests on every a lying in V^perp
     for a in a_vecs:
         ensure(is_zero_vec(VG.apply(a)), "complement does not lie in V^perp")
@@ -438,10 +438,7 @@ def recover_structure(
         for j in range(i + 1, k):
             c = coords(i, j)
             ensure(c[d_slot] == 0, "[S, S] has a d-component")
-            ensure(
-                all(c[t] == 0 for t in v_slots),
-                "[S, S] has a V-component",
-            )
+            ensure(all(c[t] == 0 for t in v_slots), "[S, S] has a V-component")
             s_structure[(i, j)] = list(enumerate(c[:k]))
 
     D_cols = []
@@ -456,10 +453,7 @@ def recover_structure(
     sigma_cols = []
     for j in v_slots:
         c = coords(d_slot, j)
-        ensure(
-            all(c[t] == 0 for t in range(k)) and c[d_slot] == 0,
-            "[d, V] left V",
-        )
+        ensure(all(c[t] == 0 for t in range(k)) and c[d_slot] == 0, "[d, V] left V")
         ensure(c[h_slot] == 0, "[d, V] has an hbar-component")
         sigma_cols.append(c[k + 1:h_slot])
     sigma_mat = Matrix._from_ints(tuple(zip(*sigma_cols)), two_m, dT)
@@ -487,10 +481,7 @@ def recover_structure(
     s_algebra = LieAlgebra._from_ints(k, dT, s_structure, [f"s{t + 1}" for t in range(k)])
     core = QuadraticLieAlgebra._unchecked(s_algebra, BilinearForm(B_S))
     ensure(is_derivation(s_algebra, D_mat), "recovered D is not a derivation")
-    ensure(
-        (D_mat.transpose() @ B_S + B_S @ D_mat).is_zero(),
-        "recovered D is not skew-symmetric",
-    )
+    ensure((D_mat.transpose() @ B_S + B_S @ D_mat).is_zero(), "recovered D is not skew-symmetric")
 
     # h checked omega, the ensures above sigma(D)
     sigma_map = SymplecticMap._unchecked(h.omega, sigma_mat)
@@ -500,17 +491,7 @@ def recover_structure(
         transported == rebuilt,
         "round trip failed: transported algebra differs from the rebuilt one",
     )
-    return RecoveredStructure(
-        s_basis=S_sub,
-        D=D_mat,
-        d=d,
-        sigmaD=sigma_map,
-        heis=h,
-        base_change=P,
-        core=core,
-        rebuilt=rebuilt,
-        complement=tuple(a_vecs),
-    )
+    return RecoveredStructure(S_sub, D_mat, d, sigma_map, h, P, core, rebuilt, tuple(a_vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -804,10 +785,7 @@ def _complement_from_metric(
     ensure(comp.dim == qd, "complement rows are dependent")
     ensure(is_subalgebra(g, comp), "constructed complement is not a subalgebra")
     total, meet = sum_intersect(comp, h.ideal)
-    ensure(
-        total.is_full() and meet.is_zero(),
-        "constructed subspace is not a complement",
-    )
+    ensure(total.is_full() and meet.is_zero(), "constructed subspace is not a complement")
     return ComplementWitness(comp, Ba, A.transpose().apply(c))
 
 

@@ -98,6 +98,8 @@ from quadlie.exactla import (
     Subspace,
     form_restrict_nondegenerate,
     kernel,
+    restricted_gram,
+    sum_intersect,
     unit_vector,
     zero_vector,
 )
@@ -116,6 +118,7 @@ from quadlie.liealg import (
     direct_sum,
     is_derivation,
     is_ideal,
+    is_nilpotent,
     is_solvable,
     is_subalgebra,
     killing_form,
@@ -142,6 +145,7 @@ from quadlie.randomized import (
     random_symmetric_matrix,
     random_unimodular,
 )
+from quadlie import structure as structure_module
 from quadlie.structure import (
     HeisenbergIdealData,
     _heisenberg_data,
@@ -1280,39 +1284,73 @@ def _filiform(n):
     return LieAlgebra(n, {(0, i): [(i + 1, 1)] for i in range(1, n - 1)})
 
 
+def _counting_closure(monkeypatch, k):
+    """Record (rows in, pivots out) of each elimination of flattened
+    k x k matrices that ``structure._nilradical`` runs."""
+    calls = []
+    echelon = structure_module._echelon
+
+    def counting_echelon(rows, ncols):
+        done, pivots = echelon(rows, ncols)
+        if ncols == k * k:
+            calls.append((len(rows), len(pivots)))
+        return done, pivots
+
+    monkeypatch.setattr(structure_module, "_echelon", counting_echelon)
+    return calls
+
+
 def test_nilradical_forms_each_round_of_words_in_one_product(monkeypatch):
-    """sl2 beside the dim-7 filiform algebra, whose radical R is that
-    nilpotent summand: K_R = 0, so the kernel stays above the floor
-    [g, R] + Z(g) and the closure runs until no pivot is new (R is not g,
-    so the map back to g is no k x k product).  The words of each round
-    but the last come from one product, the k generators stacked (k^2 x k)
-    times the f rows new in that round side by side (k x k f), and no
-    generator meets a word alone (a k x k times k x k product)."""
-    g = direct_sum(fixtures.sl2(), _filiform(7))
+    """sl2 beside the two cyclic shifts, whose radical R is that solvable,
+    non-nilpotent summand: K_R = 0 but R is not nilpotent, so the kernel
+    stays above the floor [g, R] + Z(g) for two rounds of words (R is not
+    g, so the generators are read in R's rref basis).  The generators are
+    the ad_R of the s = dim R - dim floor unit vectors of R off the
+    floor's pivots, reduced in one elimination.  Each round forms the s
+    generators times each row new in the last elimination, s x (fresh
+    rows) words, and reduces the nonzero ones with the rows of A in one
+    elimination; no matrix product meets a k^2-wide or a k x k matrix."""
+    g = direct_sum(fixtures.sl2(), fixtures.two_cyclic_shifts())
     R = radical(g)
     k = R.dim
-    shapes, dims = [], [0]
-    matmul, from_vectors = Matrix.__matmul__, Subspace.from_vectors.__func__
+    floor = sum_intersect(bracket_subspaces(g, Subspace.full(g.dim), R), center(g))[0]
+    s = k - floor.dim
+    shapes, rounds = [], []
+    matmul = Matrix.__matmul__
 
     def counting_matmul(A, B):
         shapes.append((A.shape, B.shape))
         return matmul(A, B)
 
-    def counting_from_vectors(cls, ambient_dim, vectors):
-        result = from_vectors(cls, ambient_dim, vectors)
-        if ambient_dim == k * k:
-            dims.append(result.dim)
-        return result
+    class CountingSystem(SparseSystem):
+        """Counts the words added to each k^2-wide system of words."""
 
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            if ncols == k * k:
+                rounds.append(self)
+                self.added = 0
+
+        def add(self, terms):
+            if self.ncols == k * k:
+                self.added += 1
+            super().add(terms)
+
+    calls = _counting_closure(monkeypatch, k)
     monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(Subspace, "from_vectors", classmethod(counting_from_vectors))
+    monkeypatch.setattr(structure_module, "SparseSystem", CountingSystem)
     nil = nilradical(g, R)
     monkeypatch.undo()
-    assert nil == nilradical_incremental(g)
-    words = [B for A, B in shapes if A == (k * k, k)]
-    assert len(dims) >= 4 and len(words) == len(dims) - 2 and dims[-1] == dims[-2]
-    assert words == [(k, k * (after - before)) for before, after in zip(dims, dims[1:-1])]
-    assert ((k, k), (k, k)) not in shapes
+    assert nil == floor == nilradical_incremental(g)
+    assert (g.dim, k, s) == (12, 9, 2) and len(calls) == 3 == len(rounds) + 1
+    assert calls[0] == (s, s)
+    dims = [0] + [done for _, done in calls]
+    # round r: s words for each row new in A_(r-1), the nonzero ones beside A_(r-1)
+    for r, words in enumerate(rounds, start=1):
+        assert words.added == s * (dims[r] - dims[r - 1])
+        assert calls[r][0] == dims[r] + words.nrows
+    assert any(words.nrows < words.added for words in rounds)  # x y = y x = 0
+    assert not any(k * k in A + B or (A, B) == ((k, k), (k, k)) for A, B in shapes)
 
 
 # the four grid_analyze algebras and 40 seeded builds of dim 4 to 12
@@ -1322,10 +1360,10 @@ SETTLING = [("grid", index) for index in range(4)] + [("seed", seed) for seed in
 @pytest.mark.parametrize("source,index", SETTLING, ids=[f"{s}{i}" for s, i in SETTLING])
 def test_nilradical_settles_in_round_one(monkeypatch, source, index):
     """ker K_R meets the floor [g, R] + Z(g) on these inputs, so the
-    nilradical builds no span of k x k matrices (no k^2-wide
-    ``Subspace.from_vectors``) and still equals the word closure; Cartan's
-    criterion agrees with the derived series, sl2 cores included.  On
-    grid1 Z(g) is not in [g, R], so the floor needs it."""
+    nilradical eliminates no flattened k x k matrices (no k^2-wide
+    ``_echelon``) and still equals the word closure; Cartan's criterion
+    agrees with the derived series, sl2 cores included.  On grid1 Z(g) is
+    not in [g, R], so the floor needs it."""
     if source == "grid":
         monkeypatch.syspath_prepend(str(ROOT))
         from bench.workloads import GRID_ANALYZE, grid_algebras
@@ -1338,17 +1376,10 @@ def test_nilradical_settles_in_round_one(monkeypatch, source, index):
     R = radical(g)
     k = R.dim
     assert k * k > g.dim  # a k^2-wide call is none of the g-wide ones
-    widths = []
-    from_vectors = Subspace.from_vectors.__func__
-
-    def counting_from_vectors(cls, ambient_dim, vectors):
-        widths.append(ambient_dim)
-        return from_vectors(cls, ambient_dim, vectors)
-
-    monkeypatch.setattr(Subspace, "from_vectors", classmethod(counting_from_vectors))
+    calls = _counting_closure(monkeypatch, k)
     nil = nilradical(g, R)
     monkeypatch.undo()
-    assert k * k not in widths
+    assert calls == []
     assert nil == nilradical_incremental(g)
     assert is_solvable(g) == derived_series(g)[-1].is_zero() == (k == g.dim)
     if (source, index) == ("grid", 1):
@@ -1366,6 +1397,46 @@ def test_settling_inputs_include_cores_that_are_not_solvable():
         g = build_with_heisenberg_ideal(*random_build_input(rng, 4, 3)).algebra
         solvable.append(is_solvable(g))
     assert not all(solvable) and any(solvable)
+
+
+def _rotation_core():
+    return fixtures.build_rotation_core_fixture().algebra
+
+
+# The closure population: algebras on which ker K_R exceeds the floor
+# [g, R] + Z(g), each with the fixed seed of its random unimodular move.
+CLOSURE_POPULATION = (
+    [(f"coadjoint_double_filiform{n}", lambda n=n: coadjoint_double(_filiform(n)).algebra, n)
+     for n in range(3, 7)]
+    + [
+        ("rotation_core", _rotation_core, 11),
+        ("coadjoint_double_rotation_core", lambda: coadjoint_double(_rotation_core()).algebra, 12),
+        ("sl2_filiform5", lambda: direct_sum(fixtures.sl2(), _filiform(5)), 13),
+        ("five_dim_trace_zero", fixtures.five_dim_trace_zero, 14),
+        ("two_cyclic_shifts", fixtures.two_cyclic_shifts, 15),
+    ]
+)
+CLOSURE_CASES = [(build, seed, moved) for _, build, seed in CLOSURE_POPULATION for moved in (0, 1)]
+CLOSURE_IDS = [f"{name}-{'moved' if moved else 'built'}"
+               for name, _, _ in CLOSURE_POPULATION for moved in (0, 1)]
+
+
+@pytest.mark.parametrize("build,seed,moved", CLOSURE_CASES, ids=CLOSURE_IDS)
+def test_nilradical_matches_both_oracles_on_the_closure_population(build, seed, moved):
+    """Nilpotent doubles, the solvable rotation core and its double, a
+    nilpotent radical beside sl2, and the two trace-zero traps, as built
+    and after a seeded unimodular base change: ker K_R exceeds the floor,
+    so the nilpotent-ideal test or the word closure decides, and the
+    result equals both oracles and is a nilpotent ideal."""
+    g = build()
+    if moved:
+        g = transport(g, random_unimodular(random.Random(seed), g.dim))
+    R = radical(g)
+    floor = sum_intersect(bracket_subspaces(g, Subspace.full(g.dim), R), center(g))[0]
+    assert kernel(restricted_gram(killing_form(g), R)).dim > floor.dim
+    nil = nilradical(g, R)
+    assert nil == nilradical_four_step(g) == nilradical_incremental(g)
+    assert is_ideal(g, nil) and is_nilpotent(subalgebra_on(g, nil))
 
 
 # -- integer spans and coordinates against their Fraction bodies ----------------

@@ -18,6 +18,7 @@ from oracles import heisenberg_ideal_span
 from quadlie import structure
 from quadlie.documents import AlgebraDocument, loads_document
 from quadlie.exactla import Subspace, unit_vector
+from quadlie.heisenberg import SymplecticMap
 from quadlie.liealg import derived_subalgebra
 from quadlie.structure import (
     Analysis,
@@ -103,6 +104,44 @@ def test_records_from_the_analysis_compare_by_value():
     h3 = find_heisenberg_ideal(q3.algebra, heisenberg_ideal_span(q3, 1))
     found = has_invariant_quotient_metric(q3, h3)
     assert found == QuotientMetricObstruction(*found) != ComplementWitness(None, None, None)
+
+
+def _values(value):
+    """``value`` and everything inside it: the fields of each record and
+    the entries of each tuple, depth first."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _values(item)
+
+
+def _rotation_core_over_its_ideal():
+    """The rotation core analyzed over the builder's h_1, whose quotient
+    has no invariant metric."""
+    q = build_rotation_core_fixture()
+    return analyze(q, heisenberg_ideal_span(q, 1))
+
+
+HASHED = [
+    (lambda: analyze(h1_phi()), ExtendedHeisenbergVerdict),
+    (lambda: analyze(build_abelian_line_fixture()), DecomposableVerdict),
+    (_rotation_core_over_its_ideal, QuotientMetricObstruction),
+]
+
+
+@pytest.mark.parametrize("run,kind", HASHED, ids=["h1_phi", "abelian_line", "rotation_core"])
+def test_records_of_real_analyses_hash_by_value(run, kind):
+    """Every record of a real analysis hashes, the symplectic map of its
+    recovery included, and two analyses of the same algebra are equal
+    with equal hashes, record for record."""
+    first, second = run(), run()
+    records = [value for value in _values(first) if type(value) in RECORDS]
+    assert Analysis in {type(r) for r in records} and kind in {type(r) for r in records}
+    assert any(isinstance(value, SymplecticMap) for value in _values(first))
+    pairs = list(zip(_values(first), _values(second)))
+    assert len(pairs) == len(list(_values(first)))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
 
 
 def test_document_records_from_the_corpus():

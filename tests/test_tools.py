@@ -87,6 +87,7 @@ def test_time_solvers_prints_the_import_time_first(monkeypatch, capsys):
     import time_solvers
 
     monkeypatch.setattr(time_solvers, "SHAPES", ())
+    monkeypatch.setattr(time_solvers, "CLOSURES", ())
     assert time_solvers.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
@@ -97,17 +98,45 @@ def test_time_solvers_prints_the_import_time_first(monkeypatch, capsys):
 
 def test_time_solvers_counts_the_closure_rounds(monkeypatch):
     """sl2 beside the dim-6 filiform algebra: its radical is nilpotent, so
-    K_R = 0 and the closure runs until no pivot is new, one span per round;
-    sl2 alone has no radical and no round.  The count leaves
-    ``Subspace.from_vectors`` as it was."""
+    K_R = 0 and R passes the nilpotent-ideal test before any round of
+    words; sl2 alone has no radical.  The rotation core and the 5-dim
+    trace-zero algebra are solvable, not nilpotent, and K_R = 0 on both:
+    the first round's word, the square of the one generator, leaves the
+    kernel at R (the trace of its cube is 0), the second cuts it to the
+    floor.  The count leaves
+    ``structure._echelon`` as it was."""
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import time_solvers
-    from quadlie.exactla import Subspace
-    from quadlie.liealg import LieAlgebra, direct_sum
+    from quadlie import structure
+    from quadlie.liealg import direct_sum
 
-    saved = Subspace.__dict__["from_vectors"]
+    saved = structure._echelon
     sl2 = fixtures.sl2()
-    filiform = LieAlgebra(6, {(0, i): [(i + 1, 1)] for i in range(1, 5)})
-    assert time_solvers.closure_rounds(direct_sum(sl2, filiform)) == 5
+    assert time_solvers.closure_rounds(direct_sum(sl2, time_solvers.filiform(6))) == 0
     assert time_solvers.closure_rounds(sl2) == 0
-    assert Subspace.__dict__["from_vectors"] is saved
+    assert time_solvers.closure_rounds(fixtures.build_rotation_core_fixture().algebra) == 2
+    assert time_solvers.closure_rounds(fixtures.five_dim_trace_zero()) == 2
+    assert structure._echelon is saved
+
+
+def test_time_solvers_times_the_closure_shapes(monkeypatch):
+    """One line per closure shape, each with a kernel above the floor:
+    the nilpotent doubles stop on R, the rotation core and its double run
+    rounds of words."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import time_solvers
+
+    expected = {
+        "coadjoint_double(filiform 5)": (10, 10, 10, 0),
+        "coadjoint_double(filiform 7)": (14, 14, 14, 0),
+        "build_rotation_core": (6, 6, 5, 2),
+        "coadjoint_double(build_rotation_core)": (12, 12, 11, 3),
+    }
+    assert time_solvers.CLOSURES == tuple(expected)
+    for name, dims in expected.items():
+        line = time_solvers.time_closure(name)
+        assert line["closure"] == name
+        assert (line["dim"], line["radical_dim"], line["nilradical_dim"],
+                line["nilradical_closure_rounds"]) == dims
+        assert isinstance(line["nilradical_s"], float) and line["nilradical_s"] >= 0
+        assert json.loads(json.dumps(line)) == line

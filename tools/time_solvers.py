@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the two large exact solvers, constructor validation, the
 nilradical, ``quadlie check`` and ``quadlie analyze`` at the scale of the
-benchmark grid.
+benchmark grid, and the nilradical's word closure on fixed shapes that
+run it.
 
 Builds the fixed ``bench.workloads.grid_algebras`` shapes (4, False, m) for
 m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
@@ -28,11 +29,19 @@ set-up excluded; ``loads_s`` and ``dumps_s`` for the boundary), the
 dimension of each solution space and that of the nilradical, the
 number of equations of each solver's system (``invariance_rows``,
 ``cocycle_rows``: the nonzero rows passed to ``kernel``), and the
-nilradical's closure rounds (``nilradical_closure_rounds``: the spans of
-flattened k x k matrices it builds, k = dim Rad(g), counted on a second,
-untimed call; 0 when ker K_R meets the floor [g, R] + Z(g) in round one).
-Single runs on a shared machine vary; repeat the command to see the
-spread.
+nilradical's closure rounds (``nilradical_closure_rounds``, counted on a
+second, untimed call).  The grid shapes run no round: ker K_R meets the
+floor [g, R] + Z(g) at once.
+
+Last, one JSON line per closure shape (``CLOSURES``), algebras whose
+kernel starts above the floor: ``coadjoint_double`` of the filiform
+algebras of dimension 5 and 7 (nilpotent, dimension 10 and 14) and the
+rotation core of the corpus (``build_rotation_core``, solvable and not
+nilpotent) with its ``coadjoint_double``.  Each line holds the dimension,
+that of the radical and of the nilradical, the fastest of 5 timed
+``nilradical(g, R)`` calls on the precomputed radical
+(``nilradical_s``) and the closure rounds.  Single runs on a shared
+machine vary; repeat the command to see the spread.
 """
 
 import contextlib
@@ -64,10 +73,19 @@ from quadlie.quadform import (  # noqa: E402
     invariant_symmetric_forms,
     skew_derivation_space,
 )
-from quadlie.exactla import Subspace  # noqa: E402
+from quadlie import structure  # noqa: E402
+from quadlie.heisenberg import coadjoint_double  # noqa: E402
+from quadlie.liealg import LieAlgebra  # noqa: E402
 from quadlie.structure import nilradical, radical  # noqa: E402
 
 SHAPES = tuple((4, False, m) for m in range(2, 8))
+CLOSURES = (
+    "coadjoint_double(filiform 5)",
+    "coadjoint_double(filiform 7)",
+    "build_rotation_core",
+    "coadjoint_double(build_rotation_core)",
+)
+CORPUS = ROOT / "src" / "quadlie" / "corpus"
 
 
 def time_command(q, command: str) -> float:
@@ -90,22 +108,60 @@ def time_command(q, command: str) -> float:
 
 
 def closure_rounds(g) -> int:
-    """The spans of flattened k x k matrices, k = dim Rad(g), that one
-    ``nilradical(g)`` builds: its k^2-wide ``Subspace.from_vectors`` calls."""
+    """The rounds of words that one ``nilradical(g)`` runs: its
+    eliminations of flattened k x k matrices, k = dim Rad(g), past the one
+    that reduces the generators (``structure._echelon`` calls k^2 wide)."""
     R = radical(g)
-    saved = Subspace.__dict__["from_vectors"]
+    saved = structure._echelon
     widths = []
 
-    def counting(cls, ambient_dim, vectors):
-        widths.append(ambient_dim)
-        return saved.__func__(cls, ambient_dim, vectors)
+    def counting(rows, ncols):
+        widths.append(ncols)
+        return saved(rows, ncols)
 
-    Subspace.from_vectors = classmethod(counting)
+    structure._echelon = counting
     try:
         nilradical(g, R)
     finally:
-        Subspace.from_vectors = saved
-    return widths.count(R.dim ** 2)
+        structure._echelon = saved
+    return max(widths.count(R.dim ** 2) - 1, 0)
+
+
+def filiform(n: int) -> LieAlgebra:
+    """The model filiform algebra: [e_1, e_i] = e_(i+1) for 1 < i < n."""
+    return LieAlgebra(n, {(0, i): [(i + 1, 1)] for i in range(1, n - 1)})
+
+
+def closure_algebra(name: str) -> LieAlgebra:
+    """The algebra of one of the ``CLOSURES`` names."""
+    text = (CORPUS / "build_rotation_core.algebra.json").read_text(encoding="utf-8")
+    rotation = loads_document(text).algebra
+    return {
+        "coadjoint_double(filiform 5)": coadjoint_double(filiform(5)).algebra,
+        "coadjoint_double(filiform 7)": coadjoint_double(filiform(7)).algebra,
+        "build_rotation_core": rotation,
+        "coadjoint_double(build_rotation_core)": coadjoint_double(rotation).algebra,
+    }[name]
+
+
+def time_closure(name: str) -> dict:
+    """The fastest of 5 timed ``nilradical`` calls on the closure shape
+    ``name``, given its radical, with the dimensions and the rounds."""
+    g = closure_algebra(name)
+    R = radical(g)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        nil = nilradical(g, R)
+        times.append(time.perf_counter() - start)
+    return {
+        "closure": name,
+        "dim": g.dim,
+        "radical_dim": R.dim,
+        "nilradical_dim": nil.dim,
+        "nilradical_s": round(min(times), 5),
+        "nilradical_closure_rounds": closure_rounds(g),
+    }
 
 
 def time_boundary(q) -> tuple:
@@ -161,6 +217,8 @@ def main() -> int:
     print(json.dumps({"import_s": round(statistics.median(import_times()), 4)}), flush=True)
     for shape in SHAPES:
         print(json.dumps(time_solvers(shape)), flush=True)
+    for name in CLOSURES:
+        print(json.dumps(time_closure(name)), flush=True)
     return 0
 
 
