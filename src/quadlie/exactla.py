@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -153,7 +153,36 @@ def _fractions(ints: Sequence[int], den: int) -> Vector:
     return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
-class Matrix:
+class _Value:
+    """The base of the immutable value types.
+
+    A subclass names its fields in ``__slots__`` and its value in ``_key``,
+    an ``attrgetter`` of the fields that are not views built on first read
+    or cosmetic.  Two instances are equal when they are of the same class
+    with equal keys, and an instance hashes its key.  Assignment raises
+    ``AttributeError``; ``_fill`` sets the slots.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        """Set the slots, in their order, to ``values``; return the instance."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        key = self._key
+        return other.__class__ is self.__class__ and key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
+class Matrix(_Value):
     """Immutable dense matrix of rationals.
 
     The value is a tuple of integer rows over one positive common
@@ -168,6 +197,7 @@ class Matrix:
     """
 
     __slots__ = ("nrows", "ncols", "_den", "_ints", "_rows")
+    _key = attrgetter("nrows", "ncols", "_den", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None):
         normalized = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -183,25 +213,18 @@ class Matrix:
             ncols = 0
         self._set_fractions(normalized, ncols)
 
-    def _set_fractions(self, rows: tuple, ncols: int) -> None:
+    def _set_fractions(self, rows: tuple, ncols: int) -> "Matrix":
         """Take Fraction ``rows`` as the value: integers over the lcm of
         their denominators, which is the normalized form, with ``rows`` kept
         as the view."""
         den, flat = _integer_row([x for row in rows for x in row])
         ints = tuple(tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(len(rows)))
-        self._set(ints, ncols, den, rows)
-
-    def _set(self, ints: tuple, ncols: int, den: int, rows: Optional[tuple]) -> None:
-        for name, value in (("nrows", len(ints)), ("ncols", ncols), ("_den", den),
-                            ("_ints", ints), ("_rows", rows)):
-            object.__setattr__(self, name, value)
+        return self._fill(len(ints), ncols, den, ints, rows)
 
     @classmethod
     def _unchecked(cls, rows: tuple, ncols: int) -> "Matrix":
         """A Matrix on ``rows`` that are already tuples of ``ncols`` Fractions."""
-        M = object.__new__(cls)
-        M._set_fractions(rows, ncols)
-        return M
+        return object.__new__(cls)._set_fractions(rows, ncols)
 
     @classmethod
     def _from_ints(cls, ints: tuple, ncols: int, den: int = 1) -> "Matrix":
@@ -212,12 +235,7 @@ class Matrix:
             if g != 1:
                 den //= g
                 ints = tuple(tuple(x // g for x in row) for row in ints)
-        M = object.__new__(cls)
-        M._set(ints, ncols, den, None)
-        return M
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        return object.__new__(cls)._fill(len(ints), ncols, den, ints, None)
 
     @property
     def rows(self) -> tuple:
@@ -276,18 +294,6 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self._den == other._den
-            and self._ints == other._ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self._den, self._ints))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.rows)
@@ -643,7 +649,7 @@ class SparseSystem:
 # subspaces
 # ---------------------------------------------------------------------------
 
-class Subspace:
+class Subspace(_Value):
     """A linear subspace of QQ^n, canonically represented by an rref basis.
 
     Two subspaces are equal iff their ambient dimensions agree and their
@@ -651,18 +657,14 @@ class Subspace:
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots")
+    _key = attrgetter("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.ncols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
         reduced, pivots = basis.rref()
         rows = reduced._ints[: len(pivots)]
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix._from_ints(rows, ambient_dim, reduced._den))
-        object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        self._fill(ambient_dim, Matrix._from_ints(rows, ambient_dim, reduced._den), pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
@@ -679,11 +681,7 @@ class Subspace:
     @classmethod
     def _reduced(cls, basis: Matrix, pivots: tuple) -> "Subspace":
         """The Subspace whose rref basis, without zero rows, is ``basis``."""
-        S = object.__new__(cls)
-        object.__setattr__(S, "ambient_dim", basis.ncols)
-        object.__setattr__(S, "basis", basis)
-        object.__setattr__(S, "pivots", pivots)
-        return S
+        return object.__new__(cls)._fill(basis.ncols, basis, pivots)
 
     @classmethod
     def _spanned_by(cls, ambient_dim: int, rows: list) -> "Subspace":
@@ -761,16 +759,6 @@ class Subspace:
             if any(residual):
                 return False
         return True
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"

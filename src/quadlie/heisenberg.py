@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Optional, Tuple, Union
 
 from .errors import InternalVerificationError
-from .exactla import Matrix, unit_vector
+from .exactla import Matrix, _Value, unit_vector
 from .liealg import LieAlgebra, _integer_table, check_jacobi, is_derivation
 from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
@@ -32,10 +33,11 @@ def standard_symplectic_matrix(m: int) -> Matrix:
     return Matrix(rows, 2 * m)
 
 
-class SymplecticSpace:
+class SymplecticSpace(_Value):
     """An even-dimensional space with an invertible skew-symmetric form."""
 
     __slots__ = ("omega",)
+    _key = attrgetter("omega")
 
     def __init__(self, omega: Matrix):
         if omega.nrows != omega.ncols:
@@ -46,10 +48,7 @@ class SymplecticSpace:
             raise ValueError("omega must be skew-symmetric")
         if omega.det() == 0:
             raise ValueError("omega must be nondegenerate")
-        object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticSpace is immutable")
+        self._fill(omega)
 
     @classmethod
     def standard(cls, m: int) -> "SymplecticSpace":
@@ -59,53 +58,31 @@ class SymplecticSpace:
     def dim(self) -> int:
         return self.omega.nrows
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticSpace) and self.omega == other.omega
-
-    def __hash__(self) -> int:
-        return hash(self.omega)
-
     def __repr__(self) -> str:
         return f"SymplecticSpace(dim={self.dim})"
 
 
-class SymplecticMap:
+class SymplecticMap(_Value):
     """An element of o(omega): omega(f u, v) = -omega(u, f v)."""
 
     __slots__ = ("space", "matrix")
+    _key = attrgetter("space", "matrix")
 
     def __init__(self, space: SymplecticSpace, matrix: Matrix):
         if matrix.shape != (space.dim, space.dim):
             raise ValueError("matrix size does not match symplectic space")
         if not in_omega_algebra(matrix, space.omega):
             raise ValueError("matrix does not lie in o(omega)")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "matrix", matrix)
+        self._fill(space, matrix)
 
     @classmethod
     def _unchecked(cls, omega: Matrix, matrix: Matrix) -> "SymplecticMap":
         """``matrix`` on the space of ``omega``, checked elsewhere."""
-        f, V = object.__new__(cls), object.__new__(SymplecticSpace)
-        object.__setattr__(V, "omega", omega)
-        object.__setattr__(f, "space", V)
-        object.__setattr__(f, "matrix", matrix)
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticMap is immutable")
+        V = object.__new__(SymplecticSpace)._fill(omega)
+        return object.__new__(cls)._fill(V, matrix)
 
     def is_invertible(self) -> bool:
         return self.matrix.det() != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymplecticMap)
-            and self.space == other.space
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.matrix))
 
     def __repr__(self) -> str:
         return f"SymplecticMap(dim={self.space.dim})"

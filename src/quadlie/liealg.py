@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -27,6 +27,7 @@ from .exactla import (
     SparseSystem,
     Subspace,
     Vector,
+    _Value,
     _fractions,
     _integer_row,
     kernel,
@@ -52,7 +53,7 @@ def _checked_labels(dim: int, basis_labels: Sequence) -> List[str]:
     return labels
 
 
-class LieAlgebra:
+class LieAlgebra(_Value):
     """A Lie algebra of dimension ``dim`` by its structure constants.
 
     The value is (d, table), read by ``_integer_table``: table[i][j], for
@@ -67,6 +68,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("dim", "basis_labels", "_integers", "_structure")
+    _key = attrgetter("dim", "_integers")
 
     def __init__(
         self,
@@ -105,11 +107,11 @@ class LieAlgebra:
         """The algebra with [e_i, e_j] = sum v / d e_k over the integer
         (k, v) of brackets[(i, j)], i != j, d > 0: a key (j, i), j > i, is
         negated into (i, j), repeated targets are summed, zeros dropped."""
-        g = object.__new__(cls)
-        g._set(dim, d, brackets, basis_labels)
-        return g
+        return object.__new__(cls)._set(dim, d, brackets, basis_labels)
 
-    def _set(self, dim: int, den: int, brackets: Mapping, basis_labels: Sequence[str]) -> None:
+    def _set(
+        self, dim: int, den: int, brackets: Mapping, basis_labels: Sequence[str]
+    ) -> "LieAlgebra":
         slots: Dict[Tuple[int, int], Dict[int, int]] = {}
         for (i, j), terms in brackets.items():
             sign = 1 if i < j else -1
@@ -128,13 +130,8 @@ class LieAlgebra:
                 entries = [(k, v // g) for k, v in entries]
             rows[i][j] = tuple(entries)
             rows[j][i] = tuple([(k, -v) for k, v in entries])
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis_labels", tuple(basis_labels))
-        object.__setattr__(self, "_integers", (den // g, tuple([tuple(row) for row in rows])))
-        object.__setattr__(self, "_structure", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
+        table = tuple([tuple(row) for row in rows])
+        return self._fill(dim, tuple(basis_labels), (den // g, table), None)
 
     @property
     def structure(self) -> Mapping:
@@ -165,13 +162,6 @@ class LieAlgebra:
         for k, v in table[i][j]:
             out[k] = Fraction(v, d)
         return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieAlgebra)
-            and self.dim == other.dim
-            and self._integers == other._integers
-        )
 
     def __hash__(self) -> int:
         return hash((self.dim, tuple(sorted(self.structure.items()))))

@@ -10,6 +10,7 @@ ideals.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactla import (
@@ -17,6 +18,7 @@ from .exactla import (
     SparseSystem,
     Subspace,
     Vector,
+    _Value,
     _reduced_matrix,
     form_orthogonal,
     form_restrict_nondegenerate,
@@ -35,20 +37,18 @@ from .liealg import (
 )
 
 
-class BilinearForm:
+class BilinearForm(_Value):
     """A symmetric bilinear form given by its Gram matrix."""
 
     __slots__ = ("gram",)
+    _key = attrgetter("gram")
 
     def __init__(self, gram: Matrix):
         if gram.nrows != gram.ncols:
             raise ValueError("gram matrix must be square")
         if not gram.is_symmetric():
             raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
+        self._fill(gram)
 
     @property
     def dim(self) -> int:
@@ -56,12 +56,6 @@ class BilinearForm:
 
     def is_nondegenerate(self) -> bool:
         return self.gram.det() != 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BilinearForm) and self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash(self.gram)
 
     def __repr__(self) -> str:
         return f"BilinearForm(dim={self.dim})"
@@ -131,7 +125,7 @@ def check_invariant_metric(
     return violations
 
 
-class QuadraticLieAlgebra:
+class QuadraticLieAlgebra(_Value):
     """A Lie algebra together with an invariant metric.
 
     Construction validates the Jacobi identity, nondegeneracy and invariance
@@ -141,6 +135,7 @@ class QuadraticLieAlgebra:
     """
 
     __slots__ = ("algebra", "metric")
+    _key = attrgetter("algebra", "metric")
 
     def __init__(self, algebra: LieAlgebra, metric: BilinearForm):
         if metric.dim != algebra.dim:
@@ -151,33 +146,16 @@ class QuadraticLieAlgebra:
         if violations:
             head = ", ".join(f"{v.kind}{v.indices}" for v in violations[:5])
             raise ValueError(f"not an invariant metric: {head}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "metric", metric)
+        self._fill(algebra, metric)
 
     @classmethod
     def _unchecked(cls, algebra: LieAlgebra, metric: BilinearForm) -> "QuadraticLieAlgebra":
         """An instance whose validity follows from that of another one."""
-        q = object.__new__(cls)
-        object.__setattr__(q, "algebra", algebra)
-        object.__setattr__(q, "metric", metric)
-        return q
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticLieAlgebra is immutable")
+        return object.__new__(cls)._fill(algebra, metric)
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadraticLieAlgebra)
-            and self.algebra == other.algebra
-            and self.metric == other.metric
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.metric))
 
     def __repr__(self) -> str:
         return f"QuadraticLieAlgebra(dim={self.dim})"

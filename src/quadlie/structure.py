@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
@@ -22,6 +23,7 @@ from .exactla import (
     SparseSystem,
     Subspace,
     Vector,
+    _Value,
     _echelon,
     _fractions,
     dot,
@@ -158,7 +160,7 @@ def _nilradical(g: LieAlgebra, R: Subspace, K_g: Matrix) -> Subspace:
 # Heisenberg ideal detection
 # ---------------------------------------------------------------------------
 
-class HeisenbergIdealData:
+class HeisenbergIdealData(_Value):
     """An embedded ideal isomorphic to h_m, with the algebra it lies in.
 
     ``hbar`` spans the (1-dimensional) derived space of the ideal and is
@@ -178,6 +180,7 @@ class HeisenbergIdealData:
     """
 
     __slots__ = ("algebra", "ideal", "hbar", "v_basis", "omega")
+    _key = attrgetter(*__slots__)
 
     def __init__(
         self, algebra: LieAlgebra, ideal: Subspace, hbar: Vector, v_basis: tuple, omega: Matrix
@@ -196,27 +199,14 @@ class HeisenbergIdealData:
             raise ValueError("v_basis and hbar do not span the ideal")
         if transport(subalgebra_on(algebra, ideal), C) != heisenberg((dim - 1) // 2, omega):
             raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
-        for name, value in zip(self.__slots__, (algebra, ideal, hbar, v_basis, omega)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeisenbergIdealData is immutable")
+        self._fill(algebra, ideal, hbar, v_basis, omega)
 
     def __reduce__(self):
-        return HeisenbergIdealData, self._values()
-
-    def _values(self) -> tuple:
-        return (self.algebra, self.ideal, self.hbar, self.v_basis, self.omega)
+        return HeisenbergIdealData, self._key(self)
 
     @property
     def m(self) -> int:
         return (self.ideal.dim - 1) // 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HeisenbergIdealData) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __repr__(self) -> str:
         return f"HeisenbergIdealData(m={self.m} in dim {self.algebra.dim})"

@@ -307,6 +307,21 @@ def test_analyze_requires_metric(capsys):
     assert "metric" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["roundtrip", corpus_path("five_dim_trace_zero.algebra.json"), "--ideal", "0,1,2"],
+         "metric: roundtrip requires a metric"),
+        (["analyze", corpus_path("h1_phi.algebra.json"), "--ideal", "0,1,a"],
+         "ideal: bad ideal index list: '0,1,a'"),
+    ],
+    ids=["roundtrip-without-metric", "ideal-not-integers"],
+)
+def test_input_errors_exit_2_with_their_message(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_analyze_deterministic(capsys):
     args = ["analyze", corpus_path("build_sl2.algebra.json")]
     code1, out1, _ = run_cli(args, capsys)

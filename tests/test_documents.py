@@ -110,6 +110,15 @@ def test_construct_heisenberg():
     assert doc.metric is None
 
 
+def test_quadratic_needs_a_metric():
+    doc = loads_document((pathlib.Path(cli.__file__).parent / "corpus"
+                          / "five_dim_trace_zero.algebra.json").read_text())
+    assert doc.metric is None
+    with pytest.raises(DocumentError, match="^metric: document carries no metric$") as info:
+        doc.quadratic()
+    assert info.value.where == "metric"
+
+
 def test_construct_rejects_unknown_kind():
     with pytest.raises(DocumentError, match="kind"):
         construct_from_json({"kind": "mystery", "parameters": {}})

@@ -1449,11 +1449,6 @@ def _seeded_build(seed):
     return transport_quadratic(q, random_unimodular(rng, q.dim)) if seed % 2 else q
 
 
-def _filiform(n):
-    """The model filiform algebra: [e_1, e_i] = e_(i+1) for 1 < i < n."""
-    return LieAlgebra(n, {(0, i): [(i + 1, 1)] for i in range(1, n - 1)})
-
-
 def _random_table(seed):
     """A table of dim 2 to 4 (4 twice as often) with seeded constants,
     integers and fractions; most such tables violate the Jacobi identity."""

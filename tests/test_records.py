@@ -1,14 +1,18 @@
 """The result records and the modules that importing the CLI loads."""
 
 import copy
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import quadlie
 from fixtures import (
+    DIAG_1_M1,
     build_abelian_line_fixture,
     build_rotation_core_fixture,
     h1_phi,
@@ -17,9 +21,10 @@ from fixtures import (
 from oracles import heisenberg_ideal_span
 from quadlie import structure
 from quadlie.documents import AlgebraDocument, loads_document
-from quadlie.exactla import Subspace, unit_vector
-from quadlie.heisenberg import SymplecticMap
-from quadlie.liealg import derived_subalgebra
+from quadlie.exactla import Matrix, Subspace, _Value, unit_vector
+from quadlie.heisenberg import SymplecticMap, SymplecticSpace, heisenberg
+from quadlie.liealg import LieAlgebra, derived_subalgebra
+from quadlie.quadform import BilinearForm, QuadraticLieAlgebra
 from quadlie.structure import (
     Analysis,
     ComplementWitness,
@@ -202,6 +207,63 @@ def test_heisenberg_data_has_no_path_around_its_checks(monkeypatch):
     with pytest.raises(ValueError, match="not an ideal"):
         first_three = Subspace.from_vectors(4, [unit_vector(4, i) for i in range(3)])
         HeisenbergIdealData(h.algebra, first_three, h.hbar, h.v_basis, h.omega)
+
+
+VALUES = {
+    Matrix: lambda: Matrix([[1, Fraction(1, 2)], [0, 3]]),
+    Subspace: lambda: Subspace.from_vectors(3, [(1, 2, 0), (0, 1, Fraction(1, 3))]),
+    LieAlgebra: lambda: heisenberg(1),
+    BilinearForm: lambda: BilinearForm(Matrix([[0, 1], [1, 0]])),
+    QuadraticLieAlgebra: h1_phi,
+    SymplecticSpace: lambda: SymplecticSpace.standard(1),
+    SymplecticMap: lambda: SymplecticMap(SymplecticSpace.standard(1), DIAG_1_M1),
+    HeisenbergIdealData: _heisenberg_data,
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_value_types_are_immutable_and_compare_by_value(cls):
+    """No slot and no new name can be assigned; a value built separately
+    is equal with the same hash; a value of another type, or the tuple of
+    the fields, is not equal."""
+    build = VALUES[cls]
+    value = build()
+    assert type(value) is cls and not hasattr(value, "__dict__")
+    fields = tuple(getattr(value, name) for name in cls.__slots__)
+    for name in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError) as info:
+            setattr(value, name, None)
+        assert str(info.value) == f"{cls.__name__} is immutable"
+    assert tuple(getattr(value, name) for name in cls.__slots__) == fields
+    other = build()
+    assert other is not value and other == value and hash(other) == hash(value)
+    kinds = list(VALUES)
+    assert value != VALUES[kinds[(kinds.index(cls) + 1) % len(kinds)]]()
+    assert value != fields
+
+
+def _quadlie_classes():
+    """The classes defined in the modules of the package."""
+    for info in pkgutil.iter_modules(quadlie.__path__):
+        module = importlib.import_module(f"quadlie.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_classes_that_compare_by_value_derive_from_the_value_base():
+    """Each class of the package whose equality is its own is a ``_Value``
+    or a NamedTuple, and none is unhashable; the eight value types are
+    found.  Two value types with equal keys are still unequal."""
+    classes = set(_quadlie_classes())
+    assert set(VALUES) <= classes
+    for cls in classes:
+        named_tuple = issubclass(cls, tuple) and hasattr(cls, "_fields")
+        if cls.__eq__ is not object.__eq__:
+            assert issubclass(cls, _Value) or named_tuple, cls
+        assert cls.__hash__ is not None, cls
+    empty = Matrix.zeros(0, 0)
+    assert BilinearForm(empty) != SymplecticSpace(empty)
 
 
 def test_importing_the_cli_loads_every_traced_layer_and_no_dataclasses():

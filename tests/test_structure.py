@@ -320,6 +320,25 @@ def test_consumers_reject_data_of_another_algebra():
             consume(moved)
 
 
+def test_inputs_of_another_size_are_refused():
+    """An ideal or complement of another ambient dimension, a v_basis of
+    the wrong length and a quotient form of the wrong size each raise
+    ``ValueError`` before any computation."""
+    q = h1_phi()
+    h = _heis_of(q)
+    wide = Subspace.from_vectors(5, [unit_vector(5, i) for i in (1, 2, 3)])
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        find_heisenberg_ideal(q.algebra, wide)
+    with pytest.raises(ValueError, match="^ideal ambient dimension mismatch$"):
+        HeisenbergIdealData(q.algebra, wide, h.hbar, h.v_basis, h.omega)
+    with pytest.raises(ValueError, match="^v_basis size does not match the ideal dimension$"):
+        HeisenbergIdealData(q.algebra, h.ideal, h.hbar, h.v_basis[:1], h.omega)
+    with pytest.raises(ValueError, match="^complement has wrong ambient dimension$"):
+        quotient_metric_from_complement(q, h, Subspace.from_vectors(5, [unit_vector(5, 0)]))
+    with pytest.raises(ValueError, match="^quotient form has the wrong dimension$"):
+        complement_from_quotient_metric(q, h, BilinearForm(Matrix.identity(2)))
+
+
 def test_recover_randomized_roundtrip_30():
     """Recovery round-trips exactly after random base changes (30 trials)."""
     rng = random.Random(123)
