@@ -25,7 +25,7 @@ from .heisenberg import (
     extend_heisenberg,
     heisenberg,
 )
-from .liealg import LieAlgebra, _integer_table
+from .liealg import LieAlgebra, _integer_table, _upper
 from .quadform import BilinearForm, QuadraticLieAlgebra
 
 
@@ -168,12 +168,10 @@ def algebra_document_to_json(doc: AlgebraDocument) -> dict:
     """The document of an algebra, its brackets printed from the integer table."""
     d, table = _integer_table(doc.algebra)
     brackets = []
-    for i, row in enumerate(table):
-        for j in range(i + 1, doc.algebra.dim):
-            if row[j]:
-                targets, ints = zip(*row[j])
-                terms = [{"k": k, "c": c} for k, c in zip(targets, _format_ints(ints, d))]
-                brackets.append({"i": i, "j": j, "terms": terms})
+    for (i, j), entries in _upper(table).items():
+        targets, ints = zip(*entries)
+        terms = [{"k": k, "c": c} for k, c in zip(targets, _format_ints(ints, d))]
+        brackets.append({"i": i, "j": j, "terms": terms})
     data = {
         "name": doc.name,
         "dim": doc.algebra.dim,

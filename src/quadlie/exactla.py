@@ -159,8 +159,11 @@ class _Value:
     A subclass names its fields in ``__slots__`` and its value in ``_key``,
     an ``attrgetter`` of the fields that are not views built on first read
     or cosmetic.  Two instances are equal when they are of the same class
-    with equal keys, and an instance hashes its key.  Assignment raises
-    ``AttributeError``; ``_fill`` sets the slots.
+    with equal keys, and an instance hashes its key.  Assignment and
+    deletion raise ``AttributeError``; ``_fill`` sets the slots.  A copy or
+    an unpickled value is rebuilt by the class's constructor from the
+    slots, so it passes the same checks; a class whose constructor takes
+    other arguments rebuilds from its value instead.
     """
 
     __slots__ = ()
@@ -171,8 +174,13 @@ class _Value:
             object.__setattr__(self, name, value)
         return self
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other) -> bool:
         key = self._key
@@ -236,6 +244,9 @@ class Matrix(_Value):
                 den //= g
                 ints = tuple(tuple(x // g for x in row) for row in ints)
         return object.__new__(cls)._fill(len(ints), ncols, den, ints, None)
+
+    def __reduce__(self):
+        return Matrix._from_ints, (self._ints, self.ncols, self._den)
 
     @property
     def rows(self) -> tuple:
@@ -665,6 +676,9 @@ class Subspace(_Value):
         reduced, pivots = basis.rref()
         rows = reduced._ints[: len(pivots)]
         self._fill(ambient_dim, Matrix._from_ints(rows, ambient_dim, reduced._den), pivots)
+
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self.basis)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":

@@ -9,28 +9,21 @@ coadjoint-double example generator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import attrgetter
 from typing import Optional, Tuple, Union
 
 from .errors import InternalVerificationError
 from .exactla import Matrix, _Value, unit_vector
-from .liealg import LieAlgebra, _integer_table, check_jacobi, is_derivation
+from .liealg import LieAlgebra, _integer_table, _upper, check_jacobi, is_derivation
 from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
 
 
 def standard_symplectic_matrix(m: int) -> Matrix:
     """The block form [[0, I_m], [-I_m, 0]] on QQ^{2m}."""
-    rows = []
-    for i in range(2 * m):
-        row = [Fraction(0)] * (2 * m)
-        if i < m:
-            row[i + m] = Fraction(1)
-        else:
-            row[i - m] = Fraction(-1)
-        rows.append(row)
-    return Matrix(rows, 2 * m)
+    n = 2 * m
+    rows = tuple([tuple([(j - i == m) - (i - j == m) for j in range(n)]) for i in range(n)])
+    return Matrix._from_ints(rows, n)
 
 
 class SymplecticSpace(_Value):
@@ -237,10 +230,10 @@ def _assemble(
     den = lcm(ds, mu._den, D_mat._den, sigma._den, V.omega._den)
     mu, D, sg, om = (_ints_over(M, den) for M in (mu, D_mat, sigma, V.omega))
     f = den // ds
-    brackets = {}
+    brackets = {pair: [(t, f * v) for t, v in terms] for pair, terms in _upper(table).items()}
     for i in range(k):
         for j in range(i + 1, k):
-            brackets[(i, j)] = [*[(t, f * v) for t, v in table[i][j]], (hb, mu[i][j])]
+            brackets.setdefault((i, j), []).append((hb, mu[i][j]))
     for j in range(k):
         brackets[(d_idx, j)] = [(i, D[i][j]) for i in range(k)]
     for j in range(two_m):
@@ -279,24 +272,23 @@ def coadjoint_double(g: LieAlgebra) -> QuadraticLieAlgebra:
 
     The bracket extends that of g by the coadjoint action; g* is an abelian
     ideal and B(x + zeta, y + nu) = zeta(y) + nu(x).  Each structure
-    constant of g gives its two coadjoint terms in one pass over the table.
+    constant of g gives its two coadjoint terms in one pass over the
+    integer table.
     """
     if check_jacobi(g):
         raise ValueError("input algebra fails the Jacobi identity")
     n = g.dim
     dim = 2 * n
-    structure = dict(g.structure)
+    d, table = _integer_table(g)
+    upper = _upper(table)
+    brackets = dict(upper)
     # [x_i, xi_k] = -sum_l c^k_{il} xi_l: the entry c = c^k_{ab} adds
     # -c xi_b to [x_a, xi_k] and, as c^k_{ba} = -c, c xi_a to [x_b, xi_k]
-    for (a, b), terms in g.structure.items():
+    for (a, b), terms in upper.items():
         for k, c in terms:
-            structure.setdefault((a, n + k), []).append((n + b, -c))
-            structure.setdefault((b, n + k), []).append((n + a, c))
+            brackets.setdefault((a, n + k), []).append((n + b, -c))
+            brackets.setdefault((b, n + k), []).append((n + a, c))
     labels = list(g.basis_labels) + [s + "*" for s in g.basis_labels]
-    algebra = LieAlgebra(dim, structure, labels)
-
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        rows[i][n + i] = Fraction(1)
-        rows[n + i][i] = Fraction(1)
-    return _certified(algebra, Matrix(rows, dim), "coadjoint double")
+    algebra = LieAlgebra._from_ints(dim, d, brackets, labels)
+    hyperbolic = tuple([tuple([int(abs(i - j) == n) for j in range(dim)]) for i in range(dim)])
+    return _certified(algebra, Matrix._from_ints(hyperbolic, dim), "coadjoint double")

@@ -59,10 +59,11 @@ class LieAlgebra(_Value):
     The value is (d, table), read by ``_integer_table``: table[i][j], for
     both orders of i != j, holds the (k, v), v a nonzero int, sorted by k,
     with [e_i, e_j] = sum v / d e_k, and gcd(d, all v) = 1, so the form is
-    unique and equality compares it.  The constructor, the boundary for
-    outside input, coerces each coefficient with ``rat``, accepts a zero
-    diagonal term, raises ``ValueError`` on a nonzero one or an index out
-    of range, and hands the terms to ``_from_ints``.  ``structure``, the
+    unique and equality and hash compare it.  The constructor, the
+    boundary for outside input, coerces each coefficient with ``rat``,
+    accepts a zero diagonal term, raises ``ValueError`` on a nonzero one or
+    an index out of range, and hands the terms to ``_from_ints``.  A copy
+    is rebuilt by ``_from_ints`` from the table.  ``structure``, the
     read-only view {(i, j): ((k, c), ...)}, i < j, c a nonzero Fraction,
     is built on first read.  Basis labels are cosmetic.
     """
@@ -141,10 +142,8 @@ class LieAlgebra(_Value):
         if structure is None:
             d, table = self._integers
             structure = MappingProxyType({
-                (i, j): tuple([(k, Fraction(v, d)) for k, v in row[j]])
-                for i, row in enumerate(table)
-                for j in range(i + 1, self.dim)
-                if row[j]
+                pair: tuple([(k, Fraction(v, d)) for k, v in terms])
+                for pair, terms in _upper(table).items()
             })
             object.__setattr__(self, "_structure", structure)
         return structure
@@ -163,11 +162,20 @@ class LieAlgebra(_Value):
             out[k] = Fraction(v, d)
         return tuple(out)
 
-    def __hash__(self) -> int:
-        return hash((self.dim, tuple(sorted(self.structure.items()))))
+    def __reduce__(self):
+        d, table = self._integers
+        return LieAlgebra._from_ints, (self.dim, d, _upper(table), self.basis_labels)
 
     def __repr__(self) -> str:
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self.structure)})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(_upper(self._integers[1]))})"
+
+
+def _upper(table: tuple) -> Dict[Tuple[int, int], tuple]:
+    """{(i, j): table[i][j]} over the pairs i < j whose bracket is nonzero,
+    in lexicographic order: the one walk over the pairs of a table."""
+    return {
+        (i, j): row[j] for i, row in enumerate(table) for j in range(i + 1, len(row)) if row[j]
+    }
 
 
 def _integer_table(g: LieAlgebra) -> tuple:
@@ -328,9 +336,7 @@ def bracket_subspaces(g: LieAlgebra, U: Subspace, W: Subspace) -> Subspace:
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """[g, g] = span of all basis brackets, the ``_integer_table`` rows."""
     _, table = _integer_table(g)
-    return Subspace._spanned_by(
-        g.dim, [dict(terms) for i, row in enumerate(table) for terms in row[i + 1:] if terms]
-    )
+    return Subspace._spanned_by(g.dim, [dict(terms) for terms in _upper(table).values()])
 
 
 def _series(g: LieAlgebra, step: Callable[[Subspace], Subspace]) -> List[Subspace]:
@@ -445,16 +451,15 @@ def subalgebra_on(g: LieAlgebra, U: Subspace) -> LieAlgebra:
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
-    """Block-wise direct sum; the two summands commute."""
+    """Block-wise direct sum; the two summands commute.  The two integer
+    tables are put over the product of their denominators, and
+    ``LieAlgebra._from_ints`` divides out the common factor."""
     n1 = g1.dim
-    structure = {}
-    for (i, j), terms in g1.structure.items():
-        structure[(i, j)] = terms
-    for (i, j), terms in g2.structure.items():
-        structure[(i + n1, j + n1)] = [(k + n1, c) for k, c in terms]
-    return LieAlgebra(
-        n1 + g2.dim, structure, g1.basis_labels + g2.basis_labels
-    )
+    (d1, table1), (d2, table2) = _integer_table(g1), _integer_table(g2)
+    brackets = {pair: [(k, v * d2) for k, v in terms] for pair, terms in _upper(table1).items()}
+    for (i, j), terms in _upper(table2).items():
+        brackets[(i + n1, j + n1)] = [(k + n1, v * d1) for k, v in terms]
+    return LieAlgebra._from_ints(n1 + g2.dim, d1 * d2, brackets, g1.basis_labels + g2.basis_labels)
 
 
 def killing_form(g: LieAlgebra) -> Matrix:

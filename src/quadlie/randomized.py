@@ -8,7 +8,6 @@ omega^{-1} (symmetric matrix), which parameterizes o(omega) exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Tuple
 
 from .exactla import Matrix
@@ -21,13 +20,11 @@ _BOUND = 3
 
 
 def random_symmetric_matrix(rng: random.Random, n: int) -> Matrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            c = Fraction(rng.randint(-_BOUND, _BOUND))
-            rows[i][j] = c
-            rows[j][i] = c
-    return Matrix(rows, n)
+            rows[i][j] = rows[j][i] = rng.randint(-_BOUND, _BOUND)
+    return Matrix._from_ints(tuple([tuple(row) for row in rows]), n)
 
 
 def random_nondegenerate_symmetric(rng: random.Random, n: int) -> Matrix:
@@ -52,19 +49,19 @@ def random_invertible_omega_skew(rng: random.Random, V: SymplecticSpace) -> Symp
 
 def random_unimodular(rng: random.Random, n: int) -> Matrix:
     """Product of 3n elementary operations: invertible with determinant ±1."""
-    rows = [list(row) for row in Matrix.identity(n).rows]
+    rows = list(Matrix.identity(n)._ints)
     for _ in range(3 * n):
         op = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if op == 0 and i != j:
-            c = Fraction(rng.randint(-2, 2))
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            c = rng.randint(-2, 2)
+            rows[i] = tuple([a + c * b for a, b in zip(rows[i], rows[j])])
         elif op == 1 and i != j:
             rows[i], rows[j] = rows[j], rows[i]
         elif op == 2:
-            rows[i] = [-a for a in rows[i]]
-    return Matrix(rows, n)
+            rows[i] = tuple([-a for a in rows[i]])
+    return Matrix._from_ints(tuple(rows), n)
 
 
 def _sl2() -> QuadraticLieAlgebra:
@@ -109,16 +106,10 @@ def random_core_algebra(rng: random.Random, max_dim: int = 4) -> QuadraticLieAlg
     if kind == "oscillator":
         return _oscillator()
     sl2 = _sl2()
-    line = QuadraticLieAlgebra(
-        LieAlgebra.abelian(1), BilinearForm(Matrix([[1]], 1))
-    )
-    algebra = direct_sum(line.algebra, sl2.algebra)
-    gram_rows = [[Fraction(0)] * 4 for _ in range(4)]
-    gram_rows[0][0] = Fraction(1)
-    for i in range(3):
-        for j in range(3):
-            gram_rows[1 + i][1 + j] = sl2.metric.gram.entry(i, j)
-    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix(gram_rows, 4)))
+    algebra = direct_sum(LieAlgebra.abelian(1), sl2.algebra)
+    # the line's metric is 1; sl2's Gram matrix is integral
+    gram = ((1, 0, 0, 0), *[(0, *row) for row in sl2.metric.gram._ints])
+    return QuadraticLieAlgebra(algebra, BilinearForm(Matrix._from_ints(gram, 4)))
 
 
 def _core_dim_bound(kind: str) -> int:

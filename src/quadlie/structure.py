@@ -41,6 +41,7 @@ from .liealg import (
     LieAlgebra,
     _integer_table,
     _structure_in,
+    _upper,
     ad,
     bracket_subspaces,
     center,
@@ -200,9 +201,6 @@ class HeisenbergIdealData(_Value):
         if transport(subalgebra_on(algebra, ideal), C) != heisenberg((dim - 1) // 2, omega):
             raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
         self._fill(algebra, ideal, hbar, v_basis, omega)
-
-    def __reduce__(self):
-        return HeisenbergIdealData, self._key(self)
 
     @property
     def m(self) -> int:
@@ -424,12 +422,11 @@ def recover_structure(
         ensure(all(G[i][t] == 0 for t in v_slots), "B(S, V) != 0")
 
     s_structure = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = coords(i, j)
-            ensure(c[d_slot] == 0, "[S, S] has a d-component")
-            ensure(all(c[t] == 0 for t in v_slots), "[S, S] has a V-component")
-            s_structure[(i, j)] = list(enumerate(c[:k]))
+    for i, j in _upper([row[:k] for row in table[:k]]):
+        c = coords(i, j)
+        ensure(c[d_slot] == 0, "[S, S] has a d-component")
+        ensure(all(c[t] == 0 for t in v_slots), "[S, S] has a V-component")
+        s_structure[(i, j)] = list(enumerate(c[:k]))
 
     D_cols = []
     for j in range(k):
@@ -542,7 +539,8 @@ def _recognize(
         # recovery has certified that the base change maps q onto it
         return ExtendedHeisenbergVerdict(rec)
     ensure(rec.D.is_zero(), "derived = h_m but D != 0")
-    ensure(not rec.core.algebra.structure, "derived = h_m but S is nonabelian")
+    core = rec.core.algebra
+    ensure(core == LieAlgebra.abelian(core.dim), "derived = h_m but S is nonabelian")
     split = split_by_nondegenerate_ideal(q, rec.s_basis)
     ensure(split is not None, "nondegenerate core failed to split the algebra")
     return DecomposableVerdict(rec.s_basis, split, rec)
@@ -586,10 +584,12 @@ def quotient_metric_from_complement(
     pi the matrix whose columns are the projections of its rows, the
     representatives of the quotient basis are the rows of pi^-T C; with
     lambda their B(., hbar) and S = reps - lambda d^T, the Gram matrix is
-    S G S^T + lambda lambda^T, G the Gram matrix of B.  The output is
-    verified to be an invariant metric on the quotient.  Raises
-    ``ValueError`` when ``h`` was found in another algebra or ``comp`` is
-    not a subalgebra complement.
+    S G S^T + lambda lambda^T, G the Gram matrix of B.  As d is orthogonal
+    to the rest of the complement, B(rep_i, d) = lambda_i B(d, d), so that
+    sum expands to reps G reps^T + (1 - B(d, d)) lambda lambda^T, which is
+    computed.  The output is verified to be an invariant metric on the
+    quotient.  Raises ``ValueError`` when ``h`` was found in another
+    algebra or ``comp`` is not a subalgebra complement.
     """
     g = q.algebra
     n = g.dim
@@ -618,8 +618,8 @@ def quotient_metric_from_complement(
     ensure(pi_inv is not None, "complement does not project onto the quotient")
     reps = pi_inv.transpose() @ C
     lambdas = reps.apply(G_hbar)
-    S = reps - _outer(lambdas, d)
-    form = BilinearForm(S @ G @ S.transpose() + _outer(lambdas, lambdas))
+    c = 1 - dot(d, G.apply(d))
+    form = BilinearForm(reps @ G @ reps.transpose() + _outer(scale_vec(c, lambdas), lambdas))
     ensure(
         not check_invariant_metric(q_alg, form),
         "constructed quotient form is not an invariant metric",

@@ -9,13 +9,17 @@ import pytest
 from quadlie.exactla import (
     Matrix,
     Subspace,
+    add_vec,
     dot,
     form_orthogonal,
     form_restrict_nondegenerate,
     format_rational,
     kernel,
     parse_rational,
+    rat,
+    restricted_gram,
     solve,
+    sub_vec,
     sum_intersect,
     unit_vector,
     vector,
@@ -320,3 +324,49 @@ def test_from_columns_builds_the_transpose_of_its_rows():
 def test_from_columns_rejects_ragged_columns_and_conflicting_nrows(columns, nrows):
     with pytest.raises(ValueError):
         Matrix.from_columns(columns, nrows)
+
+
+ROW = Matrix([[1, 2]])
+
+REFUSED = {
+    "rat-of-a-float": (lambda: rat(1.5), TypeError, "cannot interpret 1.5 as a rational number"),
+    "add_vec": (lambda: add_vec((1,), (1, 2)), ValueError, "vector length mismatch"),
+    "sub_vec": (lambda: sub_vec((1, 2), (1,)), ValueError, "vector length mismatch"),
+    "dot": (lambda: dot((1,), (1, 2)), ValueError, "vector length mismatch"),
+    "ragged-rows": (lambda: Matrix([[1, 2], [3]]), ValueError, "ragged rows"),
+    "ncols": (lambda: Matrix([[1, 2]], 3), ValueError, "ncols does not match row width"),
+    "add": (lambda: ROW + ROW.transpose(), ValueError, "shape mismatch"),
+    "matmul": (lambda: ROW @ ROW, ValueError, "inner dimension mismatch"),
+    "apply": (lambda: ROW.apply((1,)), ValueError, "vector length mismatch"),
+    "det": (lambda: ROW.det(), ValueError, "determinant of a non-square matrix"),
+    "inverse": (lambda: ROW.inverse(), ValueError, "inverse of a non-square matrix"),
+    "trace": (lambda: ROW.trace(), ValueError, "trace of a non-square matrix"),
+    "solve": (lambda: solve(ROW, (1, 2)), ValueError, "right-hand side length mismatch"),
+    "subspace-width": (
+        lambda: Subspace(3, ROW), ValueError, "basis width does not match ambient dimension"
+    ),
+    "from_vectors": (
+        lambda: Subspace.from_vectors(3, [(1, 2)]),
+        ValueError,
+        "vector length does not match ambient dimension",
+    ),
+    "gram-size": (
+        lambda: form_orthogonal(Matrix.identity(2), Subspace.full(3)),
+        ValueError,
+        "gram matrix size does not match ambient dimension",
+    ),
+    "gram-symmetry": (
+        lambda: restricted_gram(Matrix([[0, 1], [0, 0]]), Subspace.full(2)),
+        ValueError,
+        "gram matrix is not symmetric",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_inputs_of_the_wrong_kind_or_size_are_refused(case):
+    """Each refusal raises its exception type with its message."""
+    call, error, message = REFUSED[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

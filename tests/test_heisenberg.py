@@ -263,3 +263,39 @@ def test_omega_membership_parameterization():
         for _ in range(10):
             f = random_omega_skew(rng, V)
             assert in_omega_algebra(f.matrix, V.omega)
+
+
+V1 = SymplecticSpace.standard(1)
+
+REFUSED = {
+    "omega-not-square": (lambda: SymplecticSpace(Matrix([[0, 1]])), "omega must be square"),
+    "omega-odd": (
+        lambda: SymplecticSpace(Matrix.zeros(1, 1)), "symplectic dimension must be even"
+    ),
+    "map-size": (
+        lambda: SymplecticMap(V1, Matrix.identity(4)),
+        "matrix size does not match symplectic space",
+    ),
+    "sigmaD-of-another-space": (
+        lambda: extend_heisenberg(2, None, SymplecticMap(V1, DIAG_1_M1)),
+        "sigmaD is attached to a different symplectic space",
+    ),
+    "sigmaD-size": (
+        lambda: extend_heisenberg(1, None, Matrix.identity(4)),
+        "sigmaD has the wrong size for the symplectic space",
+    ),
+    "m-below-1": (lambda: heisenberg(0), "m must be at least 1"),
+    "D-size": (
+        lambda: double_extension(abelian_line_quadratic(), Matrix.zeros(2, 2)),
+        "D has the wrong size for the core algebra",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_inputs_of_the_wrong_size_are_refused(case):
+    """Each refusal raises ``ValueError`` with its message."""
+    call, message = REFUSED[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -32,6 +32,7 @@ from quadlie.liealg import (
     derived_series,
     derived_subalgebra,
     direct_sum,
+    is_derivation,
     is_ideal,
     is_nilpotent,
     is_solvable,
@@ -324,3 +325,38 @@ def test_transport_roundtrip():
         assert check_jacobi(moved) == []
         back = transport(moved, P.inverse())
         assert back == g
+
+
+H1 = heisenberg(1)
+
+REFUSED = {
+    "negative-dim": (lambda: LieAlgebra(-1, {}), "dimension must be nonnegative"),
+    "label-count": (lambda: LieAlgebra(2, {}, ["x"]), "label count does not match dimension"),
+    "bracket-index": (
+        lambda: LieAlgebra(2, {(0, 2): [(0, 1)]}), "bracket index out of range: (0, 2)"
+    ),
+    "target-index": (lambda: LieAlgebra(2, {(0, 1): [(2, 1)]}), "target index out of range: 2"),
+    "bracket_basis": (lambda: H1.bracket_basis(0, 3), "basis index out of range"),
+    "ad": (lambda: ad(H1, (1, 0)), "vector dimension mismatch"),
+    "centralizer": (lambda: centralizer(H1, Subspace.full(2)), "ambient dimension mismatch"),
+    "is_derivation": (
+        lambda: is_derivation(H1, Matrix.identity(2)),
+        "matrix shape does not match algebra dimension",
+    ),
+    "transport-shape": (
+        lambda: transport(H1, Matrix.identity(2)),
+        "base change must be square of the algebra dimension",
+    ),
+    "transport-singular": (
+        lambda: transport(H1, Matrix.zeros(3, 3)), "base change matrix is singular"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_inputs_out_of_range_or_of_the_wrong_size_are_refused(case):
+    """Each refusal raises ``ValueError`` with its message."""
+    call, message = REFUSED[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

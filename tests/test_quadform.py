@@ -176,6 +176,9 @@ def test_split_trivial_and_degenerate():
     assert first.dim == 4 and second.dim == 0
     h1_inside = Subspace.from_vectors(4, [unit_vector(4, i) for i in (1, 2, 3)])
     assert split_by_nondegenerate_ideal(q, h1_inside) is None
+    # the d line is not an ideal: [d, u_1] leaves it
+    d_line = Subspace.from_vectors(4, [unit_vector(4, 0)])
+    assert split_by_nondegenerate_ideal(q, d_line) is None
 
 
 def test_split_composite_fixture():
@@ -256,3 +259,29 @@ def test_restrict_quadratic_rejects_degenerate_subalgebra():
     with pytest.raises(ValueError, match="degenerates"):
         restrict_quadratic(h1_phi(), U)
 
+
+
+REFUSED = {
+    "gram-not-square": (lambda: BilinearForm(Matrix([[0, 1]])), "gram matrix must be square"),
+    "check-size": (
+        lambda: check_invariant_metric(sl2(), Matrix.identity(2)),
+        "gram matrix size does not match algebra dimension",
+    ),
+    "metric-dim": (
+        lambda: QuadraticLieAlgebra(sl2(), BilinearForm(Matrix.identity(2))),
+        "metric dimension does not match algebra",
+    ),
+    "split-ambient": (
+        lambda: split_by_nondegenerate_ideal(h1_phi(), Subspace.full(3)),
+        "ambient dimension mismatch",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_inputs_of_the_wrong_size_are_refused(case):
+    """Each refusal raises ``ValueError`` with its message."""
+    call, message = REFUSED[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -3,6 +3,7 @@
 import copy
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -223,9 +224,9 @@ VALUES = {
 
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
 def test_value_types_are_immutable_and_compare_by_value(cls):
-    """No slot and no new name can be assigned; a value built separately
-    is equal with the same hash; a value of another type, or the tuple of
-    the fields, is not equal."""
+    """No slot and no new name can be assigned or deleted; a value built
+    separately is equal with the same hash; a value of another type, or
+    the tuple of the fields, is not equal."""
     build = VALUES[cls]
     value = build()
     assert type(value) is cls and not hasattr(value, "__dict__")
@@ -234,12 +235,61 @@ def test_value_types_are_immutable_and_compare_by_value(cls):
         with pytest.raises(AttributeError) as info:
             setattr(value, name, None)
         assert str(info.value) == f"{cls.__name__} is immutable"
+        with pytest.raises(AttributeError) as info:
+            delattr(value, name)
+        assert str(info.value) == f"{cls.__name__} is immutable"
     assert tuple(getattr(value, name) for name in cls.__slots__) == fields
     other = build()
     assert other is not value and other == value and hash(other) == hash(value)
     kinds = list(VALUES)
     assert value != VALUES[kinds[(kinds.index(cls) + 1) % len(kinds)]]()
     assert value != fields
+
+
+REPRS = {
+    Matrix: "Matrix(2x2: 1 1/2; 0 3)",
+    Subspace: "Subspace(dim 2 of QQ^3)",
+    LieAlgebra: "LieAlgebra(dim=3, brackets=1)",
+    BilinearForm: "BilinearForm(dim=2)",
+    QuadraticLieAlgebra: "QuadraticLieAlgebra(dim=4)",
+    SymplecticSpace: "SymplecticSpace(dim=2)",
+    SymplecticMap: "SymplecticMap(dim=2)",
+    HeisenbergIdealData: "HeisenbergIdealData(m=1 in dim 4)",
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_value_reprs(cls):
+    assert repr(VALUES[cls]()) == REPRS[cls]
+
+
+def _labels(value):
+    """The basis labels of every algebra in ``value``, depth first."""
+    algebras = [getattr(item, "algebra", item) for item in _values(value)]
+    return [g.basis_labels for g in algebras if isinstance(g, LieAlgebra)]
+
+
+COPIED = {cls.__name__: build for cls, build in VALUES.items()}
+for (run, _), name in zip(HASHED, ("h1_phi", "abelian_line", "rotation_core")):
+    COPIED[f"analyze_{name}"] = run
+DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", list(DUPLICATES))
+@pytest.mark.parametrize("name", list(COPIED))
+def test_copies_and_pickles_are_equal_values(name, how):
+    """A copy, a deep copy and a pickle round trip of one value of each
+    value class, and of three analyses, are equal values with the same
+    hash and the same basis labels throughout."""
+    value = COPIED[name]()
+    duplicate = DUPLICATES[how](value)
+    assert type(duplicate) is type(value)
+    assert duplicate == value and hash(duplicate) == hash(value)
+    assert _labels(duplicate) == _labels(value)
 
 
 def _quadlie_classes():
