@@ -7,9 +7,10 @@ are a view built only when they are read.  The products, determinants,
 inverses and eliminations read and write that integer form, and build
 Fractions only for what a caller reads.  One fraction-free Gauss-Jordan
 core (``_echelon``) serves ``rref``, ``kernel``, ``solve``, ``inverse``
-and the subspace operations.  It scales each row, a dict {column:
-nonzero rational}, to primitive integers, eliminates by integer
-cross-multiplication and divides each updated row by its content (the
+and the subspace operations.  It inserts the rows, dicts {column:
+nonzero int or rational}, shortest first into a reduced basis of
+primitive integer rows, by integer cross-multiplication: a redundant row
+cancels in one pass, and each updated row is divided by its content (the
 gcd of its entries), so no Fraction arithmetic runs inside the loop
 (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in Computational
 Algebraic Number Theory, 2.2).  ``rref`` scales the finished rows to the
@@ -517,79 +518,75 @@ def _integer_row(row: Sequence[Fraction]) -> tuple:
     return s, [x.numerator * (s // x.denominator) for x in row]
 
 
-def _primitive(row: dict) -> dict:
-    """``row`` times the lcm of its denominators, divided by the gcd of the
-    resulting numerators: the primitive integer row on the same line."""
-    scale = lcm(*(x.denominator for x in row.values()))
-    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    content = gcd(*ints.values())
+def _eliminate(row: dict, c: int, pivot_row: dict) -> None:
+    """row <- (pv/g) row - (f/g) pivot_row in place, pv and f the entries
+    of ``pivot_row`` and ``row`` at c and g = gcd(pv, f): c and every other
+    entry that cancels leave ``row``."""
+    pv, f = pivot_row[c], row[c]
+    g = gcd(pv, f)
+    a, f = pv // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, b in pivot_row.items():
+        x = row.get(j, 0) - f * b
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _divide_content(row: dict) -> None:
+    """Divide ``row`` in place by the gcd of its entries, its content."""
+    content = gcd(*row.values())
     if content > 1:
-        for j in ints:
-            ints[j] //= content
-    return ints
+        for j in row:
+            row[j] //= content
 
 
 def _echelon(rows: list, ncols: int) -> tuple:
-    """Exact fraction-free Gauss-Jordan elimination on sparse rows.
+    """Exact fraction-free Gauss-Jordan elimination by row insertion.
 
-    ``rows`` are dicts {column: nonzero rational or int}.  Each is first
-    replaced by its primitive integer multiple (``_primitive``), and the
-    elimination runs on integers.  The columns are walked left to right.  The pivot of column c is the shortest
-    pending row holding c (the reduced form is unique, so the choice only
-    keeps the fill-in low).  With pivot entry pv, c is eliminated from
-    every other row holding it, pending rows and earlier pivot rows alike,
-    as row <- (pv/g) row - (f/g) pivot_row with f the row's entry at c and
-    g = gcd(pv, f), over the pivot row's support only; entries that cancel
-    are deleted, and the row is divided by the gcd of its entries (its
-    content), which keeps the integers small.  Every row so stays a
-    nonzero multiple of the row the same steps over the rationals would
-    give, so the supports and pivot choices are theirs.
+    ``rows`` are dicts {column: nonzero int or rational}, left untouched:
+    an int row is copied, one holding a Fraction is scaled to integers
+    (``_integer_row``).  The basis is {pivot column: primitive integer
+    row, zero at every other pivot column}.  An incoming row is reduced by
+    the basis rows at the pivot columns it holds (``_eliminate``), which
+    adds entries at free columns only; a row that cancels is dropped, so a
+    redundant equation costs one pass.  A surviving row is divided by its
+    content, and its smallest column becomes a pivot, eliminated from the
+    basis rows that hold it, each then divided by its content again.
+
+    The rows go in shortest first: a short row brings little fill-in, so
+    the basis stays sparse while the long rows, in the solvers' tall
+    systems mostly redundant, are reduced against it.  The reduced form is
+    unique, so the order changes only the cost.
 
     Returns ``(rows, pivots)``: the nonzero rows as dicts {column: int},
-    in pivot order, and the pivot columns.  Each row keeps its pivot entry
-    and is zero at every other pivot column: it is a nonzero integer
-    multiple of the matching row of the reduced row echelon form.
+    in pivot order, and the pivot columns.  Each row is primitive, holds
+    its pivot entry and is zero at every other pivot column: a nonzero
+    integer multiple of its row of the reduced row echelon form.
     """
-    pending = [_primitive(row) for row in rows if row]
-    done: list = []
-    pivots = []
-    for c in range(ncols):
-        if not pending:
-            break
-        holders = [row for row in pending if c in row]
-        if not holders:
+    basis: dict = {}
+    for row in sorted(filter(None, rows), key=len):
+        # a sum of ints is an int, and any Fraction makes it a Fraction
+        if type(sum(row.values())) is int:
+            row = dict(row)
+        else:
+            row = dict(zip(row, _integer_row(list(row.values()))[1]))
+        for c in [c for c in row if c in basis]:
+            _eliminate(row, c, basis[c])
+        if not row:
             continue
-        pivot_row = min(holders, key=len)
-        pv = pivot_row.pop(c)
-        support = list(pivot_row.items())
-        for row in chain(holders, done):
-            f = row.pop(c, None)
-            if f is None:
-                continue
-            g = gcd(pv, f)
-            a, f = pv // g, f // g
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, b in support:
-                x = row.get(j)
-                if x is None:
-                    row[j] = -f * b
-                else:
-                    x -= f * b
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-            content = gcd(*row.values())
-            if content > 1:
-                for j in row:
-                    row[j] //= content
-        pivot_row[c] = pv
-        pending = [row for row in pending if row and row is not pivot_row]
-        done.append(pivot_row)
-        pivots.append(c)
-    return done, tuple(pivots)
+        _divide_content(row)
+        c = min(row)
+        for other in basis.values():
+            if c in other:
+                _eliminate(other, c, row)
+                _divide_content(other)
+        basis[c] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], tuple(pivots)
 
 
 def _reduced_matrix(rows: list, nrows: int, ncols: int) -> tuple:
@@ -617,8 +614,10 @@ class SparseSystem:
     """A homogeneous linear system collected equation by equation.
 
     Each equation is kept as a dict {column: nonzero coefficient}, the
-    coefficients ints or Fractions as the caller gives them (the solvers
-    in ``quadform`` give ints); all-zero equations are dropped.  It has the
+    coefficients ints or Fractions as the caller gives them; all-zero
+    equations are dropped.  The library's solvers give ints, which the
+    elimination takes as they are; only an equation holding a Fraction is
+    first scaled to integers.  It has the
     ``nrows``, ``ncols`` and ``rref`` of a Matrix, so ``kernel`` takes it in
     place of one, and a large sparse system is never written out with its
     zeros.

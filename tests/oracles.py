@@ -3,8 +3,9 @@
 These are the earlier, slower algorithms for the Killing form, the
 nilradical (by the four-step closure, and by the word-at-a-time closure
 that the round-wise one on rref subspaces replaced), row reduction
-(dense, and the sparse elimination on Fraction rows that the integer
-core replaced), the matrix product and determinant in Fraction
+(dense, the sparse elimination on Fraction rows that the integer core
+replaced, and the integer column sweep that insertion into a reduced
+basis replaced), the matrix product and determinant in Fraction
 arithmetic, the bracket, the Jacobi and invariant-metric checks and the
 linear systems of the form and skew-derivation solvers (the full n^3
 invariance system, the alternating-form system built entry by entry, and
@@ -76,7 +77,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from quadlie.errors import ensure
@@ -212,6 +213,74 @@ def rref_rows_fraction(rows: list, ncols: int) -> tuple:
     return done, tuple(pivots)
 
 
+def _primitive(row: dict) -> dict:
+    """``row`` times the lcm of its denominators, divided by the gcd of the
+    resulting numerators: the primitive integer row on the same line."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    content = gcd(*ints.values())
+    if content > 1:
+        for j in ints:
+            ints[j] //= content
+    return ints
+
+
+def echelon_by_column_sweep(rows: list, ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan on sparse rows by a sweep over the columns.
+
+    ``rows`` are dicts {column: nonzero rational or int}; each is replaced
+    by its primitive integer multiple (``_primitive``).  The columns are
+    walked left to right.  The pivot of column c is the shortest pending
+    row holding c; with pivot entry pv, c is eliminated from every other
+    row holding it, pending rows and earlier pivot rows alike, as row <-
+    (pv/g) row - (f/g) pivot_row with f the row's entry at c and g =
+    gcd(pv, f), over the pivot row's support only; entries that cancel are
+    deleted, and the row is divided by its content.  Returns ``_echelon``'s
+    ``(rows, pivots)``: each row a primitive integer multiple of its row of
+    the reduced row echelon form, in pivot order.
+    """
+    pending = [_primitive(row) for row in rows if row]
+    done: list = []
+    pivots = []
+    for c in range(ncols):
+        if not pending:
+            break
+        holders = [row for row in pending if c in row]
+        if not holders:
+            continue
+        pivot_row = min(holders, key=len)
+        pv = pivot_row.pop(c)
+        support = list(pivot_row.items())
+        for row in chain(holders, done):
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            g = gcd(pv, f)
+            a, f = pv // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, b in support:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * b
+                else:
+                    x -= f * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            content = gcd(*row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
+        pivot_row[c] = pv
+        pending = [row for row in pending if row and row is not pivot_row]
+        done.append(pivot_row)
+        pivots.append(c)
+    return done, tuple(pivots)
+
+
 def kernel_by_free_columns(A) -> Subspace:
     """Null space of a Matrix or SparseSystem: its rref, one Fraction basis
     vector per free column (1 there, minus the rref entries of that column
@@ -265,11 +334,12 @@ def det_fraction(A: Matrix) -> Fraction:
     return result
 
 
-def rref_rows_by_echelon(rows: list, ncols: int) -> tuple:
-    """``_echelon`` as Fractions: the nonzero rows of the reduced row
-    echelon form as dicts {column: Fraction}, in pivot order, each divided
-    by its pivot entry once, and the pivot columns."""
-    done, pivots = _echelon(rows, ncols)
+def rref_rows_by_echelon(rows: list, ncols: int, core: Callable = _echelon) -> tuple:
+    """``_echelon`` (or another ``core`` with its contract) as Fractions:
+    the nonzero rows of the reduced row echelon form as dicts {column:
+    Fraction}, in pivot order, each divided by its pivot entry once, and
+    the pivot columns."""
+    done, pivots = core(rows, ncols)
     return [
         {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, done)
     ], pivots

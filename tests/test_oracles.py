@@ -42,6 +42,7 @@ from oracles import (
     det_fraction,
     build_with_heisenberg_ideal_direct,
     double_extension_direct,
+    echelon_by_column_sweep,
     extend_heisenberg_direct,
     heisenberg_data_by_pairs,
     heisenberg_data_checks_by_pairs,
@@ -96,6 +97,7 @@ from quadlie.exactla import (
     Matrix,
     SparseSystem,
     Subspace,
+    _echelon,
     form_restrict_nondegenerate,
     kernel,
     restricted_gram,
@@ -429,6 +431,88 @@ EDGE_MATRICES = [
 @pytest.mark.parametrize("A", EDGE_MATRICES)
 def test_rref_matches_dense_on_edge_cases(A):
     _assert_rref_matches_oracles(A)
+
+
+def _tall_system(rng):
+    """(rows, ncols): sparse rows, many more than their rank, as the
+    solvers' systems are.  Beside combinations of a few primitive base
+    rows they hold zero rows, duplicates, scalar multiples (some by a
+    Fraction) and rows whose entries are Fractions or ints and Fractions
+    mixed, and the row order is random."""
+    ncols = rng.randint(1, 14)
+    base = []
+    for _ in range(rng.randint(1, min(ncols, 6))):
+        support = rng.sample(range(ncols), rng.randint(1, min(ncols, 5)))
+        base.append({j: rng.choice((-3, -2, -1, 1, 2, 5, 10**12 + 1)) for j in support})
+    rows = [dict(row) for row in base]
+    for _ in range(rng.randint(2, 8) * len(base)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.35:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.6:
+            scale = rng.choice((-1, 2, -6, Fraction(3, 7), Fraction(-1, 2)))
+            rows.append({j: scale * x for j, x in rng.choice(base).items()})
+        else:
+            row: dict = {}
+            for b in rng.sample(base, rng.randint(1, len(base))):
+                c = rng.randint(-4, 4) or 1
+                for j, x in b.items():
+                    row[j] = row.get(j, 0) + c * x
+            rows.append({j: x for j, x in row.items() if x})
+    for i, row in enumerate(rows):
+        if row and rng.random() < 0.15:
+            rows[i] = {j: x if rng.random() < 0.5 else Fraction(x) for j, x in row.items()}
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _copies(rows):
+    return [dict(row) for row in rows]
+
+
+def _fractions_of(rows):
+    return [{j: Fraction(x) for j, x in row.items()} for row in rows]
+
+
+TALL_SEEDS = range(150)
+
+
+@pytest.mark.parametrize("seed", TALL_SEEDS)
+def test_echelon_matches_column_sweep_and_fraction_core_on_tall_systems(seed):
+    """Row insertion, divided by its pivots, gives the rows of the column
+    sweep it replaced and of the Fraction core, and so it does on a seeded
+    shuffle of the same rows."""
+    rng = random.Random(seed)
+    rows, ncols = _tall_system(rng)
+    assert len(rows) > 2 * len(rref_rows_fraction(_fractions_of(rows), ncols)[1])
+    for order in (rows, rng.sample(rows, len(rows))):
+        reduced = rref_rows_by_echelon(_copies(order), ncols)
+        assert reduced == rref_rows_by_echelon(_copies(order), ncols, echelon_by_column_sweep)
+        assert reduced == rref_rows_fraction(_fractions_of(order), ncols)
+
+
+@pytest.mark.parametrize("seed", TALL_SEEDS[:50])
+def test_echelon_returns_primitive_pivot_rows_and_leaves_its_rows_alone(seed):
+    """The contract ``_reduced_matrix`` and ``kernel`` read: each returned
+    row has content 1 and holds its pivot entry.  The argument rows are
+    left as they were, also when a call's own rows come back in beside new
+    ones, as ``structure._nilradical`` passes them round after round."""
+    rows, ncols = _tall_system(random.Random(seed))
+    before = _copies(rows)
+    done, pivots = _echelon(rows, ncols)
+    assert rows == before
+    for c, row in zip(pivots, done):
+        assert c in row and gcd(*row.values()) == 1
+        assert all(type(x) is int for x in row.values())
+    more = [{j: 1 for j in row} for row in before]
+    again = done + more
+    kept = _copies(again)
+    done_again, pivots_again = _echelon(again, ncols)
+    assert again == kept
+    for c, row in zip(pivots_again, done_again):
+        assert c in row and gcd(*row.values()) == 1
 
 
 def _dense(system):

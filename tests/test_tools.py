@@ -66,6 +66,10 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
     n = line["dim"]
     assert isinstance(line["invariance_rows"], int) and isinstance(line["cocycle_rows"], int)
     assert line["invariance_rows"] <= n * (n - 1) + 2 * (n * (n - 1) * (n - 2) // 6)
+    # the unknowns are the n(n+1)/2 entries of a symmetric form and the
+    # n(n-1)/2 of an alternating one; each kernel is the solution space
+    assert line["invariance_rank"] == n * (n + 1) // 2 - line["invariant_forms"] == 50
+    assert line["cocycle_rank"] == n * (n - 1) // 2 - line["skew_derivations"] == 35
     for key in (
         "skew_derivation_space_s",
         "invariant_symmetric_forms_s",

@@ -28,7 +28,9 @@ dimension, the seconds of each call (``time.perf_counter``, one call,
 set-up excluded; ``loads_s`` and ``dumps_s`` for the boundary), the
 dimension of each solution space and that of the nilradical, the
 number of equations of each solver's system (``invariance_rows``,
-``cocycle_rows``: the nonzero rows passed to ``kernel``), and the
+``cocycle_rows``: the nonzero rows passed to ``kernel``) beside its rank
+(``invariance_rank``, ``cocycle_rank``: the unknowns minus the kernel
+dimension; rows minus rank counts the redundant equations), and the
 nilradical's closure rounds (``nilradical_closure_rounds``, counted on a
 second, untimed call).  The grid shapes run no round: ker K_R meets the
 floor [g, R] + Z(g) at once.
@@ -181,8 +183,9 @@ def time_solvers(shape) -> dict:
     """One timed call of each solver, of the validating constructor, of
     the nilradical, of ``check`` and of ``analyze`` on the grid algebra of
     ``shape``, of the document's parse and of the report's dump, and the
-    row counts of the two solver systems."""
+    row counts and ranks of the two solver systems."""
     q = grid_algebras([shape])[0]
+    invariance, cocycle = _invariance_system(q.algebra), _cocycle_system(q.algebra)
     start = time.perf_counter()
     skew = skew_derivation_space(q)
     middle = time.perf_counter()
@@ -200,8 +203,10 @@ def time_solvers(shape) -> dict:
         "skew_derivations": len(skew),
         "invariant_symmetric_forms_s": round(end - middle, 4),
         "invariant_forms": len(forms),
-        "invariance_rows": _invariance_system(q.algebra).nrows,
-        "cocycle_rows": _cocycle_system(q.algebra).nrows,
+        "invariance_rows": invariance.nrows,
+        "invariance_rank": invariance.ncols - len(forms),
+        "cocycle_rows": cocycle.nrows,
+        "cocycle_rank": cocycle.ncols - len(skew),
         "quadratic_constructor_s": round(validated - end, 4),
         "nilradical_s": round(nil_end - validated, 4),
         "nilradical_dim": nil.dim,
