@@ -30,6 +30,7 @@ from .exactla import (
 from .liealg import (
     LieAlgebra,
     _integer_table,
+    _upper,
     check_jacobi,
     is_ideal,
     subalgebra_on,
@@ -73,17 +74,18 @@ def check_invariant_metric(
     """Violations of symmetry, nondegeneracy, or invariance of B on g.
 
     Invariance means B([x,y],z) = B(x,[y,z]) on all basis triples.  The
-    returned list is empty iff B is an invariant metric for g.  For each
-    pair (i, j) the difference B([e_i,e_j], e_k) - B(e_i, [e_j,e_k]) is
-    accumulated over all k at once from the signed integer bracket table
-    d c (``_integer_table``) and the nonzero entries of the integer rows e G
-    of the Gram matrix, e its denominator, B(x, y) = x^T G y.  The integer
-    sums are d e
-    times the differences, so they vanish exactly where the differences
-    do; the triples where they are nonzero are reported in lexicographic
-    order.  All n^3 triples are checked: the equations of
-    ``_invariance_system`` read B(x, [y, z]) as B([y, z], x), which holds
-    only for a symmetric Gram matrix.
+    returned list is empty iff B is an invariant metric for g.  Two integer
+    tables are built once, from the signed integer bracket table d c
+    (``_integer_table``) and the nonzero entries of the rows and columns
+    of the integer Gram matrix e G, e its denominator, B(x, y) = x^T G y:
+    L[i][j][k] = sum_p c_ij^p eG[p][k] and R[j][k][i] = sum_p c_jk^p
+    eG[i][p], d e times B([e_i,e_j],e_k) and B(e_i,[e_j,e_k]), each
+    summed once per pair i < j and negated for the pair j > i.  One pass
+    over the triples in lexicographic order compares L[i][j][k] with
+    R[j][k][i] and reports the triples where they differ.  All n^3
+    triples are checked, with the rows and columns of G apart: the
+    equations of ``_invariance_system`` read B(x, [y, z]) as B([y, z], x),
+    which holds only for a symmetric Gram matrix.
     """
     gram = B.gram if isinstance(B, BilinearForm) else B
     n = g.dim
@@ -100,28 +102,32 @@ def check_invariant_metric(
     if gram.det() == 0:
         violations.append(MetricViolation("nondegenerate", (), "det(gram) = 0"))
     _, table = _integer_table(g)
-    rows = [{k: x for k, x in enumerate(row) if x} for row in ints]
-    # into[j]: the (k, p, c) with c the e_p-coefficient of [e_j, e_k]
-    into = [[(k, p, c) for k in range(n) for p, c in table[j][k]] for j in range(n)]
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(n):
-            diff: dict = {}
-            for p, c in table[i][j]:
-                for k, x in rows[p].items():
-                    diff[k] = diff.get(k, 0) + c * x
-            for k, p, c in into[j]:
-                x = row_i.get(p)
-                if x:
-                    diff[k] = diff.get(k, 0) - x * c
-            for k in sorted(k for k, d in diff.items() if d):
-                violations.append(
+    zero = (0,) * n
+    L = [[zero] * n for _ in range(n)]
+    R = [[zero] * n for _ in range(n)]
+    # the nonzero entries of the rows and of the columns of eG
+    tables = [(T, [[(k, x) for k, x in enumerate(row) if x] for row in M])
+              for T, M in ((L, ints), (R, zip(*ints)))]
+    for (i, j), terms in _upper(table).items():
+        for T, M in tables:
+            acc = [0] * n
+            for p, c in terms:
+                for k, x in M[p]:
+                    acc[k] += c * x
+            T[i][j], T[j][i] = tuple(acc), tuple([-x for x in acc])
+    # R[j] transposed: Rt[j][i][k] = R[j][k][i]
+    Rt = [list(zip(*R_j)) for R_j in R]
+    for i, L_i in enumerate(L):
+        for j, L_ij in enumerate(L_i):
+            R_ji = Rt[j][i]
+            if L_ij != R_ji:
+                violations += [
                     MetricViolation(
-                        "invariance",
-                        (i, j, k),
-                        "B([e_i,e_j],e_k) != B(e_i,[e_j,e_k])",
+                        "invariance", (i, j, k), "B([e_i,e_j],e_k) != B(e_i,[e_j,e_k])"
                     )
-                )
+                    for k in range(n)
+                    if L_ij[k] != R_ji[k]
+                ]
     return violations
 
 

@@ -1,10 +1,11 @@
 """Structure analysis of quadratic Lie algebras with Heisenberg ideals.
 
 Contains the solvable radical and nilradical, validation of Heisenberg
-ideals (one equality with the builder's h_m(omega) after transport, every
-bracket from the integer kernels of ``liealg``), the inverse
-structure-recovery algorithm (with a base-change certificate and an exact
-rebuild check), the extended-Heisenberg recognizer, the
+ideals (the brackets of the given basis, mapped forward, are those of the
+builder's h_m(omega); every bracket from the integer kernels of
+``liealg``), the inverse structure-recovery algorithm (its basis built on
+integer rows, with a base-change certificate and an exact rebuild check),
+the extended-Heisenberg recognizer, the
 complement-subalgebra machinery for quotient metrics with the exact
 decision whether one exists, the nilradical-theorem verifier, and
 ``analyze``, which joins them into one analysis.
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import attrgetter
+from math import lcm
+from operator import attrgetter, mul
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InternalVerificationError, ensure
@@ -26,23 +28,23 @@ from .exactla import (
     _Value,
     _echelon,
     _fractions,
+    _integer_row,
     dot,
     form_restrict_nondegenerate,
     is_zero_vec,
     kernel,
     restricted_gram,
-    scale_vec,
     solve,
-    sub_vec,
     sum_intersect,
 )
-from .heisenberg import SymplecticMap, _assemble, heisenberg, in_omega_algebra
+from .heisenberg import SymplecticMap, _assemble, _symplectic_space, in_omega_algebra
 from .liealg import (
     LieAlgebra,
+    _integer_ad,
     _integer_table,
+    _pair_sums,
     _structure_in,
     _upper,
-    ad,
     bracket_subspaces,
     center,
     derived_subalgebra,
@@ -53,7 +55,6 @@ from .liealg import (
     killing_form,
     quotient,
     subalgebra_on,
-    transport,
 )
 from .quadform import (
     BilinearForm,
@@ -171,13 +172,20 @@ class HeisenbergIdealData(_Value):
     ``ValueError`` otherwise, so the functions that take an instance only
     check that it belongs to their algebra; the instance is immutable, and
     copies are built through the same checks.  Past the sizes and
-    ``is_ideal`` the check is one equality: the ideal, transported to the
-    basis (v_1, ..., v_2m, hbar), is ``heisenberg(m, omega)``, which
-    validates omega.  The base change C holds the coordinates of v_1, ...,
-    v_2m, hbar in the ideal's rref basis, read in one pass, so it is
-    invertible exactly when they are a basis of the ideal, and equality of
-    the integer tables says [v_i, v_j] = omega_ij hbar for i < j and
-    [v_i, hbar] = 0.
+    ``is_ideal``, omega is validated as ``heisenberg(m, omega)`` does, and
+    the rest is one forward pass over the basis.  The base change C holds
+    the coordinates of f_1, ..., f_2m, f_2m+1 = v_1, ..., v_2m, hbar in the
+    ideal's rref basis b, read in one pass, so it is invertible exactly
+    when they are a basis of the ideal.  With M = s C on integers, d the
+    denominator of the ideal's table and omega = W / w, one
+    ``_pair_sums`` pass gives S_ab = s^2 d [f_a, f_b] in b-coordinates for
+    a < b, and the data is accepted when w S_ab = s d W_ab M_hbar for
+    b < 2m and S_ab = 0 for b = 2m.  As b is a basis, these say [f_a, f_b]
+    = omega_ab hbar and [f_a, hbar] = 0; as f is a basis, those brackets
+    of its pairs are the whole structure of the ideal transported by C,
+    which is therefore ``heisenberg(m, omega)`` exactly when they hold.
+    So the check is the transport equality, with no inverse and no
+    algebra built.
     """
 
     __slots__ = ("algebra", "ideal", "hbar", "v_basis", "omega")
@@ -186,6 +194,11 @@ class HeisenbergIdealData(_Value):
     def __init__(
         self, algebra: LieAlgebra, ideal: Subspace, hbar: Vector, v_basis: tuple, omega: Matrix
     ):
+        self._certify(algebra, ideal, hbar, v_basis, omega)
+
+    def _certify(self, algebra, ideal, hbar, v_basis, omega, inside=None):
+        """The constructor's checks, then the fields; ``inside``, when
+        given, is ``subalgebra_on(algebra, ideal)``, already built."""
         if ideal.ambient_dim != algebra.dim:
             raise ValueError("ideal ambient dimension mismatch")
         dim = ideal.dim
@@ -198,9 +211,15 @@ class HeisenbergIdealData(_Value):
         C = ideal.coordinate_rows((*v_basis, hbar))
         if C is None or C.det() == 0:
             raise ValueError("v_basis and hbar do not span the ideal")
-        if transport(subalgebra_on(algebra, ideal), C) != heisenberg((dim - 1) // 2, omega):
-            raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
-        self._fill(algebra, ideal, hbar, v_basis, omega)
+        two_m = dim - 1
+        W = _symplectic_space(two_m // 2, omega).omega
+        d, table = _integer_table(subalgebra_on(algebra, ideal) if inside is None else inside)
+        M, sd = C._ints, C._den * d
+        for (a, b), S in zip(combinations(range(dim), 2), _pair_sums(table, M)):
+            c = sd * W._ints[a][b] if b < two_m else 0
+            if [W._den * x for x in S] != [c * y for y in M[two_m]]:
+                raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
+        return self._fill(algebra, ideal, hbar, v_basis, omega)
 
     @property
     def m(self) -> int:
@@ -222,9 +241,9 @@ def _heisenberg_data(
     i > p are 0 at the pivot column of b_p, hbar is 1 there and 0 before,
     so it is the rref generator of the derived line in g's coordinates.
     Every other condition is left to the ``HeisenbergIdealData``
-    constructor.  The reasons name the derived subalgebra, the only
-    candidate whose reason is ever reported; as [g, g] is an ideal, none
-    of them is about ideal-ness.
+    checks, which read the same algebra on the candidate.  The reasons
+    name the derived subalgebra, the only candidate whose reason is ever
+    reported; as [g, g] is an ideal, none of them is about ideal-ness.
     """
     dim = candidate.dim
     if dim == 0:
@@ -247,7 +266,8 @@ def _heisenberg_data(
     rows = tuple([tuple([dict(table[i][j]).get(p, 0) for j in kept]) for i in kept])
     omega = Matrix._from_ints(rows, dim - 1, d)
     try:
-        return HeisenbergIdealData(g, candidate, hbar, v_basis, omega)
+        data = object.__new__(HeisenbergIdealData)
+        return data._certify(g, candidate, hbar, v_basis, omega, inside)
     except ValueError:
         return failed
 
@@ -298,8 +318,9 @@ class RecoveredStructure(NamedTuple):
     complement: Tuple[Vector, ...]
 
 
-def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> List[Vector]:
-    """A complement of h in g inside V^perp whose brackets with V lie in V.
+def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Matrix:
+    """A complement of h in g inside V^perp whose brackets with V lie in V,
+    as the rows of a Matrix.
 
     Takes a complement of the hbar line in V^perp (non-pivot choice).  Its
     brackets [a, v] have no hbar-component, so no correction a -> a - L(a)
@@ -308,40 +329,65 @@ def _normalized_complement(q: QuadraticLieAlgebra, h: HeisenbergIdealData) -> Li
     and v in V, [a, v] lies in the ideal h and its hbar-coefficient is
     B([a, v], z) = B(a, [v, z]) = c B(a, hbar), where c, the
     hbar-coefficient of [v, z], is B([v, z], z) = B(v, [z, z]) = 0.
+
+    V is the span of the v rows, V^perp the kernel of V G, and the
+    complement the integer rows of its rref basis but the one at the first
+    nonzero coordinate of hbar; every check runs on those integer rows.
     """
-    g, B = q.algebra, q.metric
+    g, G = q.algebra, q.metric.gram
     n = g.dim
     two_m = 2 * h.m
-    V_sub = Subspace.from_vectors(n, h.v_basis)
+    V_sub = Subspace._spanned_by(n, [{j: x for j, x in enumerate(v) if x} for v in h.v_basis])
     ensure(V_sub.dim == two_m, "v_basis is not linearly independent")
     ensure(
-        form_restrict_nondegenerate(B.gram, V_sub),
+        form_restrict_nondegenerate(G, V_sub),
         "metric degenerates on the symplectic part of the ideal",
     )
-    VG = V_sub.basis @ B.gram
+    VG = V_sub.basis @ G
     Vperp = kernel(VG)
     ensure(Vperp.dim == n - two_m, "wrong orthogonal dimension")
-    gamma = Vperp.coordinates_of(h.hbar)
+    gamma = Vperp.coordinate_rows((h.hbar,))
     ensure(gamma is not None, "hbar does not lie in V^perp")
-    pivot = next((i for i, c in enumerate(gamma) if c != 0), None)
+    pivot = next((i for i, c in enumerate(gamma._ints[0]) if c), None)
     ensure(pivot is not None, "hbar vanished in V^perp coordinates")
-    a_vecs = [row for i, row in enumerate(Vperp.vectors()) if i != pivot]
+    rows = tuple([row for i, row in enumerate(Vperp.basis._ints) if i != pivot])
     # the proof above rests on every a lying in V^perp
-    for a in a_vecs:
-        ensure(is_zero_vec(VG.apply(a)), "complement does not lie in V^perp")
-    return a_vecs
+    for a in rows:
+        ensure(not any(_times(VG._ints, a)), "complement does not lie in V^perp")
+    return Matrix._from_ints(rows, n, Vperp.basis._den)
 
 
-def _split_off_d(G_hbar: Vector, rows: List[Vector]) -> Tuple[Vector, List[Vector]]:
-    """d = a / B(a, hbar) for the first row a with B(a, hbar) != 0, and the
-    other rows minus their B(., hbar) multiple of d (so B(., hbar) = 0);
-    ``G_hbar`` is G hbar, G the Gram matrix of B."""
-    eta = [dot(a, G_hbar) for a in rows]
-    jd = next((i for i, x in enumerate(eta) if x != 0), None)
+def _times(rows, x) -> list:
+    """The integer products of each of ``rows`` with the integer vector x."""
+    return [sum(map(mul, row, x)) for row in rows]
+
+
+def _split_off_d(gh: list, rows) -> tuple:
+    """(eta, a, rest) on integer rows, gh = u G hbar on integers (u > 0):
+    a is the first row with eta = a . gh != 0, so d = a / B(a, hbar) is
+    (u / eta) a whatever the common scale of the rows, and rest holds the
+    other rows b as eta b - (b . gh) a, which is a multiple of b - B(b,
+    hbar) d, so that B(., hbar) = 0 on them."""
+    eta = _times(rows, gh)
+    jd = next((i for i, x in enumerate(eta) if x), None)
     ensure(jd is not None, "B(., hbar) vanishes on the complement")
-    d = scale_vec(1 / eta[jd], rows[jd])
-    rest = [sub_vec(a, scale_vec(eta[i], d)) for i, a in enumerate(rows) if i != jd]
-    return d, rest
+    top, a = eta[jd], rows[jd]
+    rest = [[top * x - y * z for x, z in zip(b, a)] for b, y in zip(rows, eta)]
+    del rest[jd]  # the zero row of a itself
+    return top, a, rest
+
+
+def _stacked(ncols: int, blocks: list) -> Matrix:
+    """The Matrix of the integer rows of each (den, rows) of ``blocks``,
+    each over its den, over the lcm of the dens."""
+    L = lcm(*[den for den, _ in blocks])
+    ints = [tuple([x * (L // den) for x in row]) for den, part in blocks for row in part]
+    return Matrix._from_ints(tuple(ints), ncols, L)
+
+
+def _ideal_rows(h: HeisenbergIdealData) -> list:
+    """The (den, [integer row]) of each of v_1, ..., v_2m, hbar."""
+    return [(s, [row]) for s, row in map(_integer_row, (*h.v_basis, h.hbar))]
 
 
 def recover_structure(
@@ -354,7 +400,11 @@ def recover_structure(
     V^perp, pick d with B(d, hbar) = 1 normalized to B(d, d) = 0, slide the
     rest to S = {a - B(a, d) hbar}, and read off D and sigma(D) from the
     action of d.  The complement needs no correction to have V-free
-    brackets (see ``_normalized_complement``).
+    brackets (see ``_normalized_complement``).  The basis is built on
+    integer rows: with G = Gi / e, hbar = hb / sh and u = e sh, every value
+    of B it needs is an integer product with Gi hb = u G hbar or with Gi D,
+    D the integer row of d (below), and d and the complement become
+    Fractions once, for the record.
 
     Everything is read in one coordinate system, the transport of q to the
     basis (S..., d, V..., hbar): the core structure, D, sigma(D), B_S, the
@@ -371,33 +421,41 @@ def recover_structure(
     n = g.dim
     _require_own_data(q, h)
     two_m = 2 * h.m
+    Gi, ideal_rows = B.gram._ints, _ideal_rows(h)
+    sh, (hb,) = ideal_rows[-1]
 
     # hbar is central in g and B-orthogonal to the ideal; both are forced
     # by invariance for a valid Heisenberg ideal, so failures are internal
-    ensure(ad(g, h.hbar).is_zero(), "hbar is not central in the ambient algebra")
-    G_hbar = B.gram.apply(h.hbar)
-    ensure(is_zero_vec(h.ideal.basis.apply(G_hbar)), "hbar is not orthogonal to the ideal")
+    central = not any(map(any, _integer_ad(_integer_table(g)[1], hb)))
+    ensure(central, "hbar is not central in the ambient algebra")
+    G_hbar = _times(Gi, hb)
+    ensure(not any(_times(h.ideal.basis._ints, G_hbar)), "hbar is not orthogonal to the ideal")
 
-    a_vecs = _normalized_complement(q, h)
+    A = _normalized_complement(q, h)
 
-    # d with B(d, hbar) = 1, then normalize B(d, d) = 0; G d follows d
-    # through the normalization, so B(., d) needs no second product
-    d, ker_eta = _split_off_d(G_hbar, a_vecs)
-    G_d = B.gram.apply(d)
-    t = dot(d, G_d) / 2
-    d, G_d = sub_vec(d, scale_vec(t, h.hbar)), sub_vec(G_d, scale_vec(t, G_hbar))
-    ensure(dot(d, G_d) == 0, "d normalization failed")
-    ensure(dot(d, G_hbar) == 1, "B(d, hbar) != 1")
+    # d0 = (u / eta) a has B(d0, hbar) = 1; d = d0 - (B(d0, d0) / 2) hbar
+    # is u / (2 eta^2) times D = 2 eta a - (a Gi a) hb, so B(d, d) = 0 and
+    # B(d, hbar) = 1 read D Gi D = 0 and D . G_hbar = 2 eta^2
+    eta, a, ker_eta = _split_off_d(G_hbar, A._ints)
+    aGa = sum(map(mul, a, _times(Gi, a)))
+    D = [2 * eta * x - aGa * y for x, y in zip(a, hb)]
+    G_d, dd = _times(Gi, D), 2 * eta * eta
+    ensure(sum(map(mul, D, G_d)) == 0, "d normalization failed")
+    ensure(sum(map(mul, D, G_hbar)) == dd, "B(d, hbar) != 1")
 
-    # S = {a - B(a, d) hbar : a in Ker(eta)}
-    s_raw = [sub_vec(a, scale_vec(dot(a, G_d), h.hbar)) for a in ker_eta]
-    S_sub = Subspace.from_vectors(n, s_raw)
+    # S = {a - B(a, d) hbar : a in Ker(eta)}: the rows b of ker_eta are
+    # multiples of such a, and 2 eta^2 (b - B(b, d) hbar) = 2 eta^2 b -
+    # (b Gi D) hb
+    s_rows = [[dd * x - sum(map(mul, b, G_d)) * y for x, y in zip(b, hb)] for b in ker_eta]
+    S_sub = Subspace._spanned_by(n, [{j: x for j, x in enumerate(r) if x} for r in s_rows])
     k = len(ker_eta)
     ensure(S_sub.dim == k, "S lost dimension")
+    d_row = [B.gram._den * sh * x for x in D]  # d = d_row / dd
+    d = _fractions(d_row, dd)
 
     # final basis (s..., d, v..., hbar); every block below is read off q
     # transported to it, the algebra the round trip at the end certifies
-    P = Matrix(list(S_sub.vectors()) + [d] + list(h.v_basis) + [h.hbar], n)
+    P = _stacked(n, [(S_sub.basis._den, S_sub.basis._ints), (dd, [d_row])] + ideal_rows)
     try:
         transported = transport_quadratic(q, P)
     except ValueError as exc:
@@ -478,7 +536,7 @@ def recover_structure(
         transported == rebuilt,
         "round trip failed: transported algebra differs from the rebuilt one",
     )
-    return RecoveredStructure(S_sub, D_mat, d, sigma_map, h, P, core, rebuilt, tuple(a_vecs))
+    return RecoveredStructure(S_sub, D_mat, d, sigma_map, h, P, core, rebuilt, A.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -604,22 +662,28 @@ def quotient_metric_from_complement(
     q_alg, proj = quotient(g, h.ideal)
     C = comp.basis
     G = q.metric.gram
-    G_hbar = G.apply(h.hbar)
-    d, s_rows = _split_off_d(G_hbar, C.rows)
+    sh, hb = _integer_row(h.hbar)
+    u, G_hbar = G._den * sh, _times(G._ints, hb)
+    # d = (u / eta) a, and its part B-orthogonal to S is u / (eta sx)
+    # times D = sx a - S0^T X, X / sx solving (S0 G S0^T) x = S0 G a
+    eta, a, s_rows = _split_off_d(G_hbar, C._ints)
+    D, sx = a, 1
     if s_rows:
-        S0 = Matrix(s_rows, n)
+        S0 = Matrix._from_ints(tuple(map(tuple, s_rows)), n)
         S0G = S0 @ G
-        correction = solve(S0G @ S0.transpose(), S0G.apply(d))
+        correction = solve(S0G @ S0.transpose(), _fractions(_times(S0G._ints, a), S0G._den))
         ensure(correction is not None, "cannot orthogonalize d against S")
-        d = sub_vec(d, S0.transpose().apply(correction))
-        ensure(is_zero_vec(S0G.apply(d)), "d orthogonalization failed")
+        sx, X = _integer_row(correction)
+        D = [sx * x - y for x, y in zip(a, _times(zip(*s_rows), X))]
+        ensure(not any(_times(S0G._ints, D)), "d orthogonalization failed")
 
     pi_inv = _inverse_or_none(proj @ C.transpose())
     ensure(pi_inv is not None, "complement does not project onto the quotient")
     reps = pi_inv.transpose() @ C
-    lambdas = reps.apply(G_hbar)
-    c = 1 - dot(d, G.apply(d))
-    form = BilinearForm(reps @ G @ reps.transpose() + _outer(scale_vec(c, lambdas), lambdas))
+    # lambda = lam / r, and 1 - B(d, d) = c
+    lam, r = _times(reps._ints, G_hbar), reps._den * u
+    c = 1 - Fraction(u * u * sum(map(mul, D, _times(G._ints, D))), G._den * (eta * sx) ** 2)
+    form = BilinearForm(reps @ G @ reps.transpose() + _outer(lam, lam).scale(c / (r * r)))
     ensure(
         not check_invariant_metric(q_alg, form),
         "constructed quotient form is not an invariant metric",
@@ -636,8 +700,15 @@ def _inverse_or_none(M: Matrix) -> Optional[Matrix]:
 
 
 def _outer(x: Vector, y: Vector) -> Matrix:
-    """The matrix x y^T, with entries x_i y_j."""
-    return Matrix([[a * b for b in y] for a in x], len(y))
+    """The matrix x y^T, with entries x_i y_j, from the integer rows of x
+    and y."""
+    (s, xs), (t, ys) = _integer_row(x), _integer_row(y)
+    return Matrix._from_ints(tuple([tuple([a * b for b in ys]) for a in xs]), len(ys), s * t)
+
+
+def _rows_of(M: Matrix, start: int, stop: int) -> Matrix:
+    """The rows start, ..., stop - 1 of M."""
+    return Matrix._from_ints(M._ints[start:stop], M.ncols, M._den)
 
 
 def _complement_brackets(
@@ -648,13 +719,13 @@ def _complement_brackets(
     E^-1 the inverse of the basis E = (a..., v..., hbar), and [a_i, a_j] =
     sum_l beta_ij^l a_l + mu_ij hbar for the pairs i < j in lexicographic
     order, beta the matrix with rows beta_ij and mu the vector of the
-    mu_ij.  The brackets are ensured to have no V-component."""
+    mu_ij.  E is stacked from the integer rows of A, the v and hbar.  The
+    brackets are ensured to have no V-component."""
     n = q.dim
-    a_vecs = list(a_vecs or _normalized_complement(q, h))
-    k = len(a_vecs)
-    E_inv = _inverse_or_none(Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n))
+    A = _normalized_complement(q, h) if a_vecs is None else Matrix._unchecked(tuple(a_vecs), n)
+    k = A.nrows
+    E_inv = _inverse_or_none(_stacked(n, [(A._den, A._ints)] + _ideal_rows(h)).transpose())
     ensure(E_inv is not None, "complement plus ideal is not a basis")
-    A = Matrix(a_vecs, n)
     # [a_i, a_j] = sum v / den (a..., v..., hbar)_t over the (t, v) of
     # brackets[(i, j)]: the coordinates E^-1 [a_i, a_j] of ``transport``
     den, brackets = _structure_in(q.algebra, A, E_inv.transpose())
@@ -724,32 +795,34 @@ def _complement_from_metric(
     G_a_inv = _inverse_or_none(G_a)
     ensure(G_a_inv is not None, "pulled-back quotient metric is degenerate")
 
-    # the hbar-part of the brackets as a skew matrix, and ad as K
-    mu_rows = [[Fraction(0)] * qd for _ in range(qd)]
-    K_rows = [[Fraction(0)] * qd for _ in range(qd * qd)]
-    for (i, j), beta_ij, mu_ij in zip(combinations(range(qd), 2), beta.rows, mu):
+    # the hbar-part of the brackets as a skew matrix, and ad as K, both
+    # on the integer rows of beta and mu
+    s_mu, mu_ints = _integer_row(mu)
+    mu_rows = [[0] * qd for _ in range(qd)]
+    K_rows = [[0] * qd for _ in range(qd * qd)]
+    for (i, j), beta_ij, mu_ij in zip(combinations(range(qd), 2), beta._ints, mu_ints):
         mu_rows[i][j], mu_rows[j][i] = mu_ij, -mu_ij
         for r, x in enumerate(beta_ij):
             K_rows[r * qd + j][i], K_rows[r * qd + i][j] = x, -x
-    K = Matrix(K_rows, qd)
+    K = Matrix._from_ints(tuple(map(tuple, K_rows)), qd, beta._den)
 
     # varphi(a_i) = B#(Ba(a_i, p(.))), in E-coordinates column by column
-    alpha = G_a @ Matrix(E_inv.rows[:qd], n)  # row i = the covector Ba(a_i, p(.))
+    alpha = G_a @ _rows_of(E_inv, 0, qd)  # row i = the covector Ba(a_i, p(.))
     try:
         G_inv = G.inverse()
     except ValueError as exc:
         raise InternalVerificationError("metric failed to invert") from exc
     varphi = E_inv @ (G_inv @ alpha.transpose())
-    ensure(Matrix(varphi.rows[qd:n - 1], qd).is_zero(), "varphi has a V-component")
-    T = Matrix(varphi.rows[:qd], qd)
-    e = solve(G_a, varphi.rows[n - 1])
+    ensure(_rows_of(varphi, qd, n - 1).is_zero(), "varphi has a V-component")
+    T = _rows_of(varphi, 0, qd)
+    e = solve(G_a, _fractions(varphi._ints[n - 1], varphi._den))
     ensure(e is not None, "no element e with Ba(e, .) matching varphi")
 
     # Ba-symmetry of T (asserted on every run)
     ensure(T.transpose() @ G_a == G_a @ T, "T is not Ba-symmetric")
 
     # F from mu(a, b) = Ba(F(a), b)
-    F = G_a_inv @ Matrix(mu_rows, qd).transpose()
+    F = G_a_inv @ Matrix._from_ints(tuple(map(tuple, mu_rows)), qd, s_mu).transpose()
 
     # e: a = T(phi(a)) + B(a, hbar) e on the complement, and B(e, hbar) = 1
     AG = A @ G
@@ -762,8 +835,10 @@ def _complement_from_metric(
     ensure(dot(e, eta) == 1, "B(e, hbar) != 1")
 
     # T∘F = F∘T = ad(e) (asserted on every run)
-    ad_e_flat = K.apply(e)
-    ad_e = Matrix([ad_e_flat[r * qd:(r + 1) * qd] for r in range(qd)], qd)
+    s_e, e_ints = _integer_row(e)
+    flat = _times(K._ints, e_ints)
+    rows = tuple([tuple(flat[r * qd:(r + 1) * qd]) for r in range(qd)])
+    ad_e = Matrix._from_ints(rows, qd, K._den * s_e)
     ensure(T @ F == ad_e, "T∘F != ad(e)")
     ensure(F @ T == ad_e, "F∘T != ad(e)")
 

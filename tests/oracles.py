@@ -67,7 +67,14 @@ hbar) and the search that read hbar and omega off the ambient pair
 brackets, where the constructor now compares the transported ideal with
 ``heisenberg(m, omega)`` and the search reads the algebra on the
 candidate; the tests require the same data, the same reasons and the
-same answers.  The columns of ad x and the pair brackets that the oracles
+same answers.  So does that constructor's check as it ran by transport:
+the ideal, moved to the basis (v_1, ..., v_2m, hbar) through an inverse,
+compared with ``heisenberg(m, omega)``, where the constructor now maps
+the basis forward; the tests require it to accept the same data with the
+same errors.  So does recovery as it built its basis from Fraction
+vectors (the normalized complement, d and its normalization, S and the
+base change by ``dot``, ``scale_vec`` and ``sub_vec``), where the library
+now builds them on integer rows; the tests require equal records.  The columns of ad x and the pair brackets that the oracles
 use are built from the public ``bracket``.
 """
 
@@ -103,7 +110,10 @@ from quadlie.heisenberg import (
     SymplecticMap,
     SymplecticSpace,
     _as_omega_matrix,
+    _assemble,
     _require_skew_derivation,
+    heisenberg,
+    in_omega_algebra,
     standard_symplectic_matrix,
 )
 from quadlie.liealg import (
@@ -114,9 +124,11 @@ from quadlie.liealg import (
     bracket,
     check_jacobi,
     derived_subalgebra,
+    is_derivation,
     is_ideal,
     quotient,
     subalgebra_on,
+    transport,
 )
 from quadlie.quadform import (
     BilinearForm,
@@ -125,12 +137,12 @@ from quadlie.quadform import (
     _cocycle_system,
     invariant_symmetric_forms,
     restrict_quadratic,
+    transport_quadratic,
 )
 from quadlie.randomized import _BOUND
 from quadlie.structure import (
     ComplementWitness,
     RecoveredStructure,
-    _normalized_complement,
     find_heisenberg_ideal,
     nilradical,
     radical,
@@ -1304,7 +1316,7 @@ def _brackets_by_pairs(q: QuadraticLieAlgebra, h) -> tuple:
     {(i, j): (beta_ij, mu_ij)} with [a_i, a_j] = sum_l beta_ij^l a_l +
     mu_ij hbar, for i < j."""
     n = q.dim
-    a_vecs = _normalized_complement(q, h)
+    a_vecs = normalized_complement_by_fractions(q, h)
     k = len(a_vecs)
     E_inv = Matrix.from_columns(a_vecs + list(h.v_basis) + [h.hbar], n).inverse()
     brackets = {}
@@ -1686,3 +1698,137 @@ def parse_rational_fraction(text) -> Fraction:
 def dumps_by_encoder(data) -> str:
     """Canonical JSON text by the standard library's encoder."""
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# -- the Heisenberg certificate by transport and recovery on Fractions ----------
+
+def heisenberg_certificate_by_transport(
+    algebra: LieAlgebra, ideal: Subspace, hbar, v_basis, omega
+) -> None:
+    """The ``HeisenbergIdealData`` checks with the transport equality: the
+    ideal, transported to the basis (v_1, ..., v_2m, hbar) through the
+    inverse of C, equals ``heisenberg(m, omega)``; raises the constructor's
+    ``ValueError``s."""
+    if ideal.ambient_dim != algebra.dim:
+        raise ValueError("ideal ambient dimension mismatch")
+    dim = ideal.dim
+    if dim < 3 or dim % 2 == 0:
+        raise ValueError("Heisenberg ideal must have odd dimension >= 3")
+    if len(v_basis) != dim - 1:
+        raise ValueError("v_basis size does not match the ideal dimension")
+    if not is_ideal(algebra, ideal):
+        raise ValueError("the subspace is not an ideal")
+    C = ideal.coordinate_rows((*v_basis, hbar))
+    if C is None or C.det() == 0:
+        raise ValueError("v_basis and hbar do not span the ideal")
+    if transport(subalgebra_on(algebra, ideal), C) != heisenberg((dim - 1) // 2, omega):
+        raise ValueError("the ideal is not h_m(omega) in the basis v_basis, hbar")
+
+
+def normalized_complement_by_fractions(q: QuadraticLieAlgebra, h) -> List[tuple]:
+    """The normalized complement of ``recover_structure`` with Fraction
+    vectors: the rref basis of V^perp without the row at the first nonzero
+    coordinate of hbar."""
+    g, B = q.algebra, q.metric
+    n = g.dim
+    two_m = 2 * h.m
+    V_sub = Subspace.from_vectors(n, h.v_basis)
+    ensure(V_sub.dim == two_m, "v_basis is not linearly independent")
+    ensure(
+        form_restrict_nondegenerate(B.gram, V_sub),
+        "metric degenerates on the symplectic part of the ideal",
+    )
+    VG = V_sub.basis @ B.gram
+    Vperp = kernel(VG)
+    ensure(Vperp.dim == n - two_m, "wrong orthogonal dimension")
+    gamma = Vperp.coordinates_of(h.hbar)
+    ensure(gamma is not None, "hbar does not lie in V^perp")
+    pivot = next((i for i, c in enumerate(gamma) if c != 0), None)
+    ensure(pivot is not None, "hbar vanished in V^perp coordinates")
+    a_vecs = [row for i, row in enumerate(Vperp.vectors()) if i != pivot]
+    for a in a_vecs:
+        ensure(all(x == 0 for x in VG.apply(a)), "complement does not lie in V^perp")
+    return a_vecs
+
+
+def _split_off_d_by_fractions(G_hbar, rows) -> tuple:
+    """d = a / B(a, hbar) for the first row a with B(a, hbar) != 0, and the
+    other rows minus their B(., hbar) multiple of d."""
+    eta = [dot(a, G_hbar) for a in rows]
+    jd = next((i for i, x in enumerate(eta) if x != 0), None)
+    ensure(jd is not None, "B(., hbar) vanishes on the complement")
+    d = scale_vec(1 / eta[jd], rows[jd])
+    rest = [sub_vec(a, scale_vec(eta[i], d)) for i, a in enumerate(rows) if i != jd]
+    return d, rest
+
+
+def recover_structure_by_fractions(q: QuadraticLieAlgebra, h) -> RecoveredStructure:
+    """``recover_structure`` with its basis built from Fraction vectors: d,
+    its normalization, S and the base change by ``dot``, ``scale_vec`` and
+    ``sub_vec``; the transport and the blocks read off it as in the
+    library."""
+    g, B = q.algebra, q.metric
+    n = g.dim
+    two_m = 2 * h.m
+    ensure(ad(g, h.hbar).is_zero(), "hbar is not central in the ambient algebra")
+    G_hbar = B.gram.apply(h.hbar)
+    ensure(all(x == 0 for x in h.ideal.basis.apply(G_hbar)), "hbar is not orthogonal to the ideal")
+    a_vecs = normalized_complement_by_fractions(q, h)
+    d, ker_eta = _split_off_d_by_fractions(G_hbar, a_vecs)
+    G_d = B.gram.apply(d)
+    t = dot(d, G_d) / 2
+    d, G_d = sub_vec(d, scale_vec(t, h.hbar)), sub_vec(G_d, scale_vec(t, G_hbar))
+    ensure(dot(d, G_d) == 0, "d normalization failed")
+    ensure(dot(d, G_hbar) == 1, "B(d, hbar) != 1")
+    s_raw = [sub_vec(a, scale_vec(dot(a, G_d), h.hbar)) for a in ker_eta]
+    S_sub = Subspace.from_vectors(n, s_raw)
+    k = len(ker_eta)
+    ensure(S_sub.dim == k, "S lost dimension")
+    P = Matrix(list(S_sub.vectors()) + [d] + list(h.v_basis) + [h.hbar], n)
+    transported = transport_quadratic(q, P)
+    dT, table = transported.algebra._integers
+    G = transported.metric.gram._ints
+    d_slot, v_slots, h_slot = k, range(k + 1, k + 1 + two_m), n - 1
+
+    def coords(i: int, j: int) -> List[int]:
+        out = [0] * n
+        for t, v in table[i][j]:
+            out[t] = v
+        return out
+
+    for i in range(k):
+        ensure(G[i][d_slot] == 0 and G[i][h_slot] == 0, "B(S, d) or B(S, hbar) != 0")
+        ensure(all(G[i][t] == 0 for t in v_slots), "B(S, V) != 0")
+    s_structure = {}
+    for i, j in combinations(range(k), 2):
+        c = coords(i, j)
+        ensure(c[d_slot] == 0 and not any(c[k + 1:h_slot]), "[S, S] left S + hbar")
+        s_structure[(i, j)] = list(enumerate(c[:k]))
+    D_cols = []
+    for j in range(k):
+        c = coords(d_slot, j)
+        ensure(not any(c[k:]), "[d, S] left S")
+        D_cols.append(c[:k])
+    D_mat = Matrix._from_ints(tuple(zip(*D_cols)), k, dT)
+    sigma_cols = []
+    for j in v_slots:
+        c = coords(d_slot, j)
+        ensure(not any(c[:k + 1]) and c[h_slot] == 0, "[d, V] left V")
+        sigma_cols.append(c[k + 1:h_slot])
+    sigma_mat = Matrix._from_ints(tuple(zip(*sigma_cols)), two_m, dT)
+    ensure(sigma_mat.det() != 0 and in_omega_algebra(sigma_mat, h.omega), "bad sigma(D)")
+    ensure(all(not table[i][j] for i in range(k) for j in v_slots), "[S, V] != 0")
+    e = transported.metric.gram._den
+    B_S = Matrix._from_ints(tuple([row[:k] for row in G[:k]]), k, e)
+    gram_V = Matrix._from_ints(tuple([G[t][k + 1:h_slot] for t in v_slots]), two_m, e)
+    ensure(k == 0 or B_S.det() != 0, "metric degenerates on S")
+    ensure(sigma_mat.transpose() @ gram_V == h.omega, "metric on V does not match omega")
+    s_algebra = LieAlgebra._from_ints(k, dT, s_structure, [f"s{t + 1}" for t in range(k)])
+    core = QuadraticLieAlgebra._unchecked(s_algebra, BilinearForm(B_S))
+    ensure(is_derivation(s_algebra, D_mat), "recovered D is not a derivation")
+    ensure((D_mat.transpose() @ B_S + B_S @ D_mat).is_zero(), "recovered D is not skew")
+    sigma_map = SymplecticMap._unchecked(h.omega, sigma_mat)
+    algebra, gram = _assemble(core, D_mat, sigma_map.space, sigma_mat)
+    rebuilt = QuadraticLieAlgebra._unchecked(algebra, BilinearForm(gram))
+    ensure(transported == rebuilt, "round trip failed")
+    return RecoveredStructure(S_sub, D_mat, d, sigma_map, h, P, core, rebuilt, tuple(a_vecs))

@@ -45,6 +45,7 @@ from oracles import (
     echelon_by_column_sweep,
     extend_heisenberg_direct,
     heisenberg_data_by_pairs,
+    heisenberg_certificate_by_transport,
     heisenberg_data_checks_by_pairs,
     heisenberg_ideal_span,
     ideal_generated_by,
@@ -1752,3 +1753,76 @@ def test_heisenberg_certificate_accepts_exactly_what_the_pairwise_checks_accept(
          "omega singular", "not an ideal"),
         {False},
     )
+
+
+def _outcome(make):
+    """None when ``make()`` returns, else the message of its ValueError."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_forward_certificate_accepts_exactly_what_the_transport_accepts():
+    """The constructor, which maps the basis forward, and the equality of
+    the transported ideal with ``heisenberg(m, omega)`` accept the same
+    data and raise the same errors: every valid datum among the candidates
+    and seeded single-field mutations of each, omega transposed and omega
+    with its hbar brackets dropped included."""
+    outcomes = {}
+    for index, (name, g, candidates) in enumerate(HEISENBERG_CANDIDATES):
+        rng = random.Random(index)
+        for candidate in candidates:
+            h = find_heisenberg_ideal(g, candidate)
+            if h is None:
+                continue
+            valid = ("valid", h.ideal, h.hbar, list(h.v_basis), h.omega)
+            transposed = ("omega transposed", h.ideal, h.hbar, list(h.v_basis),
+                          h.omega.transpose())
+            for kind, ideal, hbar, vs, omega in [valid, transposed] + _mutations(g, h, rng):
+                args = (g, ideal, hbar, tuple(vs), omega)
+                got = _outcome(lambda: HeisenbergIdealData(*args))
+                assert got == _outcome(lambda: heisenberg_certificate_by_transport(*args)), (
+                    name, kind
+                )
+                outcomes.setdefault(kind, set()).add(got)
+    assert outcomes.pop("valid") == outcomes.pop("v shifted by hbar") == {None}
+    assert outcomes.pop("omega transposed") == {
+        "the ideal is not h_m(omega) in the basis v_basis, hbar"
+    }
+    assert all(None not in messages for messages in outcomes.values())
+
+
+def test_forward_certificate_refuses_an_hbar_that_is_not_central():
+    """[v_1, v_2] = hbar and [v_1, hbar] = hbar: the brackets of the v
+    pairs are those of h_1 and the derived line is hbar's, so only the
+    brackets with hbar refuse the data, by both certificates, and the
+    search finds none."""
+    g = LieAlgebra(3, {(0, 1): [(2, 1)], (0, 2): [(2, 1)]})
+    full = Subspace.full(3)
+    args = (g, full, unit_vector(3, 2), (unit_vector(3, 0), unit_vector(3, 1)),
+            standard_symplectic_matrix(1))
+    expected = "the ideal is not h_m(omega) in the basis v_basis, hbar"
+    assert _outcome(lambda: HeisenbergIdealData(*args)) == expected
+    assert _outcome(lambda: heisenberg_certificate_by_transport(*args)) == expected
+    assert _heisenberg_data(g, full) == "candidate fails the Heisenberg bracket relations"
+
+
+def test_search_certifies_the_data_the_constructor_certifies():
+    """The search's data, certified on the algebra it built on the
+    candidate, equals the data the public constructor builds from the same
+    fields, with the same hash."""
+    found = 0
+    for name, g, candidates in HEISENBERG_CANDIDATES:
+        for candidate in candidates:
+            h = _heisenberg_data(g, candidate)
+            if isinstance(h, str):
+                continue
+            found += 1
+            again = HeisenbergIdealData(g, candidate, h.hbar, h.v_basis, h.omega)
+            assert again == h and hash(again) == hash(h), name
+            assert [getattr(again, f) for f in again.__slots__] == [
+                getattr(h, f) for f in h.__slots__
+            ]
+    assert found > 60

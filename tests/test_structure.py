@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from oracles import (
     metric_on_complement_by_evaluation,
     obstruction_holds,
     quotient_metric_probe,
+    recover_structure_by_fractions,
     transport_subspace,
 )
 
@@ -76,6 +78,7 @@ from quadlie.structure import (
     HeisenbergIdealData,
     NotApplicableVerdict,
     QuotientMetricObstruction,
+    RecoveredStructure,
     _complement_brackets,
     _normalized_complement,
     complement_from_quotient_metric,
@@ -362,11 +365,9 @@ def _core_of_dim_4(rng):
             return S
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_recover_roundtrip_at_dims_12_to_18(seed):
-    """Builds with core dim 4 and m = 3..6 (dim 12-18) round-trip after a
-    random base change, and the unvalidated core and rebuild pass the full
-    constructor."""
+def _dims_12_to_18_case(seed):
+    """(moved, h): a build with core dim 4 and m = 3 + seed % 4 after a
+    random base change, with the data of its moved coordinate ideal."""
     m = 3 + seed % 4
     rng = random.Random(500 + seed)
     S = _core_of_dim_4(rng)
@@ -378,7 +379,15 @@ def test_recover_roundtrip_at_dims_12_to_18(seed):
     P = random_unimodular(rng, q.dim)
     moved = transport_quadratic(q, P)
     candidate = transport_subspace(heisenberg_ideal_span(q, m), P)
-    h = find_heisenberg_ideal(moved.algebra, candidate)
+    return moved, find_heisenberg_ideal(moved.algebra, candidate)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_recover_roundtrip_at_dims_12_to_18(seed):
+    """Builds with core dim 4 and m = 3..6 (dim 12-18) round-trip after a
+    random base change, and the unvalidated core and rebuild pass the full
+    constructor."""
+    moved, h = _dims_12_to_18_case(seed)
     assert h is not None
     rec = recover_structure(moved, h)
     assert transport_quadratic(moved, rec.base_change) == rec.rebuilt
@@ -431,7 +440,7 @@ def _heisenberg_ideals(g):
 def _assert_complement_brackets_stay_in_v(q, h):
     """[a, v] has no hbar-coefficient for every returned a and every v."""
     V = Subspace.from_vectors(q.dim, h.v_basis)
-    a_vecs = _normalized_complement(q, h)
+    a_vecs = _normalized_complement(q, h).rows
     assert len(a_vecs) == q.dim - h.ideal.dim
     for a in a_vecs:
         for v in h.v_basis:
@@ -464,6 +473,43 @@ def test_normalized_complement_needs_no_correction_on_random_builds():
         h = find_heisenberg_ideal(moved.algebra, candidate)
         assert h is not None, f"trial {trial}"
         _assert_complement_brackets_stay_in_v(moved, h)
+
+
+def _assert_recovery_matches_fractions(q, h):
+    """``recover_structure`` on integer rows gives the record, field by
+    field, that the recovery on Fraction vectors gives."""
+    rec, expected = recover_structure(q, h), recover_structure_by_fractions(q, h)
+    for field in RecoveredStructure._fields:
+        assert getattr(rec, field) == getattr(expected, field), field
+    assert all(type(x) is Fraction for x in rec.d + sum(rec.complement, ()))
+
+
+def test_recovery_matches_the_fraction_recovery_on_fixtures_and_corpus():
+    """Every Heisenberg ideal of every fixture and corpus quadratic algebra."""
+    cases = 0
+    for _, q in QUADRATIC_CASES:
+        for h in _heisenberg_ideals(q.algebra):
+            _assert_recovery_matches_fractions(q, h)
+            cases += 1
+    assert cases == 13
+
+
+def test_recovery_matches_the_fraction_recovery_on_random_builds():
+    """The 30 seeded builds of ``test_recover_randomized_roundtrip_30``."""
+    rng = random.Random(123)
+    for _ in range(30):
+        S, D, V, sigma = random_build_input(rng)
+        q = build_with_heisenberg_ideal(S, D, V, sigma)
+        ideal = heisenberg_ideal_span(q, V.dim // 2)
+        P = random_unimodular(rng, q.dim)
+        moved = transport_quadratic(q, P)
+        h = find_heisenberg_ideal(moved.algebra, transport_subspace(ideal, P))
+        _assert_recovery_matches_fractions(moved, h)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_recovery_matches_the_fraction_recovery_at_dims_12_to_18(seed):
+    _assert_recovery_matches_fractions(*_dims_12_to_18_case(seed))
 
 
 def test_recover_reports_a_singular_basis_as_internal(monkeypatch):

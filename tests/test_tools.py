@@ -92,6 +92,7 @@ def test_time_solvers_prints_the_import_time_first(monkeypatch, capsys):
 
     monkeypatch.setattr(time_solvers, "SHAPES", ())
     monkeypatch.setattr(time_solvers, "CLOSURES", ())
+    monkeypatch.setattr(time_solvers, "RECOVERIES", ())
     assert time_solvers.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
@@ -144,3 +145,24 @@ def test_time_solvers_times_the_closure_shapes(monkeypatch):
                 line["nilradical_closure_rounds"]) == dims
         assert isinstance(line["nilradical_s"], float) and line["nilradical_s"] >= 0
         assert json.loads(json.dumps(line)) == line
+
+
+def test_time_solvers_times_recovery_and_the_certificate(monkeypatch, capsys):
+    """The recovery shapes are the (3, False, m) grid shapes of dimension
+    11, 15 and 19; a run on the first prints, after the import time, one
+    line with its analyze, recovery and certificate seconds."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import time_solvers
+
+    assert time_solvers.RECOVERIES == ((3, False, 3), (3, False, 5), (3, False, 7))
+    monkeypatch.setattr(time_solvers, "SHAPES", ())
+    monkeypatch.setattr(time_solvers, "CLOSURES", ())
+    monkeypatch.setattr(time_solvers, "RECOVERIES", ((3, False, 3),))
+    assert time_solvers.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    line = json.loads(lines[1])
+    assert list(line) == ["recovery", "dim", "analyze_s", "recover_s", "certificate_s"]
+    assert line["recovery"] == [3, False, 3] and line["dim"] == 11
+    for key in ("analyze_s", "recover_s", "certificate_s"):
+        assert isinstance(line[key], float) and line[key] >= 0

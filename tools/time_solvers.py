@@ -42,8 +42,18 @@ rotation core of the corpus (``build_rotation_core``, solvable and not
 nilpotent) with its ``coadjoint_double``.  Each line holds the dimension,
 that of the radical and of the nilradical, the fastest of 5 timed
 ``nilradical(g, R)`` calls on the precomputed radical
-(``nilradical_s``) and the closure rounds.  Single runs on a shared
-machine vary; repeat the command to see the spread.
+(``nilradical_s``) and the closure rounds.
+
+Last, one JSON line per recovery shape (``RECOVERIES``): the grid shapes
+(3, False, m) for m = 3, 5, 7, dimension 11, 15 and 19, on which
+``analyze`` finds a Heisenberg ideal (on the (4, False, m) shapes above it
+finds none, so their ``analyze_s`` never reaches recovery).  Each line
+holds the shape, the dimension, the seconds of one ``quadlie analyze``
+(``analyze_s``) and the fastest of 3 timed calls of ``recover_structure``
+(``recover_s``) and of the ``HeisenbergIdealData`` certificate
+(``certificate_s``) on the data that an untimed ``analyze`` found.
+Single runs on a shared machine vary; repeat the command to see the
+spread.
 """
 
 import contextlib
@@ -78,7 +88,13 @@ from quadlie.quadform import (  # noqa: E402
 from quadlie import structure  # noqa: E402
 from quadlie.heisenberg import coadjoint_double  # noqa: E402
 from quadlie.liealg import LieAlgebra  # noqa: E402
-from quadlie.structure import nilradical, radical  # noqa: E402
+from quadlie.structure import (  # noqa: E402
+    HeisenbergIdealData,
+    analyze,
+    nilradical,
+    radical,
+    recover_structure,
+)
 
 SHAPES = tuple((4, False, m) for m in range(2, 8))
 CLOSURES = (
@@ -87,6 +103,7 @@ CLOSURES = (
     "build_rotation_core",
     "coadjoint_double(build_rotation_core)",
 )
+RECOVERIES = tuple((3, False, m) for m in (3, 5, 7))
 CORPUS = ROOT / "src" / "quadlie" / "corpus"
 
 
@@ -146,22 +163,29 @@ def closure_algebra(name: str) -> LieAlgebra:
     }[name]
 
 
+def fastest(call, repeats: int = 3) -> tuple:
+    """(seconds, result): the fewest seconds of ``repeats`` timed calls of
+    ``call()``, and what the last one returned."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
 def time_closure(name: str) -> dict:
     """The fastest of 5 timed ``nilradical`` calls on the closure shape
     ``name``, given its radical, with the dimensions and the rounds."""
     g = closure_algebra(name)
     R = radical(g)
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        nil = nilradical(g, R)
-        times.append(time.perf_counter() - start)
+    nilradical_s, nil = fastest(lambda: nilradical(g, R), 5)
     return {
         "closure": name,
         "dim": g.dim,
         "radical_dim": R.dim,
         "nilradical_dim": nil.dim,
-        "nilradical_s": round(min(times), 5),
+        "nilradical_s": round(nilradical_s, 5),
         "nilradical_closure_rounds": closure_rounds(g),
     }
 
@@ -218,12 +242,34 @@ def time_solvers(shape) -> dict:
     }
 
 
+def time_recovery(shape) -> dict:
+    """One timed ``quadlie analyze`` on the grid algebra of ``shape``, and
+    the fastest of 3 timed recoveries and certificates of the Heisenberg
+    data that an untimed ``analyze`` found on it."""
+    q = grid_algebras([shape])[0]
+    analyze_s = time_command(q, "analyze")
+    h = analyze(q).heisenberg
+    if h is None:
+        raise RuntimeError(f"analyze finds no Heisenberg ideal on {shape}")
+    return {
+        "recovery": list(shape),
+        "dim": q.dim,
+        "analyze_s": round(analyze_s, 4),
+        "recover_s": round(fastest(lambda: recover_structure(q, h))[0], 5),
+        "certificate_s": round(fastest(
+            lambda: HeisenbergIdealData(h.algebra, h.ideal, h.hbar, h.v_basis, h.omega)
+        )[0], 5),
+    }
+
+
 def main() -> int:
     print(json.dumps({"import_s": round(statistics.median(import_times()), 4)}), flush=True)
     for shape in SHAPES:
         print(json.dumps(time_solvers(shape)), flush=True)
     for name in CLOSURES:
         print(json.dumps(time_closure(name)), flush=True)
+    for shape in RECOVERIES:
+        print(json.dumps(time_recovery(shape)), flush=True)
     return 0
 
 
