@@ -1,22 +1,30 @@
 """Constructors for Heisenberg-type quadratic Lie algebras.
 
-Provides the Heisenberg algebra h_m, the main builder that couples the
-double extension S(D) with a symplectic block, its two special cases (the
-extension h_m(phi) by an invertible derivation, S = 0, and the double
-extension S(D) of a quadratic algebra by a skew derivation, V = 0), and the
-coadjoint-double example generator.
+Provides the Heisenberg algebra h_m and the quadratic algebras of one
+construction, the double extension h ⊕ S ⊕ h* of a quadratic algebra S by
+a Lie algebra h acting on it by skew derivations, written by one private
+body, ``_extension``.  Its callers pass their data:
+- the main builder: h = QQ d acting on S ⊥ V by D ⊕ sigmaD, with d placed
+  behind S; its output contains h_m;
+- the builder's two special cases: the extension h_m(phi) by an invertible
+  derivation (S = 0) and the double extension S(D) of a quadratic algebra
+  by a skew derivation (V = 0), the latter in the construction's own order;
+- the coadjoint double g ⊕ g*: h = g and S = 0.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from operator import attrgetter
-from typing import Optional, Tuple, Union
+from operator import attrgetter, mul
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import InternalVerificationError
-from .exactla import Matrix, _Value, unit_vector
+from .exactla import Matrix, _Value
 from .liealg import LieAlgebra, _integer_table, _upper, check_jacobi, is_derivation
-from .quadform import BilinearForm, QuadraticLieAlgebra, transport_quadratic
+from .quadform import BilinearForm, QuadraticLieAlgebra
+
+# the Lie algebras QQ and 0, as h or as the brackets of S in ``_extension``
+_LINE, _ZERO = LieAlgebra.abelian(1), LieAlgebra.abelian(0)
 
 
 def standard_symplectic_matrix(m: int) -> Matrix:
@@ -170,17 +178,13 @@ def double_extension(S: QuadraticLieAlgebra, D: Matrix) -> QuadraticLieAlgebra:
 
     Basis (D, s_1..s_n, hbar) with [D, x] = D(x), [x, y] = [x, y]_S +
     B_S(D x, y) hbar, hbar central; the metric extends B_S hyperbolically
-    on the (D, hbar) pair.  This is the builder with V = 0, its d moved to
-    the front.
+    on the (D, hbar) pair.  This is ``_extension`` with h = QQ D acting on
+    S by D, in the construction's own order h ⊕ S ⊕ h*.
     """
-    built = build_with_heisenberg_ideal(
-        S, D, SymplecticSpace(Matrix([], 0)), Matrix([], 0)
-    )
-    n = S.dim
-    order = [n] + list(range(n)) + [n + 1]
-    P = Matrix([unit_vector(n + 2, t) for t in order], n + 2)
-    labels = ["D"] + list(S.algebra.basis_labels) + ["hbar"]
-    return transport_quadratic(built, P, labels)
+    _require_skew_derivation(S, D)
+    labels = ["D", *S.algebra.basis_labels, "hbar"]
+    built = _extension(_LINE, S.algebra, S.metric.gram, [D], labels)
+    return _certified(*built, "heisenberg-ideal build")
 
 
 def build_with_heisenberg_ideal(
@@ -195,8 +199,10 @@ def build_with_heisenberg_ideal(
     the invertible sigmaD in o(omega); [u, v] = omega(u, v) hbar on V; S and
     V commute.  The metric is B_{S(D)} ⊥ B_V with B_V(u, v) =
     omega(sigmaD^{-1} u, v).  The subspace V ⊕ QQ hbar is a Heisenberg
-    ideal of the result.  ``extend_heisenberg`` is the case S = 0 and
-    ``double_extension`` the case V = 0.
+    ideal of the result.  This is ``_extension`` with h = QQ d acting on
+    S ⊥ (V, B_V) by D ⊕ sigmaD (see ``_assemble``).  ``extend_heisenberg``
+    is the case S = 0; ``double_extension`` writes the case V = 0 with d
+    in front.
     """
     _require_skew_derivation(S, D)
     sigma = _as_omega_matrix(sigmaD, V, "sigmaD")
@@ -213,82 +219,101 @@ def _assemble(
     Valid whenever D_mat is a skew derivation of S and sigma an invertible
     element of o(omega); ``build_with_heisenberg_ideal`` checks both and
     certifies the result, while structure recovery certifies its rebuild by
-    the round trip instead.  The brackets are stated as the construction
-    gives them, [x, y] = [x, y]_S + B_S(D x, y) hbar, [d, x] = D x,
-    [d, u] = sigma u and [u, v] = omega(u, v) hbar, as integers over one
-    denominator, and ``LieAlgebra._from_ints`` puts them in canonical form.
+    the round trip instead.  The build is ``_extension`` with h = QQ d
+    acting by D_mat ⊕ sigma on S ⊥ (V, B_V), B_V(u, v) = omega(sigma^{-1}
+    u, v): on V its [s, s'] term B_V(sigma u, v) hbar is the Heisenberg
+    bracket omega(u, v) hbar.  An index map puts d behind S.
     """
-    k = S.dim
-    two_m = V.dim
-    dim = k + 1 + two_m + 1
-    d_idx = k
-    hb = dim - 1
-    v0 = k + 1  # the index of u_1
-
-    ds, table = _integer_table(S.algebra)
-    mu = D_mat.transpose() @ S.metric.gram  # mu[i][j] = B_S(D s_i, s_j)
-    den = lcm(ds, mu._den, D_mat._den, sigma._den, V.omega._den)
-    mu, D, sg, om = (_ints_over(M, den) for M in (mu, D_mat, sigma, V.omega))
-    f = den // ds
-    brackets = {pair: [(t, f * v) for t, v in terms] for pair, terms in _upper(table).items()}
-    for i in range(k):
-        for j in range(i + 1, k):
-            brackets.setdefault((i, j), []).append((hb, mu[i][j]))
-    for j in range(k):
-        brackets[(d_idx, j)] = [(i, D[i][j]) for i in range(k)]
-    for j in range(two_m):
-        brackets[(d_idx, v0 + j)] = [(v0 + i, sg[i][j]) for i in range(two_m)]
-    for i in range(two_m):
-        for j in range(i + 1, two_m):
-            brackets[(v0 + i, v0 + j)] = [(hb, om[i][j])]
-    labels = (
-        list(S.algebra.basis_labels)
-        + ["d"]
-        + [f"u{i + 1}" for i in range(two_m)]
-        + ["hbar"]
-    )
-    algebra = LieAlgebra._from_ints(dim, den, brackets, labels)
-
-    gram_s = S.metric.gram
-    gram_v = sigma.inverse().transpose() @ V.omega
-    e = lcm(gram_s._den, gram_v._den)
-    rows = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(_ints_over(gram_s, e)):
-        rows[i][:k] = row
-    for i, row in enumerate(_ints_over(gram_v, e)):
-        rows[v0 + i][v0:hb] = row
-    rows[d_idx][hb] = rows[hb][d_idx] = e
-    return algebra, Matrix._from_ints(tuple([tuple(row) for row in rows]), dim, e)
+    gram = _diagonal(S.metric.gram, sigma.inverse().transpose() @ V.omega)
+    labels = [*S.algebra.basis_labels, "d", *[f"u{i + 1}" for i in range(V.dim)], "hbar"]
+    order = [S.dim, *range(S.dim), *range(S.dim + 1, S.dim + V.dim + 2)]
+    return _extension(_LINE, S.algebra, gram, [_diagonal(D_mat, sigma)], labels, order)
 
 
-def _ints_over(M: Matrix, den: int) -> list:
-    """The integer rows of M over ``den``, a multiple of its denominator."""
-    f = den // M._den
-    return [[f * x for x in row] for row in M._ints]
+def _diagonal(A: Matrix, B: Matrix) -> Matrix:
+    """The block-diagonal A ⊕ B, on integer rows over one denominator."""
+    den = lcm(A._den, B._den)
+    a, b = den // A._den, den // B._den
+    right, left = (0,) * B.ncols, (0,) * A.ncols
+    rows = [(*[a * x for x in row], *right) for row in A._ints]
+    rows += [(*left, *[b * x for x in row]) for row in B._ints]
+    return Matrix._from_ints(tuple(rows), A.ncols + B.ncols, den)
+
+
+def _extension(
+    h: LieAlgebra,
+    core: LieAlgebra,
+    gram: Matrix,
+    rho: Sequence[Matrix],
+    labels: Sequence[str],
+    order: Optional[Sequence[int]] = None,
+) -> Tuple[LieAlgebra, Matrix]:
+    """The structure constants and Gram matrix of h ⊕ S ⊕ h*, unchecked.
+
+    h is a Lie algebra on x_1..x_r, (S, B_S) a quadratic algebra on
+    s_1..s_k, and h acts on S by the skew derivations rho(x_a); h* has the
+    dual basis xi_a.  The brackets are [x, y] = [x, y]_h, [x, s] =
+    rho(x) s, [x, xi] = -xi∘ad_x and [s, s'] = [s, s']_S + sum_a
+    B_S(rho(x_a) s, s') xi_a, and h* is central in S ⊕ h*.  B is B_S on S,
+    pairs each x_a with xi_a and is zero elsewhere.  This is the double
+    extension of Medina–Revoy (h a line) and Figueroa-O'Farrill–Stanciu
+    (any h): B is invariant, and the Jacobi identity holds when rho is a
+    Lie homomorphism into the skew derivations of S.
+
+    ``gram`` is B_S and ``rho`` the matrices rho(x_a).  The brackets of S
+    are those of ``core`` on s_1..s_c, c = core.dim, and zero on the rest
+    (which is how the builder passes S ⊥ V).  Basis vector t of (x, s, xi)
+    takes the place order[t], in order by default.  Every term is read off
+    the integer tables and rows and put over one denominator, and
+    ``LieAlgebra._from_ints`` sums repeated terms into canonical form.
+    """
+    (dh, h_table), (ds, s_table) = _integer_table(h), _integer_table(core)
+    e, G, k, r = gram._den, gram._ints, gram.nrows, len(rho)
+    dim = 2 * r + k
+    at = range(dim) if order is None else order
+    X, Y, Xi = at[:r], at[r:r + k], at[r + k:]
+    den = lcm(dh, ds, e * lcm(*[M._den for M in rho]))
+    fh, fs = den // dh, den // ds
+    out: dict = {}
+    for (a, b), terms in _upper(h_table).items():
+        out[(X[a], X[b])] = [(X[c], fh * v) for c, v in terms]
+        # the entry v of [x_a, x_b] on x_c adds -v xi_b to [x_a, xi_c] and,
+        # as [x_b, x_a] has -v there, v xi_a to [x_b, xi_c]
+        for c, v in terms:
+            out.setdefault((X[a], Xi[c]), []).append((Xi[b], -fh * v))
+            out.setdefault((X[b], Xi[c]), []).append((Xi[a], fh * v))
+    for (i, j), terms in _upper(s_table).items():
+        out[(Y[i], Y[j])] = [(Y[t], fs * v) for t, v in terms]
+    for x, xi, M in zip(X, Xi, rho):
+        fr, fm = den // M._den, den // (M._den * e)
+        for j, column in enumerate(zip(*M._ints)):
+            # rho(x) s_j = sum_p column[p] s_p, and B_S(rho(x) s_j, s_q) =
+            # sum_p column[p] G[q][p] since G is symmetric (over M's den e)
+            out[(x, Y[j])] = [(Y[p], fr * v) for p, v in enumerate(column) if v]
+            for q in range(j + 1, k):
+                c = sum(map(mul, column, G[q]))
+                if c:
+                    out.setdefault((Y[j], Y[q]), []).append((xi, fm * c))
+    B = [[0] * dim for _ in range(dim)]
+    for i, row in zip(Y, G):
+        for q, w in zip(Y, row):
+            B[i][q] = w
+    for x, xi in zip(X, Xi):
+        B[x][xi] = B[xi][x] = e
+    algebra = LieAlgebra._from_ints(dim, den, out, labels)
+    return algebra, Matrix._from_ints(tuple([tuple(row) for row in B]), dim, e)
 
 
 def coadjoint_double(g: LieAlgebra) -> QuadraticLieAlgebra:
     """The quadratic algebra on g ⊕ g* with the hyperbolic metric.
 
     The bracket extends that of g by the coadjoint action; g* is an abelian
-    ideal and B(x + zeta, y + nu) = zeta(y) + nu(x).  Each structure
-    constant of g gives its two coadjoint terms in one pass over the
-    integer table.
+    ideal and B(x + zeta, y + nu) = zeta(y) + nu(x).  This is
+    ``_extension`` with h = g and S = 0.
     """
     if check_jacobi(g):
         raise ValueError("input algebra fails the Jacobi identity")
-    n = g.dim
-    dim = 2 * n
-    d, table = _integer_table(g)
-    upper = _upper(table)
-    brackets = dict(upper)
-    # [x_i, xi_k] = -sum_l c^k_{il} xi_l: the entry c = c^k_{ab} adds
-    # -c xi_b to [x_a, xi_k] and, as c^k_{ba} = -c, c xi_a to [x_b, xi_k]
-    for (a, b), terms in upper.items():
-        for k, c in terms:
-            brackets.setdefault((a, n + k), []).append((n + b, -c))
-            brackets.setdefault((b, n + k), []).append((n + a, c))
-    labels = list(g.basis_labels) + [s + "*" for s in g.basis_labels]
-    algebra = LieAlgebra._from_ints(dim, d, brackets, labels)
-    hyperbolic = tuple([tuple([int(abs(i - j) == n) for j in range(dim)]) for i in range(dim)])
-    return _certified(algebra, Matrix._from_ints(hyperbolic, dim), "coadjoint double")
+    labels = [*g.basis_labels, *[s + "*" for s in g.basis_labels]]
+    empty = Matrix([], 0)
+    built = _extension(g, _ZERO, empty, [empty] * g.dim, labels)
+    return _certified(*built, "coadjoint double")

@@ -1,5 +1,6 @@
 """Constructors: h_m, h_m(phi), S(D), the main builder, coadjoint doubles."""
 
+import importlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from fixtures import (
 
 from oracles import heisenberg_ideal_span
 
+from quadlie.errors import InternalVerificationError
 from quadlie.exactla import Matrix, Subspace, unit_vector, vector
 from quadlie.heisenberg import (
     SymplecticMap,
@@ -34,11 +36,17 @@ from quadlie.liealg import (
     center,
     check_jacobi,
     derived_subalgebra,
+    direct_sum,
     is_ideal,
     subalgebra_on,
 )
-from quadlie.quadform import check_invariant_metric
-from quadlie.randomized import random_omega_skew
+from quadlie.quadform import (
+    BilinearForm,
+    QuadraticLieAlgebra,
+    check_invariant_metric,
+    transport_quadratic,
+)
+from quadlie.randomized import random_build_input, random_omega_skew
 
 
 def test_heisenberg_default():
@@ -299,3 +307,71 @@ def test_inputs_of_the_wrong_size_are_refused(case):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+def _block_diagonal(A, B):
+    """A ⊕ B as a Matrix."""
+    n = A.ncols + B.ncols
+    rows = [list(row) + [0] * B.ncols for row in A.rows]
+    return Matrix(rows + [[0] * A.ncols + list(row) for row in B.rows], n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_builder_is_the_double_extension_of_the_core_beside_v(seed):
+    """build_with_heisenberg_ideal(S, D, V, sigma) is double_extension(S ⊥
+    (V, B_V), D ⊕ sigma) with B_V(u, v) = omega(sigma^{-1} u, v), once the
+    basis (D, S, V, hbar) is put in the order (S, d, V, hbar): the
+    double extension's B_V(sigma u, v) hbar is the Heisenberg bracket
+    omega(u, v) hbar."""
+    S, D, V, sigma = random_build_input(random.Random(seed), 4, 3)
+    sigma = sigma.matrix
+    B_V = sigma.inverse().transpose() @ V.omega
+    core = QuadraticLieAlgebra(
+        direct_sum(S.algebra, LieAlgebra.abelian(V.dim)),
+        BilinearForm(_block_diagonal(S.metric.gram, B_V)),
+    )
+    extended = double_extension(core, _block_diagonal(D, sigma))
+    k, n = S.dim, extended.dim
+    P = Matrix([unit_vector(n, t) for t in [*range(1, k + 1), 0, *range(k + 1, n)]], n)
+    built = build_with_heisenberg_ideal(S, D, V, sigma)
+    moved = transport_quadratic(extended, P, built.algebra.basis_labels)
+    assert moved == built
+
+
+def _failing_jacobi(real):
+    """``_extension`` with its algebra replaced by one of the same size that
+    fails the Jacobi identity: [e1, e2] = e3, [e1, e3] = e1, [e2, e3] = e2
+    gives J(e1, e2, e3) = 2 e3."""
+    def broken(*args):
+        algebra, gram = real(*args)
+        bad = {(0, 1): [(2, 1)], (0, 2): [(0, 1)], (1, 2): [(1, 1)]}
+        return LieAlgebra(algebra.dim, bad, algebra.basis_labels), gram
+    return broken
+
+
+BROKEN_BUILDS = {
+    "build_with_heisenberg_ideal": (
+        lambda: build_with_heisenberg_ideal(
+            sl2_quadratic(), Matrix.zeros(3, 3), SymplecticSpace.standard(1), DIAG_1_M1
+        ),
+        "heisenberg-ideal build",
+    ),
+    "extend_heisenberg": (lambda: extend_heisenberg(1, None, DIAG_1_M1), "heisenberg-ideal build"),
+    "double_extension": (
+        lambda: double_extension(sl2_quadratic(), Matrix.zeros(3, 3)), "heisenberg-ideal build"
+    ),
+    "coadjoint_double": (lambda: coadjoint_double(two_dim_nonabelian()), "coadjoint double"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_BUILDS))
+def test_a_construction_that_fails_validation_is_an_internal_error(case, monkeypatch):
+    """Valid input whose construction does not certify is a library fault:
+    ``InternalVerificationError`` naming the construction, never the
+    ``ValueError`` of an input error."""
+    module = importlib.import_module("quadlie.heisenberg")
+    monkeypatch.setattr(module, "_extension", _failing_jacobi(module._extension))
+    call, what = BROKEN_BUILDS[case]
+    with pytest.raises(InternalVerificationError) as info:
+        call()
+    assert str(info.value) == f"{what} failed validation: algebra fails the Jacobi identity"

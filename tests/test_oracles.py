@@ -342,6 +342,63 @@ def test_builder_matches_its_entry_by_entry_oracle(seed):
     )
 
 
+MIXED_DENOMINATOR_SEEDS = range(100, 120)
+
+
+def _mixed_denominator_input(seed):
+    """A nonzero core moved by a dense rational base change of determinant
+    other than ±1, its D moved with it, and sigma scaled by k/7 (its
+    integer entries lie in -3..3, so the scaled sigma has denominator 7)."""
+    rng = random.Random(seed)
+    S, D, V, sigma = random_build_input(rng, 4, 3)
+    while S.dim == 0:
+        S, D, V, sigma = random_build_input(rng, 4, 3)
+    P = _random_invertible(rng, S.dim)
+    while abs(P.det()) == 1:
+        P = _random_invertible(rng, S.dim)
+    S, D = transport_quadratic(S, P), P.transpose().inverse() @ D @ P.transpose()
+    return S, D, V, sigma.matrix.scale(Fraction(rng.randint(1, 3), 7))
+
+
+def test_mixed_denominator_inputs_have_a_denominator_in_every_part():
+    """Over the seeds, the core's table, B_S and D each have a denominator
+    above 1 somewhere; sigma has one on every seed."""
+    inputs = [_mixed_denominator_input(seed) for seed in MIXED_DENOMINATOR_SEEDS]
+    assert all(sigma._den == 7 for *_, sigma in inputs)
+    assert any(_integer_table(S.algebra)[0] > 1 for S, *_ in inputs)
+    assert any(S.metric.gram._den > 1 for S, *_ in inputs)
+    assert any(D._den > 1 for _, D, *_ in inputs)
+
+
+@pytest.mark.parametrize("seed", MIXED_DENOMINATOR_SEEDS)
+def test_builders_match_their_oracles_over_mixed_denominators(seed):
+    """The core's table, B_S, D and sigma over unrelated denominators: the
+    constructors put them over one, and agree with the oracles that keep
+    each entry a Fraction."""
+    S, D, V, sigma = _mixed_denominator_input(seed)
+    _assert_same_construction(
+        build_with_heisenberg_ideal(S, D, V, sigma),
+        build_with_heisenberg_ideal_direct(S, D, V, sigma),
+    )
+    _assert_same_construction(double_extension(S, D), double_extension_direct(S, D))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "make", [fixtures.sl2, fixtures.five_dim_trace_zero, fixtures.two_dim_nonabelian]
+)
+def test_coadjoint_double_matches_its_oracle_on_a_rational_table(make, seed):
+    """g moved by a dense rational base change, drawn until its structure
+    constants have a denominator above 1."""
+    g, rng = make(), random.Random(seed)
+    moved = g
+    while _integer_table(moved)[0] == 1:
+        moved = transport(g, _random_invertible(rng, g.dim))
+    double, expected = coadjoint_double(moved), coadjoint_double_by_bracket_basis(moved)
+    _assert_same_algebra(double.algebra, expected.algebra)
+    assert double.metric == expected.metric
+
+
 # -- the integer elimination core against the Fraction and dense cores --------
 
 def _fraction_rows(A):

@@ -79,9 +79,27 @@ def test_time_solvers_times_the_dim_10_grid_shape(monkeypatch):
         "analyze_s",
         "loads_s",
         "dumps_s",
+        "build_with_heisenberg_ideal_s",
+        "double_extension_s",
+        "coadjoint_double_s",
     ):
         assert isinstance(line[key], float) and line[key] >= 0
     assert json.loads(json.dumps(line)) == line
+
+
+def test_time_solvers_times_the_builder_on_the_draws_of_the_grid_algebra(monkeypatch):
+    """``build_input`` repeats the draws of ``grid_algebras``: its base
+    change moves the build of its input onto the grid algebra."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import time_solvers
+    from bench.workloads import grid_algebras
+    from quadlie.heisenberg import build_with_heisenberg_ideal
+    from quadlie.quadform import transport_quadratic
+
+    for shape in ((4, False, 2), (3, False, 3)):
+        S, D, V, sigma, P = time_solvers.build_input(shape)
+        built = build_with_heisenberg_ideal(S, D, V, sigma)
+        assert transport_quadratic(built, P) == grid_algebras([shape])[0]
 
 
 def test_time_solvers_prints_the_import_time_first(monkeypatch, capsys):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the two large exact solvers, constructor validation, the
-nilradical, ``quadlie check`` and ``quadlie analyze`` at the scale of the
-benchmark grid, and the nilradical's word closure on fixed shapes that
-run it.
+builders, the nilradical, ``quadlie check`` and ``quadlie analyze`` at the
+scale of the benchmark grid, and the nilradical's word closure on fixed
+shapes that run it.
 
 Builds the fixed ``bench.workloads.grid_algebras`` shapes (4, False, m) for
 m = 2..7, that is, a 4-dimensional non-abelian core extended to dimension
@@ -14,9 +14,13 @@ computes first) and the whole ``quadlie check`` and ``quadlie analyze``
 commands (``cli.main`` reading the algebra's document from stdin, output
 discarded) once each on every shape, and the interchange boundary:
 ``documents.loads_document`` on the shape's document and
-``documents.dumps_canonical`` on its ``analyze`` report.  Each shape is its own one-entry
-grid, so the dim-10 algebra is the first one of the ``grid_forms``
-workload.  Standard library only, no options:
+``documents.dumps_canonical`` on its ``analyze`` report.  It also times
+the three builders, each the fastest of 3 calls: ``build_with_heisenberg_ideal``
+on the draws that build the shape's algebra (``build_input``, before the
+base change), ``double_extension`` of the shape's algebra by its first
+skew derivation, and ``coadjoint_double`` of its Lie algebra.  Each shape
+is its own one-entry grid, so the dim-10 algebra is the first one of the
+``grid_forms`` workload.  Standard library only, no options:
 
     python tools/time_solvers.py
 
@@ -32,7 +36,9 @@ number of equations of each solver's system (``invariance_rows``,
 (``invariance_rank``, ``cocycle_rank``: the unknowns minus the kernel
 dimension; rows minus rank counts the redundant equations), and the
 nilradical's closure rounds (``nilradical_closure_rounds``, counted on a
-second, untimed call).  The grid shapes run no round: ker K_R meets the
+second, untimed call), and the seconds of the three builders
+(``build_with_heisenberg_ideal_s``, ``double_extension_s``,
+``coadjoint_double_s``).  The grid shapes run no round: ker K_R meets the
 floor [g, R] + Z(g) at once.
 
 Last, one JSON line per closure shape (``CLOSURES``), algebras whose
@@ -60,6 +66,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import statistics
 import sys
 import time
@@ -70,7 +77,7 @@ for path in (ROOT, ROOT / "src"):
         sys.path.insert(0, str(path))
 
 from bench.run import import_times  # noqa: E402
-from bench.workloads import grid_algebras  # noqa: E402
+from bench.workloads import GRID_SEED, _core, grid_algebras  # noqa: E402
 from quadlie import cli  # noqa: E402
 from quadlie.documents import (  # noqa: E402
     AlgebraDocument,
@@ -86,8 +93,18 @@ from quadlie.quadform import (  # noqa: E402
     skew_derivation_space,
 )
 from quadlie import structure  # noqa: E402
-from quadlie.heisenberg import coadjoint_double  # noqa: E402
+from quadlie.heisenberg import (  # noqa: E402
+    SymplecticSpace,
+    build_with_heisenberg_ideal,
+    coadjoint_double,
+    double_extension,
+)
 from quadlie.liealg import LieAlgebra  # noqa: E402
+from quadlie.randomized import (  # noqa: E402
+    random_invertible_omega_skew,
+    random_skew_derivation,
+    random_unimodular,
+)
 from quadlie.structure import (  # noqa: E402
     HeisenbergIdealData,
     analyze,
@@ -203,12 +220,27 @@ def time_boundary(q) -> tuple:
     return loaded - start, time.perf_counter() - start_dump
 
 
+def build_input(shape) -> tuple:
+    """(S, D, V, sigma, P): the draws from which ``grid_algebras`` builds
+    the algebra of ``shape`` as a one-entry grid, that is the builder's
+    input and the base change that moves its output."""
+    core_dim, abelian, m = shape
+    rng = random.Random(GRID_SEED)
+    S = _core(rng, core_dim, abelian)
+    D = random_skew_derivation(rng, S)
+    V = SymplecticSpace.standard(m)
+    sigma = random_invertible_omega_skew(rng, V)
+    return S, D, V, sigma, random_unimodular(rng, S.dim + V.dim + 2)
+
+
 def time_solvers(shape) -> dict:
     """One timed call of each solver, of the validating constructor, of
     the nilradical, of ``check`` and of ``analyze`` on the grid algebra of
-    ``shape``, of the document's parse and of the report's dump, and the
-    row counts and ranks of the two solver systems."""
+    ``shape``, of the document's parse and of the report's dump, the
+    fastest of 3 calls of each builder, and the row counts and ranks of
+    the two solver systems."""
     q = grid_algebras([shape])[0]
+    S, D, V, sigma, _ = build_input(shape)
     invariance, cocycle = _invariance_system(q.algebra), _cocycle_system(q.algebra)
     start = time.perf_counter()
     skew = skew_derivation_space(q)
@@ -239,6 +271,11 @@ def time_solvers(shape) -> dict:
         "analyze_s": round(time_command(q, "analyze"), 4),
         "loads_s": round(loads_s, 5),
         "dumps_s": round(dumps_s, 5),
+        "build_with_heisenberg_ideal_s": round(
+            fastest(lambda: build_with_heisenberg_ideal(S, D, V, sigma))[0], 5
+        ),
+        "double_extension_s": round(fastest(lambda: double_extension(q, skew[0]))[0], 5),
+        "coadjoint_double_s": round(fastest(lambda: coadjoint_double(q.algebra))[0], 5),
     }
 
 
